@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ScenarioConfig, ScenarioError
+from .scenario import ScenarioConfig, ScenarioError, boundary_radius_sq
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,20 @@ class Certificate:
         self.eta2 = np.array([pa.eta2 for pa in config.params])                # (N,)
         self.radii_sq = np.array([ob.radius_sq for ob in config.obstacles])    # (N,)
         self.radii = np.sqrt(self.radii_sq)
+        # plain-float copies for dominant_gap, the simulator's hot path
+        self._obstacles = tuple(zip(self.centers.tolist(), self.eta1.tolist(),
+                                    self.eta2.tolist()))
+        self._radii_sq = tuple(self.radii_sq.tolist())
+        self._radii = tuple(self.radii.tolist())
+        self._r1 = tuple(RegionLabel("R1", j) for j in range(self.n_obstacles))
+        self._r2 = RegionLabel("R2")
+        self._r3 = tuple(RegionLabel("R3", j) for j in range(self.n_obstacles))
+        self._unsafe = tuple(RegionLabel("UNSAFE", j) for j in range(self.n_obstacles))
 
     # -- scalar fields ------------------------------------------------------
 
     def L(self, x: np.ndarray) -> float:
-        return float(x @ x)
+        return float(x.dot(x))
 
     def grad_L(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * np.asarray(x, float)
@@ -88,7 +97,7 @@ class Certificate:
 
     def B(self, i: int, x: np.ndarray) -> float:
         d = x - self.centers[i]
-        return float(self.eta2[i] - self.eta1[i] * (d @ d))
+        return float(self.eta2[i] - self.eta1[i] * d.dot(d))
 
     def grad_B(self, i: int, x: np.ndarray) -> np.ndarray:
         return -2.0 * self.eta1[i] * (x - self.centers[i])
@@ -96,45 +105,87 @@ class Certificate:
     def V(self, x: np.ndarray) -> float:
         return max(self.L(x), float(np.max(self.B_values(x))))
 
+    def gap(self, i: int, x: np.ndarray) -> float:
+        """B_i(x) - L(x) for one given obstacle."""
+        return self.B(i, x) - self.L(x)
+
+    def dominant_gap(self, x: np.ndarray) -> tuple[int, float, list[float]]:
+        """Dominant obstacle i = argmax_j B_j(x), B_i(x) - L(x), and ||x - c_j||^2.
+
+        Ties break to the lowest index.  Written as a plain loop because the
+        simulator calls it once per step and per bisection probe.
+        """
+        xs = x.tolist()
+        L = 0.0
+        for v in xs:
+            L += v * v
+        best_i, best_b, dds = 0, -math.inf, []
+        for j, (c, e1, e2) in enumerate(self._obstacles):
+            dd = 0.0
+            for a, b in zip(xs, c):
+                d = a - b
+                dd += d * d
+            dds.append(dd)
+            bj = e2 - e1 * dd
+            if bj > best_b:
+                best_i, best_b = j, bj
+        return best_i, best_b - L, dds
+
     # -- regions ------------------------------------------------------------
+
+    def _first_unsafe(self, dds: list[float]) -> int | None:
+        for j, (dd, rsq) in enumerate(zip(dds, self._radii_sq)):
+            if dd < rsq:
+                return j
+        return None
+
+    def label(self, i: int, h: float, dds: list[float], eps_band: float) -> RegionLabel:
+        """Region from a dominant_gap result: unsafe test first, then band h."""
+        u = self._first_unsafe(dds)
+        if u is not None:
+            return self._unsafe[u]
+        if h > eps_band:
+            return self._r1[i]
+        if -h > eps_band:
+            return self._r2
+        return self._r3[i]
+
+    def classify(self, x: np.ndarray, eps_band: float) -> RegionLabel:
+        """Region of x: unsafe balls first, then the band on max_i B_i - L."""
+        return self.label(*self.dominant_gap(x), eps_band)
 
     def unsafe_index(self, x: np.ndarray) -> int | None:
         """Index of an obstacle whose open ball contains x, else None."""
-        d = x - self.centers
-        inside = np.einsum("ij,ij->i", d, d) < self.radii_sq
-        hits = np.nonzero(inside)[0]
-        return int(hits[0]) if hits.size else None
+        return self._first_unsafe(self.dominant_gap(x)[2])
 
     def dominant_obstacle(self, x: np.ndarray) -> int:
         """argmax_i B_i(x); ties break to the lowest index."""
-        return int(np.argmax(self.B_values(x)))
+        return self.dominant_gap(x)[0]
 
-    def classify(self, x: np.ndarray, eps_band: float) -> RegionLabel:
-        """Unsafe test first, then band the comparison of max B against L."""
-        u = self.unsafe_index(x)
+    def admissible(self, x: np.ndarray, eps_band: float) -> tuple[bool, str]:
+        """Outside every obstacle and B_i - L <= -eps_band for every i."""
+        i, h, dds = self.dominant_gap(x)
+        u = self._first_unsafe(dds)
         if u is not None:
-            return RegionLabel("UNSAFE", u)
-        b = self.B_values(x)
-        i = int(np.argmax(b))
-        h = float(b[i]) - self.L(x)
-        if h > eps_band:
-            return RegionLabel("R1", i)
-        if -h > eps_band:
-            return RegionLabel("R2")
-        return RegionLabel("R3", i)
+            return False, f"inside obstacle {u}"
+        if h > -eps_band:
+            return False, f"in barrier region of obstacle {i}"
+        return True, "stabilizer region"
+
+    def clearance(self, dds: list[float]) -> np.ndarray:
+        """Per-obstacle ||x - c_i|| - sqrt(r_i) from squared center distances."""
+        return np.array([math.sqrt(dd) - r for dd, r in zip(dds, self._radii)])
 
     def min_dists(self, x: np.ndarray) -> np.ndarray:
         """Per-obstacle ||x - c_i|| - sqrt(r_i); positive means clear."""
-        d = x - self.centers
-        return np.sqrt(np.einsum("ij,ij->i", d, d)) - self.radii
+        return self.clearance(self.dominant_gap(x)[2])
 
     # -- virtual boundary geometry -------------------------------------------
 
     def boundary_sphere(self, i: int) -> BoundarySphere:
-        e1, e2 = self.eta1[i], self.eta2[i]
-        c = self.centers[i]
-        center = e1 * c / (1.0 + e1)
-        radius_sq = ((1.0 + e1) * e2 - e1 * float(c @ c)) / (1.0 + e1) ** 2
+        e1 = self.eta1[i]
+        center = e1 * self.centers[i] / (1.0 + e1)
+        radius_sq = boundary_radius_sq(self.config.obstacles[i], self.config.params[i])
         if radius_sq <= 0:
             raise ScenarioError(f"obstacle {i}: boundary sphere is empty (radius_sq <= 0)")
         return BoundarySphere(center=center, radius_sq=radius_sq)
@@ -183,8 +234,7 @@ class Certificate:
 
     def in_shrunk_band(self, x: np.ndarray, i: int, eps_band: float) -> bool:
         """|B_i - L| <= eps_band and ||x||^2 < phi(c_i)."""
-        h = self.B(i, x) - self.L(x)
-        return abs(h) <= eps_band and self.L(x) < self.phi(i)
+        return abs(self.gap(i, x)) <= eps_band and self.L(x) < self.phi(i)
 
     def shrunk_band_margin(self, i: int, eps_band: float) -> float:
         """Tangency-cone margin on phi for trajectory checks.

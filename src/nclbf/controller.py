@@ -33,7 +33,7 @@ class MemoryStateError(RuntimeError):
 def mu(y: np.ndarray) -> np.ndarray:
     """y^T / ||y||^2; satisfies y @ mu(y) = 1.  Rejects the zero vector."""
     y = np.asarray(y, float)
-    n2 = float(y @ y)
+    n2 = float(y.dot(y))
     if n2 == 0.0:
         raise ZeroDivisionError("mu undefined for the zero vector")
     return y / n2
@@ -67,13 +67,14 @@ class RegionMemory:
 class Controller:
     """Bundles system, certificate, and gains; all methods are pure in x."""
 
+    tol_g = TOL_G
+
     def __init__(self, system: ControlAffineSystem, certificate: Certificate,
-                 config: ScenarioConfig, tol_g: float = TOL_G):
+                 config: ScenarioConfig):
         self.system = system
         self.cert = certificate
         self.gamma = config.gains.gamma
         self.c1 = [pa.c1 for pa in config.params]
-        self.tol_g = tol_g
         self.eps_band = config.integrator.eps_band
 
     def kappa1(self, i: int, x: np.ndarray, f0: np.ndarray | None = None,
@@ -82,9 +83,9 @@ class Controller:
         if f0 is None:
             f0, g0 = self.system.f(x), self.system.g(x)
         gB = self.cert.grad_B(i, x)
-        Bf = float(gB @ f0)
-        Bg = gB @ g0
-        if math.sqrt(float(Bg @ Bg)) <= self.tol_g:
+        Bf = float(gB.dot(f0))
+        Bg = gB.dot(g0)
+        if math.sqrt(float(Bg.dot(Bg))) <= self.tol_g:
             return np.zeros(self.system.m)
         bar, _ = mu_bar(Bg, self.tol_g)
         return -mu(Bg) * Bf - self.c1[i] * bar * self.cert.L(x)
@@ -95,9 +96,9 @@ class Controller:
         if f0 is None:
             f0, g0 = self.system.f(x), self.system.g(x)
         gL = 2.0 * x
-        Lf = float(gL @ f0)
-        Lg = gL @ g0
-        n2 = float(Lg @ Lg)
+        Lf = float(gL.dot(f0))
+        Lg = gL.dot(g0)
+        n2 = float(Lg.dot(Lg))
         if math.sqrt(n2) <= self.tol_g:
             return np.zeros(self.system.m)
         return -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2)) * (Lg / n2)
@@ -116,16 +117,10 @@ class Controller:
         # memory only arises from numerical band overlap.
         return self.kappa2(x, f0, g0)
 
-    def control(self, x: np.ndarray, memory: RegionMemory,
-                eps_band: float | None = None) -> ControlDecision:
-        """Dispatch on the region classification of x."""
-        band = self.eps_band if eps_band is None else eps_band
-        return self.dispatch(self.cert.classify(x, band), x, memory)
-
     def dispatch(self, region: RegionLabel, x: np.ndarray, memory: RegionMemory,
                  f0: np.ndarray | None = None,
                  g0: np.ndarray | None = None) -> ControlDecision:
-        """Dispatch for an already-classified state."""
+        """Control for x, whose region is cert.classify(x, eps_band)."""
         if region.kind == "UNSAFE":
             raise SafetyViolationError(
                 f"state inside unsafe ball {region.index} (obstacle {region.index + 1})")

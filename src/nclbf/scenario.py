@@ -124,10 +124,12 @@ class ObstacleParams:
         object.__setattr__(self, "c1", _readonly(self.c1))
         object.__setattr__(self, "eta1", float(self.eta1))
         object.__setattr__(self, "eta2", float(self.eta2))
-        if self.eta1 <= 0 or self.eta2 <= 0:
-            raise ScenarioError("eta1 and eta2 must be positive")
-        if self.c1.ndim != 1 or np.any(self.c1 <= 0):
-            raise ScenarioError("c1 must be a vector of positive entries")
+        if not (0 < self.eta1 < math.inf and 0 < self.eta2 < math.inf):
+            raise ScenarioError("eta1 and eta2 must be positive and finite")
+        if self.c1.ndim != 1 or not np.all((self.c1 > 0) & (self.c1 < math.inf)):
+            raise ScenarioError("c1 must be a vector of positive finite entries")
+        if self.w is not None and not math.isfinite(self.w):
+            raise ScenarioError("w must be finite")
 
     @classmethod
     def resolve(cls, obstacle: ObstacleSpec, eta1: float, c1,
@@ -158,8 +160,8 @@ class ControllerGains:
     gamma: float
 
     def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ScenarioError("gamma must be positive")
+        if not (0 < self.gamma < math.inf):
+            raise ScenarioError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -170,10 +172,10 @@ class IntegratorSettings:
     eps_band: float = 1e-3
 
     def __post_init__(self):
-        if not (0 < self.dt < self.t_max):
-            raise ScenarioError("require 0 < dt < t_max")
-        if self.eps_conv <= 0 or self.eps_band <= 0:
-            raise ScenarioError("eps_conv and eps_band must be positive")
+        if not (0 < self.dt < self.t_max < math.inf):
+            raise ScenarioError("require 0 < dt < t_max and a finite t_max")
+        if not (0 < self.eps_conv < math.inf and 0 < self.eps_band < math.inf):
+            raise ScenarioError("eps_conv and eps_band must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,8 @@ class ScenarioConfig:
         object.__setattr__(self, "initial_states", tuple(_readonly(x) for x in self.initial_states))
         if self.state_box.ndim != 2 or self.state_box.shape[1] != 2:
             raise ScenarioError("state_box must have shape (n, 2)")
+        if not np.all(np.isfinite(self.state_box)):
+            raise ScenarioError("state_box must be finite")
         n = self.n
         if len(self.obstacles) != len(self.params):
             raise ScenarioError("obstacles and params lists must have the same length")
@@ -262,8 +266,8 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
     Covers, per obstacle: origin strictly outside, the eta1 lower bound, the
     eta2 interval, the w range when w is given, positivity of c1; pairwise:
     obstacle balls disjoint and boundary spheres disjoint.  Initial states are
-    reported admissible iff they classify into the stabilizer region (outside
-    every obstacle, below every barrier by more than eps_band).
+    reported admissible iff they lie in the stabilizer region (outside every
+    obstacle, below every barrier by at least eps_band).
     """
     checks: list[ValidationCheck] = []
     notes: list[str] = []
@@ -311,26 +315,15 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
                     f"spheres[{i},{j}] disjoint: ||ci-cj|| > sqrt(rbar_i)+sqrt(rbar_j)",
                     dist > spheres, dist, spheres, dist - spheres))
 
+    from .certificate import Certificate  # certificate imports this module
+    cert = Certificate(config)
     for k, x0 in enumerate(config.initial_states):
-        ok, why = _admissible(config, x0)
+        ok, why = cert.admissible(x0, config.integrator.eps_band)
         checks.append(ValidationCheck(f"initial_state[{k}] admissible ({why})",
                                       ok, float(np.linalg.norm(x0)), 0.0, 0.0))
     if config.n_obstacles > 0:
         notes.append("disjointness of boundary spheres checked pairwise on ||c_i - c_j||")
     return ValidationReport(checks=tuple(checks), notes=tuple(notes))
-
-
-def _admissible(config: ScenarioConfig, x0: np.ndarray) -> tuple[bool, str]:
-    """Admissible = outside every obstacle and strictly below every barrier."""
-    L = float(x0 @ x0)
-    for i, (ob, pa) in enumerate(zip(config.obstacles, config.params)):
-        d = x0 - ob.center
-        if float(d @ d) < ob.radius_sq:
-            return False, f"inside obstacle {i}"
-        b = pa.eta2 - pa.eta1 * float(d @ d)
-        if b - L > -config.integrator.eps_band:
-            return False, f"in barrier region of obstacle {i}"
-    return True, "stabilizer region"
 
 
 # ---------------------------------------------------------------------------

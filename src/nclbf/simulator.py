@@ -28,16 +28,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificate import RegionLabel
 from .controller import Controller, RegionMemory, make_controller
-from .scenario import ScenarioConfig, _admissible
+from .scenario import ScenarioConfig
 from .systems import ControlAffineSystem, resolve_system
 
 
@@ -48,28 +46,27 @@ class NumericBlowupError(RuntimeError):
 def _rk4(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
          dt: float, f0: np.ndarray | None = None,
          g0: np.ndarray | None = None) -> np.ndarray:
+    # Stage states are combined on plain floats: the same element-wise
+    # operations as array arithmetic, so bit-identical, at a fraction of the
+    # per-call overhead for small n.  ndarray.dot gives the same BLAS result
+    # as @ with less call overhead; the hot paths here and in the controller
+    # use it for that reason.
     f, g = system.f, system.g
     if f0 is None:
-        k1 = f(x) + g(x) @ u
+        k1 = (f(x) + g(x).dot(u)).tolist()
     else:
-        k1 = f0 + g0 @ u
-    x2 = k1 * (0.5 * dt)
-    x2 += x
-    k2 = f(x2) + g(x2) @ u
-    x3 = k2 * (0.5 * dt)
-    x3 += x
-    k3 = f(x3) + g(x3) @ u
-    x4 = k3 * dt
-    x4 += x
-    k4 = f(x4) + g(x4) @ u
-    acc = k2
-    acc += k3
-    acc *= 2.0
-    acc += k1
-    acc += k4
-    acc *= dt / 6.0
-    acc += x
-    return acc
+        k1 = (f0 + g0.dot(u)).tolist()
+    xs = x.tolist()
+    half = 0.5 * dt
+    x2 = np.array([k * half + a for k, a in zip(k1, xs)])
+    k2 = (f(x2) + g(x2).dot(u)).tolist()
+    x3 = np.array([k * half + a for k, a in zip(k2, xs)])
+    k3 = (f(x3) + g(x3).dot(u)).tolist()
+    x4 = np.array([k * dt + a for k, a in zip(k3, xs)])
+    k4 = (f(x4) + g(x4).dot(u)).tolist()
+    w = dt / 6.0
+    return np.array([(((b + c) * 2.0 + a) + d) * w + v
+                     for a, b, c, d, v in zip(k1, k2, k3, k4, xs)])
 
 
 def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
@@ -112,6 +109,23 @@ class TrajectoryRecord:
     samples: tuple[StepSample, ...]
     outcome: Outcome | None
 
+    def min_clearance(self) -> float:
+        """Smallest min_dist entry over the run; positive means always safe."""
+        return float(np.concatenate([s.min_dist for s in self.samples]).min())
+
+    def v_increase(self, eps_conv: float) -> tuple[float, float | None]:
+        """Largest V_k+1 - V_k over steps from ||x_k|| > eps_conv, and its t_k.
+
+        (-inf, None) when no step qualifies.
+        """
+        worst, at = -math.inf, None
+        for a, b in zip(self.samples, self.samples[1:]):
+            if float(a.x.dot(a.x)) > eps_conv * eps_conv:
+                dv = b.V - a.V
+                if dv > worst:
+                    worst, at = dv, a.t
+        return worst, at
+
 
 @dataclass(frozen=True)
 class SimulationSummary:
@@ -152,72 +166,10 @@ class _Engine:
         self.dt = config.integrator.dt
         self.eps_band = config.integrator.eps_band
         self.h_floor = -0.25 * self.eps_band
-        self.centers = self.cert.centers
-        self.eta1 = self.cert.eta1
-        self.eta2 = self.cert.eta2
-        self.radii_sq = self.cert.radii_sq
-        self.radii = self.cert.radii
-        nobs = config.n_obstacles
-        self._lab_r2 = RegionLabel("R2")
-        self._lab_r1 = tuple(RegionLabel("R1", j) for j in range(nobs))
-        self._lab_r3 = tuple(RegionLabel("R3", j) for j in range(nobs))
-        self._lab_unsafe = tuple(RegionLabel("UNSAFE", j) for j in range(nobs))
-        self._rsq_list = tuple(float(v) for v in self.radii_sq)
-        # scalar fast path for the planar case (the hot loop is Python-bound)
-        self._fast2 = config.n == 2
-        self._cxy = tuple((float(c[0]), float(c[1])) for c in self.centers)
-        self._e1l = tuple(float(v) for v in self.eta1)
-        self._e2l = tuple(float(v) for v in self.eta2)
-
-    def _h_dd(self, x: np.ndarray) -> tuple[int, float, np.ndarray]:
-        """Dominant obstacle, its B - L value, and squared center distances."""
-        if self._fast2:
-            a, c = float(x[0]), float(x[1])
-            best_i, best_b = 0, -math.inf
-            dds = []
-            for j, (cx, cy) in enumerate(self._cxy):
-                d0 = a - cx
-                d1 = c - cy
-                ddj = d0 * d0 + d1 * d1
-                dds.append(ddj)
-                bj = self._e2l[j] - self._e1l[j] * ddj
-                if bj > best_b:
-                    best_b, best_i = bj, j
-            return best_i, best_b - (a * a + c * c), np.array(dds)
-        d = x - self.centers
-        dd = np.einsum("ij,ij->i", d, d)
-        b = self.eta2 - self.eta1 * dd
-        i = int(np.argmax(b))
-        return i, float(b[i]) - float(x @ x), dd
-
-    def label_of(self, i: int, h: float, unsafe: int | None) -> RegionLabel:
-        if unsafe is not None:
-            return self._lab_unsafe[unsafe]
-        if h > self.eps_band:
-            return self._lab_r1[i]
-        if -h > self.eps_band:
-            return self._lab_r2
-        return self._lab_r3[i]
-
-    def _h(self, x: np.ndarray) -> tuple[int, float]:
-        if self._fast2:
-            a, c = float(x[0]), float(x[1])
-            best_i, best_b = 0, -math.inf
-            for j, (cx, cy) in enumerate(self._cxy):
-                d0 = a - cx
-                d1 = c - cy
-                bj = self._e2l[j] - self._e1l[j] * (d0 * d0 + d1 * d1)
-                if bj > best_b:
-                    best_b, best_i = bj, j
-            return best_i, best_b - (a * a + c * c)
-        d = x - self.centers
-        b = self.eta2 - self.eta1 * np.einsum("ij,ij->i", d, d)
-        i = int(np.argmax(b))
-        return i, float(b[i]) - float(x @ x)
 
     def _hdot(self, i: int, x: np.ndarray, u: np.ndarray) -> float:
         gh = self.cert.grad_B(i, x) - 2.0 * x
-        return float(gh @ (self.system.f(x) + self.system.g(x) @ u))
+        return float(gh.dot(self.system.f(x) + self.system.g(x).dot(u)))
 
     def _locate(self, x: np.ndarray, u: np.ndarray, span: float, h0: float) -> float:
         """Bisect tau in (0, span] where the held flow crosses the surface."""
@@ -225,7 +177,7 @@ class _Engine:
         pos0 = h0 > 0.0
         for _ in range(70):
             mid = 0.5 * (lo + hi)
-            _, hm = self._h(_rk4(self.system, x, u, mid))
+            _, hm, _ = self.cert.dominant_gap(_rk4(self.system, x, u, mid))
             if (hm > 0.0) == pos0:
                 lo = mid
             else:
@@ -234,80 +186,80 @@ class _Engine:
                 break
         return hi
 
-    def _pinned(self, x: np.ndarray, i: int, nominal: np.ndarray, h_tgt: float,
-                tau: float, warm: float) -> tuple[np.ndarray, float] | None:
-        """nominal + alpha*w through g, with alpha solved so h(end) = h_tgt."""
-        gh = self.cert.grad_B(i, x) - 2.0 * x
-        hg = gh @ self.system.g(x)
-        n2 = float(hg @ hg)
-        if n2 < 1e-18:
-            return None
-        w = hg / n2
-        ci, ei1, ei2 = self.centers[i], self.eta1[i], self.eta2[i]
+    def _pinned(self, x: np.ndarray, i: int, nominal: np.ndarray, w: np.ndarray,
+                f0: np.ndarray, g0: np.ndarray, h_tgt: float, tau: float,
+                warm: float) -> tuple[np.ndarray, float, np.ndarray] | None:
+        """nominal + alpha*w, with alpha solved so h(end) = h_tgt.
 
-        def h_end(alpha: float) -> float:
-            xe = _rk4(self.system, x, nominal + alpha * w, tau)
-            d = xe - ci
-            return float(ei2 - ei1 * (d @ d) - xe @ xe)
+        w is the surface-normal input direction from _slide_nominal; f0, g0
+        are f(x), g(x).  Returns (u, alpha, state after tau under u).
+        """
+
+        def h_end(alpha: float) -> tuple[float, np.ndarray]:
+            xe = _rk4(self.system, x, nominal + alpha * w, tau, f0, g0)
+            return self.cert.gap(i, xe) - h_tgt, xe
 
         a = warm
-        fa = h_end(a) - h_tgt
+        fa, _ = h_end(a)
         b = a + max(1e-8, 1e-3 * abs(a))
-        fb = h_end(b) - h_tgt
+        fb, xb = h_end(b)
         for _ in range(25):
             if fb == fa:
                 break
             c = b - fb * (b - a) / (fb - fa)
-            fc = h_end(c) - h_tgt
-            a, fa, b, fb = b, fb, c, fc
+            fc, xc = h_end(c)
+            a, fa, b, fb, xb = b, fb, c, fc, xc
             if abs(fb) <= 1e-13 * (1.0 + abs(h_tgt)):
                 break
         if not math.isfinite(b) or abs(fb) > 1e-6:
             return None
-        return nominal + b * w, b
+        return nominal + b * w, b, xb
 
-    def _slide_nominal(self, x: np.ndarray, i: int) -> np.ndarray | None:
+    def _slide_nominal(self, x: np.ndarray, i: int, f0: np.ndarray,
+                       g0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Surface nominal: projected kappa2, or the rate blend at saddles.
 
-        Returns None when the stabilizer no longer pushes inward (tangency:
-        the slide is over).
+        Returns (nominal, w), w = (grad h . g) / ||grad h . g||^2 being the
+        input direction that moves h at unit rate, or None when the
+        stabilizer no longer pushes inward (tangency: the slide is over).
+        f0, g0 are f(x), g(x).
         """
-        f0 = self.system.f(x)
-        g0 = self.system.g(x)
         gh = self.cert.grad_B(i, x) - 2.0 * x
-        hg = gh @ g0
-        n2 = float(hg @ hg)
+        hg = gh.dot(g0)
+        n2 = float(hg.dot(hg))
         if n2 < 1e-18:
             return None
-        u2 = self.ctrl.kappa2(x)
-        hd2 = float(gh @ (f0 + g0 @ u2))
+        u2 = self.ctrl.kappa2(x, f0, g0)
+        hd2 = float(gh.dot(f0 + g0.dot(u2)))
         if hd2 <= 0.0:
             return None
         w = hg / n2
         ua = u2 - hd2 * w  # kappa2 projected onto the surface through g
-        xa = f0 + g0 @ ua
-        vda = 2.0 * float(x @ xa)
-        speed_a = math.sqrt(float(xa @ xa))
+        xa = f0 + g0.dot(ua)
+        vda = 2.0 * float(x.dot(xa))
+        speed_a = math.sqrt(float(xa.dot(xa)))
 
-        u1 = self.ctrl.kappa1(i, x)
-        hd1 = float(gh @ (f0 + g0 @ u1))
+        u1 = self.ctrl.kappa1(i, x, f0, g0)
+        hd1 = float(gh.dot(f0 + g0.dot(u1)))
         if hd1 < 0.0:
             lam = hd2 / (hd2 - hd1)
             ub = lam * u1 + (1.0 - lam) * u2
-            xb = f0 + g0 @ ub
-            vdb = 2.0 * float(x @ xb)
+            xb = f0 + g0.dot(ub)
+            vdb = 2.0 * float(x.dot(xb))
             tie = 1e-9 * (1.0 + abs(vda))
             if vdb < vda - tie or (abs(vdb - vda) <= tie and speed_a < _SADDLE_SPEED):
-                return ub
-        return ua
+                return ub, w
+        return ua, w
 
-    def advance(self, x: np.ndarray, i: int, h: float, dd: np.ndarray,
-                mem: RegionMemory, slide: _SlideState, forced_k1: int):
-        """Integrate one recorded step.
+    def advance(self, x: np.ndarray, i: int, h: float, dd: list[float],
+                region: RegionLabel, mem: RegionMemory, slide: _SlideState,
+                forced_k1: int):
+        """Integrate one recorded step from x, whose (i, h, dd) triple is
+        Certificate.dominant_gap(x) and whose label is region.
 
         Returns (x_next, i_next, h_next, dd_next, u_first, law_first, forced);
-        the (i, h, dd) triple describes x_next so the caller can build the
-        next sample without re-evaluating the barriers.
+        the (i, h, dd) triple is Certificate.dominant_gap(x_next), so the
+        caller can build the next sample without re-evaluating the barriers.
         """
         remaining = self.dt
         sub_min = self.dt / _SUB_MIN_FRACTION
@@ -316,48 +268,50 @@ class _Engine:
         cur_valid = True
         while remaining > 1e-15 * self.dt:
             if not cur_valid:
-                i, h, dd = self._h_dd(x)
+                i, h, dd = self.cert.dominant_gap(x)
+                region = None
                 cur_valid = True
+            f0 = self.system.f(x)
+            g0 = self.system.g(x)
             if slide.active:
                 if slide.i != i:
                     slide.active = False
                     continue
-                nominal = self._slide_nominal(x, i)
-                if nominal is None:
+                surface = self._slide_nominal(x, i, f0, g0)
+                if surface is None:
                     slide.active = False
                     continue
                 tau = min(remaining, slide.sub)
                 slide.h_tgt = max(slide.h_tgt - _SLIDE_RAMP * (4.0 * tau / self.dt),
                                   self.h_floor)
-                pin = self._pinned(x, i, nominal, slide.h_tgt, tau, slide.alpha)
+                pin = self._pinned(x, i, *surface, f0, g0, slide.h_tgt, tau, slide.alpha)
                 if pin is None:
                     if slide.sub > sub_min:
                         slide.sub = max(slide.sub * 0.5, sub_min)
                         continue
                     slide.active = False
                     continue
-                u, slide.alpha = pin
+                u, slide.alpha, x = pin
                 if u_first is None:
                     u_first, law_first = u, f"K3:{i + 1}>K2"
-                x = _rk4(self.system, x, u, tau)
                 remaining -= tau
                 slide.sub = min(slide.sub * 2.0, self.dt)
                 cur_valid = False
                 continue
 
-            f0 = self.system.f(x)
-            g0 = self.system.g(x)
             if forced_k1 == i and abs(h) <= self.eps_band:
                 u, law = self.ctrl.kappa1(i, x, f0, g0), f"K1:{i + 1}"
             else:
                 forced_k1 = -1
-                dec = self.ctrl.dispatch(self.label_of(i, h, None), x, mem, f0, g0)
+                if region is None:
+                    region = self.cert.label(i, h, dd, self.eps_band)
+                dec = self.ctrl.dispatch(region, x, mem, f0, g0)
                 u, law = dec.u, dec.law
             if u_first is None:
                 u_first, law_first = u, law
 
             x_try = _rk4(self.system, x, u, remaining, f0, g0)
-            i_try, h_try, dd_try = self._h_dd(x_try)
+            i_try, h_try, dd_try = self.cert.dominant_gap(x_try)
             if (h > 0.0) == (h_try > 0.0) or h == 0.0:
                 x, i, h, dd = x_try, i_try, h_try, dd_try
                 remaining = 0.0
@@ -365,7 +319,8 @@ class _Engine:
             tau = self._locate(x, u, remaining, h)
             x = _rk4(self.system, x, u, tau)
             remaining -= tau
-            i, h, dd = self._h_dd(x)
+            i, h, dd = self.cert.dominant_gap(x)
+            region = None
             hd2 = self._hdot(i, x, self.ctrl.kappa2(x))
             hd1 = self._hdot(i, x, self.ctrl.kappa1(i, x))
             if hd2 > 0.0 > hd1:
@@ -382,7 +337,7 @@ class _Engine:
             else:
                 forced_k1 = -1
         if not cur_valid:
-            i, h, dd = self._h_dd(x)
+            i, h, dd = self.cert.dominant_gap(x)
         if u_first is None:
             u_first, law_first = np.zeros(self.system.m), "-"
         return x, i, h, dd, u_first, law_first, forced_k1
@@ -402,16 +357,15 @@ def simulate(config: ScenarioConfig, x0: np.ndarray,
 
 
 def _run(engine: _Engine, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
-    config = engine.config
-    integ = config.integrator
+    cert = engine.cert
+    integ = engine.config.integrator
     eps_conv_sq = integ.eps_conv ** 2
-    ok, _why = _admissible(config, x0)
-    if not ok and not override_init:
+    if not override_init and not cert.admissible(x0, integ.eps_band)[0]:
         return TrajectoryRecord(samples=(), outcome=Outcome("init_rejected"))
 
     n_steps = int(round(integ.t_max / integ.dt))
     x = x0.copy()
-    mem = RegionMemory(prev=engine.cert.classify(x, integ.eps_band))
+    mem = RegionMemory(prev=cert.classify(x, integ.eps_band))
     slide = _SlideState()
     forced_k1 = -1
     samples: list[StepSample] = []
@@ -424,22 +378,17 @@ def _run(engine: _Engine, x0: np.ndarray, override_init: bool) -> TrajectoryReco
 
     outcome: Outcome | None = None
     k = 0
-    i, h, dd = engine._h_dd(x)
+    i, h, dd = cert.dominant_gap(x)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             t = k * integ.dt
-            L = float(x @ x)
+            L = cert.L(x)
             V = L + h if h > 0.0 else L
-            mind = np.sqrt(dd) - engine.radii
-            unsafe = None
-            for j, rsq in enumerate(engine._rsq_list):
-                if dd[j] < rsq:
-                    unsafe = j
-                    break
-            region = engine.label_of(i, h, unsafe)
-            if unsafe is not None:
+            mind = cert.clearance(dd)
+            region = cert.label(i, h, dd, integ.eps_band)
+            if region.kind == "UNSAFE":
                 push(t, x, zeros_u, V, region, "-", mind)
-                outcome = Outcome("safety_violation", t=t, obstacle=unsafe)
+                outcome = Outcome("safety_violation", t=t, obstacle=region.index)
                 break
             if L <= eps_conv_sq:
                 dec = engine.ctrl.dispatch(region, x, mem)
@@ -452,9 +401,9 @@ def _run(engine: _Engine, x0: np.ndarray, override_init: bool) -> TrajectoryReco
                 outcome = Outcome("timeout", t=t)
                 break
             x_next, i, h, dd, u_first, law_first, forced_k1 = engine.advance(
-                x, i, h, dd, mem, slide, forced_k1)
+                x, i, h, dd, region, mem, slide, forced_k1)
             push(t, x, u_first, V, region, law_first, mind)
-            if not np.all(np.isfinite(x_next)):
+            if not all(map(math.isfinite, x_next.tolist())):
                 outcome = Outcome("numeric_blowup", t=t)
                 break
             mem.prev = region
@@ -463,33 +412,13 @@ def _run(engine: _Engine, x0: np.ndarray, override_init: bool) -> TrajectoryReco
     return TrajectoryRecord(samples=tuple(samples), outcome=outcome)
 
 
-def resolve_workers() -> int:
-    """Worker count from NCLBF_THREADS (0 = auto); defaults to 1."""
-    raw = os.environ.get("NCLBF_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
-
-
 def run_batch(config: ScenarioConfig, system: ControlAffineSystem | None = None,
               override_init: bool = False) -> tuple[SimulationSummary, tuple[TrajectoryRecord, ...]]:
     """Simulate every initial state; output order follows input order."""
     sys_ = system if system is not None else resolve_system(config)
     t0 = time.perf_counter()
-    workers = resolve_workers()
-
-    def one(x0):
-        return simulate(config, x0, system=sys_, override_init=override_init)
-
-    if workers > 1 and len(config.initial_states) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            records = tuple(ex.map(one, config.initial_states))
-    else:
-        records = tuple(one(x0) for x0 in config.initial_states)
+    records = tuple(simulate(config, x0, system=sys_, override_init=override_init)
+                    for x0 in config.initial_states)
 
     runs = []
     for idx, (x0, rec) in enumerate(zip(config.initial_states, records)):
@@ -497,13 +426,10 @@ def run_batch(config: ScenarioConfig, system: ControlAffineSystem | None = None,
                  "outcome": rec.outcome.to_dict() if rec.outcome else None,
                  "n_samples": len(rec.samples)}
         if rec.samples:
-            eps = config.integrator.eps_conv
-            vs = [s.V for s in rec.samples]
-            dv = [b - a for s, (a, b) in zip(rec.samples, zip(vs, vs[1:]))
-                  if float(s.x @ s.x) > eps * eps]
+            dv, at = rec.v_increase(config.integrator.eps_conv)
             entry["final_norm"] = float(np.linalg.norm(rec.samples[-1].x))
-            entry["max_v_increase"] = max(dv) if dv else 0.0
-            entry["min_min_dist"] = min(float(np.min(s.min_dist)) for s in rec.samples)
+            entry["max_v_increase"] = 0.0 if at is None else dv
+            entry["min_min_dist"] = rec.min_clearance()
         runs.append(entry)
     return SimulationSummary(runs=tuple(runs), wall_time_s=time.perf_counter() - t0), records
 

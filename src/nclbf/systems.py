@@ -44,9 +44,9 @@ def builtin_nonlinear_mech() -> ControlAffineSystem:
     col = np.array([[0.0], [1.0]])
 
     def f(x):
-        x2 = x[1]
+        x1, x2 = x.tolist()
         damp = (0.8 + 0.2 * math.exp(-100.0 * abs(x2))) * math.tanh(10.0 * x2)
-        return np.array([x2, -x[0] - x2 - damp])
+        return np.array([x2, -x1 - x2 - damp])
 
     def g(x):
         return col

@@ -35,23 +35,23 @@ class DerivativeBreakdown:
 
 
 def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
-                     memory: RegionMemory | None = None,
-                     eps_band: float | None = None) -> DerivativeBreakdown:
+                     memory: RegionMemory | None = None) -> DerivativeBreakdown:
     """Evaluate the generalized derivative of V at x under input u."""
     cert = ctrl.cert
-    band = ctrl.eps_band if eps_band is None else eps_band
-    region = cert.classify(x, band)
+    region = cert.classify(x, ctrl.eps_band)
     i = region.index if region.index is not None else cert.dominant_obstacle(x)
-    F = ctrl.system.f(x) + ctrl.system.g(x) @ u
+    f0 = ctrl.system.f(x)
+    g0 = ctrl.system.g(x)
+    F = f0 + g0 @ u
     gB = cert.grad_B(i, x)
     gL = cert.grad_L(x)
     d1 = float(gB @ F)
     d2 = float(gL @ F)
-    comps = {"B_f": float(gB @ ctrl.system.f(x)),
-             "B_g_u": float((gB @ ctrl.system.g(x)) @ u),
-             "L_f": float(gL @ ctrl.system.f(x)),
-             "L_g_u": float((gL @ ctrl.system.g(x)) @ u)}
-    h2 = cert.B(i, x) - cert.L(x)
+    comps = {"B_f": float(gB @ f0),
+             "B_g_u": float((gB @ g0) @ u),
+             "L_f": float(gL @ f0),
+             "L_g_u": float((gL @ g0) @ u)}
+    h2 = cert.gap(i, x)
 
     if region.kind in ("R1", "UNSAFE"):
         d = d1  # B dominates L on and inside the ball, so V = B there
@@ -220,6 +220,23 @@ class InvariantReport:
 V_DECREASE_TOL = 1e-6
 
 
+def record_checks(record: TrajectoryRecord, eps_conv: float) -> list[InvariantCheck]:
+    """Checks that need only the recorded columns: safety and V decrease."""
+    # (a) positive clearance at every sample
+    worst_md = record.min_clearance()
+    checks = [InvariantCheck(
+        "safety: min distance to every unsafe set > 0 at all samples",
+        worst_md > 0.0, f"min over run = {worst_md:.6g}")]
+
+    # (b) V nonincreasing per step within tolerance while ||x|| > eps_conv
+    worst_dv, worst_t = record.v_increase(eps_conv)
+    checks.append(InvariantCheck(
+        f"certificate decrease: V(x_k+1) <= V(x_k) + {V_DECREASE_TOL:g}",
+        worst_dv <= V_DECREASE_TOL, f"max per-step increase = {worst_dv:.3g}"
+        + (f" at t = {worst_t:.4g}" if worst_t is not None else "")))
+    return checks
+
+
 def trajectory_invariants(record: TrajectoryRecord, config: ScenarioConfig,
                           system: ControlAffineSystem | None = None) -> InvariantReport:
     """Safety, V-monotonicity, shrunk-band avoidance, and FD consistency.
@@ -236,38 +253,16 @@ def trajectory_invariants(record: TrajectoryRecord, config: ScenarioConfig,
     cert = ctrl.cert
     integ = config.integrator
     samples = record.samples
-    checks = []
-
-    # (a) positive clearance at every sample
-    worst_md = min(float(np.min(s.min_dist)) for s in samples)
-    checks.append(InvariantCheck(
-        "safety: min distance to every unsafe set > 0 at all samples",
-        worst_md > 0.0, f"min over run = {worst_md:.6g}"))
-
-    # (b) V nonincreasing per step within tolerance while ||x|| > eps_conv
-    worst_dv = -math.inf
-    worst_t = None
-    for a, b in zip(samples, samples[1:]):
-        if float(np.linalg.norm(a.x)) <= integ.eps_conv:
-            continue
-        dv = b.V - a.V
-        if dv > worst_dv:
-            worst_dv, worst_t = dv, a.t
-    ok_b = worst_dv <= V_DECREASE_TOL
-    checks.append(InvariantCheck(
-        f"certificate decrease: V(x_k+1) <= V(x_k) + {V_DECREASE_TOL:g}",
-        ok_b, f"max per-step increase = {worst_dv:.3g}"
-              + (f" at t = {worst_t:.4g}" if worst_t is not None else "")))
+    checks = record_checks(record, integ.eps_conv)
 
     # (c) no sample in a shrunk band (with the tangency-cone margin)
     hits = []
     margins = [cert.shrunk_band_margin(i, integ.eps_band) for i in range(cert.n_obstacles)]
     phis = [cert.phi(i) for i in range(cert.n_obstacles)]
     for s in samples:
-        L = float(s.x @ s.x)
         for i in range(cert.n_obstacles):
-            h = cert.B(i, s.x) - L
-            if abs(h) <= integ.eps_band and L < phis[i] - margins[i]:
+            if (abs(cert.gap(i, s.x)) <= integ.eps_band
+                    and cert.L(s.x) < phis[i] - margins[i]):
                 hits.append((s.t, i))
     checks.append(InvariantCheck(
         "shrunk-band avoidance: no sample with |B_i - L| <= eps_band and "
@@ -283,7 +278,7 @@ def trajectory_invariants(record: TrajectoryRecord, config: ScenarioConfig,
             continue
         if float(np.linalg.norm(a.x)) <= integ.eps_conv:
             continue
-        d = upper_derivative(ctrl, a.x, a.u, eps_band=integ.eps_band)
+        d = upper_derivative(ctrl, a.x, a.u)
         resid = (b.V - a.V) / dt - d.d_value
         worst_resid = max(worst_resid, resid)
         n_smooth += 1

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from nclbf import builtin_scenario, simulate
+from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
+                            ObstacleSpec, ScenarioConfig)
+from nclbf.systems import ControlAffineSystem, register_system
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +23,20 @@ def cfg_a():
 @pytest.fixture(scope="session")
 def cfg_b():
     return builtin_scenario("nonlinear_mech_three")
+
+
+@pytest.fixture(scope="session")
+def cfg_3d():
+    """Fully actuated xdot = -x + u in R^3 with one admissible ball."""
+    eye = np.eye(3)
+    register_system("linear3d",
+                    lambda: ControlAffineSystem("linear3d", 3, 3, lambda x: -x, lambda x: eye))
+    ob = ObstacleSpec(center=np.array([2.0, 2.0, 1.0]), radius_sq=1.0)
+    pa = ObstacleParams.resolve(ob, eta1=9.0, c1=[10.0, 20.0, 30.0], w=1.0)
+    return ScenarioConfig(system_id="linear3d", state_box=np.array([[-5.0, 5.0]] * 3),
+                          obstacles=(ob,), params=(pa,), gains=ControllerGains(0.1),
+                          integrator=IntegratorSettings(dt=1e-3, t_max=20.0),
+                          initial_states=(np.array([4.0, 4.0, 2.0]),))
 
 
 # the five published starts plus the three below-band starts
@@ -38,14 +55,3 @@ def records_b(cfg_b):
     """x0 -> TrajectoryRecord for the eight multi-obstacle starts (t_max=60)."""
     return {tuple(map(float, x0)): simulate(cfg_b, np.asarray(x0))
             for x0 in cfg_b.initial_states}
-
-
-def max_v_step_increase(record, eps_conv: float) -> float:
-    vs = [s.V for s in record.samples]
-    steps = [b - a for s, (a, b) in zip(record.samples, zip(vs, vs[1:]))
-             if float(s.x @ s.x) > eps_conv ** 2]
-    return max(steps) if steps else float("-inf")
-
-
-def worst_clearance(record) -> float:
-    return min(float(np.min(s.min_dist)) for s in record.samples)

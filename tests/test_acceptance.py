@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import EXTRA_A_STARTS, max_v_step_increase, worst_clearance
+from conftest import EXTRA_A_STARTS
 from nclbf.certificate import Certificate, RegionLabel
 from nclbf.controller import make_controller
 from nclbf.scenario import ObstacleSpec, derive_eta2, validate_params
@@ -76,7 +76,7 @@ def test_criterion_3_single_obstacle_safety_and_convergence(cfg_a, timed_batch_a
     summary, records, wall = timed_batch_a
     assert cfg_a.integrator.dt == 1e-3
     outcomes = [r.outcome for r in records]
-    clear = [worst_clearance(r) for r in records]
+    clear = [r.min_clearance() for r in records]
     ok = (all(o.kind == "converged" and o.t < 20.0 for o in outcomes)
           and all(c > 0 for c in clear) and wall < 5.0)
     report(3, ok, f"times {[round(o.t, 3) for o in outcomes]}, "
@@ -89,7 +89,7 @@ def test_criterion_3_single_obstacle_safety_and_convergence(cfg_a, timed_batch_a
 
 def test_criterion_4_certificate_decrease(cfg_a, timed_batch_a):
     _, records, _ = timed_batch_a
-    worst = max(max_v_step_increase(r, cfg_a.integrator.eps_conv) for r in records)
+    worst = max(r.v_increase(cfg_a.integrator.eps_conv)[0] for r in records)
     ok = worst <= 1e-6
     report(4, ok, f"max per-step V increase over the five runs = {worst:.3g}")
     assert worst <= 1e-6
@@ -126,7 +126,7 @@ def test_criterion_5_shrunk_band_and_exit_points(cfg_a, records_a):
 
 def test_criterion_6_multi_obstacle_clearance_and_runtime(timed_batch_b20):
     summary, records, wall = timed_batch_b20
-    clear = [worst_clearance(r) for r in records]
+    clear = [r.min_clearance() for r in records]
     ok = all(c > 0 for c in clear) and wall < 10.0
     report(6, ok, f"clearance to all three obstacles > 0 on every sample: "
                   f"min {min(clear):.4f}; wall {wall:.2f} s")

@@ -271,3 +271,46 @@ class TestCertificateInvariants:
             md = cert_b.min_dists(x)
             unsafe = cert_b.unsafe_index(x)
             assert (unsafe is not None) == bool(np.any(md < 0))
+
+
+class TestSharedGapFormula:
+    """classify and admissible against rules rebuilt from the public arrays."""
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_classify_matches_array_rebuild(self, name):
+        cert = Certificate(builtin_scenario(name))
+        eps = 1e-3
+        rng = np.random.default_rng(31)
+        pts = np.concatenate([rng.uniform(-5, 5, size=(3000, 2)),
+                              [sphere_point(cert, i, th) for i in range(cert.n_obstacles)
+                               for th in rng.uniform(0, 2 * math.pi, 300)]])
+        for x in pts:
+            dd = np.sum((x - cert.centers) ** 2, axis=1)
+            inside = np.nonzero(dd < cert.radii_sq)[0]
+            b = cert.B_values(x)
+            i = int(np.argmax(b))
+            h = float(b[i]) - cert.L(x)
+            if inside.size:
+                want = RegionLabel("UNSAFE", int(inside[0]))
+            elif abs(h) <= eps:
+                want = RegionLabel("R3", i)
+            else:
+                want = RegionLabel("R1", i) if h > 0 else RegionLabel("R2")
+            assert cert.classify(x, eps) == want, x
+            assert cert.dominant_obstacle(x) == i
+            assert cert.dominant_gap(x)[1] == pytest.approx(h, abs=1e-12)
+            assert np.allclose(cert.min_dists(x), np.sqrt(dd) - cert.radii, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_admissible_matches_previous_rule(self, name):
+        # outside every ball and B_i - L <= -eps_band for every obstacle
+        cert = Certificate(builtin_scenario(name))
+        eps = 1e-3
+        rng = np.random.default_rng(37)
+        for x in rng.uniform(-5, 5, size=(3000, 2)):
+            dd = np.sum((x - cert.centers) ** 2, axis=1)
+            want = (bool(np.all(dd >= cert.radii_sq))
+                    and bool(np.all(cert.B_values(x) - cert.L(x) <= -eps)))
+            ok, why = cert.admissible(x, eps)
+            assert ok == want, x
+            assert (why == "stabilizer region") == ok

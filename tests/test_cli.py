@@ -35,6 +35,26 @@ class TestSimulateCommand:
         bad.write_text("{broken")
         assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path)) == 2
 
+    def test_step_and_horizon_overrides(self, tmp_path):
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--scenario", "linear2d_single", "--out", str(out),
+                       "--dt", "2e-3", "--t-max", "0.5") == 1  # timeout at 0.5 s
+        rows = (out / "run_00.csv").read_text().splitlines()[1:]
+        assert len(rows) == 251
+        assert float(rows[1].split(",")[0]) == 2e-3
+
+    def test_non_finite_horizon_is_usage_error(self, tmp_path):
+        doc = {"system": "linear2d", "state_box": [[-5, 5], [-5, 5]],
+               "obstacles": [{"center": [2.0, 2.0], "radius": 1.4142135623730951}],
+               "params": [{"eta1": 9.0, "w": 0.9, "c1": [10.0, 20.0]}],
+               "gamma": 0.1, "integrator": {"t_max": float("inf")},
+               "initial_states": [[5.0, 5.0]]}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path)) == 2
+        assert run_cli("simulate", "--scenario", "linear2d_single",
+                       "--out", str(tmp_path), "--t-max", "inf") == 2
+
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate") == 2
 
@@ -49,6 +69,14 @@ class TestSimulateCommand:
         s2 = json.loads((out2 / "summary.json").read_text())
         s1.pop("wall_time_s"), s2.pop("wall_time_s")
         assert s1 == s2
+
+
+@pytest.mark.parametrize("command", ["geometry", "validate-params", "plot",
+                                     "verify-derivative", "check-assumptions"])
+@pytest.mark.parametrize("flag", ["--dt", "--t-max"])
+def test_integrator_flags_only_where_used(command, flag, tmp_path):
+    assert run_cli(command, "--scenario", "linear2d_single", "--out", str(tmp_path),
+                   flag, "0.01") == 2
 
 
 class TestGeometryCommand:
@@ -123,6 +151,14 @@ class TestCheckTrajectoryCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] and len(doc["checks"]) == 4
+
+    def test_step_override(self, run_dir, capsys):
+        code = run_cli("check-trajectory", "--csv", str(run_dir / "run_00.csv"),
+                       "--scenario", "linear2d_single", "--dt", "5e-4")
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert run_cli("check-trajectory", "--csv", str(run_dir / "run_00.csv"),
+                       "--t-max", "1.0") == 2
 
     def test_without_scenario(self, run_dir, capsys):
         code = run_cli("check-trajectory", "--csv", str(run_dir / "run_03.csv"))

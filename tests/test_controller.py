@@ -23,6 +23,11 @@ def ctrl_b():
     return make_controller(builtin_scenario("nonlinear_mech_three"))
 
 
+def dispatch(ctrl, x, memory):
+    """Classify x with the scenario's band, then dispatch on that region."""
+    return ctrl.dispatch(ctrl.cert.classify(x, ctrl.eps_band), x, memory)
+
+
 class TestMu:
     def test_examples(self):
         assert np.allclose(mu(np.array([2.0, 0.0])), [0.5, 0.0])
@@ -142,29 +147,29 @@ class TestKappa3:
 
 class TestControlDispatch:
     def test_stabilizer_region(self, ctrl_a):
-        dec = ctrl_a.control(np.array([5.0, 5.0]), RegionMemory(RegionLabel("R2")))
+        dec = dispatch(ctrl_a, np.array([5.0, 5.0]), RegionMemory(RegionLabel("R2")))
         assert dec.law == "K2" and dec.region == RegionLabel("R2")
 
     def test_barrier_region(self, ctrl_a):
-        dec = ctrl_a.control(np.array([2.0, 3.5]), RegionMemory(RegionLabel("R2")))
+        dec = dispatch(ctrl_a, np.array([2.0, 3.5]), RegionMemory(RegionLabel("R2")))
         assert dec.law == "K1:1" and dec.region == RegionLabel("R1", 0)
 
     def test_multi_obstacle_far_field(self, ctrl_b):
-        dec = ctrl_b.control(np.array([-5.0, 0.0]), RegionMemory(RegionLabel("R2")))
+        dec = dispatch(ctrl_b, np.array([-5.0, 0.0]), RegionMemory(RegionLabel("R2")))
         assert dec.law == "K2"
 
     def test_band_law_tags(self, ctrl_a):
         cert = ctrl_a.cert
         sph = cert.boundary_sphere(0)
         x = sph.center + sph.radius * np.array([math.cos(1.0), math.sin(1.0)])
-        dec = ctrl_a.control(x, RegionMemory(RegionLabel("R1", 0)))
+        dec = dispatch(ctrl_a, x, RegionMemory(RegionLabel("R1", 0)))
         assert dec.law == "K3:1>K1"
-        dec = ctrl_a.control(x, RegionMemory(RegionLabel("R2")))
+        dec = dispatch(ctrl_a, x, RegionMemory(RegionLabel("R2")))
         assert dec.law == "K3:1>K2"
 
     def test_unsafe_state_raises(self, ctrl_a):
         with pytest.raises(SafetyViolationError):
-            ctrl_a.control(np.array([2.0, 2.0]), RegionMemory(RegionLabel("R2")))
+            dispatch(ctrl_a, np.array([2.0, 2.0]), RegionMemory(RegionLabel("R2")))
 
     def test_law_matches_region_randomized(self, ctrl_b):
         rng = np.random.default_rng(29)
@@ -174,7 +179,7 @@ class TestControlDispatch:
             lab = ctrl_b.cert.classify(x, 1e-3)
             if lab.kind == "UNSAFE":
                 continue
-            dec = ctrl_b.control(x, mem)
+            dec = dispatch(ctrl_b, x, mem)
             assert dec.region == lab
             assert dec.law.startswith({"R1": "K1", "R2": "K2", "R3": "K3"}[lab.kind])
             assert dec.u.shape == (ctrl_b.system.m,)

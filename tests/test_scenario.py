@@ -162,6 +162,24 @@ class TestScenarioIO:
         cfg = load_scenario(json.dumps(doc))
         assert cfg.params[0].eta2 == 36.9
 
+    @pytest.mark.parametrize("path, value", [
+        (("gamma",), math.inf),
+        (("params", 0, "c1"), [math.inf, 20.0]),
+        (("params", 0, "eta1"), math.inf),
+        (("params", 0, "eta2"), math.nan),
+        (("integrator", "eps_band"), math.inf),
+        (("integrator", "t_max"), math.inf),
+        (("state_box", 0, 1), math.nan),
+    ])
+    def test_non_finite_numbers_rejected(self, path, value):
+        doc = json.loads(self.scenario_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError, match="finite"):
+            load_scenario(json.dumps(doc))
+
     def test_bytes_input_accepted(self):
         cfg = load_scenario(self.scenario_text().encode())
         assert cfg.system_id == "linear2d"

@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import worst_clearance
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
 from nclbf.simulator import (NumericBlowupError, read_trajectory_csv, rk4_step,
@@ -59,7 +58,7 @@ class TestSimulate:
         rec = records_a[(5.0, 5.0)]
         assert rec.outcome.kind == "converged"
         assert rec.outcome.t < cfg_a.integrator.t_max
-        assert worst_clearance(rec) > 0.0
+        assert rec.min_clearance() > 0.0
         # the path detours along the virtual boundary: some samples sit in the band
         assert any(s.region.kind == "R3" for s in rec.samples)
 
@@ -72,12 +71,12 @@ class TestSimulate:
         assert simulate(cfg_a, np.array([2.0, 3.5])).outcome.kind == "init_rejected"
         rec = simulate(cfg_a, np.array([2.0, 3.5]), override_init=True)
         assert rec.outcome.kind == "converged"
-        assert worst_clearance(rec) > 0.0
+        assert rec.min_clearance() > 0.0
 
     def test_multi_obstacle_start_converges_with_clearance(self, records_b):
         rec = records_b[(-5.0, 5.0)]
         assert rec.outcome.kind == "converged"
-        assert worst_clearance(rec) > 0.0
+        assert rec.min_clearance() > 0.0
 
     def test_sample_grid_and_consistency(self, cfg_a, records_a):
         rec = records_a[(5.0, 2.0)]
@@ -119,6 +118,19 @@ class TestSimulate:
         assert rec.samples  # aborted mid-run, samples up to the failure
 
 
+class TestThreeDimensional:
+    def test_head_on_start_slides_and_converges_safely(self, cfg_3d):
+        from nclbf.scenario import validate_params
+        from nclbf.verify import trajectory_invariants
+        assert validate_params(cfg_3d).passed
+        rec = simulate(cfg_3d, cfg_3d.initial_states[0])
+        assert rec.outcome.kind == "converged"
+        assert rec.min_clearance() > 0.0
+        # (4, 4, 2) lies behind the obstacle on the ray through its center
+        assert any(s.law.startswith("K3") for s in rec.samples)
+        assert trajectory_invariants(rec, cfg_3d).passed
+
+
 class TestRunBatch:
     def test_five_starts_all_converge(self, cfg_a):
         summary, records = run_batch(cfg_a)
@@ -130,7 +142,7 @@ class TestRunBatch:
     def test_multi_obstacle_batch_converges(self, records_b):
         assert len(records_b) == 8
         assert all(r.outcome.kind == "converged" for r in records_b.values())
-        assert all(worst_clearance(r) > 0 for r in records_b.values())
+        assert all(r.min_clearance() > 0 for r in records_b.values())
 
     def test_empty_initial_states(self, cfg_a):
         cfg = dataclasses.replace(cfg_a, initial_states=())
@@ -142,29 +154,6 @@ class TestRunBatch:
         summary, records = run_batch(cfg)
         assert summary.runs[0]["outcome"]["kind"] == "init_rejected"
         assert summary.runs[0]["n_samples"] == 0
-
-    def test_worker_env_var(self, monkeypatch):
-        from nclbf.simulator import resolve_workers
-        monkeypatch.delenv("NCLBF_THREADS", raising=False)
-        assert resolve_workers() == 1
-        monkeypatch.setenv("NCLBF_THREADS", "3")
-        assert resolve_workers() == 3
-        monkeypatch.setenv("NCLBF_THREADS", "0")
-        assert resolve_workers() >= 1
-        monkeypatch.setenv("NCLBF_THREADS", "junk")
-        assert resolve_workers() == 1
-
-    def test_threaded_batch_matches_serial(self, cfg_a, monkeypatch):
-        cfg = dataclasses.replace(
-            cfg_a,
-            initial_states=(np.array([0.2, 0.8]), np.array([0.8, 0.2])),
-            integrator=dataclasses.replace(cfg_a.integrator, t_max=1.0))
-        _, serial = run_batch(cfg)
-        monkeypatch.setenv("NCLBF_THREADS", "2")
-        _, threaded = run_batch(cfg)
-        for a, b in zip(serial, threaded):
-            assert len(a.samples) == len(b.samples)
-            assert np.array_equal(a.samples[-1].x, b.samples[-1].x)
 
 
 class TestTrajectoryCsv:
@@ -202,3 +191,42 @@ class TestTrajectoryCsv:
         from nclbf.simulator import TrajectoryRecord
         with pytest.raises(ValueError):
             write_trajectory_csv(TrajectoryRecord(samples=(), outcome=None), io.StringIO())
+
+
+# (outcome t, sample count, final state) of every fixture start, recorded
+# from the engine before the planar fast path was folded into
+# Certificate.dominant_gap; all outcomes are "converged"
+PINNED_A = {
+    (5.0, 5.0): (6.876, 6877, (0.00041692053640937535, 0.009989588369031431)),
+    (4.0, 4.0): (6.689, 6690, (0.0004167482251315248, 0.009985383350257296)),
+    (3.5, 3.5): (6.5760000000000005, 6577, (0.0004166714259947032, 0.009983493865085992)),
+    (5.0, 2.0): (5.389, 5390, (0.009979855697943628, 0.00041651347390753586)),
+    (3.0, 5.0): (5.633, 5634, (0.0004167104128383825, 0.009984454252222313)),
+    (0.2, 0.8): (3.729, 3730, (0.002424682738351756, 0.009698730953407024)),
+    (0.55, 0.55): (3.68, 3681, (0.007065928948405943, 0.007065928948405943)),
+    (0.8, 0.2): (3.729, 3730, (0.009698730953407024, 0.002424682738351756)),
+}
+PINNED_B = {
+    (-5.0, 5.0): (50.082, 50083, (-0.009962718414698507, 0.0008562544908924004)),
+    (-4.0, -5.0): (51.389, 51390, (-0.009963222046594727, 0.0008562983332751556)),
+    (-5.0, 0.0): (51.295, 51296, (-0.009963269101100103, 0.0008563024294872397)),
+    (5.0, -5.0): (50.713, 50714, (0.00996306013612628, -0.0008562842385686373)),
+    (5.0, 0.0): (51.928000000000004, 51929, (0.009962629801805728, -0.0008562467769300659)),
+    (4.0, 4.0): (51.815, 51816, (0.009963137108312928, -0.0008562909391870456)),
+    (3.0, 2.0): (50.177, 50178, (0.009962702898461673, -0.0008562531401670863)),
+    (2.0, 5.0): (50.082, 50083, (0.009962698874318648, -0.0008562527898558749)),
+}
+
+
+class TestEngineParity:
+    @pytest.mark.parametrize("fixture, pinned", [("records_a", PINNED_A),
+                                                 ("records_b", PINNED_B)])
+    def test_fixture_starts_match_recorded_engine(self, request, fixture, pinned):
+        records = request.getfixturevalue(fixture)
+        assert set(records) == set(pinned)
+        for x0, (t, n_samples, final) in pinned.items():
+            rec = records[x0]
+            assert rec.outcome.kind == "converged", x0
+            assert rec.outcome.t == t, x0
+            assert len(rec.samples) == n_samples, x0
+            assert tuple(rec.samples[-1].x.tolist()) == final, x0

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import max_v_step_increase
 from nclbf.certificate import RegionLabel
 from nclbf.controller import RegionMemory, make_controller
 from nclbf.scenario import builtin_scenario
@@ -86,6 +85,14 @@ class TestGridDecrease:
         assert report.rho0_star > 0.0
         assert report.degenerate_ok
 
+    def test_three_dimensional_fixture(self, cfg_3d):
+        report = grid_decrease_check(cfg_3d, resolution=21)
+        assert report.passed
+        assert report.grid_shape == (21, 21, 21)
+        # f = -x, g = I gives the same Sontag ratio as the planar linear system
+        assert report.rho0_star == pytest.approx(math.sqrt(5.6), rel=1e-6)
+        assert report.counts["excluded_unsafe"] > 0
+
     def test_degenerate_gain_fails(self, cfg_a):
         ctrl = make_controller(cfg_a)
         ctrl.c1[0] = np.zeros(2)  # force the rejected-upstream degenerate case
@@ -144,7 +151,7 @@ class TestTrajectoryInvariants:
         for x0, rec in records_b.items():
             if x0 == (2.0, 5.0):
                 continue
-            assert max_v_step_increase(rec, cfg_b.integrator.eps_conv) <= 1e-6
+            assert rec.v_increase(cfg_b.integrator.eps_conv)[0] <= 1e-6
 
     def test_fd_residual_bound_halves_with_dt(self, cfg_a):
         # the residual bound is C*dt with C a per-run constant, so halving dt
