@@ -18,6 +18,24 @@ import numpy as np
 
 from .scenario import ScenarioConfig, ScenarioError, boundary_radius_sq
 
+# Region kinds of the row-batched labels; KINDS[code] is RegionLabel.kind.
+KINDS = ("R1", "R2", "R3", "UNSAFE")
+R1, R2, R3, UNSAFE = range(4)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for every row, equal bit for bit to a[k].dot(b[k]).
+
+    A stacked matmul runs the same BLAS kernel as the 1-D dot; an einsum or
+    an explicit a0*b0 + a1*b1 rounds differently (BLAS fuses the multiply-add).
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_vecmat(a: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """a_k @ G_k for rows a (P, n) and matrices G (P, n, m), as a[k] @ G[k]."""
+    return (a[:, None, :] @ G)[:, 0, :]
+
 
 @dataclass(frozen=True)
 class RegionLabel:
@@ -131,6 +149,29 @@ class Certificate:
                 best_i, best_b = j, bj
         return best_i, best_b - L, dds
 
+    def dominant_gap_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dominant_gap for every row of X (P, n): i (P,), B_i - L (P,), dds (P, N).
+
+        Accumulates in the scalar loop's order, so row k equals
+        dominant_gap(X[k]) bit for bit; ties still break to the lowest index.
+        """
+        L = np.zeros(len(X))
+        for k in range(self.n):
+            L += X[:, k] * X[:, k]
+        best_i = np.zeros(len(X), dtype=int)
+        best_b = np.full(len(X), -math.inf)
+        dds = np.zeros((len(X), self.n_obstacles))
+        for j, (c, e1, e2) in enumerate(self._obstacles):
+            dd = dds[:, j]
+            for k, b in enumerate(c):
+                d = X[:, k] - b
+                dd += d * d
+            bj = e2 - e1 * dd
+            wins = bj > best_b
+            best_i[wins] = j
+            best_b[wins] = bj[wins]
+        return best_i, best_b - L, dds
+
     # -- regions ------------------------------------------------------------
 
     def _first_unsafe(self, dds: list[float]) -> int | None:
@@ -149,6 +190,20 @@ class Certificate:
         if -h > eps_band:
             return self._r2
         return self._r3[i]
+
+    def label_rows(self, i: np.ndarray, h: np.ndarray, dds: np.ndarray,
+                   eps_band: float) -> tuple[np.ndarray, np.ndarray]:
+        """label for every row of a dominant_gap_rows result: (kind, index).
+
+        kind holds codes into KINDS; index is the first unsafe obstacle for
+        UNSAFE rows and the dominant obstacle otherwise (unused for R2).
+        """
+        inside = dds < self.radii_sq
+        unsafe = inside.any(axis=1)
+        kind = np.where(h > eps_band, R1, np.where(-h > eps_band, R2, R3))
+        kind[unsafe] = UNSAFE
+        index = np.where(unsafe, inside.argmax(axis=1), i)
+        return kind, index
 
     def classify(self, x: np.ndarray, eps_band: float) -> RegionLabel:
         """Region of x: unsafe balls first, then the band on max_i B_i - L."""
@@ -235,6 +290,13 @@ class Certificate:
     def in_shrunk_band(self, x: np.ndarray, i: int, eps_band: float) -> bool:
         """|B_i - L| <= eps_band and ||x||^2 < phi(c_i)."""
         return abs(self.gap(i, x)) <= eps_band and self.L(x) < self.phi(i)
+
+    def shrunk_band_rows(self, i: int, X: np.ndarray, eps_band: float) -> np.ndarray:
+        """in_shrunk_band for every row of X, bit for bit."""
+        D = X - self.centers[i]
+        L = row_dot(X, X)
+        gap = (self.eta2[i] - self.eta1[i] * row_dot(D, D)) - L
+        return (np.abs(gap) <= eps_band) & (L < self.phi(i))
 
     def shrunk_band_margin(self, i: int, eps_band: float) -> float:
         """Tangency-cone margin on phi for trajectory checks.

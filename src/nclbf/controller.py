@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import Certificate, RegionLabel
+from .certificate import Certificate, RegionLabel, row_dot, row_vecmat
 from .scenario import ScenarioConfig
 from .systems import ControlAffineSystem
 
@@ -102,6 +102,34 @@ class Controller:
         if math.sqrt(n2) <= self.tol_g:
             return np.zeros(self.system.m)
         return -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2)) * (Lg / n2)
+
+    def kappa1_rows(self, i: int, X: np.ndarray, F: np.ndarray,
+                    G: np.ndarray) -> np.ndarray:
+        """kappa1 for every row of X (P, n), given f rows F (P, n) and g rows
+        G (P, n, m); row k equals kappa1(i, X[k], F[k], G[k]) bit for bit."""
+        gB = self.cert.grad_B(i, X)
+        Bf = row_dot(gB, F)
+        Bg = row_vecmat(gB, G)
+        n2 = row_dot(Bg, Bg)
+        live = np.sqrt(n2) > self.tol_g
+        Bf, Bg, n2 = Bf[live, None], Bg[live], n2[live, None]
+        bar = np.zeros_like(Bg)
+        np.divide(1.0, Bg, out=bar, where=np.abs(Bg) > self.tol_g)
+        U = np.zeros((len(X), self.system.m))
+        U[live] = -(Bg / n2) * Bf - self.c1[i] * bar * row_dot(X[live], X[live])[:, None]
+        return U
+
+    def kappa2_rows(self, X: np.ndarray, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """kappa2 for every row of X, bit for bit as kappa1_rows is to kappa1."""
+        gL = 2.0 * X
+        Lf = row_dot(gL, F)
+        Lg = row_vecmat(gL, G)
+        n2 = row_dot(Lg, Lg)
+        live = np.sqrt(n2) > self.tol_g
+        Lf, Lg, n2 = Lf[live], Lg[live], n2[live]
+        U = np.zeros((len(X), self.system.m))
+        U[live] = (-(Lf + np.sqrt(Lf * Lf + self.gamma * n2 * n2)))[:, None] * (Lg / n2[:, None])
+        return U
 
     def kappa3(self, i: int, x: np.ndarray, memory: RegionMemory,
                f0: np.ndarray | None = None, g0: np.ndarray | None = None) -> np.ndarray:

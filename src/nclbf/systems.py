@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certificate import Certificate
+from .certificate import R1, R2, R3, Certificate, row_dot, row_vecmat
 from .scenario import ScenarioConfig
 
 
@@ -120,10 +120,27 @@ class AssumptionReport:
                 "notes": list(self.notes)}
 
 
-def _grid(config: ScenarioConfig, resolution: int) -> np.ndarray:
+# Grid checks evaluate this many rows per array pass, which bounds their
+# temporaries; ties across blocks still go to the first row in grid order.
+BLOCK_ROWS = 4096
+
+
+def grid_points(config: ScenarioConfig, resolution: int) -> np.ndarray:
+    """The resolution^n grid over the state box, one point per row (C order)."""
     axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def field_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f rows (P, n) and g rows (P, n, m), evaluated point by point.
+
+    The evaluators stay per point: the builtins use math.exp/math.tanh, which
+    np.exp/np.tanh do not match in the last bit on every input.
+    """
+    F = np.array([system.f(x) for x in X]).reshape(len(X), system.n)
+    G = np.array([system.g(x) for x in X]).reshape(len(X), system.n, system.m)
+    return F, G
 
 
 def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) -> bool:
@@ -157,56 +174,57 @@ def check_assumptions(system: ControlAffineSystem, config: ScenarioConfig,
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
     cert = Certificate(config)
-    pts = _grid(config, grid_resolution)
-    eps_band = config.integrator.eps_band
-
-    fs = np.array([system.f(x) for x in pts])
-    gs = [system.g(x) for x in pts]
-    svals = np.array([np.linalg.svd(g, compute_uv=False)[-1] for g in gs])
+    pts = grid_points(config, grid_resolution)
+    n_rows = 1 + config.n_obstacles   # grad L, then grad B_i
+    kind = np.empty(len(pts), dtype=int)
+    index = np.empty(len(pts), dtype=int)
+    svals = np.empty(len(pts))
+    norms = np.empty((n_rows, len(pts)))
+    drifts = np.empty((n_rows, len(pts)))
+    fields_finite = True
+    for lo in range(0, len(pts), BLOCK_ROWS):
+        X = pts[lo:lo + BLOCK_ROWS]
+        F, G = field_rows(system, X)
+        span = slice(lo, lo + len(X))
+        svals[span] = np.linalg.svd(G, compute_uv=False)[:, -1]
+        fields_finite = fields_finite and bool(np.all(np.isfinite(F))
+                                               and np.all(np.isfinite(G)))
+        kind[span], index[span] = cert.label_rows(*cert.dominant_gap_rows(X),
+                                                  config.integrator.eps_band)
+        grads = [cert.grad_L(X)] + [cert.grad_B(i, X) for i in range(config.n_obstacles)]
+        for r, grad in enumerate(grads):
+            row = row_vecmat(grad, G)
+            norms[r, span] = np.sqrt(row_dot(row, row))
+            drifts[r, span] = row_dot(grad, F)
     g_min_sv = float(np.min(svals))
     g_full_rank = g_min_sv > 1e-9
-    fields_finite = bool(np.all(np.isfinite(fs))
-                         and all(np.all(np.isfinite(g)) for g in gs))
 
-    labels = [cert.classify(x, eps_band) for x in pts]
-    entries = []
-
-    def run_condition(name, member, grad, tol_scale_rows):
-        norms = np.array([float(np.linalg.norm(r)) for r in tol_scale_rows])
-        med = float(np.median(norms[norms > 0])) if np.any(norms > 0) else 1.0
-        tol_g = 1e-6 * med
-        checked = degenerate = 0
+    def condition(name, member, r, grad):
+        # the row tolerance scales with the grid median of the row norm
+        nz = norms[r][norms[r] > 0]
+        tol_g = 1e-6 * (float(np.median(nz)) if nz.size else 1.0)
+        degenerate = member & ~(norms[r] > tol_g)
         violations, escapes = [], []
-        for k, x in enumerate(pts):
-            if not member(labels[k], x):
-                continue
-            checked += 1
-            row = grad(x) @ gs[k]
-            if float(np.linalg.norm(row)) > tol_g:
-                continue
-            degenerate += 1
-            drift = float(grad(x) @ fs[k])
-            if drift <= tol_f:
-                continue
+        for k in np.flatnonzero(degenerate & ~(drifts[r] <= tol_f)):
+            x, drift = pts[k], float(drifts[r, k])
+            # the drift condition fails pointwise; informational when the
+            # state leaves the degenerate set in finite time
             if control_row_transversal(system, lambda y: grad(y) @ system.g(y), x):
                 escapes.append(tuple(x.tolist()) + (drift,))
             else:
                 violations.append(tuple(x.tolist()) + (drift,))
-        entries.append(AssumptionEntry(condition=name, points_checked=checked,
-                                       degenerate_points=degenerate,
-                                       violations=tuple(violations),
-                                       escape_notes=tuple(escapes)))
+        return AssumptionEntry(condition=name, points_checked=int(member.sum()),
+                               degenerate_points=int(degenerate.sum()),
+                               violations=tuple(violations), escape_notes=tuple(escapes))
 
-    rows_L = [cert.grad_L(x) @ gs[k] for k, x in enumerate(pts)]
-    run_condition("grad L . f <= 0 where grad L . g = 0 (in R2 or any band)",
-                  lambda lab, x: lab.kind in ("R2", "R3"),
-                  cert.grad_L, rows_L)
+    band = kind == R3
+    entries = [condition("grad L . f <= 0 where grad L . g = 0 (in R2 or any band)",
+                         (kind == R2) | band, 0, cert.grad_L)]
     for i in range(config.n_obstacles):
-        rows_B = [cert.grad_B(i, x) @ gs[k] for k, x in enumerate(pts)]
-        run_condition(
+        entries.append(condition(
             f"grad B[{i}] . f <= 0 where grad B[{i}] . g = 0 (in R1[{i}] or band[{i}])",
-            lambda lab, x, i=i: lab.kind in ("R1", "R3") and lab.index == i,
-            lambda x, i=i: cert.grad_B(i, x), rows_B)
+            ((kind == R1) | band) & (index == i), 1 + i,
+            lambda x, i=i: cert.grad_B(i, x)))
 
     notes = []
     if any(e.escape_notes for e in entries):

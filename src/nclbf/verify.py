@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .certificate import Certificate, RegionLabel
+from .certificate import R1, R2, R3, UNSAFE, RegionLabel, row_dot, row_vecmat
 from .controller import Controller, RegionMemory, make_controller
 from .scenario import ScenarioConfig
 from .simulator import TrajectoryRecord
-from .systems import (ControlAffineSystem, control_row_transversal,
-                      resolve_system)
+from .systems import (BLOCK_ROWS, ControlAffineSystem, control_row_transversal,
+                      field_rows, grid_points, resolve_system)
 
 
 @dataclass(frozen=True)
@@ -81,15 +82,32 @@ class DecreaseReport:
 
     @property
     def passed(self) -> bool:
-        return self.rho0_star > 0.0 and self.degenerate_ok
+        # a grid with no evaluated point certifies nothing
+        return self.counts["evaluated"] > 0 and self.rho0_star > 0.0 and self.degenerate_ok
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "rho0_star": self.rho0_star,
+        return {"passed": self.passed,
+                "rho0_star": self.rho0_star if self.counts["evaluated"] else None,
                 "worst_point": list(self.worst_point),
                 "grid_shape": list(self.grid_shape), "counts": dict(self.counts),
                 "degenerate_max_drift": self.degenerate_max_drift,
                 "degenerate_ok": self.degenerate_ok,
                 "degenerate_escapes_in_finite_time": self.degenerate_escapes}
+
+
+def _branch(ctrl: Controller, grad: np.ndarray, X: np.ndarray, F: np.ndarray,
+            G: np.ndarray, law) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One side of the derivative on rows X with gradient rows grad.
+
+    Returns per row: whether the control row grad.g is live, grad.(f + g u)
+    under u = law(X, F, G) where it is (0 elsewhere), and the raw drift grad.f.
+    """
+    row = row_vecmat(grad, G)
+    live = np.sqrt(row_dot(row, row)) > ctrl.tol_g
+    U = law(X[live], F[live], G[live])
+    d = np.zeros(len(X))
+    d[live] = row_dot(grad[live], F[live] + (G[live] @ U[:, :, None])[:, :, 0])
+    return live, d, row_dot(grad, F)
 
 
 def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
@@ -104,6 +122,8 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
     which the drift conditions bound by 0, not by -rho; those points are
     counted separately and their drift derivative checked against tol_f).
     Band points are scored under the worse of the two one-sided branches.
+    The grid is scored BLOCK_ROWS rows at a time; among equal ratios the
+    worst point is the first in grid order.
     """
     if resolution < 11:
         raise ValueError("resolution must be >= 11")
@@ -112,10 +132,7 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
     sys_ = ctrl.system
     cert = ctrl.cert
     integ = config.integrator
-
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points(config, resolution)
 
     counts = {"total": len(pts), "evaluated": 0, "excluded_unsafe": 0,
               "excluded_shrunk_band": 0, "excluded_origin_ball": 0,
@@ -125,61 +142,65 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
     max_drift = -math.inf
     escapes = 0
 
-    tol_g = ctrl.tol_g
-    for x in pts:
-        L = float(x @ x)
-        if L <= integ.eps_conv ** 2:
-            counts["excluded_origin_ball"] += 1
-            continue
-        lab = cert.classify(x, integ.eps_band)
-        if lab.kind == "UNSAFE":
-            counts["excluded_unsafe"] += 1
-            continue
-        if lab.kind == "R3" and cert.in_shrunk_band(x, lab.index, integ.eps_band):
-            counts["excluded_shrunk_band"] += 1
-            continue
+    for lo in range(0, len(pts), BLOCK_ROWS):
+        X = pts[lo:lo + BLOCK_ROWS]
+        L = row_dot(X, X)
+        kind, index = cert.label_rows(*cert.dominant_gap_rows(X), integ.eps_band)
+        origin = L <= integ.eps_conv ** 2
+        unsafe = ~origin & (kind == UNSAFE)
+        shrunk = np.zeros(len(X), dtype=bool)
+        for i in range(cert.n_obstacles):
+            rows = np.flatnonzero(~origin & (kind == R3) & (index == i))
+            shrunk[rows] = cert.shrunk_band_rows(i, X[rows], integ.eps_band)
+        counts["excluded_origin_ball"] += int(origin.sum())
+        counts["excluded_unsafe"] += int(unsafe.sum())
+        counts["excluded_shrunk_band"] += int(shrunk.sum())
 
-        f0 = sys_.f(x)
-        g0 = sys_.g(x)
-        cands = []
-        drift_rows = []
-        if lab.kind in ("R1", "R3"):
-            i = lab.index
-            gB = cert.grad_B(i, x)
-            Bg = gB @ g0
-            if math.sqrt(float(Bg @ Bg)) > tol_g:
-                u = ctrl.kappa1(i, x)
-                cands.append(float(gB @ (f0 + g0 @ u)))
-            else:
-                drift_rows.append((float(gB @ f0),
-                                   lambda y, i=i: cert.grad_B(i, y) @ sys_.g(y)))
-        if lab.kind in ("R2", "R3"):
-            gL = cert.grad_L(x)
-            Lg = gL @ g0
-            if math.sqrt(float(Lg @ Lg)) > tol_g:
-                u = ctrl.kappa2(x)
-                cands.append(float(gL @ (f0 + g0 @ u)))
-            else:
-                drift_rows.append((float(gL @ f0),
-                                   lambda y: cert.grad_L(y) @ sys_.g(y)))
-        if not cands:
+        keep = ~(origin | unsafe | shrunk)
+        X, L, kind, index = X[keep], L[keep], kind[keep], index[keep]
+        F, G = field_rows(sys_, X)
+        barrier = (kind == R1) | (kind == R3)
+        stabilizer = (kind == R2) | (kind == R3)
+        # per side (0: barrier under kappa1, 1: stabilizer under kappa2)
+        live = np.zeros((2, len(X)), dtype=bool)
+        d = np.zeros((2, len(X)))
+        drift = np.zeros((2, len(X)))
+        for i in range(cert.n_obstacles):
+            r = np.flatnonzero(barrier & (index == i))
+            live[0, r], d[0, r], drift[0, r] = _branch(
+                ctrl, cert.grad_B(i, X[r]), X[r], F[r], G[r], partial(ctrl.kappa1_rows, i))
+        r = np.flatnonzero(stabilizer)
+        live[1, r], d[1, r], drift[1, r] = _branch(ctrl, cert.grad_L(X[r]), X[r], F[r],
+                                                   G[r], ctrl.kappa2_rows)
+
+        for k in np.flatnonzero(~(live[0] | live[1])):
+            # every applicable control channel vanished: check the raw drift
             counts["degenerate_channel"] += 1
-            for drift, row_fn in drift_rows:
-                if drift <= tol_f:
+            x, i = X[k], int(index[k])
+            channels = []
+            if barrier[k]:
+                channels.append((drift[0, k], lambda y, i=i: cert.grad_B(i, y) @ sys_.g(y)))
+            if stabilizer[k]:
+                channels.append((drift[1, k], lambda y: cert.grad_L(y) @ sys_.g(y)))
+            for drift_k, row_fn in channels:
+                if drift_k <= tol_f:
                     continue
                 # the drift condition fails pointwise but the state leaves the
                 # degenerate set in finite time: informational, not a failure
                 if control_row_transversal(sys_, row_fn, x):
                     escapes += 1
                 else:
-                    max_drift = max(max_drift, drift)
-            continue
-        counts["evaluated"] += 1
-        d = max(cands)
-        ratio = -d / L
-        if ratio < rho0:
-            rho0 = ratio
-            worst = x
+                    max_drift = max(max_drift, float(drift_k))
+
+        # max over the candidates in order: the stabilizer side wins only if larger
+        scored = live[0] | live[1]
+        worse = np.where(live[0] & ~(live[1] & (d[1] > d[0])), d[0], d[1])
+        ratio = -worse[scored] / L[scored]
+        counts["evaluated"] += len(ratio)
+        if len(ratio):
+            k = int(np.argmin(np.where(np.isnan(ratio), math.inf, ratio)))
+            if ratio[k] < rho0:
+                rho0, worst = float(ratio[k]), X[scored][k]
     if max_drift == -math.inf:
         max_drift = 0.0
     return DecreaseReport(

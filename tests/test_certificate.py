@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nclbf.certificate import Certificate, RegionLabel
+from nclbf.certificate import KINDS, R2, Certificate, RegionLabel
 from nclbf.scenario import (ObstacleParams, ObstacleSpec, ScenarioError,
                             builtin_scenario, eta1_lower_bound, w_upper_bound)
 
@@ -314,3 +314,62 @@ class TestSharedGapFormula:
             ok, why = cert.admissible(x, eps)
             assert ok == want, x
             assert (why == "stabilizer region") == ok
+
+
+class TestRowBatchedTwins:
+    """dominant_gap_rows/label_rows against dominant_gap/label, bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(cert, X, eps):
+        i, h, dds = cert.dominant_gap_rows(X)
+        kind, index = cert.label_rows(i, h, dds, eps)
+        for k, x in enumerate(X):
+            si, sh, sdds = cert.dominant_gap(x)
+            assert (int(i[k]), h[k].tobytes(), dds[k].tolist()) == (
+                si, np.float64(sh).tobytes(), sdds), x
+            lab = cert.label(si, sh, sdds, eps)
+            got = RegionLabel(KINDS[kind[k]], None if kind[k] == R2 else int(index[k]))
+            assert got == lab, x
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_random_rows(self, name):
+        cert = Certificate(builtin_scenario(name))
+        rng = np.random.default_rng(41)
+        X = np.concatenate([rng.uniform(-5, 5, size=(3000, 2)),
+                            [sphere_point(cert, i, th) for i in range(cert.n_obstacles)
+                             for th in rng.uniform(0, 2 * math.pi, 200)]])
+        self.assert_rows_match(cert, X, 1e-3)
+
+    def test_random_rows_three_dimensional(self, cfg_3d):
+        cert = Certificate(cfg_3d)
+        X = np.random.default_rng(43).uniform(-5, 5, size=(3000, 3))
+        self.assert_rows_match(cert, X, 1e-3)
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        # mirror-image obstacles: every point on the x1 axis has B_0 == B_1,
+        # and near x1 = 3 both barriers dominate L (overlapping spheres)
+        import dataclasses
+        base = builtin_scenario("linear2d_single")
+        obs = tuple(ObstacleSpec(center=np.array([3.0, s]), radius_sq=0.5) for s in (1.0, -1.0))
+        params = tuple(ObstacleParams.resolve(ob, eta1=2.0, c1=[1.0, 1.0], w=0.1)
+                       for ob in obs)
+        cert = Certificate(dataclasses.replace(base, obstacles=obs, params=params))
+        X = np.stack([np.linspace(-5, 5, 401), np.zeros(401)], axis=1)
+        b = np.array([cert.B_values(x) for x in X])
+        assert np.array_equal(b[:, 0], b[:, 1])
+        i, h, _ = cert.dominant_gap_rows(X)
+        assert not i.any()
+        kind, _ = cert.label_rows(*cert.dominant_gap_rows(X), 1e-3)
+        assert {KINDS[k] for k in kind} >= {"R1", "R2"}
+        self.assert_rows_match(cert, X, 1e-3)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_shrunk_band_rows(self, name):
+        cert = Certificate(builtin_scenario(name))
+        rng = np.random.default_rng(47)
+        for i in range(cert.n_obstacles):
+            X = np.array([sphere_point(cert, i, th) for th in rng.uniform(0, 2 * math.pi, 500)])
+            X = X * rng.uniform(0.999, 1.001, size=(len(X), 1))
+            want = [cert.in_shrunk_band(x, i, 1e-3) for x in X]
+            assert cert.shrunk_band_rows(i, X, 1e-3).tolist() == want
+            assert any(want) and not all(want)

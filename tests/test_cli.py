@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from nclbf.cli import main
+from nclbf.scenario import builtin_scenario, save_scenario
 
 
 def run_cli(*argv):
@@ -126,6 +129,20 @@ class TestVerifyDerivativeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] and doc["rho0_star"] > 0
         assert doc["grid_shape"] == [41, 41]
+
+    def test_grid_inside_an_obstacle_fails(self, tmp_path, capsys):
+        # every point of a +-0.05 box around obstacle 1's center is unsafe
+        config = builtin_scenario("linear2d_single")
+        center = config.obstacles[0].center
+        box = np.stack([center - 0.05, center + 0.05], axis=1)
+        path = tmp_path / "inside.json"
+        path.write_text(save_scenario(dataclasses.replace(config, state_box=box)))
+        assert run_cli("verify-derivative", "--scenario", str(path),
+                       "--resolution", "11") == 1
+        text = capsys.readouterr().out
+        doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert not doc["passed"] and doc["rho0_star"] is None
+        assert doc["counts"]["excluded_unsafe"] == doc["counts"]["total"] == 121
 
 
 class TestCheckAssumptionsCommand:

@@ -13,6 +13,7 @@ from nclbf.certificate import RegionLabel
 from nclbf.controller import (MemoryStateError, RegionMemory,
                               SafetyViolationError, make_controller, mu, mu_bar)
 from nclbf.scenario import ControllerGains, builtin_scenario
+from nclbf.systems import field_rows
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +208,46 @@ class TestControlDispatch:
             assert dec.region == lab
             assert dec.law.startswith({"R1": "K1", "R2": "K2", "R3": "K3"}[lab.kind])
             assert dec.u.shape == (ctrl_b.system.m,)
+
+
+class TestRowBatchedLaws:
+    """kappa1_rows/kappa2_rows against kappa1/kappa2, bit for bit."""
+
+    @staticmethod
+    def rows(ctrl, rng):
+        # random states plus states where a control channel vanishes or one
+        # component of grad B . g is zero: the origin, the obstacle centers,
+        # and the coordinate lines through the centers
+        n = ctrl.system.n
+        X = [rng.uniform(-5, 5, size=(2000, n)), np.zeros((1, n)), ctrl.cert.centers]
+        for c in ctrl.cert.centers:
+            for j in range(n):
+                Y = rng.uniform(-5, 5, size=(50, n))
+                Y[:, j] = c[j]
+                X.append(Y)
+        return np.concatenate(X)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three", "3d"])
+    def test_laws_match_scalar_forms(self, name, cfg_3d):
+        ctrl = make_controller(cfg_3d if name == "3d" else builtin_scenario(name))
+        X = self.rows(ctrl, np.random.default_rng(53))
+        F, G = field_rows(ctrl.system, X)
+        U2 = ctrl.kappa2_rows(X, F, G)
+        assert not U2[2000].any() and U2.any()   # row 2000 is the origin
+        for i in range(ctrl.cert.n_obstacles):
+            U1 = ctrl.kappa1_rows(i, X, F, G)
+            for k, x in enumerate(X):
+                assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
+        for k, x in enumerate(X):
+            assert U2[k].tobytes() == ctrl.kappa2(x).tobytes(), x
+
+    def test_gains_read_at_call_time(self):
+        ctrl = make_controller(builtin_scenario("linear2d_single"))
+        X = np.random.default_rng(59).uniform(-5, 5, size=(100, 2))
+        F, G = field_rows(ctrl.system, X)
+        before = ctrl.kappa1_rows(0, X, F, G)
+        ctrl.c1[0] = np.zeros(2)
+        after = ctrl.kappa1_rows(0, X, F, G)
+        assert not np.array_equal(before, after)
+        assert all(after[k].tobytes() == ctrl.kappa1(0, x).tobytes()
+                   for k, x in enumerate(X))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -103,6 +104,19 @@ class TestGridDecrease:
         # proportional to the (now zero) gain sum
         wp = np.asarray(report.worst_point)
         assert ctrl.cert.classify(wp, cfg_a.integrator.eps_band).kind in ("R1", "R3")
+
+    def test_empty_grid_certifies_nothing(self, cfg_a):
+        # a +-0.05 box around obstacle 1's center: all 121 points are unsafe
+        center = cfg_a.obstacles[0].center
+        box = np.stack([center - 0.05, center + 0.05], axis=1)
+        report = grid_decrease_check(dataclasses.replace(cfg_a, state_box=box),
+                                     resolution=11)
+        assert report.counts["excluded_unsafe"] == report.counts["total"] == 121
+        assert report.counts["evaluated"] == 0
+        assert not report.passed
+        doc = report.to_dict()
+        assert doc["rho0_star"] is None and doc["worst_point"] == []
+        json.dumps(doc, allow_nan=False)
 
     def test_resolution_floor(self, cfg_a):
         with pytest.raises(ValueError):
