@@ -1,8 +1,8 @@
 """Nonsmooth control Lyapunov barrier functions and safe stabilization."""
 
 from .certificate import BoundarySphere, Certificate, RegionLabel
-from .controller import (ControlDecision, Controller, RegionMemory,
-                         SafetyViolationError, make_controller, mu, mu_bar)
+from .controller import (ControlDecision, Controller, SafetyViolationError,
+                         make_controller, mu, mu_bar)
 from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                        ScenarioConfig, ScenarioError, ValidationReport,
                        builtin_scenario, derive_eta2, load_scenario,
@@ -20,7 +20,7 @@ from .verify import (DecreaseReport, DerivativeBreakdown, InvariantReport,
 
 __all__ = [
     "BoundarySphere", "Certificate", "RegionLabel",
-    "ControlDecision", "Controller", "RegionMemory", "SafetyViolationError",
+    "ControlDecision", "Controller", "SafetyViolationError",
     "make_controller", "mu", "mu_bar",
     "IntegratorSettings", "ObstacleParams", "ObstacleSpec", "ScenarioConfig",
     "ScenarioError", "ValidationReport", "builtin_scenario", "derive_eta2",

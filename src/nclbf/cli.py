@@ -45,9 +45,9 @@ def _load(scenario_arg: str, overrides: argparse.Namespace | None = None) -> Sce
     if overrides is not None:
         integ = config.integrator
         updates = {}
-        if getattr(overrides, "dt", None) is not None:
+        if overrides.dt is not None:
             updates["dt"] = overrides.dt
-        if getattr(overrides, "t_max", None) is not None:
+        if overrides.t_max is not None:
             updates["t_max"] = overrides.t_max
         if updates:
             integ = dataclasses.replace(integ, **updates)
@@ -109,7 +109,7 @@ def _cmd_check_trajectory(args) -> int:
     with open(path, newline="") as fp:
         record = simulator.read_trajectory_csv(fp)
     if args.scenario:
-        config = _load(args.scenario, args)
+        config = _load(args.scenario)
         report = verify.trajectory_invariants(record, config)
         doc = report.to_dict()
         passed = report.passed
@@ -207,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-trajectory", help="invariant checks on a trajectory CSV")
     sp.add_argument("--csv", required=True)
     sp.add_argument("--scenario", default=None)
-    sp.add_argument("--dt", type=float, default=None,
-                    help="override the scenario's step size for the derivative check")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_check_trajectory)
 

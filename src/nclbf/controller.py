@@ -57,13 +57,6 @@ class ControlDecision:
     region: RegionLabel
 
 
-@dataclass
-class RegionMemory:
-    """Region at the previous sample; seeded with the initial classification."""
-
-    prev: RegionLabel
-
-
 class Controller:
     """Bundles system, certificate, and gains; all methods are pure in x."""
 
@@ -131,10 +124,9 @@ class Controller:
         U[live] = (-(Lf + np.sqrt(Lf * Lf + self.gamma * n2 * n2)))[:, None] * (Lg / n2[:, None])
         return U
 
-    def kappa3(self, i: int, x: np.ndarray, memory: RegionMemory,
+    def kappa3(self, i: int, x: np.ndarray, prev: RegionLabel,
                f0: np.ndarray | None = None, g0: np.ndarray | None = None) -> np.ndarray:
-        """Band law resolved by the previous sample's region."""
-        prev = memory.prev
+        """Band law resolved by prev, the previous sample's region."""
         if prev.kind == "UNSAFE":
             raise MemoryStateError("previous sample inside an unsafe ball; "
                                    "the safety monitor should have halted")
@@ -145,10 +137,11 @@ class Controller:
         # memory only arises from numerical band overlap.
         return self.kappa2(x, f0, g0)
 
-    def dispatch(self, region: RegionLabel, x: np.ndarray, memory: RegionMemory,
+    def dispatch(self, region: RegionLabel, x: np.ndarray, prev: RegionLabel,
                  f0: np.ndarray | None = None,
                  g0: np.ndarray | None = None) -> ControlDecision:
-        """Control for x, whose region is cert.classify(x, eps_band)."""
+        """Control for x, whose region is cert.classify(x, eps_band); prev is
+        the previous sample's region, which resolves the band."""
         if region.kind == "UNSAFE":
             raise SafetyViolationError(
                 f"state inside unsafe ball {region.index} (obstacle {region.index + 1})")
@@ -157,8 +150,7 @@ class Controller:
                                    f"K1:{region.index + 1}", region)
         if region.kind == "R2":
             return ControlDecision(self.kappa2(x, f0, g0), "K2", region)
-        u = self.kappa3(region.index, x, memory, f0, g0)
-        prev = memory.prev
+        u = self.kappa3(region.index, x, prev, f0, g0)
         branch = "K1" if (prev.kind == "R1" and prev.index == region.index) else "K2"
         return ControlDecision(u, f"K3:{region.index + 1}>{branch}", region)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import RegionLabel
-from .controller import Controller, RegionMemory, make_controller
+from .controller import make_controller
 from .scenario import ScenarioConfig
 from .systems import ControlAffineSystem, resolve_system
 
@@ -44,18 +44,15 @@ class NumericBlowupError(RuntimeError):
 
 
 def _rk4(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
-         dt: float, f0: np.ndarray | None = None,
-         g0: np.ndarray | None = None) -> np.ndarray:
+         dt: float, f0: np.ndarray, g0: np.ndarray) -> np.ndarray:
+    # f0, g0 are f(x), g(x): the first stage, shared by every step from x.
     # Stage states are combined on plain floats: the same element-wise
     # operations as array arithmetic, so bit-identical, at a fraction of the
     # per-call overhead for small n.  ndarray.dot gives the same BLAS result
     # as @ with less call overhead; the hot paths here and in the controller
     # use it for that reason.
     f, g = system.f, system.g
-    if f0 is None:
-        k1 = (f(x) + g(x).dot(u)).tolist()
-    else:
-        k1 = (f0 + g0.dot(u)).tolist()
+    k1 = (f0 + g0.dot(u)).tolist()
     xs = x.tolist()
     half = 0.5 * dt
     x2 = np.array([k * half + a for k, a in zip(k1, xs)])
@@ -72,7 +69,8 @@ def _rk4(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
 def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
              dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of xdot = f(x) + g(x) u, u held fixed."""
-    out = _rk4(system, np.asarray(x, float), np.asarray(u, float), dt)
+    x = np.asarray(x, float)
+    out = _rk4(system, x, np.asarray(u, float), dt, system.f(x), system.g(x))
     if not np.all(np.isfinite(out)):
         raise NumericBlowupError(f"non-finite state after step from {x!r}")
     return out
@@ -155,29 +153,34 @@ class _SlideState:
 
 
 class _Engine:
-    """Integrates one scenario; per-run state lives in the caller."""
+    """One closed-loop run and the hybrid feedback's discrete state.
 
-    def __init__(self, config: ScenarioConfig, system: ControlAffineSystem,
-                 controller: Controller | None = None):
+    That state is the region of the previous sample, which kappa3 reads; the
+    barrier-entry latch forced_k1 (the obstacle whose region a located event
+    properly entered, held on kappa1 while inside the band, else -1); and the
+    slide on a surface B_i = L.
+    """
+
+    def __init__(self, config: ScenarioConfig, system: ControlAffineSystem):
         self.config = config
         self.system = system
-        self.ctrl = controller if controller is not None else make_controller(config, system)
+        self.ctrl = make_controller(config, system)
         self.cert = self.ctrl.cert
         self.dt = config.integrator.dt
         self.eps_band = config.integrator.eps_band
         self.h_floor = -0.25 * self.eps_band
+        self.prev: RegionLabel | None = None
+        self.forced_k1 = -1
+        self.slide = _SlideState()
 
-    def _hdot(self, i: int, x: np.ndarray, u: np.ndarray) -> float:
-        gh = self.cert.grad_B(i, x) - 2.0 * x
-        return float(gh.dot(self.system.f(x) + self.system.g(x).dot(u)))
-
-    def _locate(self, x: np.ndarray, u: np.ndarray, span: float, h0: float) -> float:
+    def _locate(self, x: np.ndarray, u: np.ndarray, span: float, h0: float,
+                f0: np.ndarray, g0: np.ndarray) -> float:
         """Bisect tau in (0, span] where the held flow crosses the surface."""
         lo, hi = 0.0, span
         pos0 = h0 > 0.0
         for _ in range(70):
             mid = 0.5 * (lo + hi)
-            _, hm, _ = self.cert.dominant_gap(_rk4(self.system, x, u, mid))
+            _, hm, _ = self.cert.dominant_gap(_rk4(self.system, x, u, mid, f0, g0))
             if (hm > 0.0) == pos0:
                 lo = mid
             else:
@@ -215,6 +218,14 @@ class _Engine:
             return None
         return nominal + b * w, b, xb
 
+    def _rates(self, i: int, x: np.ndarray, f0: np.ndarray, g0: np.ndarray):
+        """grad h for h = B_i - L, and kappa2, dh/dt under it, kappa1, dh/dt
+        under it: (grad h, u2, hd2, u1, hd1).  f0, g0 are f(x), g(x)."""
+        gh = self.cert.grad_B(i, x) - 2.0 * x
+        u2 = self.ctrl.kappa2(x, f0, g0)
+        u1 = self.ctrl.kappa1(i, x, f0, g0)
+        return gh, u2, float(gh.dot(f0 + g0.dot(u2))), u1, float(gh.dot(f0 + g0.dot(u1)))
+
     def _slide_nominal(self, x: np.ndarray, i: int, f0: np.ndarray,
                        g0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Surface nominal: projected kappa2, or the rate blend at saddles.
@@ -224,23 +235,16 @@ class _Engine:
         stabilizer no longer pushes inward (tangency: the slide is over).
         f0, g0 are f(x), g(x).
         """
-        gh = self.cert.grad_B(i, x) - 2.0 * x
+        gh, u2, hd2, u1, hd1 = self._rates(i, x, f0, g0)
         hg = gh.dot(g0)
         n2 = float(hg.dot(hg))
-        if n2 < 1e-18:
-            return None
-        u2 = self.ctrl.kappa2(x, f0, g0)
-        hd2 = float(gh.dot(f0 + g0.dot(u2)))
-        if hd2 <= 0.0:
+        if n2 < 1e-18 or hd2 <= 0.0:
             return None
         w = hg / n2
         ua = u2 - hd2 * w  # kappa2 projected onto the surface through g
         xa = f0 + g0.dot(ua)
         vda = 2.0 * float(x.dot(xa))
         speed_a = math.sqrt(float(xa.dot(xa)))
-
-        u1 = self.ctrl.kappa1(i, x, f0, g0)
-        hd1 = float(gh.dot(f0 + g0.dot(u1)))
         if hd1 < 0.0:
             lam = hd2 / (hd2 - hd1)
             ub = lam * u1 + (1.0 - lam) * u2
@@ -252,27 +256,23 @@ class _Engine:
         return ua, w
 
     def advance(self, x: np.ndarray, i: int, h: float, dd: list[float],
-                region: RegionLabel, mem: RegionMemory, slide: _SlideState,
-                forced_k1: int):
+                region: RegionLabel):
         """Integrate one recorded step from x, whose (i, h, dd) triple is
         Certificate.dominant_gap(x) and whose label is region.
 
-        Returns (x_next, i_next, h_next, dd_next, u_first, law_first, forced);
-        the (i, h, dd) triple is Certificate.dominant_gap(x_next), so the
-        caller can build the next sample without re-evaluating the barriers.
+        Returns (x_next, i_next, h_next, dd_next, u, law), u and law being
+        the first input applied; the triple is Certificate.dominant_gap of
+        x_next, so the next sample needs no new barrier evaluation.
         """
+        slide = self.slide
         remaining = self.dt
         sub_min = self.dt / _SUB_MIN_FRACTION
         u_first: np.ndarray | None = None
         law_first: str | None = None
-        cur_valid = True
+        f0 = g0 = None
         while remaining > 1e-15 * self.dt:
-            if not cur_valid:
-                i, h, dd = self.cert.dominant_gap(x)
-                region = None
-                cur_valid = True
-            f0 = self.system.f(x)
-            g0 = self.system.g(x)
+            if f0 is None:
+                f0, g0 = self.system.f(x), self.system.g(x)
             if slide.active:
                 if slide.i != i:
                     slide.active = False
@@ -294,18 +294,19 @@ class _Engine:
                 u, slide.alpha, x = pin
                 if u_first is None:
                     u_first, law_first = u, f"K3:{i + 1}>K2"
+                i, h, dd = self.cert.dominant_gap(x)
+                region = f0 = None
                 remaining -= tau
                 slide.sub = min(slide.sub * 2.0, self.dt)
-                cur_valid = False
                 continue
 
-            if forced_k1 == i and abs(h) <= self.eps_band:
+            if self.forced_k1 == i and abs(h) <= self.eps_band:
                 u, law = self.ctrl.kappa1(i, x, f0, g0), f"K1:{i + 1}"
             else:
-                forced_k1 = -1
+                self.forced_k1 = -1
                 if region is None:
                     region = self.cert.label(i, h, dd, self.eps_band)
-                dec = self.ctrl.dispatch(region, x, mem, f0, g0)
+                dec = self.ctrl.dispatch(region, x, self.prev, f0, g0)
                 u, law = dec.u, dec.law
             if u_first is None:
                 u_first, law_first = u, law
@@ -316,31 +317,74 @@ class _Engine:
                 x, i, h, dd = x_try, i_try, h_try, dd_try
                 remaining = 0.0
                 continue
-            tau = self._locate(x, u, remaining, h)
-            x = _rk4(self.system, x, u, tau)
+            tau = self._locate(x, u, remaining, h, f0, g0)
+            x = _rk4(self.system, x, u, tau, f0, g0)
             remaining -= tau
             i, h, dd = self.cert.dominant_gap(x)
             region = None
-            hd2 = self._hdot(i, x, self.ctrl.kappa2(x))
-            hd1 = self._hdot(i, x, self.ctrl.kappa1(i, x))
+            f0, g0 = self.system.f(x), self.system.g(x)
+            _, _, hd2, _, hd1 = self._rates(i, x, f0, g0)
             if hd2 > 0.0 > hd1:
                 slide.active = True
                 slide.i = i
                 slide.h_tgt = min(h, 0.0)
                 slide.sub = self.dt / 4.0
                 slide.alpha = 0.0
-                forced_k1 = -1
+                self.forced_k1 = -1
             elif hd2 > 0.0 and hd1 >= 0.0:
                 # both fields point inward: the flow properly enters the
                 # barrier region, where kappa1 governs
-                forced_k1 = i
+                self.forced_k1 = i
             else:
-                forced_k1 = -1
-        if not cur_valid:
-            i, h, dd = self.cert.dominant_gap(x)
+                self.forced_k1 = -1
         if u_first is None:
             u_first, law_first = np.zeros(self.system.m), "-"
-        return x, i, h, dd, u_first, law_first, forced_k1
+        return x, i, h, dd, u_first, law_first
+
+    def run(self, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
+        """Simulate from x0 until convergence, timeout, or violation."""
+        cert = self.cert
+        integ = self.config.integrator
+        eps_conv_sq = integ.eps_conv ** 2
+        if not override_init and not cert.admissible(x0, integ.eps_band)[0]:
+            return TrajectoryRecord(samples=(), outcome=Outcome("init_rejected"))
+
+        n_steps = int(round(integ.t_max / integ.dt))
+        x = x0.copy()
+        self.prev = cert.classify(x, integ.eps_band)
+        samples: list[StepSample] = []
+
+        def push(t, xs, u, V, region, law, mind):
+            samples.append(StepSample(t=t, x=xs, u=np.asarray(u, float), V=V,
+                                      region=region, law=law, min_dist=mind))
+
+        k = 0
+        i, h, dd = cert.dominant_gap(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                t = k * integ.dt
+                L = cert.L(x)
+                V = L + h if h > 0.0 else L
+                mind = cert.clearance(dd)
+                region = cert.label(i, h, dd, integ.eps_band)
+                if region.kind == "UNSAFE":
+                    push(t, x, np.zeros(self.system.m), V, region, "-", mind)
+                    outcome = Outcome("safety_violation", t=t, obstacle=region.index)
+                    break
+                if L <= eps_conv_sq or k >= n_steps:
+                    dec = self.ctrl.dispatch(region, x, self.prev)
+                    push(t, x, dec.u, V, region, dec.law, mind)
+                    outcome = Outcome("converged" if L <= eps_conv_sq else "timeout", t=t)
+                    break
+                x_next, i, h, dd, u, law = self.advance(x, i, h, dd, region)
+                push(t, x, u, V, region, law, mind)
+                if not all(map(math.isfinite, x_next.tolist())):
+                    outcome = Outcome("numeric_blowup", t=t)
+                    break
+                self.prev = region
+                x = x_next
+                k += 1
+        return TrajectoryRecord(samples=tuple(samples), outcome=outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -352,70 +396,13 @@ def simulate(config: ScenarioConfig, x0: np.ndarray,
              override_init: bool = False) -> TrajectoryRecord:
     """Run the closed loop from x0 until convergence, timeout, or violation."""
     sys_ = system if system is not None else resolve_system(config)
-    engine = _Engine(config, sys_)
-    return _run(engine, np.asarray(x0, float), override_init)
+    return _Engine(config, sys_).run(np.asarray(x0, float), override_init)
 
 
-def _run(engine: _Engine, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
-    cert = engine.cert
-    integ = engine.config.integrator
-    eps_conv_sq = integ.eps_conv ** 2
-    if not override_init and not cert.admissible(x0, integ.eps_band)[0]:
-        return TrajectoryRecord(samples=(), outcome=Outcome("init_rejected"))
-
-    n_steps = int(round(integ.t_max / integ.dt))
-    x = x0.copy()
-    mem = RegionMemory(prev=cert.classify(x, integ.eps_band))
-    slide = _SlideState()
-    forced_k1 = -1
-    samples: list[StepSample] = []
-    m = engine.system.m
-    zeros_u = np.zeros(m)
-
-    def push(t, xs, u, V, region, law, mind):
-        samples.append(StepSample(t=t, x=xs, u=np.asarray(u, float), V=V,
-                                  region=region, law=law, min_dist=mind))
-
-    outcome: Outcome | None = None
-    k = 0
-    i, h, dd = cert.dominant_gap(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            t = k * integ.dt
-            L = cert.L(x)
-            V = L + h if h > 0.0 else L
-            mind = cert.clearance(dd)
-            region = cert.label(i, h, dd, integ.eps_band)
-            if region.kind == "UNSAFE":
-                push(t, x, zeros_u, V, region, "-", mind)
-                outcome = Outcome("safety_violation", t=t, obstacle=region.index)
-                break
-            if L <= eps_conv_sq:
-                dec = engine.ctrl.dispatch(region, x, mem)
-                push(t, x, dec.u, V, region, dec.law, mind)
-                outcome = Outcome("converged", t=t)
-                break
-            if k >= n_steps:
-                dec = engine.ctrl.dispatch(region, x, mem)
-                push(t, x, dec.u, V, region, dec.law, mind)
-                outcome = Outcome("timeout", t=t)
-                break
-            x_next, i, h, dd, u_first, law_first, forced_k1 = engine.advance(
-                x, i, h, dd, region, mem, slide, forced_k1)
-            push(t, x, u_first, V, region, law_first, mind)
-            if not all(map(math.isfinite, x_next.tolist())):
-                outcome = Outcome("numeric_blowup", t=t)
-                break
-            mem.prev = region
-            x = x_next
-            k += 1
-    return TrajectoryRecord(samples=tuple(samples), outcome=outcome)
-
-
-def run_batch(config: ScenarioConfig, system: ControlAffineSystem | None = None,
+def run_batch(config: ScenarioConfig,
               override_init: bool = False) -> tuple[SimulationSummary, tuple[TrajectoryRecord, ...]]:
     """Simulate every initial state; output order follows input order."""
-    sys_ = system if system is not None else resolve_system(config)
+    sys_ = resolve_system(config)
     t0 = time.perf_counter()
     records = tuple(simulate(config, x0, system=sys_, override_init=override_init)
                     for x0 in config.initial_states)

@@ -120,6 +120,9 @@ class AssumptionReport:
                 "notes": list(self.notes)}
 
 
+# Drift derivatives up to this count as nonpositive at degenerate points.
+TOL_F = 1e-9
+
 # Grid checks evaluate this many rows per array pass, which bounds their
 # temporaries; ties across blocks still go to the first row in grid order.
 BLOCK_ROWS = 4096
@@ -160,12 +163,12 @@ def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) 
 
 
 def check_assumptions(system: ControlAffineSystem, config: ScenarioConfig,
-                      grid_resolution: int = 101, tol_f: float = 1e-9) -> AssumptionReport:
+                      grid_resolution: int = 101) -> AssumptionReport:
     """Grid-sampled necessary checks of the drift conditions.
 
     At grid points where the relevant gradient-control row vanishes (below a
     tolerance scaled to the grid median of its norm), the drift derivative
-    must be <= tol_f.  A pointwise failure is downgraded to an informational
+    must be <= TOL_F.  A pointwise failure is downgraded to an informational
     "escapes in finite time" note when the control row's derivative along the
     drift is nonzero there (the trajectory leaves the degenerate set).  These
     are sampled necessary conditions, not proofs; zero-state detectability is
@@ -205,7 +208,7 @@ def check_assumptions(system: ControlAffineSystem, config: ScenarioConfig,
         tol_g = 1e-6 * (float(np.median(nz)) if nz.size else 1.0)
         degenerate = member & ~(norms[r] > tol_g)
         violations, escapes = [], []
-        for k in np.flatnonzero(degenerate & ~(drifts[r] <= tol_f)):
+        for k in np.flatnonzero(degenerate & ~(drifts[r] <= TOL_F)):
             x, drift = pts[k], float(drifts[r, k])
             # the drift condition fails pointwise; informational when the
             # state leaves the degenerate set in finite time

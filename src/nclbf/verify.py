@@ -15,12 +15,13 @@ from functools import partial
 
 import numpy as np
 
-from .certificate import R1, R2, R3, UNSAFE, RegionLabel, row_dot, row_vecmat
-from .controller import Controller, RegionMemory, make_controller
+from .certificate import (R1, R2, R3, UNSAFE, Certificate, RegionLabel, row_dot,
+                          row_vecmat)
+from .controller import Controller, make_controller
 from .scenario import ScenarioConfig
 from .simulator import TrajectoryRecord
-from .systems import (BLOCK_ROWS, ControlAffineSystem, control_row_transversal,
-                      field_rows, grid_points, resolve_system)
+from .systems import (BLOCK_ROWS, TOL_F, control_row_transversal, field_rows,
+                      grid_points)
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,9 @@ class DerivativeBreakdown:
 
 
 def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
-                     memory: RegionMemory | None = None) -> DerivativeBreakdown:
-    """Evaluate the generalized derivative of V at x under input u."""
+                     prev: RegionLabel | None = None) -> DerivativeBreakdown:
+    """Evaluate the generalized derivative of V at x under input u; prev,
+    the previous sample's region, resolves the band (None: no history)."""
     cert = ctrl.cert
     region = cert.classify(x, ctrl.eps_band)
     i = region.index if region.index is not None else cert.dominant_obstacle(x)
@@ -58,10 +60,9 @@ def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
         d = d1  # B dominates L on and inside the ball, so V = B there
     elif region.kind == "R2":
         d = d2
-    elif memory is None:
+    elif prev is None:
         d = 0.5 * (d1 + d2) + 0.5 * abs(d1 - d2)
     else:
-        prev = memory.prev
         d = d1 if (prev.kind == "R1" and prev.index == i) else d2
     return DerivativeBreakdown(region=region, d_value=d, components=comps, h2=h2)
 
@@ -111,8 +112,6 @@ def _branch(ctrl: Controller, grad: np.ndarray, X: np.ndarray, F: np.ndarray,
 
 
 def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
-                        system: ControlAffineSystem | None = None,
-                        tol_f: float = 1e-9,
                         controller: Controller | None = None) -> DecreaseReport:
     """min over the grid of -dV/||x||^2 under the dispatched controller.
 
@@ -120,15 +119,14 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
     eps_conv ball around the origin, and points where the dispatched law's
     control channel vanishes (there the derivative equals the raw drift term,
     which the drift conditions bound by 0, not by -rho; those points are
-    counted separately and their drift derivative checked against tol_f).
+    counted separately and their drift derivative checked against TOL_F).
     Band points are scored under the worse of the two one-sided branches.
     The grid is scored BLOCK_ROWS rows at a time; among equal ratios the
     worst point is the first in grid order.
     """
     if resolution < 11:
         raise ValueError("resolution must be >= 11")
-    sys_ = system if system is not None else resolve_system(config)
-    ctrl = controller if controller is not None else make_controller(config, sys_)
+    ctrl = controller if controller is not None else make_controller(config)
     sys_ = ctrl.system
     cert = ctrl.cert
     integ = config.integrator
@@ -183,7 +181,7 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
             if stabilizer[k]:
                 channels.append((drift[1, k], lambda y: cert.grad_L(y) @ sys_.g(y)))
             for drift_k, row_fn in channels:
-                if drift_k <= tol_f:
+                if drift_k <= TOL_F:
                     continue
                 # the drift condition fails pointwise but the state leaves the
                 # degenerate set in finite time: informational, not a failure
@@ -207,7 +205,7 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
         rho0_star=rho0, worst_point=tuple(map(float, worst)) if worst is not None else (),
         grid_shape=tuple([resolution] * config.n),
         counts=counts, degenerate_max_drift=max_drift,
-        degenerate_ok=max_drift <= tol_f, degenerate_escapes=escapes)
+        degenerate_ok=max_drift <= TOL_F, degenerate_escapes=escapes)
 
 
 # ---------------------------------------------------------------------------
@@ -258,40 +256,52 @@ def record_checks(record: TrajectoryRecord, eps_conv: float) -> list[InvariantCh
     return checks
 
 
-def trajectory_invariants(record: TrajectoryRecord, config: ScenarioConfig,
-                          system: ControlAffineSystem | None = None) -> InvariantReport:
+def shrunk_band_check(record: TrajectoryRecord, cert: Certificate,
+                      eps_band: float) -> InvariantCheck:
+    """Invariant check (c): no sample with |B_i - L| <= eps_band and ||x||^2
+    below phi_i by more than the tangency-cone margin, tested BLOCK_ROWS
+    samples at a time; hits count (sample, obstacle) pairs."""
+    limits = [cert.phi(i) - cert.shrunk_band_margin(i, eps_band)
+              for i in range(cert.n_obstacles)]
+    n_hits, first_t = 0, None
+    for lo in range(0, len(record.samples), BLOCK_ROWS):
+        block = record.samples[lo:lo + BLOCK_ROWS]
+        X = np.array([s.x for s in block])
+        L = row_dot(X, X)
+        hits = sum(cert.shrunk_band_rows(i, X, eps_band) & (L < limit)
+                   for i, limit in enumerate(limits))
+        n_hits += int(np.sum(hits))
+        if first_t is None and np.any(hits):
+            first_t = block[int(np.flatnonzero(hits)[0])].t
+    return InvariantCheck(
+        "shrunk-band avoidance: no sample with |B_i - L| <= eps_band and "
+        "||x||^2 < phi_i - cone margin",
+        not n_hits, f"{n_hits} samples flagged"
+        + (f", first at t = {first_t:.4g}" if n_hits else ""))
+
+
+def trajectory_invariants(record: TrajectoryRecord,
+                          config: ScenarioConfig) -> InvariantReport:
     """Safety, V-monotonicity, shrunk-band avoidance, and FD consistency.
 
     The shrunk-band test applies a tangency-cone margin below phi (see
     Certificate.shrunk_band_margin): trajectories exiting at a contact point
     pass through any |B-L| <= eps band with ||x||^2 marginally below phi
-    without being on the surface.
+    without being on the surface.  The finite differences use the record's
+    own step t[1] - t[0], so config.integrator.dt is not read.
     """
     if not record.samples:
         raise ValueError("record is empty")
-    sys_ = system if system is not None else resolve_system(config)
-    ctrl = make_controller(config, sys_)
+    ctrl = make_controller(config)
     cert = ctrl.cert
     integ = config.integrator
     samples = record.samples
     checks = record_checks(record, integ.eps_conv)
+    checks.append(shrunk_band_check(record, cert, integ.eps_band))
 
-    # (c) no sample in a shrunk band (with the tangency-cone margin)
-    hits = []
-    margins = [cert.shrunk_band_margin(i, integ.eps_band) for i in range(cert.n_obstacles)]
-    phis = [cert.phi(i) for i in range(cert.n_obstacles)]
-    for s in samples:
-        for i in range(cert.n_obstacles):
-            if (abs(cert.gap(i, s.x)) <= integ.eps_band
-                    and cert.L(s.x) < phis[i] - margins[i]):
-                hits.append((s.t, i))
-    checks.append(InvariantCheck(
-        "shrunk-band avoidance: no sample with |B_i - L| <= eps_band and "
-        "||x||^2 < phi_i - cone margin",
-        not hits, f"{len(hits)} samples flagged" + (f", first at t = {hits[0][0]:.4g}" if hits else "")))
-
-    # (d) finite-difference consistency on smooth segments
-    dt = integ.dt
+    # (d) finite-difference consistency on smooth segments, at the record's
+    # own step (samples sit at t = k*dt; a single sample has no step)
+    dt = samples[1].t - samples[0].t if len(samples) > 1 else 0.0
     worst_resid = 0.0
     n_smooth = 0
     for a, b in zip(samples, samples[1:]):

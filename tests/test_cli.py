@@ -169,13 +169,23 @@ class TestCheckTrajectoryCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] and len(doc["checks"]) == 4
 
-    def test_step_override(self, run_dir, capsys):
-        code = run_cli("check-trajectory", "--csv", str(run_dir / "run_00.csv"),
-                       "--scenario", "linear2d_single", "--dt", "5e-4")
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["passed"]
-        assert run_cli("check-trajectory", "--csv", str(run_dir / "run_00.csv"),
-                       "--t-max", "1.0") == 2
+    def test_step_override(self, run_dir, tmp_path, capsys):
+        # the derivative check takes the step from the record, so scenarios
+        # that differ only in dt give the same report; no flag overrides it
+        cfg = builtin_scenario("linear2d_single")
+        csv = str(run_dir / "run_00.csv")
+        reports = []
+        for dt in (1e-3, 5e-4):
+            path = tmp_path / f"dt_{dt}.json"
+            integ = dataclasses.replace(cfg.integrator, dt=dt)
+            path.write_text(save_scenario(dataclasses.replace(cfg, integrator=integ)))
+            assert run_cli("check-trajectory", "--csv", csv, "--scenario", str(path)) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["passed"]
+        for flag in ("--dt", "--t-max"):
+            assert run_cli("check-trajectory", "--csv", csv, "--scenario",
+                           "linear2d_single", flag, "5e-4") == 2
 
     def test_without_scenario(self, run_dir, capsys):
         code = run_cli("check-trajectory", "--csv", str(run_dir / "run_03.csv"))

@@ -10,8 +10,8 @@ import pytest
 
 from conftest import closed_loop_slow_eigenvalue
 from nclbf.certificate import RegionLabel
-from nclbf.controller import (MemoryStateError, RegionMemory,
-                              SafetyViolationError, make_controller, mu, mu_bar)
+from nclbf.controller import (MemoryStateError, SafetyViolationError,
+                              make_controller, mu, mu_bar)
 from nclbf.scenario import ControllerGains, builtin_scenario
 from nclbf.systems import field_rows
 
@@ -26,9 +26,9 @@ def ctrl_b():
     return make_controller(builtin_scenario("nonlinear_mech_three"))
 
 
-def dispatch(ctrl, x, memory):
+def dispatch(ctrl, x, prev):
     """Classify x with the scenario's band, then dispatch on that region."""
-    return ctrl.dispatch(ctrl.cert.classify(x, ctrl.eps_band), x, memory)
+    return ctrl.dispatch(ctrl.cert.classify(x, ctrl.eps_band), x, prev)
 
 
 class TestMu:
@@ -152,9 +152,9 @@ class TestKappa2:
 class TestKappa3:
     def test_memory_dispatch(self, ctrl_a):
         x = np.array([2.0, 3.5])  # on the barrier side near the band
-        from_r1 = ctrl_a.kappa3(0, x, RegionMemory(RegionLabel("R1", 0)))
-        from_r2 = ctrl_a.kappa3(0, x, RegionMemory(RegionLabel("R2")))
-        from_r3 = ctrl_a.kappa3(0, x, RegionMemory(RegionLabel("R3", 0)))
+        from_r1 = ctrl_a.kappa3(0, x, RegionLabel("R1", 0))
+        from_r2 = ctrl_a.kappa3(0, x, RegionLabel("R2"))
+        from_r3 = ctrl_a.kappa3(0, x, RegionLabel("R3", 0))
         assert np.array_equal(from_r1, ctrl_a.kappa1(0, x))
         assert np.array_equal(from_r2, ctrl_a.kappa2(x))
         assert np.array_equal(from_r3, ctrl_a.kappa2(x))
@@ -162,49 +162,49 @@ class TestKappa3:
     def test_cross_obstacle_memory_falls_back_to_stabilizer(self, ctrl_b):
         x = np.array([2.0, 0.9])
         assert np.array_equal(
-            ctrl_b.kappa3(0, x, RegionMemory(RegionLabel("R1", 2))),
+            ctrl_b.kappa3(0, x, RegionLabel("R1", 2)),
             ctrl_b.kappa2(x))
 
     def test_unsafe_memory_rejected(self, ctrl_a):
         with pytest.raises(MemoryStateError):
-            ctrl_a.kappa3(0, np.array([2.0, 3.5]), RegionMemory(RegionLabel("UNSAFE", 0)))
+            ctrl_a.kappa3(0, np.array([2.0, 3.5]), RegionLabel("UNSAFE", 0))
 
 
 class TestControlDispatch:
     def test_stabilizer_region(self, ctrl_a):
-        dec = dispatch(ctrl_a, np.array([5.0, 5.0]), RegionMemory(RegionLabel("R2")))
+        dec = dispatch(ctrl_a, np.array([5.0, 5.0]), RegionLabel("R2"))
         assert dec.law == "K2" and dec.region == RegionLabel("R2")
 
     def test_barrier_region(self, ctrl_a):
-        dec = dispatch(ctrl_a, np.array([2.0, 3.5]), RegionMemory(RegionLabel("R2")))
+        dec = dispatch(ctrl_a, np.array([2.0, 3.5]), RegionLabel("R2"))
         assert dec.law == "K1:1" and dec.region == RegionLabel("R1", 0)
 
     def test_multi_obstacle_far_field(self, ctrl_b):
-        dec = dispatch(ctrl_b, np.array([-5.0, 0.0]), RegionMemory(RegionLabel("R2")))
+        dec = dispatch(ctrl_b, np.array([-5.0, 0.0]), RegionLabel("R2"))
         assert dec.law == "K2"
 
     def test_band_law_tags(self, ctrl_a):
         cert = ctrl_a.cert
         sph = cert.boundary_sphere(0)
         x = sph.center + sph.radius * np.array([math.cos(1.0), math.sin(1.0)])
-        dec = dispatch(ctrl_a, x, RegionMemory(RegionLabel("R1", 0)))
+        dec = dispatch(ctrl_a, x, RegionLabel("R1", 0))
         assert dec.law == "K3:1>K1"
-        dec = dispatch(ctrl_a, x, RegionMemory(RegionLabel("R2")))
+        dec = dispatch(ctrl_a, x, RegionLabel("R2"))
         assert dec.law == "K3:1>K2"
 
     def test_unsafe_state_raises(self, ctrl_a):
         with pytest.raises(SafetyViolationError):
-            dispatch(ctrl_a, np.array([2.0, 2.0]), RegionMemory(RegionLabel("R2")))
+            dispatch(ctrl_a, np.array([2.0, 2.0]), RegionLabel("R2"))
 
     def test_law_matches_region_randomized(self, ctrl_b):
         rng = np.random.default_rng(29)
-        mem = RegionMemory(RegionLabel("R2"))
+        prev = RegionLabel("R2")
         for _ in range(500):
             x = rng.uniform(-5, 5, size=2)
             lab = ctrl_b.cert.classify(x, 1e-3)
             if lab.kind == "UNSAFE":
                 continue
-            dec = dispatch(ctrl_b, x, mem)
+            dec = dispatch(ctrl_b, x, prev)
             assert dec.region == lab
             assert dec.law.startswith({"R1": "K1", "R2": "K2", "R3": "K3"}[lab.kind])
             assert dec.u.shape == (ctrl_b.system.m,)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import math
 
@@ -217,6 +218,46 @@ PINNED_B = {
     (2.0, 5.0): (50.082, 50083, (0.009962698874318648, -0.0008562527898558749)),
 }
 
+# sha256 of trajectory_csv_text(record) of every fixture start, recorded from
+# the engine before its discrete state moved into _Engine: the whole
+# trajectory, not only its end, stays bit for bit
+PINNED_CSV_A = {
+    (5.0, 5.0):
+        "5fd3ac46e4b3f527d2434156e708d4024b3e76ed8ddc27d9c4250d1268df5c5c",
+    (4.0, 4.0):
+        "27e4f7d68066b8794a60fbd178e9c76c78bff914092bbdccb919a06eaaa46ef2",
+    (3.5, 3.5):
+        "ba64b65de7c8b91101aa021a3ef476b1ab3bb3a2ca0bc0d33cb29a1611b541e8",
+    (5.0, 2.0):
+        "deceaaa10c7eadc859bd1d1d13c78a19d65e2f31df72ccc0c4009f9f1075fe32",
+    (3.0, 5.0):
+        "92677819381d3a9480db2a85d3c449a855da193b2f818c1fa00bb4dc39c9b523",
+    (0.2, 0.8):
+        "300f88f5982c724b552bc83169ce9356b47a88b5860153adeaf158863923a15d",
+    (0.55, 0.55):
+        "0d941cf5c7b70f89b01e4fb5c5fbc6d4c2cc9a831f92b0b62ebcdee3624759a8",
+    (0.8, 0.2):
+        "51ffbe4efe30583a04a5b60bf7659992ad7adda7b1a5500f475862eb16bd779a",
+}
+PINNED_CSV_B = {
+    (-5.0, 5.0):
+        "6e035596b22079095875d309e575b8ad16a9e0607640d606bd4d561f24cd3df7",
+    (-4.0, -5.0):
+        "7414f02c91ffe8a00b72cc54e464effe2eb5ef3a3ab7cf1d2eef35d9833509a9",
+    (-5.0, 0.0):
+        "a79bdde69bab0806db594f75cd8d755dcb951e0e11805f91926d7d8375e15639",
+    (5.0, -5.0):
+        "02b3ebf0f7bec5bd49df6862f97979da64a57bd5fbbe9f5ee07e833bb596e0ea",
+    (5.0, 0.0):
+        "c5942375038ca8fde6dae3e53ec3daa2485be875e161494ad8463a283b553771",
+    (4.0, 4.0):
+        "0b9080b8c699c57d5ad4dd49aa69b4f87ac1f3e226865016cd93848157d9c4e3",
+    (3.0, 2.0):
+        "05657389f5959fc1fc03740a488b046699a67c13454cd77ba1e650da29e6d4fc",
+    (2.0, 5.0):
+        "0b4fad57cf4f7a07ebd6540a348031bbf49741556529abdb7b2339a492b2e7a8",
+}
+
 
 class TestEngineParity:
     @pytest.mark.parametrize("fixture, pinned", [("records_a", PINNED_A),
@@ -230,3 +271,12 @@ class TestEngineParity:
             assert rec.outcome.t == t, x0
             assert len(rec.samples) == n_samples, x0
             assert tuple(rec.samples[-1].x.tolist()) == final, x0
+
+    @pytest.mark.parametrize("fixture, pinned", [("records_a", PINNED_CSV_A),
+                                                 ("records_b", PINNED_CSV_B)])
+    def test_fixture_trajectories_match_recorded_engine(self, request, fixture, pinned):
+        records = request.getfixturevalue(fixture)
+        assert set(records) == set(pinned)
+        for x0, digest in pinned.items():
+            text = trajectory_csv_text(records[x0])
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, x0

@@ -3,18 +3,35 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from nclbf.certificate import RegionLabel
-from nclbf.controller import RegionMemory, make_controller
+from nclbf.certificate import Certificate, RegionLabel
+from nclbf.controller import make_controller
 from nclbf.scenario import builtin_scenario
-from nclbf.simulator import StepSample, TrajectoryRecord, simulate
-from nclbf.verify import (grid_decrease_check, trajectory_invariants,
-                          upper_derivative)
+from nclbf.simulator import (StepSample, TrajectoryRecord, read_trajectory_csv,
+                             simulate, trajectory_csv_text)
+from nclbf.verify import (grid_decrease_check, shrunk_band_check,
+                          trajectory_invariants, upper_derivative)
+
+
+def shrunk_band_oracle(record, config):
+    """Detail of invariant check (c) by the per-sample loop it replaced."""
+    cert = Certificate(config)
+    eps_band = config.integrator.eps_band
+    hits = []
+    margins = [cert.shrunk_band_margin(i, eps_band) for i in range(cert.n_obstacles)]
+    phis = [cert.phi(i) for i in range(cert.n_obstacles)]
+    for s in record.samples:
+        for i in range(cert.n_obstacles):
+            if (abs(cert.gap(i, s.x)) <= eps_band
+                    and cert.L(s.x) < phis[i] - margins[i]):
+                hits.append((s.t, i))
+    return f"{len(hits)} samples flagged" + (f", first at t = {hits[0][0]:.4g}" if hits else "")
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +59,7 @@ class TestUpperDerivative:
         sph = cert.boundary_sphere(0)
         x = sph.center + sph.radius * np.array([math.cos(2.2), math.sin(2.2)])
         u = np.array([0.3, -0.4])
-        d = upper_derivative(ctrl_a, x, u, memory=None)
+        d = upper_derivative(ctrl_a, x, u, prev=None)
         F = ctrl_a.system.f(x) + ctrl_a.system.g(x) @ u
         d1 = float(cert.grad_B(0, x) @ F)
         d2 = float(cert.grad_L(x) @ F)
@@ -57,9 +74,9 @@ class TestUpperDerivative:
         F = ctrl_a.system.f(x) + ctrl_a.system.g(x) @ u
         d1 = float(cert.grad_B(0, x) @ F)
         d2 = float(cert.grad_L(x) @ F)
-        got_r1 = upper_derivative(ctrl_a, x, u, RegionMemory(RegionLabel("R1", 0)))
-        got_r2 = upper_derivative(ctrl_a, x, u, RegionMemory(RegionLabel("R2")))
-        got_r3 = upper_derivative(ctrl_a, x, u, RegionMemory(RegionLabel("R3", 0)))
+        got_r1 = upper_derivative(ctrl_a, x, u, RegionLabel("R1", 0))
+        got_r2 = upper_derivative(ctrl_a, x, u, RegionLabel("R2"))
+        got_r3 = upper_derivative(ctrl_a, x, u, RegionLabel("R3", 0))
         assert got_r1.d_value == pytest.approx(d1, rel=1e-12)
         assert got_r2.d_value == pytest.approx(d2, rel=1e-12)
         assert got_r3.d_value == pytest.approx(d2, rel=1e-12)
@@ -122,6 +139,18 @@ class TestGridDecrease:
         with pytest.raises(ValueError):
             grid_decrease_check(cfg_a, resolution=5)
 
+    def test_mech_rate_is_a_property_of_the_grid(self, cfg_b):
+        # On x2 = 0 both L_g = 2 x2 and L_f vanish, so -dV/dt / ||x||^2 falls
+        # like x2^2 next to that line: the worst point sits one cell off it at
+        # the box edge x1 = -5, and halving the cell quarters rho0*.
+        reports = {res: grid_decrease_check(cfg_b, resolution=res) for res in (201, 401)}
+        assert 3.0 < reports[201].rho0_star / reports[401].rho0_star < 5.0
+        for res, report in reports.items():
+            cell = 10.0 / (res - 1)
+            x1, x2 = report.worst_point
+            assert x1 == -5.0
+            assert abs(x2) == pytest.approx(cell, rel=1e-9)
+
 
 class TestTrajectoryInvariants:
     def test_single_obstacle_run_passes_all(self, cfg_a, records_a):
@@ -134,7 +163,6 @@ class TestTrajectoryInvariants:
         rec = records_a[(5.0, 2.0)]
         bad = rec.samples[100]
         inside = np.array([2.0, 2.0])
-        from nclbf.certificate import Certificate
         cert = Certificate(cfg_a)
         corrupted = StepSample(t=bad.t, x=inside, u=bad.u, V=cert.V(inside),
                                region=RegionLabel("UNSAFE", 0), law="-",
@@ -145,6 +173,8 @@ class TestTrajectoryInvariants:
         report = trajectory_invariants(doctored, cfg_a)
         safety = next(c for c in report.checks if c.name.startswith("safety"))
         assert not safety.passed
+        band = next(c for c in report.checks if c.name.startswith("shrunk-band"))
+        assert band.detail == shrunk_band_oracle(doctored, cfg_a)
 
     def test_multi_obstacle_run_reports_attracting_surface(self, cfg_b, records_b):
         # The (2,5) run crosses an attracting patch of obstacle 2's surface
@@ -160,6 +190,17 @@ class TestTrajectoryInvariants:
         assert "0.0013" in decrease.detail or "0.0014" in decrease.detail
         band = names[[n for n in names if "shrunk-band" in n][0]]
         assert not band.passed
+
+    @pytest.mark.parametrize("fixture, cfg", [("records_a", "cfg_a"),
+                                              ("records_b", "cfg_b")])
+    def test_shrunk_band_check_matches_per_sample_loop(self, request, fixture, cfg):
+        config = request.getfixturevalue(cfg)
+        cert, eps_band = Certificate(config), config.integrator.eps_band
+        for x0, rec in request.getfixturevalue(fixture).items():
+            expected = shrunk_band_oracle(rec, config)
+            back = read_trajectory_csv(io.StringIO(trajectory_csv_text(rec)))
+            assert shrunk_band_check(rec, cert, eps_band).detail == expected, x0
+            assert shrunk_band_check(back, cert, eps_band).detail == expected, x0
 
     def test_other_multi_obstacle_runs_decrease(self, cfg_b, records_b):
         for x0, rec in records_b.items():
