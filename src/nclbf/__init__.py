@@ -7,10 +7,9 @@ from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                        ScenarioConfig, ScenarioError, ValidationReport,
                        builtin_scenario, derive_eta2, load_scenario,
                        save_scenario, validate_params)
-from .simulator import (Outcome, SimulationSummary, StepSample,
-                        TrajectoryRecord, read_trajectory_csv, rk4_step,
-                        run_batch, simulate, trajectory_csv_text,
-                        write_trajectory_csv)
+from .simulator import (Outcome, SimulationSummary, TrajectoryRecord,
+                        read_trajectory_csv, rk4_step, run_batch, simulate,
+                        trajectory_csv_text, write_trajectory_csv)
 from .systems import (AssumptionReport, ControlAffineSystem, builtin_linear2d,
                       builtin_nonlinear_mech, check_assumptions,
                       register_system, resolve_system)
@@ -25,7 +24,7 @@ __all__ = [
     "IntegratorSettings", "ObstacleParams", "ObstacleSpec", "ScenarioConfig",
     "ScenarioError", "ValidationReport", "builtin_scenario", "derive_eta2",
     "load_scenario", "save_scenario", "validate_params",
-    "Outcome", "SimulationSummary", "StepSample", "TrajectoryRecord",
+    "Outcome", "SimulationSummary", "TrajectoryRecord",
     "read_trajectory_csv", "rk4_step", "run_batch", "simulate",
     "trajectory_csv_text", "write_trajectory_csv",
     "AssumptionReport", "ControlAffineSystem", "builtin_linear2d",

@@ -95,7 +95,6 @@ class Certificate:
         self._obstacles = tuple(zip(self.centers.tolist(), self.eta1.tolist(),
                                     self.eta2.tolist()))
         self._radii_sq = tuple(self.radii_sq.tolist())
-        self._radii = tuple(self.radii.tolist())
         self._r1 = tuple(RegionLabel("R1", j) for j in range(self.n_obstacles))
         self._r2 = RegionLabel("R2")
         self._r3 = tuple(RegionLabel("R3", j) for j in range(self.n_obstacles))
@@ -227,13 +226,9 @@ class Certificate:
             return False, f"in barrier region of obstacle {i}"
         return True, "stabilizer region"
 
-    def clearance(self, dds: list[float]) -> np.ndarray:
-        """Per-obstacle ||x - c_i|| - sqrt(r_i) from squared center distances."""
-        return np.array([math.sqrt(dd) - r for dd, r in zip(dds, self._radii)])
-
     def min_dists(self, x: np.ndarray) -> np.ndarray:
         """Per-obstacle ||x - c_i|| - sqrt(r_i); positive means clear."""
-        return self.clearance(self.dominant_gap(x)[2])
+        return np.sqrt(self.dominant_gap(x)[2]) - self.radii
 
     # -- virtual boundary geometry -------------------------------------------
 

@@ -9,6 +9,7 @@ geometry, validate-params, plot.  Scenario arguments accept a builtin name
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -25,12 +26,11 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """Bad command-line input: exit code 2."""
 
 
-def _load(scenario_arg: str, overrides: argparse.Namespace | None = None) -> ScenarioConfig:
+def _load(scenario_arg: str, dt: float | None = None,
+          t_max: float | None = None) -> ScenarioConfig:
     if scenario_arg in BUILTIN_SCENARIOS:
         config = builtin_scenario(scenario_arg)
     else:
@@ -42,16 +42,11 @@ def _load(scenario_arg: str, overrides: argparse.Namespace | None = None) -> Sce
             config = load_scenario(path.read_text())
         except ScenarioError as e:
             raise CliError(f"bad scenario file {path}: {e}") from e
-    if overrides is not None:
-        integ = config.integrator
-        updates = {}
-        if overrides.dt is not None:
-            updates["dt"] = overrides.dt
-        if overrides.t_max is not None:
-            updates["t_max"] = overrides.t_max
-        if updates:
-            integ = dataclasses.replace(integ, **updates)
-            config = dataclasses.replace(config, integrator=integ)
+    resolve_system(config)   # an unknown system or a dimension mismatch exits 2 here
+    updates = {k: v for k, v in (("dt", dt), ("t_max", t_max)) if v is not None}
+    if updates:
+        integ = dataclasses.replace(config.integrator, **updates)
+        config = dataclasses.replace(config, integrator=integ)
     return config
 
 
@@ -63,56 +58,51 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load(args.scenario, args)
+    config = _load(args.scenario, args.dt, args.t_max)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary, records = simulator.run_batch(config, override_init=args.override_init)
     for idx, rec in enumerate(records):
-        if not rec.samples:
-            continue
-        with open(outdir / f"run_{idx:02d}.csv", "w", newline="") as fp:
-            simulator.write_trajectory_csv(rec, fp)
+        if len(rec):
+            with open(outdir / f"run_{idx:02d}.csv", "w", newline="") as fp:
+                simulator.write_trajectory_csv(rec, fp)
     doc = summary.to_dict()
-    inv = []
-    for rec in records:
-        if rec.samples:
-            inv.append(verify.trajectory_invariants(rec, config).to_dict())
-        else:
-            inv.append(None)
-    doc["invariants"] = inv
+    doc["invariants"] = [verify.trajectory_invariants(rec, config).to_dict() if len(rec)
+                         else None for rec in records]
     (outdir / "summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {sum(1 for r in records if r.samples)} trajectory files and "
+    print(f"wrote {sum(1 for r in records if len(r))} trajectory files and "
           f"summary.json to {outdir}")
-    ok = all(r.outcome is not None and r.outcome.kind == "converged" for r in records)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if all(r.outcome.kind == "converged" for r in records) else EXIT_FAIL
 
 
-def _cmd_verify_derivative(args) -> int:
-    config = _load(args.scenario)
-    report = verify.grid_decrease_check(config, resolution=args.resolution)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK if report.passed else EXIT_FAIL
+def _report_command(make):
+    """A command that emits the report make(config, args); exit 1 unless it passed."""
+    def run(args) -> int:
+        report = make(_load(args.scenario), args)
+        _emit(report.to_dict(), args.out)
+        return EXIT_OK if report.passed else EXIT_FAIL
+    return run
 
 
-def _cmd_check_assumptions(args) -> int:
-    config = _load(args.scenario)
-    report = check_assumptions(resolve_system(config), config,
-                               grid_resolution=args.resolution)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK if report.passed else EXIT_FAIL
+def _read_record(name: str) -> simulator.TrajectoryRecord:
+    try:
+        with open(name, newline="") as fp:
+            return simulator.read_trajectory_csv(fp)
+    except FileNotFoundError:
+        raise CliError(f"trajectory file not found: {name}") from None
+    except (ValueError, csv.Error) as e:
+        raise CliError(f"bad trajectory file {name}: {e}") from e
 
 
 def _cmd_check_trajectory(args) -> int:
-    path = Path(args.csv)
-    if not path.exists():
-        raise CliError(f"trajectory file not found: {path}")
-    with open(path, newline="") as fp:
-        record = simulator.read_trajectory_csv(fp)
+    record = _read_record(args.csv)
     if args.scenario:
         config = _load(args.scenario)
+        shape = (record.x.shape[1], record.u.shape[1], record.min_dist.shape[1])
+        if shape != (config.n, resolve_system(config).m, config.n_obstacles):
+            raise CliError(f"trajectory {args.csv} has (n, m, N) = {shape}: not the scenario's")
         report = verify.trajectory_invariants(record, config)
-        doc = report.to_dict()
-        passed = report.passed
+        doc, passed = report.to_dict(), report.passed
     else:
         # without a scenario only the self-contained columns can be checked,
         # with the default convergence radius
@@ -147,31 +137,15 @@ def _cmd_geometry(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate_params(args) -> int:
-    config = _load(args.scenario)
-    report = validate_params(config)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK if report.passed else EXIT_FAIL
-
-
 def _cmd_plot(args) -> int:
     config = _load(args.scenario)
-    records = []
-    for name in args.csv:
-        path = Path(name)
-        if not path.exists():
-            raise CliError(f"trajectory file not found: {path}")
-        with open(path, newline="") as fp:
-            records.append(simulator.read_trajectory_csv(fp))
+    records = [_read_record(name) for name in args.csv]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
     if config.n == 2:
         (outdir / "phase.svg").write_text(plotting.render_phase_svg(records, config))
-        written.append("phase.svg")
     (outdir / "value.svg").write_text(plotting.render_value_svg(records))
-    written.append("value.svg")
-    print(f"wrote {', '.join(written)} to {outdir}")
+    print(f"wrote {'phase.svg, ' if config.n == 2 else ''}value.svg to {outdir}")
     return EXIT_OK
 
 
@@ -179,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nclbf",
                                 description="Nonsmooth control Lyapunov barrier toolbox")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--scenario", required=True, help="builtin name or JSON file path")
-        sp.add_argument("--out", default=None, help="write the JSON report here too")
 
     sp = sub.add_parser("simulate", help="run the closed loop from every initial state")
     sp.add_argument("--scenario", required=True)
@@ -194,29 +164,29 @@ def build_parser() -> argparse.ArgumentParser:
                     help="simulate inadmissible initial states anyway")
     sp.set_defaults(fn=_cmd_simulate)
 
-    sp = sub.add_parser("verify-derivative", help="grid check of the decreasing condition")
-    add_common(sp)
-    sp.add_argument("--resolution", type=int, default=201)
-    sp.set_defaults(fn=_cmd_verify_derivative)
-
-    sp = sub.add_parser("check-assumptions", help="sampled structural checks of f and g")
-    add_common(sp)
-    sp.add_argument("--resolution", type=int, default=101)
-    sp.set_defaults(fn=_cmd_check_assumptions)
+    # the lambdas look check_assumptions up when called, so patching cli's name works
+    for name, text, resolution, fn in (
+            ("verify-derivative", "grid check of the decreasing condition", 201,
+             _report_command(lambda c, a: verify.grid_decrease_check(
+                 c, resolution=a.resolution))),
+            ("check-assumptions", "sampled structural checks of f and g", 101,
+             _report_command(lambda c, a: check_assumptions(
+                 resolve_system(c), c, grid_resolution=a.resolution))),
+            ("geometry", "virtual-boundary geometry per obstacle", None, _cmd_geometry),
+            ("validate-params", "check every design inequality", None,
+             _report_command(lambda c, a: validate_params(c)))):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--scenario", required=True, help="builtin name or JSON file path")
+        sp.add_argument("--out", default=None, help="write the JSON report here too")
+        if resolution:
+            sp.add_argument("--resolution", type=int, default=resolution)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("check-trajectory", help="invariant checks on a trajectory CSV")
     sp.add_argument("--csv", required=True)
     sp.add_argument("--scenario", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_check_trajectory)
-
-    sp = sub.add_parser("geometry", help="virtual-boundary geometry per obstacle")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_geometry)
-
-    sp = sub.add_parser("validate-params", help="check every design inequality")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_validate_params)
 
     sp = sub.add_parser("plot", help="render phase portrait and V(t) SVGs")
     sp.add_argument("--scenario", required=True)
@@ -227,17 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except ScenarioError as e:
+    except (CliError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:  # noqa: BLE001 - last-resort diagnostic surface

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .certificate import Certificate
 from .scenario import ScenarioConfig
 from .simulator import TrajectoryRecord
@@ -60,8 +62,13 @@ def _frame(canvas: _Canvas, x0, y0, w, h, xlim, ylim, xlabel, ylabel, n_ticks=5)
                f'transform="rotate(-90 {_fmt(x0 - 32)} {_fmt(y0 + h / 2)})">{ylabel}</text>')
 
 
-def _stride(n: int) -> int:
-    return max(1, math.ceil(n / _MAX_POLYLINE_POINTS))
+def _polyline(cv: _Canvas, color: str, xs: np.ndarray, ys: np.ndarray) -> None:
+    """A run's path through canvas points (xs, ys): every stride-th point, at
+    most about _MAX_POLYLINE_POINTS of them, and the last."""
+    n = len(xs)
+    rows = np.unique(np.r_[0:n:max(1, math.ceil(n / _MAX_POLYLINE_POINTS)), n - 1])
+    coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(xs[rows].tolist(), ys[rows].tolist()))
+    cv.add(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
 
 def render_phase_svg(records: list[TrajectoryRecord], config: ScenarioConfig) -> str:
@@ -94,18 +101,14 @@ def render_phase_svg(records: list[TrajectoryRecord], config: ScenarioConfig) ->
                    f'M {_fmt(x - 4)} {_fmt(y + 4)} L {_fmt(x + 4)} {_fmt(y - 4)}" '
                    'stroke="#000000" stroke-width="1.5"/>')
     for k, rec in enumerate(records):
-        if not rec.samples:
+        if not len(rec):
             continue
         color = _PALETTE[k % len(_PALETTE)]
-        pts = rec.samples[::_stride(len(rec.samples))]
-        if pts[-1] is not rec.samples[-1]:
-            pts = list(pts) + [rec.samples[-1]]
-        coords = " ".join(f"{_fmt(px(s.x[0]))},{_fmt(py(s.x[1]))}" for s in pts)
-        cv.add(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        s0 = rec.samples[0]
-        cv.add(f'<circle cx="{_fmt(px(s0.x[0]))}" cy="{_fmt(py(s0.x[1]))}" r="3" fill="{color}"/>')
+        _polyline(cv, color, px(rec.x[:, 0]), py(rec.x[:, 1]))
+        a, b = rec.x[0].tolist()
+        cv.add(f'<circle cx="{_fmt(px(a))}" cy="{_fmt(py(b))}" r="3" fill="{color}"/>')
         cv.text(x0m + size - 4, y0m + 14 + 14 * k,
-                f"run {k}: ({s0.x[0]:g}, {s0.x[1]:g})", size=10, anchor="end")
+                f"run {k}: ({a:g}, {b:g})", size=10, anchor="end")
     _frame(cv, x0m, y0m, size, size, (xlo, xhi), (ylo, yhi), "x1", "x2")
     return cv.finish()
 
@@ -113,20 +116,15 @@ def render_phase_svg(records: list[TrajectoryRecord], config: ScenarioConfig) ->
 def render_value_svg(records: list[TrajectoryRecord]) -> str:
     """V along each run against time."""
     x0m, y0m, w, h = 60.0, 20.0, 560.0, 300.0
-    t_hi = max((rec.samples[-1].t for rec in records if rec.samples), default=1.0)
-    v_hi = max((max(s.V for s in rec.samples) for rec in records if rec.samples), default=1.0)
+    runs = [rec for rec in records if len(rec)]
+    t_hi = max((float(rec.t[-1]) for rec in runs), default=1.0)
+    v_hi = max((float(rec.V.max()) for rec in runs), default=1.0)
     t_hi = t_hi if t_hi > 0 else 1.0
     v_hi = v_hi if v_hi > 0 else 1.0
     cv = _Canvas(680, 380)
     for k, rec in enumerate(records):
-        if not rec.samples:
-            continue
-        color = _PALETTE[k % len(_PALETTE)]
-        pts = rec.samples[::_stride(len(rec.samples))]
-        if pts[-1] is not rec.samples[-1]:
-            pts = list(pts) + [rec.samples[-1]]
-        coords = " ".join(
-            f"{_fmt(x0m + s.t / t_hi * w)},{_fmt(y0m + h - s.V / v_hi * h)}" for s in pts)
-        cv.add(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        if len(rec):
+            _polyline(cv, _PALETTE[k % len(_PALETTE)], x0m + rec.t / t_hi * w,
+                      y0m + h - rec.V / v_hi * h)
     _frame(cv, x0m, y0m, w, h, (0.0, t_hi), (0.0, v_hi), "t", "V")
     return cv.finish()

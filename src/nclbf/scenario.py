@@ -195,10 +195,14 @@ class ScenarioConfig:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "initial_states", tuple(_readonly(x) for x in self.initial_states))
+        if not isinstance(self.system_id, str):
+            raise ScenarioError(f"system must be a name (got {self.system_id!r})")
         if self.state_box.ndim != 2 or self.state_box.shape[1] != 2:
             raise ScenarioError("state_box must have shape (n, 2)")
         if not np.all(np.isfinite(self.state_box)):
             raise ScenarioError("state_box must be finite")
+        if not np.all(self.state_box[:, 0] < self.state_box[:, 1]):
+            raise ScenarioError("state_box rows must be [lo, hi] with lo < hi")
         n = self.n
         if len(self.obstacles) != len(self.params):
             raise ScenarioError("obstacles and params lists must have the same length")
@@ -270,7 +274,6 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
     obstacle, below every barrier by at least eps_band).
     """
     checks: list[ValidationCheck] = []
-    notes: list[str] = []
     multi = config.n_obstacles > 1
 
     for i, (ob, pa) in enumerate(zip(config.obstacles, config.params)):
@@ -321,9 +324,8 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
         ok, why = cert.admissible(x0, config.integrator.eps_band)
         checks.append(ValidationCheck(f"initial_state[{k}] admissible ({why})",
                                       ok, float(np.linalg.norm(x0)), 0.0, 0.0))
-    if config.n_obstacles > 0:
-        notes.append("disjointness of boundary spheres checked pairwise on ||c_i - c_j||")
-    return ValidationReport(checks=tuple(checks), notes=tuple(notes))
+    return ValidationReport(checks=tuple(checks), notes=(
+        "disjointness of boundary spheres checked pairwise on ||c_i - c_j||",))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +333,8 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def _require(d: dict, key: str, where: str):
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
     if key not in d:
         raise ScenarioError(f"missing field '{key}' in {where}")
     return d[key]
@@ -340,18 +344,23 @@ def load_scenario(text: str | bytes) -> ScenarioConfig:
     """Parse a scenario JSON document.
 
     When a params entry gives w and omits eta2, eta2 is derived; when it gives
-    both they must agree to 1e-9 relative.
+    both they must agree to 1e-9 relative.  A document of the wrong shape
+    (say, a string where a number belongs) raises ScenarioError too.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        return _parse(json.loads(text))
     except json.JSONDecodeError as e:
         raise ScenarioError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+    except ScenarioError:
+        raise
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ScenarioError(f"malformed scenario document ({type(e).__name__}: {e})") from e
 
-    system_id = _require(doc, "system", "scenario")
+
+def _parse(doc) -> ScenarioConfig:
+    system_id = _require(doc, "system", "scenario document")
     state_box = np.asarray(_require(doc, "state_box", "scenario"), float)
     obstacles_doc = _require(doc, "obstacles", "scenario")
     params_doc = _require(doc, "params", "scenario")
@@ -368,20 +377,12 @@ def load_scenario(text: str | bytes) -> ScenarioConfig:
     for k, pd in enumerate(params_doc):
         eta1 = float(_require(pd, "eta1", f"params[{k}]"))
         c1 = np.asarray(_require(pd, "c1", f"params[{k}]"), float)
-        w = pd.get("w")
-        eta2 = pd.get("eta2")
-        params.append(ObstacleParams.resolve(
-            obstacles[k], eta1, c1,
-            w=None if w is None else float(w),
-            eta2=None if eta2 is None else float(eta2)))
+        w, eta2 = (None if pd.get(key) is None else float(pd[key]) for key in ("w", "eta2"))
+        params.append(ObstacleParams.resolve(obstacles[k], eta1, c1, w=w, eta2=eta2))
 
     gains = ControllerGains(gamma=float(_require(doc, "gamma", "scenario")))
-    integ_doc = doc.get("integrator", {})
-    integrator = IntegratorSettings(
-        dt=float(integ_doc.get("dt", 1e-3)),
-        t_max=float(integ_doc.get("t_max", 20.0)),
-        eps_conv=float(integ_doc.get("eps_conv", 1e-2)),
-        eps_band=float(integ_doc.get("eps_band", 1e-3)))
+    # absent settings take the IntegratorSettings defaults; unknown ones are errors
+    integrator = IntegratorSettings(**{k: float(v) for k, v in doc.get("integrator", {}).items()})
     initial_states = tuple(np.asarray(v, float) for v in doc.get("initial_states", []))
 
     return ScenarioConfig(system_id=system_id, state_box=state_box,

@@ -20,7 +20,9 @@ certificate to behave as the theory prescribes:
 Sliding ends where the stabilizer field stops pushing inward, which is the
 tangency (contact-point) condition; the state then peels off toward the
 origin.  Runs are deterministic: repeated simulation of the same scenario is
-bit-identical.
+bit-identical.  A run is a TrajectoryRecord of columns, one row per sample:
+the engine stacks them once at the end, the trajectory checks and plots read
+them as arrays, and the CSV holds them in the same order.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ import csv
 import io
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import RegionLabel
+from .certificate import RegionLabel, row_dot
 from .controller import make_controller
 from .scenario import ScenarioConfig
 from .systems import ControlAffineSystem, resolve_system
@@ -76,15 +79,8 @@ def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class StepSample:
-    t: float
-    x: np.ndarray
-    u: np.ndarray
-    V: float
-    region: RegionLabel
-    law: str
-    min_dist: np.ndarray
+# One row of a TrajectoryRecord; built only by TrajectoryRecord.samples.
+StepSample = namedtuple("StepSample", "t x u V region law min_dist")
 
 
 @dataclass(frozen=True)
@@ -94,35 +90,52 @@ class Outcome:
     obstacle: int | None = None
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.t is not None:
-            d["t"] = self.t
-        if self.obstacle is not None:
-            d["obstacle"] = self.obstacle
-        return d
+        return {k: v for k, v in (("kind", self.kind), ("t", self.t),
+                                  ("obstacle", self.obstacle)) if v is not None}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    samples: tuple[StepSample, ...]
+    """One run as columns, row k being the sample at t_k: float arrays t (K,),
+    x (K, n), u (K, m) (the input applied from x_k), V (K,) and min_dist
+    (K, N) (||x_k - c_i|| - sqrt(r_i)), and tuples of the engine's shared
+    RegionLabel and law strings."""
+
+    t: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
+    V: np.ndarray
+    region: tuple[RegionLabel, ...]
+    law: tuple[str, ...]
+    min_dist: np.ndarray
     outcome: Outcome | None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def samples(self) -> tuple[StepSample, ...]:
+        """The rows as StepSample objects, built on each access."""
+        return tuple(map(StepSample, self.t.tolist(), self.x, self.u, self.V.tolist(),
+                         self.region, self.law, self.min_dist))
+
+    def outside_ball(self, eps_conv: float) -> np.ndarray:
+        """Rows with ||x||^2 > eps_conv^2: the engine's not-yet-converged test."""
+        return row_dot(self.x, self.x) > eps_conv ** 2
 
     def min_clearance(self) -> float:
         """Smallest min_dist entry over the run; positive means always safe."""
-        return float(np.concatenate([s.min_dist for s in self.samples]).min())
+        return float(self.min_dist.min())
 
     def v_increase(self, eps_conv: float) -> tuple[float, float | None]:
-        """Largest V_k+1 - V_k over steps from ||x_k|| > eps_conv, and its t_k.
-
-        (-inf, None) when no step qualifies.
-        """
-        worst, at = -math.inf, None
-        for a, b in zip(self.samples, self.samples[1:]):
-            if float(a.x.dot(a.x)) > eps_conv * eps_conv:
-                dv = b.V - a.V
-                if dv > worst:
-                    worst, at = dv, a.t
-        return worst, at
+        """Largest V_k+1 - V_k over steps from ||x_k|| > eps_conv, and its t_k
+        (the first on ties); (-inf, None) when no step qualifies."""
+        steps = self.outside_ball(eps_conv)[:-1]
+        dv = np.diff(self.V)[steps]
+        if not dv.size:
+            return -math.inf, None
+        k = int(np.argmax(dv))
+        return float(dv[k]), float(self.t[:-1][steps][k])
 
 
 @dataclass(frozen=True)
@@ -343,48 +356,50 @@ class _Engine:
 
     def run(self, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
         """Simulate from x0 until convergence, timeout, or violation."""
+        cols = ([], [], [], [], [], [])   # t, x, u, V, region, law
+        outcome = Outcome("init_rejected")
+        if override_init or self.cert.admissible(x0, self.eps_band)[0]:
+            outcome = self._loop(x0.copy(), cols)
+        t, x, u, V, region, law = cols
+        X = np.array(x, float).reshape(-1, self.system.n)
+        # dominant_gap_rows sums the squared centre distances as the step did
+        return TrajectoryRecord(
+            t=np.array(t, float), x=X, u=np.array(u, float).reshape(-1, self.system.m),
+            V=np.array(V, float), region=tuple(region), law=tuple(law),
+            min_dist=np.sqrt(self.cert.dominant_gap_rows(X)[2]) - self.cert.radii,
+            outcome=outcome)
+
+    def _loop(self, x: np.ndarray, cols: tuple[list, ...]) -> Outcome:
+        """Step from x, appending each sample to the lists cols, until the
+        run ends."""
+        t_, x_, u_, V_, region_, law_ = (c.append for c in cols)
         cert = self.cert
         integ = self.config.integrator
         eps_conv_sq = integ.eps_conv ** 2
-        if not override_init and not cert.admissible(x0, integ.eps_band)[0]:
-            return TrajectoryRecord(samples=(), outcome=Outcome("init_rejected"))
-
         n_steps = int(round(integ.t_max / integ.dt))
-        x = x0.copy()
         self.prev = cert.classify(x, integ.eps_band)
-        samples: list[StepSample] = []
-
-        def push(t, xs, u, V, region, law, mind):
-            samples.append(StepSample(t=t, x=xs, u=np.asarray(u, float), V=V,
-                                      region=region, law=law, min_dist=mind))
-
         k = 0
         i, h, dd = cert.dominant_gap(x)
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 t = k * integ.dt
                 L = cert.L(x)
-                V = L + h if h > 0.0 else L
-                mind = cert.clearance(dd)
                 region = cert.label(i, h, dd, integ.eps_band)
+                t_(t), x_(x), V_(L + h if h > 0.0 else L), region_(region)
                 if region.kind == "UNSAFE":
-                    push(t, x, np.zeros(self.system.m), V, region, "-", mind)
-                    outcome = Outcome("safety_violation", t=t, obstacle=region.index)
-                    break
+                    u_(np.zeros(self.system.m)), law_("-")
+                    return Outcome("safety_violation", t=t, obstacle=region.index)
                 if L <= eps_conv_sq or k >= n_steps:
                     dec = self.ctrl.dispatch(region, x, self.prev)
-                    push(t, x, dec.u, V, region, dec.law, mind)
-                    outcome = Outcome("converged" if L <= eps_conv_sq else "timeout", t=t)
-                    break
+                    u_(dec.u), law_(dec.law)
+                    return Outcome("converged" if L <= eps_conv_sq else "timeout", t=t)
                 x_next, i, h, dd, u, law = self.advance(x, i, h, dd, region)
-                push(t, x, u, V, region, law, mind)
+                u_(u), law_(law)
                 if not all(map(math.isfinite, x_next.tolist())):
-                    outcome = Outcome("numeric_blowup", t=t)
-                    break
+                    return Outcome("numeric_blowup", t=t)
                 self.prev = region
                 x = x_next
                 k += 1
-        return TrajectoryRecord(samples=tuple(samples), outcome=outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +426,10 @@ def run_batch(config: ScenarioConfig,
     for idx, (x0, rec) in enumerate(zip(config.initial_states, records)):
         entry = {"index": idx, "x0": list(map(float, x0)),
                  "outcome": rec.outcome.to_dict() if rec.outcome else None,
-                 "n_samples": len(rec.samples)}
-        if rec.samples:
+                 "n_samples": len(rec)}
+        if len(rec):
             dv, at = rec.v_increase(config.integrator.eps_conv)
-            entry["final_norm"] = float(np.linalg.norm(rec.samples[-1].x))
+            entry["final_norm"] = float(np.linalg.norm(rec.x[-1]))
             entry["max_v_increase"] = 0.0 if at is None else dv
             entry["min_min_dist"] = rec.min_clearance()
         runs.append(entry)
@@ -431,16 +446,18 @@ def trajectory_header(n: int, m: int, n_obstacles: int) -> list[str]:
 
 
 def write_trajectory_csv(record: TrajectoryRecord, fp) -> None:
-    if not record.samples:
+    """One row per sample, floats as their repr (exact round trip), read lazily."""
+    if not len(record):
         raise ValueError("cannot write an empty trajectory")
-    s0 = record.samples[0]
+    code = {r: r.code for r in set(record.region)}
+    floats = [record.t, *record.x.T, *record.u.T, record.V]
+    cols = ([map(repr, map(float, c)) for c in floats]
+            + [map(code.__getitem__, record.region), record.law]
+            + [map(repr, map(float, c)) for c in record.min_dist.T])
     wr = csv.writer(fp, lineterminator="\n")
-    wr.writerow(trajectory_header(len(s0.x), len(s0.u), len(s0.min_dist)))
-    for s in record.samples:
-        wr.writerow([repr(s.t)] + [repr(float(v)) for v in s.x]
-                    + [repr(float(v)) for v in s.u]
-                    + [repr(s.V), s.region.code, s.law]
-                    + [repr(float(v)) for v in s.min_dist])
+    wr.writerow(trajectory_header(record.x.shape[1], record.u.shape[1],
+                                  record.min_dist.shape[1]))
+    wr.writerows(zip(*cols))
 
 
 def trajectory_csv_text(record: TrajectoryRecord) -> str:
@@ -450,19 +467,30 @@ def trajectory_csv_text(record: TrajectoryRecord) -> str:
 
 
 def read_trajectory_csv(fp) -> TrajectoryRecord:
-    rd = csv.reader(fp)
-    header = next(rd)
-    n = sum(1 for h in header if h.startswith("x"))
-    m = sum(1 for h in header if h.startswith("u"))
-    nobs = sum(1 for h in header if h.startswith("mindist"))
-    samples = []
-    for row in rd:
-        t = float(row[0])
-        x = np.array([float(v) for v in row[1:1 + n]])
-        u = np.array([float(v) for v in row[1 + n:1 + n + m]])
-        V = float(row[1 + n + m])
-        region = RegionLabel.from_code(row[2 + n + m])
-        law = row[3 + n + m]
-        md = np.array([float(v) for v in row[4 + n + m:4 + n + m + nobs]])
-        samples.append(StepSample(t=t, x=x, u=u, V=V, region=region, law=law, min_dist=md))
-    return TrajectoryRecord(samples=tuple(samples), outcome=None)
+    """Parse a CSV written by write_trajectory_csv into columns (outcome
+    None); a malformed file raises ValueError naming its 1-based row."""
+    rows = csv.reader(fp)
+    header = next(rows, [])
+    n, m, N = (sum(h.startswith(p) for h in header) for p in ("x", "u", "mindist"))
+    if header != trajectory_header(n, m, N):
+        raise ValueError("row 1: not a t,x..,u..,V,region,law,mindist.. header")
+    j = 2 + n + m   # the region column; law follows it
+    labels = {r.code: r for r in [RegionLabel("R2")] + [
+        RegionLabel(kind, i) for kind in ("R1", "R3", "UNSAFE") for i in range(N)]}
+    values, region, law = [], [], []
+    for k, row in enumerate(rows, 2):
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+            if row[j] not in labels:
+                raise ValueError(f"no region {row[j]!r} with {N} obstacles")
+            values.append([float(v) for v in row[:j] + row[j + 2:]])
+        except ValueError as e:
+            raise ValueError(f"row {k}: {e}") from None
+        region.append(labels[row[j]])
+        law.append(row[j + 1])
+    if not values:
+        raise ValueError("row 2: no sample rows after the header")
+    t, x, u, V, min_dist = map(np.ascontiguousarray,
+                               np.split(np.array(values), [1, 1 + n, j - 1, j], axis=1))
+    return TrajectoryRecord(t[:, 0], x, u, V[:, 0], tuple(region), tuple(law), min_dist, None)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .certificate import R1, R2, R3, Certificate, row_dot, row_vecmat
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, ScenarioError
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,19 @@ def register_system(name: str, factory: Callable[[], ControlAffineSystem]) -> No
 
 
 def resolve_system(config: ScenarioConfig) -> ControlAffineSystem:
+    """The system of config.system_id, checked for n states and one c1 entry per input."""
     try:
-        return SYSTEMS[config.system_id]()
+        system = SYSTEMS[config.system_id]()
     except KeyError:
-        raise ValueError(f"unknown system id '{config.system_id}' "
-                         f"(registered: {', '.join(sorted(SYSTEMS))})") from None
+        raise ScenarioError(f"unknown system id '{config.system_id}' "
+                            f"(registered: {', '.join(sorted(SYSTEMS))})") from None
+    for what, got, want in ([("state_box", config.n, system.n)]
+                            + [(f"params[{k}].c1", pa.c1.size, system.m)
+                               for k, pa in enumerate(config.params)]):
+        if got != want:
+            raise ScenarioError(f"{what} has {got} entries, system "
+                                f"'{config.system_id}' needs {want}")
+    return system
 
 
 # ---------------------------------------------------------------------------

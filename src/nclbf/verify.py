@@ -43,8 +43,7 @@ def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
     cert = ctrl.cert
     region = cert.classify(x, ctrl.eps_band)
     i = region.index if region.index is not None else cert.dominant_obstacle(x)
-    f0 = ctrl.system.f(x)
-    g0 = ctrl.system.g(x)
+    f0, g0 = ctrl.system.f(x), ctrl.system.g(x)
     F = f0 + g0 @ u
     gB = cert.grad_B(i, x)
     gL = cert.grad_L(x)
@@ -259,25 +258,48 @@ def record_checks(record: TrajectoryRecord, eps_conv: float) -> list[InvariantCh
 def shrunk_band_check(record: TrajectoryRecord, cert: Certificate,
                       eps_band: float) -> InvariantCheck:
     """Invariant check (c): no sample with |B_i - L| <= eps_band and ||x||^2
-    below phi_i by more than the tangency-cone margin, tested BLOCK_ROWS
-    samples at a time; hits count (sample, obstacle) pairs."""
-    limits = [cert.phi(i) - cert.shrunk_band_margin(i, eps_band)
-              for i in range(cert.n_obstacles)]
-    n_hits, first_t = 0, None
-    for lo in range(0, len(record.samples), BLOCK_ROWS):
-        block = record.samples[lo:lo + BLOCK_ROWS]
-        X = np.array([s.x for s in block])
-        L = row_dot(X, X)
-        hits = sum(cert.shrunk_band_rows(i, X, eps_band) & (L < limit)
-                   for i, limit in enumerate(limits))
-        n_hits += int(np.sum(hits))
-        if first_t is None and np.any(hits):
-            first_t = block[int(np.flatnonzero(hits)[0])].t
+    below phi_i by more than the tangency-cone margin; hits count (sample,
+    obstacle) pairs."""
+    L = row_dot(record.x, record.x)
+    hits = sum(cert.shrunk_band_rows(i, record.x, eps_band)
+               & (L < cert.phi(i) - cert.shrunk_band_margin(i, eps_band))
+               for i in range(cert.n_obstacles))
+    n_hits = int(np.sum(hits))
     return InvariantCheck(
         "shrunk-band avoidance: no sample with |B_i - L| <= eps_band and "
         "||x||^2 < phi_i - cone margin",
         not n_hits, f"{n_hits} samples flagged"
-        + (f", first at t = {first_t:.4g}" if n_hits else ""))
+        + (f", first at t = {record.t[np.flatnonzero(hits)[0]]:.4g}" if n_hits else ""))
+
+
+def fd_constant(record: TrajectoryRecord, ctrl: Controller,
+                eps_conv: float) -> tuple[float, int]:
+    """Invariant check (d): max(0, (V_k+1 - V_k)/dt - upper_derivative(ctrl,
+    x_k, u_k)) / dt over the smooth steps (both samples in one region, not
+    the band, ||x_k|| > eps_conv), and their count; dt = t[1] - t[0]."""
+    cert = ctrl.cert
+    codes = {r: k for k, r in enumerate(set(record.region))}
+    code = np.fromiter(map(codes.__getitem__, record.region), int, len(record))
+    band = np.array([r.kind == "R3" for r in codes])[code]
+    smooth = (code[:-1] == code[1:]) & ~band[:-1] & record.outside_ball(eps_conv)[:-1]
+    if not smooth.any():
+        return 0.0, 0
+    X, U = record.x[:-1][smooth], record.u[:-1][smooth]
+    # the region and obstacle upper_derivative picks from x itself
+    kind, index = cert.label_rows(*cert.dominant_gap_rows(X), ctrl.eps_band)
+    F, G = field_rows(ctrl.system, X)
+    F = F + (G @ U[:, :, None])[:, :, 0]
+    d1 = np.empty(len(X))
+    for i in range(cert.n_obstacles):
+        r = index == i
+        d1[r] = row_dot(cert.grad_B(i, X[r]), F[r])
+    d2 = row_dot(cert.grad_L(X), F)
+    d = np.where((kind == R1) | (kind == UNSAFE), d1,
+                 np.where(kind == R2, d2, 0.5 * (d1 + d2) + 0.5 * np.abs(d1 - d2)))
+    dt = float(record.t[1] - record.t[0])
+    resid = np.diff(record.V)[smooth] / dt - d
+    resid = resid[resid > 0.0]
+    return (float(resid.max()) if resid.size else 0.0) / dt, len(X)
 
 
 def trajectory_invariants(record: TrajectoryRecord,
@@ -290,32 +312,14 @@ def trajectory_invariants(record: TrajectoryRecord,
     without being on the surface.  The finite differences use the record's
     own step t[1] - t[0], so config.integrator.dt is not read.
     """
-    if not record.samples:
+    if not len(record):
         raise ValueError("record is empty")
     ctrl = make_controller(config)
-    cert = ctrl.cert
     integ = config.integrator
-    samples = record.samples
-    checks = record_checks(record, integ.eps_conv)
-    checks.append(shrunk_band_check(record, cert, integ.eps_band))
-
-    # (d) finite-difference consistency on smooth segments, at the record's
-    # own step (samples sit at t = k*dt; a single sample has no step)
-    dt = samples[1].t - samples[0].t if len(samples) > 1 else 0.0
-    worst_resid = 0.0
-    n_smooth = 0
-    for a, b in zip(samples, samples[1:]):
-        if a.region.kind == "R3" or b.region.kind == "R3" or a.region != b.region:
-            continue
-        if float(np.linalg.norm(a.x)) <= integ.eps_conv:
-            continue
-        d = upper_derivative(ctrl, a.x, a.u)
-        resid = (b.V - a.V) / dt - d.d_value
-        worst_resid = max(worst_resid, resid)
-        n_smooth += 1
-    C = worst_resid / dt if n_smooth else 0.0
-    checks.append(InvariantCheck(
-        "finite-difference consistency: (V_k+1 - V_k)/dt <= upper derivative + C*dt",
-        True, f"C = {C:.6g} over {n_smooth} smooth steps"))
-
-    return InvariantReport(checks=tuple(checks), fd_constant=C)
+    C, n_smooth = fd_constant(record, ctrl, integ.eps_conv)
+    return InvariantReport(checks=(
+        *record_checks(record, integ.eps_conv),
+        shrunk_band_check(record, ctrl.cert, integ.eps_band),
+        InvariantCheck(
+            "finite-difference consistency: (V_k+1 - V_k)/dt <= upper derivative + C*dt",
+            True, f"C = {C:.6g} over {n_smooth} smooth steps")), fd_constant=C)

@@ -6,6 +6,9 @@ take tens of seconds; every test reads from the same records.
 
 from __future__ import annotations
 
+import dataclasses
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,28 @@ def closed_loop_slow_eigenvalue(ctrl, h: float = 1e-6) -> float:
         e[j] = h
         jac[:, j] = (field(e) - field(-e)) / (2.0 * h)
     return float(np.linalg.eigvals(jac).real.max())
+
+
+Row = namedtuple("Row", "t x u V region law min_dist")
+
+
+def rows(record) -> list[Row]:
+    """The record's samples one row at a time, for the per-sample oracles."""
+    return [Row(*r) for r in zip(record.t.tolist(), record.x, record.u, record.V.tolist(),
+                                 record.region, record.law, record.min_dist)]
+
+
+def doctored_record(record, config, k: int = 100):
+    """record with sample k moved onto obstacle 1's centre, inside the ball."""
+    from nclbf.certificate import Certificate, RegionLabel
+    cert = Certificate(config)
+    inside = np.array(config.obstacles[0].center)
+    x, V, md = record.x.copy(), record.V.copy(), record.min_dist.copy()
+    x[k], V[k], md[k] = inside, cert.V(inside), cert.min_dists(inside)
+    region, law = list(record.region), list(record.law)
+    region[k], law[k] = RegionLabel("UNSAFE", 0), "-"
+    return dataclasses.replace(record, x=x, V=V, min_dist=md, region=tuple(region),
+                               law=tuple(law))
 
 
 # the five published starts plus the three below-band starts

@@ -112,13 +112,13 @@ def test_criterion_5_shrunk_band_and_exit_points(cfg_a, records_a):
     for x0 in starts:
         rec = records_a[x0]
         assert rec.outcome.kind == "converged"
-        for s in rec.samples:
-            L = float(s.x @ s.x)
-            if abs(cert.B(0, s.x) - L) <= eps_band and L < phi - margin:
-                band_hits += 1
-        last_r3 = next((s.x for s in reversed(rec.samples) if s.region.kind == "R3"), None)
+        L = np.einsum("ij,ij->i", rec.x, rec.x)
+        D = rec.x - cert.centers[0]
+        B = cert.eta2[0] - cert.eta1[0] * np.einsum("ij,ij->i", D, D)
+        band_hits += int(np.sum((np.abs(B - L) <= eps_band) & (L < phi - margin)))
+        last_r3 = max((k for k, r in enumerate(rec.region) if r.kind == "R3"), default=None)
         if last_r3 is not None:
-            exit_dists[x0] = min(float(np.linalg.norm(last_r3 - c)) for c in contacts)
+            exit_dists[x0] = min(float(np.linalg.norm(rec.x[last_r3] - c)) for c in contacts)
     ok = band_hits == 0 and all(d <= 0.05 for d in exit_dists.values())
     report(5, ok, f"band hits {band_hits}; exit distances "
                   + ", ".join(f"{k}: {v:.4f}" for k, v in exit_dists.items()))
@@ -159,20 +159,19 @@ def test_criterion_6_multi_obstacle_convergence_by_t20(cfg_b, timed_batch_b20, r
         if kind not in ("timeout", "converged"):
             failures.append(f"{x0}: outcome {kind}")
             continue
-        samples = rec.samples
-        e = len(samples)
-        while e > 0 and samples[e - 1].region.kind == "R2":
+        e = len(rec)
+        while e > 0 and rec.region[e - 1].kind == "R2":
             e -= 1
-        t_e = samples[e].t if e < len(samples) else math.inf
-        Ls = [float(s.x.dot(s.x)) for s in samples[e:]]
-        dL = max((b - a for a, b in zip(Ls, Ls[1:])), default=-math.inf)
+        t_e = float(rec.t[e]) if e < len(rec) else math.inf
+        Ls = np.einsum("ij,ij->i", rec.x[e:], rec.x[e:])
+        dL = float(np.diff(Ls).max()) if len(Ls) > 1 else -math.inf
         if not (t_e < 20.0 and dL < 0.0):
             failures.append(f"{x0}: R2 from t_e = {t_e}, max step change of L {dL:.3g}")
         if kind == "converged":
             rows.append(f"{x0}: converged at t = {rec.outcome.t:.3f}")
             continue
         t_conv = records_b[x0].outcome.t if records_b[x0].outcome.kind == "converged" else None
-        norm20 = float(np.linalg.norm(samples[-1].x))
+        norm20 = float(np.linalg.norm(rec.x[-1]))
         t_hat = 20.0 + math.log(norm20 / eps_conv) / abs(lam)
         rows.append(f"{x0}: |x(20)| = {norm20:.4f}, t_hat = {t_hat:.2f}, t_conv = {t_conv}")
         if t_conv is None or not 0.95 * t_hat <= t_conv <= t_hat:

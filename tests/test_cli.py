@@ -16,6 +16,35 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def scenario_doc() -> dict:
+    """linear2d_single as a JSON document, one start, t_max = 2."""
+    return {"system": "linear2d", "state_box": [[-5, 5], [-5, 5]],
+            "obstacles": [{"center": [2.0, 2.0], "radius": 1.4142135623730951}],
+            "params": [{"eta1": 9.0, "w": 0.9, "c1": [10.0, 20.0]}],
+            "gamma": 0.1, "integrator": {"t_max": 2.0}, "initial_states": [[5.0, 5.0]]}
+
+
+def set_path(doc: dict, path: tuple, value) -> dict:
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# (path into scenario_doc, value): structurally malformed documents
+MALFORMED_SCENARIOS = [
+    (("obstacles", 0), 5),
+    (("obstacles",), 5),
+    (("params", 0), "eta1"),
+    (("gamma",), "abc"),
+    (("integrator",), [1]),
+    (("system",), [1]),
+    (("state_box", 0), [5.0, -5.0]),
+    (("state_box", 1), [1.0, 1.0]),
+]
+
+
 class TestSimulateCommand:
     def test_writes_trajectories_and_summary(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -57,6 +86,32 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path)) == 2
         assert run_cli("simulate", "--scenario", "linear2d_single",
                        "--out", str(tmp_path), "--t-max", "inf") == 2
+
+    @pytest.mark.parametrize("path, value", MALFORMED_SCENARIOS)
+    def test_malformed_scenario_is_usage_error(self, tmp_path, path, value):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(set_path(scenario_doc(), path, value)))
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--scenario", str(scenario), "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-derivative",
+                                         "check-assumptions"])
+    @pytest.mark.parametrize("c1", [[10.0], [10.0, 20.0, 30.0]])
+    def test_c1_length_must_match_inputs(self, tmp_path, capsys, command, c1):
+        # linear2d has m = 2 inputs: one weight per input, checked at load
+        scenario = tmp_path / "c1.json"
+        scenario.write_text(json.dumps(set_path(scenario_doc(), ("params", 0, "c1"), c1)))
+        out = tmp_path / "out"
+        assert run_cli(command, "--scenario", str(scenario), "--out", str(out)) == 2
+        assert f"c1 has {len(c1)} entries" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_unknown_system_is_usage_error(self, tmp_path):
+        scenario = tmp_path / "sys.json"
+        scenario.write_text(json.dumps(set_path(scenario_doc(), ("system",), "nope")))
+        assert run_cli("geometry", "--scenario", str(scenario)) == 2
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate") == 2
@@ -195,6 +250,39 @@ class TestCheckTrajectoryCommand:
 
     def test_missing_csv(self):
         assert run_cli("check-trajectory", "--csv", "nothing.csv") == 2
+
+    def test_dimensions_must_match_the_scenario(self, run_dir, capsys):
+        assert run_cli("check-trajectory", "--csv", str(run_dir / "run_00.csv"),
+                       "--scenario", "nonlinear_mech_three") == 2
+        assert "(n, m, N) = (2, 2, 1)" in capsys.readouterr().err
+
+
+HEADER = "t,x1,x2,u1,u2,V,region,law,mindist1\n"
+ROW = "0.0,5.0,5.0,-1.0,-2.0,50.0,R2,K2,2.8\n"
+# file text and the 1-based row its error names
+MALFORMED_CSV = {
+    "empty": ("", 1),
+    "header only": (HEADER, 2),
+    "bad header": ("t,x1,x2,u1,u2,V,law,region,mindist1\n" + ROW, 1),
+    "short row": (HEADER + ROW + "0.001,4.9,4.9\n", 3),
+    "non-numeric field": (HEADER + ROW + ROW.replace("5.0,5.0", "5.0,abc"), 3),
+    "unknown region code": (HEADER + ROW + ROW.replace("R2", "X:1"), 3),
+    "region of no obstacle": (HEADER + ROW + ROW.replace("R2", "R1:2"), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+@pytest.mark.parametrize("argv", [["check-trajectory", "--csv"],
+                                  ["check-trajectory", "--scenario", "linear2d_single", "--csv"],
+                                  ["plot", "--scenario", "linear2d_single", "--out", "fig"]])
+def test_malformed_trajectory_csv_is_usage_error(case, argv, tmp_path, monkeypatch, capsys):
+    text, row = MALFORMED_CSV[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.csv").write_text(text)
+    assert run_cli(*argv, "run.csv") == 2
+    err = capsys.readouterr().err
+    assert "run.csv" in err and f"row {row}:" in err
+    assert not (tmp_path / "fig").exists()
 
 
 class TestPlotCommand:

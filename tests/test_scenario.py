@@ -180,6 +180,28 @@ class TestScenarioIO:
         with pytest.raises(ScenarioError, match="finite"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("path, value", [
+        (("obstacles", 0), 5),
+        (("obstacles",), 5),
+        (("params", 0), "eta1"),
+        (("params", 0, "c1"), "ab"),
+        (("gamma",), "abc"),
+        (("integrator",), [1]),
+        (("integrator", "dtt"), 0.001),
+        (("system",), [1]),
+        (("initial_states",), {"a": 1}),
+        (("state_box", 0), [5.0, -5.0]),
+        (("state_box", 1), [1.0, 1.0]),
+    ])
+    def test_malformed_documents_rejected(self, path, value):
+        doc = json.loads(self.scenario_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError):
+            load_scenario(json.dumps(doc))
+
     def test_bytes_input_accepted(self):
         cfg = load_scenario(self.scenario_text().encode())
         assert cfg.system_id == "linear2d"

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from nclbf.certificate import Certificate
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
 from nclbf.simulator import (NumericBlowupError, read_trajectory_csv, rk4_step,
@@ -61,12 +62,15 @@ class TestSimulate:
         assert rec.outcome.t < cfg_a.integrator.t_max
         assert rec.min_clearance() > 0.0
         # the path detours along the virtual boundary: some samples sit in the band
-        assert any(s.region.kind == "R3" for s in rec.samples)
+        assert any(r.kind == "R3" for r in rec.region)
 
     def test_obstacle_center_start_rejected(self, cfg_a):
         rec = simulate(cfg_a, np.array([2.0, 2.0]))
         assert rec.outcome.kind == "init_rejected"
-        assert rec.samples == ()
+        assert len(rec) == 0
+        assert (rec.t.shape, rec.x.shape, rec.u.shape, rec.V.shape, rec.min_dist.shape) == (
+            (0,), (0, 2), (0, 2), (0,), (0, 1))
+        assert rec.region == () and rec.law == ()
 
     def test_barrier_region_start_rejected_without_override(self, cfg_a):
         assert simulate(cfg_a, np.array([2.0, 3.5])).outcome.kind == "init_rejected"
@@ -82,23 +86,22 @@ class TestSimulate:
     def test_sample_grid_and_consistency(self, cfg_a, records_a):
         rec = records_a[(5.0, 2.0)]
         dt = cfg_a.integrator.dt
-        ts = [s.t for s in rec.samples]
-        assert np.allclose(np.diff(ts), dt, atol=1e-12)
+        assert np.allclose(np.diff(rec.t), dt, atol=1e-12)
         from nclbf.certificate import Certificate
         cert = Certificate(cfg_a)
-        for s in rec.samples[:: max(1, len(rec.samples) // 97)]:
-            assert s.V == pytest.approx(cert.V(s.x), rel=1e-12)
-            assert s.region == cert.classify(s.x, cfg_a.integrator.eps_band)
-            assert np.allclose(s.min_dist, cert.min_dists(s.x), atol=1e-12)
+        for k in range(0, len(rec), max(1, len(rec) // 97)):
+            x = rec.x[k]
+            assert rec.V[k] == pytest.approx(cert.V(x), rel=1e-12)
+            assert rec.region[k] == cert.classify(x, cfg_a.integrator.eps_band)
+            assert np.allclose(rec.min_dist[k], cert.min_dists(x), atol=1e-12)
 
     def test_determinism_bitwise(self, cfg_a):
         a = simulate(cfg_a, np.array([3.0, 5.0]))
         b = simulate(cfg_a, np.array([3.0, 5.0]))
-        assert len(a.samples) == len(b.samples)
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.x, sb.x)
-            assert np.array_equal(sa.u, sb.u)
-            assert sa.V == sb.V and sa.law == sb.law
+        assert len(a) == len(b)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.V, b.V) and a.law == b.law
 
     def test_numeric_blowup_outcome(self, cfg_a):
         def f(x):
@@ -116,7 +119,7 @@ class TestSimulate:
                              integrator=IntegratorSettings(dt=1e-3, t_max=2.0))
         rec = simulate(cfg, np.array([4.0, 0.0]))
         assert rec.outcome.kind == "numeric_blowup"
-        assert rec.samples  # aborted mid-run, samples up to the failure
+        assert len(rec)  # aborted mid-run, samples up to the failure
 
 
 class TestThreeDimensional:
@@ -128,7 +131,7 @@ class TestThreeDimensional:
         assert rec.outcome.kind == "converged"
         assert rec.min_clearance() > 0.0
         # (4, 4, 2) lies behind the obstacle on the ray through its center
-        assert any(s.law.startswith("K3") for s in rec.samples)
+        assert any(law.startswith("K3") for law in rec.law)
         assert trajectory_invariants(rec, cfg_3d).passed
 
 
@@ -167,13 +170,12 @@ class TestTrajectoryCsv:
         rec = records_a[(0.2, 0.8)]
         text = trajectory_csv_text(rec)
         back = read_trajectory_csv(io.StringIO(text))
-        assert len(back.samples) == len(rec.samples)
-        for sa, sb in zip(rec.samples, back.samples):
-            assert sa.t == sb.t and sa.V == sb.V
-            assert np.array_equal(sa.x, sb.x)
-            assert np.array_equal(sa.u, sb.u)
-            assert sa.region == sb.region and sa.law == sb.law
-            assert np.array_equal(sa.min_dist, sb.min_dist)
+        assert len(back) == len(rec)
+        assert np.array_equal(rec.t, back.t) and np.array_equal(rec.V, back.V)
+        assert np.array_equal(rec.x, back.x)
+        assert np.array_equal(rec.u, back.u)
+        assert rec.region == back.region and rec.law == back.law
+        assert np.array_equal(rec.min_dist, back.min_dist)
 
     def test_region_and_law_codes(self, records_a):
         rec = records_a[(5.0, 5.0)]
@@ -188,10 +190,33 @@ class TestTrajectoryCsv:
         laws = {line.split(",")[7] for line in lines[1:]}
         assert "K2" in laws and "K3:1>K2" in laws
 
-    def test_empty_record_rejected(self):
-        from nclbf.simulator import TrajectoryRecord
+    def test_empty_record_rejected(self, cfg_a):
+        rec = simulate(cfg_a, np.array([2.0, 2.0]))   # init_rejected: no samples
         with pytest.raises(ValueError):
-            write_trajectory_csv(TrajectoryRecord(samples=(), outcome=None), io.StringIO())
+            write_trajectory_csv(rec, io.StringIO())
+
+
+class TestRecordColumns:
+    def test_samples_property_rebuilds_rows(self, records_a):
+        from nclbf.simulator import StepSample
+        rec = records_a[(5.0, 5.0)]
+        samples = rec.samples
+        assert len(samples) == len(rec)
+        for k in (0, 1, len(rec) // 2, len(rec) - 1):
+            s = samples[k]
+            assert isinstance(s, StepSample) and type(s.t) is float and type(s.V) is float
+            assert s.t == rec.t[k] and s.V == rec.V[k]
+            assert np.array_equal(s.x, rec.x[k]) and np.array_equal(s.u, rec.u[k])
+            assert s.region is rec.region[k] and s.law == rec.law[k]
+            assert np.array_equal(s.min_dist, rec.min_dist[k])
+        assert [s.law for s in samples] == list(rec.law)
+
+    def test_min_dist_is_clearance_from_centre_distances(self, cfg_b, records_b):
+        rec = records_b[(2.0, 5.0)]
+        cert = Certificate(cfg_b)
+        for k in (0, 1234, len(rec) - 1):
+            assert rec.min_dist[k].tolist() == cert.min_dists(rec.x[k]).tolist()
+        assert rec.min_clearance() == min(rec.min_dist.ravel().tolist())
 
 
 # (outcome t, sample count, final state) of every fixture start, recorded
@@ -269,8 +294,8 @@ class TestEngineParity:
             rec = records[x0]
             assert rec.outcome.kind == "converged", x0
             assert rec.outcome.t == t, x0
-            assert len(rec.samples) == n_samples, x0
-            assert tuple(rec.samples[-1].x.tolist()) == final, x0
+            assert len(rec) == n_samples, x0
+            assert tuple(rec.x[-1].tolist()) == final, x0
 
     @pytest.mark.parametrize("fixture, pinned", [("records_a", PINNED_CSV_A),
                                                  ("records_b", PINNED_CSV_B)])

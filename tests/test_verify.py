@@ -13,8 +13,8 @@ import pytest
 from nclbf.certificate import Certificate, RegionLabel
 from nclbf.controller import make_controller
 from nclbf.scenario import builtin_scenario
-from nclbf.simulator import (StepSample, TrajectoryRecord, read_trajectory_csv,
-                             simulate, trajectory_csv_text)
+from conftest import doctored_record, rows
+from nclbf.simulator import read_trajectory_csv, simulate, trajectory_csv_text
 from nclbf.verify import (grid_decrease_check, shrunk_band_check,
                           trajectory_invariants, upper_derivative)
 
@@ -26,7 +26,7 @@ def shrunk_band_oracle(record, config):
     hits = []
     margins = [cert.shrunk_band_margin(i, eps_band) for i in range(cert.n_obstacles)]
     phis = [cert.phi(i) for i in range(cert.n_obstacles)]
-    for s in record.samples:
+    for s in rows(record):
         for i in range(cert.n_obstacles):
             if (abs(cert.gap(i, s.x)) <= eps_band
                     and cert.L(s.x) < phis[i] - margins[i]):
@@ -160,16 +160,8 @@ class TestTrajectoryInvariants:
         assert report.fd_constant >= 0.0
 
     def test_corrupted_record_fails_safety(self, cfg_a, records_a):
-        rec = records_a[(5.0, 2.0)]
-        bad = rec.samples[100]
-        inside = np.array([2.0, 2.0])
-        cert = Certificate(cfg_a)
-        corrupted = StepSample(t=bad.t, x=inside, u=bad.u, V=cert.V(inside),
-                               region=RegionLabel("UNSAFE", 0), law="-",
-                               min_dist=cert.min_dists(inside))
-        doctored = TrajectoryRecord(
-            samples=rec.samples[:100] + (corrupted,) + rec.samples[101:],
-            outcome=rec.outcome)
+        # sample 100 moved to (2, 2), obstacle 1's centre
+        doctored = doctored_record(records_a[(5.0, 2.0)], cfg_a)
         report = trajectory_invariants(doctored, cfg_a)
         safety = next(c for c in report.checks if c.name.startswith("safety"))
         assert not safety.passed
@@ -224,5 +216,6 @@ class TestTrajectoryInvariants:
         assert 0.5 * c1 <= c2 <= 2.0 * c1
 
     def test_empty_record_rejected(self, cfg_a):
+        rec = simulate(cfg_a, np.array([2.0, 2.0]))   # init_rejected: no samples
         with pytest.raises(ValueError):
-            trajectory_invariants(TrajectoryRecord(samples=(), outcome=None), cfg_a)
+            trajectory_invariants(rec, cfg_a)
