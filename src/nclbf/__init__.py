@@ -10,12 +10,11 @@ from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
 from .simulator import (Outcome, SimulationSummary, TrajectoryRecord,
                         read_trajectory_csv, rk4_step, run_batch, simulate,
                         trajectory_csv_text, write_trajectory_csv)
-from .systems import (AssumptionReport, ControlAffineSystem, builtin_linear2d,
-                      builtin_nonlinear_mech, check_assumptions,
-                      register_system, resolve_system)
-from .verify import (DecreaseReport, DerivativeBreakdown, InvariantReport,
-                     grid_decrease_check, trajectory_invariants,
-                     upper_derivative)
+from .systems import (ControlAffineSystem, builtin_linear2d,
+                      builtin_nonlinear_mech, register_system, resolve_system)
+from .verify import (AssumptionReport, DecreaseReport, DerivativeBreakdown,
+                     InvariantReport, check_assumptions, grid_decrease_check,
+                     trajectory_invariants, upper_derivative)
 
 __all__ = [
     "BoundarySphere", "Certificate", "RegionLabel",
@@ -27,9 +26,9 @@ __all__ = [
     "Outcome", "SimulationSummary", "TrajectoryRecord",
     "read_trajectory_csv", "rk4_step", "run_batch", "simulate",
     "trajectory_csv_text", "write_trajectory_csv",
-    "AssumptionReport", "ControlAffineSystem", "builtin_linear2d",
-    "builtin_nonlinear_mech", "check_assumptions", "register_system",
-    "resolve_system",
-    "DecreaseReport", "DerivativeBreakdown", "InvariantReport",
-    "grid_decrease_check", "trajectory_invariants", "upper_derivative",
+    "ControlAffineSystem", "builtin_linear2d", "builtin_nonlinear_mech",
+    "register_system", "resolve_system",
+    "AssumptionReport", "DecreaseReport", "DerivativeBreakdown", "InvariantReport",
+    "check_assumptions", "grid_decrease_check", "trajectory_invariants",
+    "upper_derivative",
 ]

@@ -116,8 +116,10 @@ class Certificate:
         d = x - self.centers[i]
         return float(self.eta2[i] - self.eta1[i] * d.dot(d))
 
-    def grad_B(self, i: int, x: np.ndarray) -> np.ndarray:
-        return -2.0 * self.eta1[i] * (x - self.centers[i])
+    def grad_B(self, i: int | np.ndarray, x: np.ndarray) -> np.ndarray:
+        """grad B_i at x; i is one obstacle index or an array of one per row."""
+        e1 = self.eta1[i][:, None] if isinstance(i, np.ndarray) else self.eta1[i]
+        return -2.0 * e1 * (x - self.centers[i])
 
     def V(self, x: np.ndarray) -> float:
         return max(self.L(x), float(np.max(self.B_values(x))))
@@ -286,12 +288,14 @@ class Certificate:
         """|B_i - L| <= eps_band and ||x||^2 < phi(c_i)."""
         return abs(self.gap(i, x)) <= eps_band and self.L(x) < self.phi(i)
 
-    def shrunk_band_rows(self, i: int, X: np.ndarray, eps_band: float) -> np.ndarray:
-        """in_shrunk_band for every row of X, bit for bit."""
+    def shrunk_band_rows(self, i: int | np.ndarray, X: np.ndarray,
+                         eps_band: float) -> np.ndarray:
+        """in_shrunk_band for every row of X, bit for bit; i as in grad_B."""
         D = X - self.centers[i]
         L = row_dot(X, X)
         gap = (self.eta2[i] - self.eta1[i] * row_dot(D, D)) - L
-        return (np.abs(gap) <= eps_band) & (L < self.phi(i))
+        phi = np.array([self.phi(j) for j in range(self.n_obstacles)])
+        return (np.abs(gap) <= eps_band) & (L < phi[i])
 
     def shrunk_band_margin(self, i: int, eps_band: float) -> float:
         """Tangency-cone margin on phi for trajectory checks.

@@ -20,7 +20,8 @@ from .certificate import Certificate
 from .scenario import (BUILTIN_SCENARIOS, IntegratorSettings, ScenarioConfig,
                        ScenarioError, builtin_scenario, load_scenario,
                        validate_params)
-from .systems import check_assumptions, resolve_system
+from .systems import resolve_system
+from .verify import check_assumptions
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 

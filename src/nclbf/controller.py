@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import Certificate, RegionLabel, row_dot, row_vecmat
 from .scenario import ScenarioConfig
-from .systems import ControlAffineSystem
+from .systems import ControlAffineSystem, resolve_system
 
 # Absolute threshold below which a gradient-control row counts as vanished.
 TOL_G = 1e-9
@@ -96,10 +96,10 @@ class Controller:
             return np.zeros(self.system.m)
         return -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2)) * (Lg / n2)
 
-    def kappa1_rows(self, i: int, X: np.ndarray, F: np.ndarray,
+    def kappa1_rows(self, i: int | np.ndarray, X: np.ndarray, F: np.ndarray,
                     G: np.ndarray) -> np.ndarray:
-        """kappa1 for every row of X (P, n), given f rows F (P, n) and g rows
-        G (P, n, m); row k equals kappa1(i, X[k], F[k], G[k]) bit for bit."""
+        """kappa1 for every row of X (P, n), given f rows F (P, n), g rows G
+        (P, n, m) and i as in Certificate.grad_B; each row equals kappa1 bit for bit."""
         gB = self.cert.grad_B(i, X)
         Bf = row_dot(gB, F)
         Bg = row_vecmat(gB, G)
@@ -108,8 +108,9 @@ class Controller:
         Bf, Bg, n2 = Bf[live, None], Bg[live], n2[live, None]
         bar = np.zeros_like(Bg)
         np.divide(1.0, Bg, out=bar, where=np.abs(Bg) > self.tol_g)
+        c1 = np.broadcast_to(np.asarray(self.c1)[i], (len(X), self.system.m))[live]
         U = np.zeros((len(X), self.system.m))
-        U[live] = -(Bg / n2) * Bf - self.c1[i] * bar * row_dot(X[live], X[live])[:, None]
+        U[live] = -(Bg / n2) * Bf - c1 * bar * row_dot(X[live], X[live])[:, None]
         return U
 
     def kappa2_rows(self, X: np.ndarray, F: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -157,6 +158,5 @@ class Controller:
 
 def make_controller(config: ScenarioConfig,
                     system: ControlAffineSystem | None = None) -> Controller:
-    from .systems import resolve_system
     sys_ = system if system is not None else resolve_system(config)
     return Controller(sys_, Certificate(config), config)

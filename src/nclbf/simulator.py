@@ -350,8 +350,6 @@ class _Engine:
                 self.forced_k1 = i
             else:
                 self.forced_k1 = -1
-        if u_first is None:
-            u_first, law_first = np.zeros(self.system.m), "-"
         return x, i, h, dd, u_first, law_first
 
     def run(self, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
@@ -468,7 +466,8 @@ def trajectory_csv_text(record: TrajectoryRecord) -> str:
 
 def read_trajectory_csv(fp) -> TrajectoryRecord:
     """Parse a CSV written by write_trajectory_csv into columns (outcome
-    None); a malformed file raises ValueError naming its 1-based row."""
+    None); a malformed file, including a non-finite t or x or a t that does
+    not strictly increase, raises ValueError naming its 1-based row."""
     rows = csv.reader(fp)
     header = next(rows, [])
     n, m, N = (sum(h.startswith(p) for h in header) for p in ("x", "u", "mindist"))
@@ -491,6 +490,12 @@ def read_trajectory_csv(fp) -> TrajectoryRecord:
         law.append(row[j + 1])
     if not values:
         raise ValueError("row 2: no sample rows after the header")
+    values = np.array(values)
+    # u, V and mindist stay unrestricted: a blown-up run records overflow there
+    for bad, what in ((~np.isfinite(values[:, :1 + n]).all(axis=1), "non-finite t or x"),
+                      (np.diff(values[:, 0], prepend=-np.inf) <= 0.0, "t does not increase")):
+        if bad.any():
+            raise ValueError(f"row {int(np.argmax(bad)) + 2}: {what}")
     t, x, u, V, min_dist = map(np.ascontiguousarray,
-                               np.split(np.array(values), [1, 1 + n, j - 1, j], axis=1))
+                               np.split(values, [1, 1 + n, j - 1, j], axis=1))
     return TrajectoryRecord(t[:, 0], x, u, V[:, 0], tuple(region), tuple(law), min_dist, None)

@@ -1,4 +1,7 @@
-"""Numerical certification of the decreasing condition and trajectory checks.
+"""Numerical certification: the grid checks and the trajectory checks.
+
+The grid checks of the decreasing condition (grid_decrease_check) and of the
+drift conditions on f and g (check_assumptions) share one degenerate rule.
 
 The upper generalized derivative of V along the closed loop takes the
 barrier-side form in R1, the stabilizer-side form in R2, and is resolved in
@@ -20,8 +23,7 @@ from .certificate import (R1, R2, R3, UNSAFE, Certificate, RegionLabel, row_dot,
 from .controller import Controller, make_controller
 from .scenario import ScenarioConfig
 from .simulator import TrajectoryRecord
-from .systems import (BLOCK_ROWS, TOL_F, control_row_transversal, field_rows,
-                      grid_points)
+from .systems import ControlAffineSystem
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,71 @@ def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
 # Grid certification
 # ---------------------------------------------------------------------------
 
+# Drift derivatives up to this count as nonpositive at degenerate points.
+TOL_F = 1e-9
+
+# Grid checks evaluate this many rows per array pass, which bounds their
+# temporaries; ties across blocks still go to the first row in grid order.
+BLOCK_ROWS = 4096
+
+
+def grid_points(config: ScenarioConfig, resolution: int) -> np.ndarray:
+    """The resolution^n grid over the state box, one point per row (C order)."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def field_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f rows (P, n) and g rows (P, n, m), evaluated point by point.
+
+    The evaluators stay per point: the builtins use math.exp/math.tanh, which
+    np.exp/np.tanh do not match in the last bit on every input.
+    """
+    F = np.empty((len(X), system.n))
+    G = np.empty((len(X), system.n, system.m))
+    for k, x in enumerate(X):
+        F[k], G[k] = system.f(x), system.g(x)
+    return F, G
+
+
+def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) -> bool:
+    """Does the row x -> row_fn(x) change along the drift at x?
+
+    True means the drift carries the state off the row's zero set in finite
+    time (finite-difference directional derivative along f).
+    """
+    fx = system.f(x)
+    nf = float(np.linalg.norm(fx))
+    if nf == 0.0:
+        return False
+    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    step = (h / nf) * fx
+    r0, r1 = row_fn(x), row_fn(x + step)
+    return float(np.linalg.norm(r1 - r0)) / h > 1e-6
+
+
+def _row_terms(grad: np.ndarray, F: np.ndarray,
+               G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the norm of the control row grad.g and the drift grad.f."""
+    row = row_vecmat(grad, G)
+    return np.sqrt(row_dot(row, row)), row_dot(grad, F)
+
+
+def _degenerate_rule(system: ControlAffineSystem, cert: Certificate, X: np.ndarray,
+                     drift: np.ndarray, obstacle: np.ndarray | None) -> tuple[list, list]:
+    """The drift condition on rows X whose control row (grad L . g for obstacle
+    None, else grad B . g of each row's obstacle) vanished: a drift above TOL_F
+    escapes in finite time where the row changes along the drift, else fails.
+    Returns (escapes, failures), point + (drift,) tuples in row order."""
+    out = ([], [])
+    for k in np.flatnonzero(~(drift <= TOL_F)):
+        grad = cert.grad_L if obstacle is None else partial(cert.grad_B, obstacle[k])
+        transversal = control_row_transversal(system, lambda y: grad(y) @ system.g(y), X[k])
+        out[not transversal].append(tuple(X[k].tolist()) + (float(drift[k]),))
+    return out
+
+
 @dataclass(frozen=True)
 class DecreaseReport:
     rho0_star: float
@@ -93,21 +160,6 @@ class DecreaseReport:
                 "degenerate_max_drift": self.degenerate_max_drift,
                 "degenerate_ok": self.degenerate_ok,
                 "degenerate_escapes_in_finite_time": self.degenerate_escapes}
-
-
-def _branch(ctrl: Controller, grad: np.ndarray, X: np.ndarray, F: np.ndarray,
-            G: np.ndarray, law) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One side of the derivative on rows X with gradient rows grad.
-
-    Returns per row: whether the control row grad.g is live, grad.(f + g u)
-    under u = law(X, F, G) where it is (0 elsewhere), and the raw drift grad.f.
-    """
-    row = row_vecmat(grad, G)
-    live = np.sqrt(row_dot(row, row)) > ctrl.tol_g
-    U = law(X[live], F[live], G[live])
-    d = np.zeros(len(X))
-    d[live] = row_dot(grad[live], F[live] + (G[live] @ U[:, :, None])[:, :, 0])
-    return live, d, row_dot(grad, F)
 
 
 def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
@@ -145,10 +197,7 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
         kind, index = cert.label_rows(*cert.dominant_gap_rows(X), integ.eps_band)
         origin = L <= integ.eps_conv ** 2
         unsafe = ~origin & (kind == UNSAFE)
-        shrunk = np.zeros(len(X), dtype=bool)
-        for i in range(cert.n_obstacles):
-            rows = np.flatnonzero(~origin & (kind == R3) & (index == i))
-            shrunk[rows] = cert.shrunk_band_rows(i, X[rows], integ.eps_band)
+        shrunk = ~origin & (kind == R3) & cert.shrunk_band_rows(index, X, integ.eps_band)
         counts["excluded_origin_ball"] += int(origin.sum())
         counts["excluded_unsafe"] += int(unsafe.sum())
         counts["excluded_shrunk_band"] += int(shrunk.sum())
@@ -156,38 +205,33 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
         keep = ~(origin | unsafe | shrunk)
         X, L, kind, index = X[keep], L[keep], kind[keep], index[keep]
         F, G = field_rows(sys_, X)
-        barrier = (kind == R1) | (kind == R3)
-        stabilizer = (kind == R2) | (kind == R3)
-        # per side (0: barrier under kappa1, 1: stabilizer under kappa2)
+        # per side (0: the barrier of each row's obstacle under kappa1,
+        # 1: the stabilizer under kappa2): its rows and their obstacles
+        sides = ((np.flatnonzero((kind == R1) | (kind == R3)), index),
+                 (np.flatnonzero((kind == R2) | (kind == R3)), None))
         live = np.zeros((2, len(X)), dtype=bool)
-        d = np.zeros((2, len(X)))
-        drift = np.zeros((2, len(X)))
-        for i in range(cert.n_obstacles):
-            r = np.flatnonzero(barrier & (index == i))
-            live[0, r], d[0, r], drift[0, r] = _branch(
-                ctrl, cert.grad_B(i, X[r]), X[r], F[r], G[r], partial(ctrl.kappa1_rows, i))
-        r = np.flatnonzero(stabilizer)
-        live[1, r], d[1, r], drift[1, r] = _branch(ctrl, cert.grad_L(X[r]), X[r], F[r],
-                                                   G[r], ctrl.kappa2_rows)
+        d, drift = np.zeros((2, len(X))), np.zeros((2, len(X)))
+        for s, (r, obstacle) in enumerate(sides):
+            Xr, Fr, Gr = X[r], F[r], G[r]
+            if obstacle is None:
+                grad, U = cert.grad_L(Xr), ctrl.kappa2_rows(Xr, Fr, Gr)
+            else:
+                grad = cert.grad_B(obstacle[r], Xr)
+                U = ctrl.kappa1_rows(obstacle[r], Xr, Fr, Gr)
+            norm, drift[s, r] = _row_terms(grad, Fr, Gr)
+            live[s, r] = norm > ctrl.tol_g
+            d[s, r] = np.where(live[s, r], row_dot(grad, Fr + (Gr @ U[:, :, None])[:, :, 0]),
+                               0.0)
 
-        for k in np.flatnonzero(~(live[0] | live[1])):
-            # every applicable control channel vanished: check the raw drift
-            counts["degenerate_channel"] += 1
-            x, i = X[k], int(index[k])
-            channels = []
-            if barrier[k]:
-                channels.append((drift[0, k], lambda y, i=i: cert.grad_B(i, y) @ sys_.g(y)))
-            if stabilizer[k]:
-                channels.append((drift[1, k], lambda y: cert.grad_L(y) @ sys_.g(y)))
-            for drift_k, row_fn in channels:
-                if drift_k <= TOL_F:
-                    continue
-                # the drift condition fails pointwise but the state leaves the
-                # degenerate set in finite time: informational, not a failure
-                if control_row_transversal(sys_, row_fn, x):
-                    escapes += 1
-                else:
-                    max_drift = max(max_drift, float(drift_k))
+        # every applicable control channel vanished: check the raw drift
+        degenerate = ~(live[0] | live[1])
+        counts["degenerate_channel"] += int(degenerate.sum())
+        for s, (r, obstacle) in enumerate(sides):
+            r = r[degenerate[r]]
+            side_escapes, failures = _degenerate_rule(
+                sys_, cert, X[r], drift[s, r], None if obstacle is None else obstacle[r])
+            escapes += len(side_escapes)
+            max_drift = max([max_drift] + [p[-1] for p in failures])
 
         # max over the candidates in order: the stabilizer side wins only if larger
         scored = live[0] | live[1]
@@ -205,6 +249,119 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
         grid_shape=tuple([resolution] * config.n),
         counts=counts, degenerate_max_drift=max_drift,
         degenerate_ok=max_drift <= TOL_F, degenerate_escapes=escapes)
+
+
+@dataclass(frozen=True)
+class AssumptionEntry:
+    condition: str
+    points_checked: int
+    degenerate_points: int
+    violations: tuple[tuple[float, ...], ...]
+    escape_notes: tuple[tuple[float, ...], ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def to_dict(self) -> dict:
+        return {"condition": self.condition, "points_checked": self.points_checked,
+                "degenerate_points": self.degenerate_points,
+                "violations": [list(v) for v in self.violations],
+                "escape_in_finite_time": [list(v) for v in self.escape_notes],
+                "passed": self.passed}
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    entries: tuple[AssumptionEntry, ...]
+    g_min_singular_value: float
+    g_full_rank: bool
+    fields_finite: bool
+    zero_state_detectability: str
+    notes: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return (all(e.passed for e in self.entries) and self.g_full_rank
+                and self.fields_finite)
+
+    def to_dict(self) -> dict:
+        return {"passed": self.passed,
+                "entries": [e.to_dict() for e in self.entries],
+                "g_min_singular_value": self.g_min_singular_value,
+                "g_full_rank": self.g_full_rank,
+                "fields_finite": self.fields_finite,
+                "zero_state_detectability": self.zero_state_detectability,
+                "notes": list(self.notes)}
+
+
+def check_assumptions(system: ControlAffineSystem, config: ScenarioConfig,
+                      grid_resolution: int = 101) -> AssumptionReport:
+    """Grid-sampled necessary checks of the drift conditions.
+
+    At grid points where the relevant gradient-control row vanishes (below a
+    tolerance scaled to the grid median of its norm), the drift derivative
+    must be <= TOL_F.  A pointwise failure is downgraded to an informational
+    "escapes in finite time" note when the control row's derivative along the
+    drift is nonzero there (the trajectory leaves the degenerate set).  These
+    are sampled necessary conditions, not proofs; zero-state detectability is
+    not decidable by sampling and is reported as such.
+    """
+    if grid_resolution < 2:
+        raise ValueError("grid_resolution must be >= 2")
+    cert = Certificate(config)
+    pts = grid_points(config, grid_resolution)
+    n_rows = 1 + config.n_obstacles   # grad L, then grad B_i
+    kind = np.empty(len(pts), dtype=int)
+    index = np.empty(len(pts), dtype=int)
+    svals = np.empty(len(pts))
+    norms = np.empty((n_rows, len(pts)))
+    drifts = np.empty((n_rows, len(pts)))
+    fields_finite = True
+    for lo in range(0, len(pts), BLOCK_ROWS):
+        X = pts[lo:lo + BLOCK_ROWS]
+        F, G = field_rows(system, X)
+        span = slice(lo, lo + len(X))
+        svals[span] = np.linalg.svd(G, compute_uv=False)[:, -1]
+        fields_finite = fields_finite and bool(np.all(np.isfinite(F))
+                                               and np.all(np.isfinite(G)))
+        kind[span], index[span] = cert.label_rows(*cert.dominant_gap_rows(X),
+                                                  config.integrator.eps_band)
+        grads = [cert.grad_L(X)] + [cert.grad_B(i, X) for i in range(config.n_obstacles)]
+        for r, grad in enumerate(grads):
+            norms[r, span], drifts[r, span] = _row_terms(grad, F, G)
+    g_min_sv = float(np.min(svals))
+    g_full_rank = g_min_sv > 1e-9
+
+    def condition(name, member, r):
+        # the row tolerance scales with the grid median of the row norm
+        nz = norms[r][norms[r] > 0]
+        tol_g = 1e-6 * (float(np.median(nz)) if nz.size else 1.0)
+        rows = np.flatnonzero(member & ~(norms[r] > tol_g))
+        escapes, violations = _degenerate_rule(system, cert, pts[rows], drifts[r, rows],
+                                               index[rows] if r else None)
+        return AssumptionEntry(condition=name, points_checked=int(member.sum()),
+                               degenerate_points=len(rows),
+                               violations=tuple(violations), escape_notes=tuple(escapes))
+
+    band = kind == R3
+    entries = [condition("grad L . f <= 0 where grad L . g = 0 (in R2 or any band)",
+                         (kind == R2) | band, 0)]
+    for i in range(config.n_obstacles):
+        entries.append(condition(
+            f"grad B[{i}] . f <= 0 where grad B[{i}] . g = 0 (in R1[{i}] or band[{i}])",
+            ((kind == R1) | band) & (index == i), 1 + i))
+
+    notes = []
+    if any(e.escape_notes for e in entries):
+        notes.append("pointwise drift-positive degenerate points leave the degenerate "
+                     "set in finite time (transversal drift); reported informationally")
+    return AssumptionReport(
+        entries=tuple(entries), g_min_singular_value=g_min_sv, g_full_rank=g_full_rank,
+        fields_finite=fields_finite,
+        zero_state_detectability="not machine-checked (not decidable by sampling); "
+                                 "grid evidence attached",
+        notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +446,7 @@ def fd_constant(record: TrajectoryRecord, ctrl: Controller,
     kind, index = cert.label_rows(*cert.dominant_gap_rows(X), ctrl.eps_band)
     F, G = field_rows(ctrl.system, X)
     F = F + (G @ U[:, :, None])[:, :, 0]
-    d1 = np.empty(len(X))
-    for i in range(cert.n_obstacles):
-        r = index == i
-        d1[r] = row_dot(cert.grad_B(i, X[r]), F[r])
+    d1 = row_dot(cert.grad_B(index, X), F)
     d2 = row_dot(cert.grad_L(X), F)
     d = np.where((kind == R1) | (kind == UNSAFE), d1,
                  np.where(kind == R2, d2, 0.5 * (d1 + d2) + 0.5 * np.abs(d1 - d2)))

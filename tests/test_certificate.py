@@ -373,3 +373,18 @@ class TestRowBatchedTwins:
             want = [cert.in_shrunk_band(x, i, 1e-3) for x in X]
             assert cert.shrunk_band_rows(i, X, 1e-3).tolist() == want
             assert any(want) and not all(want)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_one_obstacle_per_row(self, name):
+        cert = Certificate(builtin_scenario(name))
+        rng = np.random.default_rng(61)
+        index = rng.integers(cert.n_obstacles, size=1500)
+        X = np.array([sphere_point(cert, i, th)
+                      for i, th in zip(index, rng.uniform(0, 2 * math.pi, len(index)))])
+        X = X * rng.uniform(0.999, 1.001, size=(len(X), 1))
+        grad = cert.grad_B(index, X)
+        shrunk = cert.shrunk_band_rows(index, X, 1e-3)
+        for k, (i, x) in enumerate(zip(index.tolist(), X)):
+            assert grad[k].tobytes() == cert.grad_B(i, x).tobytes(), (i, x)
+            assert shrunk[k] == cert.in_shrunk_band(x, i, 1e-3), (i, x)
+        assert shrunk.any() and not shrunk.all()

@@ -185,6 +185,13 @@ class TestVerifyDerivativeCommand:
         assert doc["passed"] and doc["rho0_star"] > 0
         assert doc["grid_shape"] == [41, 41]
 
+    def test_out_file_holds_the_printed_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("verify-derivative", "--scenario", "linear2d_single",
+                       "--resolution", "21", "--out", str(out)) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert json.loads(out.read_text())["grid_shape"] == [21, 21]
+
     def test_grid_inside_an_obstacle_fails(self, tmp_path, capsys):
         # every point of a +-0.05 box around obstacle 1's center is unsafe
         config = builtin_scenario("linear2d_single")
@@ -259,6 +266,7 @@ class TestCheckTrajectoryCommand:
 
 HEADER = "t,x1,x2,u1,u2,V,region,law,mindist1\n"
 ROW = "0.0,5.0,5.0,-1.0,-2.0,50.0,R2,K2,2.8\n"
+NEXT = ROW.replace("0.0,", "0.001,", 1)
 # file text and the 1-based row its error names
 MALFORMED_CSV = {
     "empty": ("", 1),
@@ -268,6 +276,9 @@ MALFORMED_CSV = {
     "non-numeric field": (HEADER + ROW + ROW.replace("5.0,5.0", "5.0,abc"), 3),
     "unknown region code": (HEADER + ROW + ROW.replace("R2", "X:1"), 3),
     "region of no obstacle": (HEADER + ROW + ROW.replace("R2", "R1:2"), 3),
+    "non-finite x": (HEADER + ROW + NEXT.replace("5.0,5.0", "nan,5.0"), 3),
+    "non-finite t": (HEADER + ROW + NEXT.replace("0.001", "inf"), 3),
+    "repeated t": (HEADER + ROW + ROW, 3),
 }
 
 

@@ -13,7 +13,7 @@ from nclbf.certificate import RegionLabel
 from nclbf.controller import (MemoryStateError, SafetyViolationError,
                               make_controller, mu, mu_bar)
 from nclbf.scenario import ControllerGains, builtin_scenario
-from nclbf.systems import field_rows
+from nclbf.verify import field_rows
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +240,10 @@ class TestRowBatchedLaws:
                 assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
         for k, x in enumerate(X):
             assert U2[k].tobytes() == ctrl.kappa2(x).tobytes(), x
+        index = np.random.default_rng(57).integers(ctrl.cert.n_obstacles, size=len(X))
+        U1 = ctrl.kappa1_rows(index, X, F, G)
+        for k, (i, x) in enumerate(zip(index.tolist(), X)):
+            assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
 
     def test_gains_read_at_call_time(self):
         ctrl = make_controller(builtin_scenario("linear2d_single"))
@@ -251,3 +255,4 @@ class TestRowBatchedLaws:
         assert not np.array_equal(before, after)
         assert all(after[k].tobytes() == ctrl.kappa1(0, x).tobytes()
                    for k, x in enumerate(X))
+        assert np.array_equal(ctrl.kappa1_rows(np.zeros(len(X), dtype=int), X, F, G), after)

@@ -18,10 +18,10 @@ import pytest
 from nclbf.certificate import Certificate
 from nclbf.controller import make_controller
 from nclbf.scenario import builtin_scenario
-from nclbf.systems import (BLOCK_ROWS, AssumptionEntry, AssumptionReport,
-                           ControlAffineSystem, check_assumptions,
-                           control_row_transversal, resolve_system)
-from nclbf.verify import DecreaseReport, grid_decrease_check
+from nclbf.systems import ControlAffineSystem, resolve_system
+from nclbf.verify import (BLOCK_ROWS, AssumptionEntry, AssumptionReport,
+                          DecreaseReport, check_assumptions,
+                          control_row_transversal, grid_decrease_check)
 
 
 def _grid(config, resolution):
@@ -233,6 +233,16 @@ class TestDecreaseMatchesLoop:
         # 65^2 = 4225 rows: one full block and a 129-row remainder
         assert 65 ** 2 > BLOCK_ROWS and 65 ** 2 % BLOCK_ROWS
         assert_same_decrease(cfg_a, 65)
+
+    def test_degenerate_channel_failure(self, cfg_a):
+        # g = 0 leaves no control channel anywhere, and f = x drifts outward
+        # along grad L and across the ball without moving the zero row
+        degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: x.copy(),
+                                         lambda x: np.zeros((2, 2)))
+        ctrl = make_controller(cfg_a, degenerate)
+        report = assert_same_decrease(cfg_a, 21, controller=ctrl)
+        assert report.degenerate_ok is False
+        assert report.counts["evaluated"] == 0 and report.degenerate_escapes == 0
 
 
 class TestAssumptionsMatchLoop:

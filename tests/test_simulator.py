@@ -13,10 +13,11 @@ import pytest
 from nclbf.certificate import Certificate
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
-from nclbf.simulator import (NumericBlowupError, read_trajectory_csv, rk4_step,
-                             run_batch, simulate, trajectory_csv_text,
+from nclbf.simulator import (NumericBlowupError, _Engine, read_trajectory_csv,
+                             rk4_step, run_batch, simulate, trajectory_csv_text,
                              trajectory_header, write_trajectory_csv)
 from nclbf.systems import ControlAffineSystem, builtin_linear2d, register_system
+from nclbf.verify import record_checks
 
 
 class TestRk4Step:
@@ -121,6 +122,54 @@ class TestSimulate:
         assert rec.outcome.kind == "numeric_blowup"
         assert len(rec)  # aborted mid-run, samples up to the failure
 
+    def test_safety_violation_outcome(self, cfg_a):
+        # a constant drift into the ball and a dead input channel: kappa1
+        # takes over in the barrier region but cannot act, and the run stops
+        # at the first sample inside the ball
+        register_system("drift_left", lambda: ControlAffineSystem(
+            "drift_left", 2, 1, lambda x: np.array([-1.0, 0.0]), lambda x: np.zeros((2, 1))))
+        pa = ObstacleParams.resolve(cfg_a.obstacles[0], eta1=9.0, c1=[10.0], w=0.9)
+        cfg = dataclasses.replace(cfg_a, system_id="drift_left", params=(pa,))
+        rec = simulate(cfg, np.array([5.0, 2.0]))
+        assert (rec.outcome.kind, rec.outcome.obstacle) == ("safety_violation", 0)
+        assert rec.outcome.t == pytest.approx(1.586)
+        assert (rec.region[-1].code, rec.law[-1]) == ("U:1", "-")
+        assert not rec.u[-1].any()
+        assert "K1:1" in rec.law
+        assert not record_checks(rec, cfg.integrator.eps_conv)[0].passed
+
+
+class TestSlidePinFailure:
+    """The slide's fallbacks when the pinning correction finds no input."""
+
+    @staticmethod
+    def run(cfg, monkeypatch, fails):
+        pinned = _Engine._pinned
+        monkeypatch.setattr(_Engine, "_pinned",
+                            lambda self, *a: None if fails(self) else pinned(self, *a))
+        return simulate(cfg, np.array([5.0, 5.0]))
+
+    def test_halved_substeps_keep_the_slide(self, cfg_a, monkeypatch):
+        # every pin above dt/8 fails, so each slide step halves its substep
+        # before a pin holds (dt/64, the smallest substep, gives the same
+        # outcome at ten times the cost)
+        rec = self.run(cfg_a, monkeypatch, lambda e: e.slide.sub > e.dt / 8)
+        assert rec.outcome.kind == "converged"
+        assert rec.outcome.t == pytest.approx(6.881)
+        assert any(law.startswith("K3") for law in rec.law)
+        assert rec.min_clearance() > 0.0
+
+    def test_slide_ends_when_no_pin_holds(self, cfg_a, monkeypatch):
+        # without a slide the state chatters between kappa1 and kappa2 near
+        # (2.71, 3.26) from t = 2 on; the full 20 s horizon times out there too
+        integ = dataclasses.replace(cfg_a.integrator, t_max=3.0)
+        rec = self.run(dataclasses.replace(cfg_a, integrator=integ), monkeypatch,
+                       lambda e: True)
+        assert rec.outcome.kind == "timeout"
+        assert rec.min_clearance() == pytest.approx(0.0219, abs=1e-4)
+        assert {"K1:1", "K2"} == set(rec.law)
+        assert np.linalg.norm(rec.x[-1]) > 4.0
+
 
 class TestThreeDimensional:
     def test_head_on_start_slides_and_converges_safely(self, cfg_3d):
@@ -194,6 +243,13 @@ class TestTrajectoryCsv:
         rec = simulate(cfg_a, np.array([2.0, 2.0]))   # init_rejected: no samples
         with pytest.raises(ValueError):
             write_trajectory_csv(rec, io.StringIO())
+
+    def test_overflowed_u_V_and_mindist_are_read(self):
+        # a run that ends in numeric_blowup can record these; t and x stay finite
+        text = ("t,x1,x2,u1,u2,V,region,law,mindist1\n"
+                "0.0,5.0,5.0,inf,-inf,inf,R2,K2,nan\n")
+        rec = read_trajectory_csv(io.StringIO(text))
+        assert np.isinf(rec.u).all() and np.isinf(rec.V[0]) and np.isnan(rec.min_dist[0, 0])
 
 
 class TestRecordColumns:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from nclbf.systems import (ControlAffineSystem, builtin_linear2d,
-                           builtin_nonlinear_mech, check_assumptions,
-                           register_system, resolve_system)
+                           builtin_nonlinear_mech, register_system, resolve_system)
+from nclbf.verify import check_assumptions
 
 
 class TestLinear2d:
