@@ -444,7 +444,11 @@ def trajectory_header(n: int, m: int, n_obstacles: int) -> list[str]:
 
 
 def write_trajectory_csv(record: TrajectoryRecord, fp) -> None:
-    """One row per sample, floats as their repr (exact round trip), read lazily."""
+    """One row per sample, floats as their repr (exact round trip), streamed.
+
+    No field needs CSV quoting: float reprs, region codes and the engine's law
+    strings hold no comma, quote or newline, so the rows are joined directly.
+    """
     if not len(record):
         raise ValueError("cannot write an empty trajectory")
     code = {r: r.code for r in set(record.region)}
@@ -452,10 +456,9 @@ def write_trajectory_csv(record: TrajectoryRecord, fp) -> None:
     cols = ([map(repr, map(float, c)) for c in floats]
             + [map(code.__getitem__, record.region), record.law]
             + [map(repr, map(float, c)) for c in record.min_dist.T])
-    wr = csv.writer(fp, lineterminator="\n")
-    wr.writerow(trajectory_header(record.x.shape[1], record.u.shape[1],
-                                  record.min_dist.shape[1]))
-    wr.writerows(zip(*cols))
+    fp.write(",".join(trajectory_header(record.x.shape[1], record.u.shape[1],
+                                        record.min_dist.shape[1])) + "\n")
+    fp.writelines(map("%s\n".__mod__, map(",".join, zip(*cols))))
 
 
 def trajectory_csv_text(record: TrajectoryRecord) -> str:
@@ -466,8 +469,9 @@ def trajectory_csv_text(record: TrajectoryRecord) -> str:
 
 def read_trajectory_csv(fp) -> TrajectoryRecord:
     """Parse a CSV written by write_trajectory_csv into columns (outcome
-    None); a malformed file, including a non-finite t or x or a t that does
-    not strictly increase, raises ValueError naming its 1-based row."""
+    None); a malformed file, including a non-finite t or x, a t that does not
+    strictly increase or a t step more than 1e-6 relative off the first,
+    raises ValueError naming its 1-based row."""
     rows = csv.reader(fp)
     header = next(rows, [])
     n, m, N = (sum(h.startswith(p) for h in header) for p in ("x", "u", "mindist"))
@@ -491,9 +495,13 @@ def read_trajectory_csv(fp) -> TrajectoryRecord:
     if not values:
         raise ValueError("row 2: no sample rows after the header")
     values = np.array(values)
-    # u, V and mindist stay unrestricted: a blown-up run records overflow there
+    dt = np.diff(values[:, 0])
+    # u, V and mindist stay unrestricted: a blown-up run records overflow there;
+    # t is k*dt, so a step off the first beyond rounding marks a dropped row
     for bad, what in ((~np.isfinite(values[:, :1 + n]).all(axis=1), "non-finite t or x"),
-                      (np.diff(values[:, 0], prepend=-np.inf) <= 0.0, "t does not increase")):
+                      (np.r_[False, dt <= 0.0], "t does not increase"),
+                      (np.r_[False, ~np.isclose(dt, dt[:1], rtol=1e-6, atol=0.0)],
+                       "t step differs from the first step")):
         if bad.any():
             raise ValueError(f"row {int(np.argmax(bad)) + 2}: {what}")
     t, x, u, V, min_dist = map(np.ascontiguousarray,

@@ -2,7 +2,9 @@
 
 Two benchmarks are built in: a decoupled planar linear system and a nonlinear
 mechanical system with velocity-dependent damping.  Custom systems register
-through the same evaluator interface; no expression parser is provided.  The
+through the same evaluator interface; no expression parser is provided.  A
+system may also give fg_rows, f and g over a block of rows at once, which must
+equal the per-point evaluators bit for bit; the grid checks use it.  The
 sampled checks of f and g (check_assumptions) live with the other grid checks
 in verify.
 """
@@ -25,6 +27,8 @@ class ControlAffineSystem:
     m: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
+    # X (P,n) -> F (P,n), G (P,n,m) with row k equal to (f(X[k]), g(X[k])) bit for bit
+    fg_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def builtin_linear2d() -> ControlAffineSystem:
@@ -37,7 +41,15 @@ def builtin_linear2d() -> ControlAffineSystem:
     def g(x):
         return eye
 
-    return ControlAffineSystem(name="linear2d", n=2, m=2, f=f, g=g)
+    def fg_rows(X):
+        return -X, np.broadcast_to(eye, (len(X), 2, 2))
+
+    return ControlAffineSystem(name="linear2d", n=2, m=2, f=f, g=g, fg_rows=fg_rows)
+
+
+def _damp(x2: float) -> float:
+    # math.exp/math.tanh: np.exp/np.tanh differ from them in the last bit on some inputs
+    return (0.8 + 0.2 * math.exp(-100.0 * abs(x2))) * math.tanh(10.0 * x2)
 
 
 def builtin_nonlinear_mech() -> ControlAffineSystem:
@@ -46,13 +58,17 @@ def builtin_nonlinear_mech() -> ControlAffineSystem:
 
     def f(x):
         x1, x2 = x.tolist()
-        damp = (0.8 + 0.2 * math.exp(-100.0 * abs(x2))) * math.tanh(10.0 * x2)
-        return np.array([x2, -x1 - x2 - damp])
+        return np.array([x2, -x1 - x2 - _damp(x2)])
 
     def g(x):
         return col
 
-    return ControlAffineSystem(name="nonlinear_mech", n=2, m=1, f=f, g=g)
+    def fg_rows(X):
+        x1, x2 = X[:, 0], X[:, 1]
+        damp = np.fromiter(map(_damp, x2.tolist()), float, len(X))
+        return np.stack([x2, -x1 - x2 - damp], axis=1), np.broadcast_to(col, (len(X), 2, 1))
+
+    return ControlAffineSystem(name="nonlinear_mech", n=2, m=1, f=f, g=g, fg_rows=fg_rows)
 
 
 SYSTEMS: dict[str, Callable[[], ControlAffineSystem]] = {

@@ -88,11 +88,10 @@ def grid_points(config: ScenarioConfig, resolution: int) -> np.ndarray:
 
 
 def field_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f rows (P, n) and g rows (P, n, m), evaluated point by point.
-
-    The evaluators stay per point: the builtins use math.exp/math.tanh, which
-    np.exp/np.tanh do not match in the last bit on every input.
-    """
+    """f rows (P, n) and g rows (P, n, m): the system's fg_rows when it has
+    one, which matches f and g bit for bit, else f and g point by point."""
+    if system.fg_rows is not None:
+        return system.fg_rows(X)
     F = np.empty((len(X), system.n))
     G = np.empty((len(X), system.n, system.m))
     for k, x in enumerate(X):

@@ -279,6 +279,7 @@ MALFORMED_CSV = {
     "non-finite x": (HEADER + ROW + NEXT.replace("5.0,5.0", "nan,5.0"), 3),
     "non-finite t": (HEADER + ROW + NEXT.replace("0.001", "inf"), 3),
     "repeated t": (HEADER + ROW + ROW, 3),
+    "dropped row": (HEADER + ROW + NEXT + ROW.replace("0.0,", "0.003,", 1), 4),
 }
 
 

@@ -4,11 +4,14 @@
 ``TrajectoryRecord.v_increase`` as they were written over a tuple of samples,
 kept verbatim apart from iterating ``conftest.rows``.  The column forms must
 give the same report, to the bit, on the 16 fixture records, their CSV round
-trips and a record with a sample moved inside an obstacle.
+trips and a record with a sample moved inside an obstacle.  ``csv_oracle`` is
+``write_trajectory_csv`` through ``csv.writer``; the joined rows must give the
+same text.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import math
@@ -18,7 +21,7 @@ import pytest
 
 from conftest import doctored_record, rows
 from nclbf.controller import make_controller
-from nclbf.simulator import read_trajectory_csv, trajectory_csv_text
+from nclbf.simulator import read_trajectory_csv, trajectory_csv_text, trajectory_header
 from nclbf.verify import trajectory_invariants, upper_derivative
 
 
@@ -54,6 +57,21 @@ def v_increase_oracle(record, eps_conv: float) -> tuple[float, float | None]:
     return worst, at
 
 
+def csv_oracle(record) -> str:
+    """trajectory_csv_text written by csv.writer, which quotes where needed."""
+    fp = io.StringIO()
+    code = {r: r.code for r in set(record.region)}
+    floats = [record.t, *record.x.T, *record.u.T, record.V]
+    cols = ([map(repr, map(float, c)) for c in floats]
+            + [map(code.__getitem__, record.region), record.law]
+            + [map(repr, map(float, c)) for c in record.min_dist.T])
+    wr = csv.writer(fp, lineterminator="\n")
+    wr.writerow(trajectory_header(record.x.shape[1], record.u.shape[1],
+                                  record.min_dist.shape[1]))
+    wr.writerows(zip(*cols))
+    return fp.getvalue()
+
+
 def assert_matches_oracles(record, config, fd, dv):
     report = trajectory_invariants(record, config)
     check_d = report.checks[-1]
@@ -69,7 +87,9 @@ def test_fixture_records_and_round_trips(request, fixture, cfg):
         dv = v_increase_oracle(rec, config.integrator.eps_conv)
         assert fd[0] > 0.0, x0
         assert_matches_oracles(rec, config, fd, dv)
-        back = read_trajectory_csv(io.StringIO(trajectory_csv_text(rec)))
+        text = trajectory_csv_text(rec)
+        assert text == csv_oracle(rec), x0
+        back = read_trajectory_csv(io.StringIO(text))
         # the round trip is exact, so the oracle values carry over
         assert np.array_equal(back.x, rec.x) and np.array_equal(back.V, rec.V), x0
         assert_matches_oracles(back, config, fd, dv)
@@ -81,6 +101,7 @@ def test_doctored_record(cfg_a, records_a):
     dv = v_increase_oracle(rec, cfg_a.integrator.eps_conv)
     assert dv[0] > 1.0   # the jump onto the centre raises V
     assert_matches_oracles(rec, cfg_a, fd, dv)
+    assert trajectory_csv_text(rec) == csv_oracle(rec)   # the UNSAFE row and law "-"
 
 
 def test_relabelled_band_sample_uses_classified_region(cfg_a, records_a):

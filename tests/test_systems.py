@@ -1,15 +1,33 @@
-"""Benchmark systems and the sampled structural checks."""
+"""Benchmark systems, their row evaluators and the sampled structural checks."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nclbf.controller import make_controller
+from nclbf.scenario import builtin_scenario
 from nclbf.systems import (ControlAffineSystem, builtin_linear2d,
                            builtin_nonlinear_mech, register_system, resolve_system)
-from nclbf.verify import check_assumptions
+from nclbf.verify import check_assumptions, field_rows, grid_decrease_check
+
+BUILTINS = (builtin_linear2d, builtin_nonlinear_mech)
+# signed zeros, the smallest subnormal, tiny and large velocities: the
+# damping term's exp and tanh change regime across these; on the box scale
+# neither saturates, which is where np.exp/np.tanh would differ in the last bit
+EDGE = [s * v for v in (0.0, 5e-324, 1e-300, 1e-3, 1.0, 1e3, 1e5, 1e300) for s in (1.0, -1.0)]
+coordinate = st.one_of(st.sampled_from(EDGE), st.floats(-5.0, 5.0), st.floats(-1e300, 1e300))
+
+
+def pointwise_rows(system, X):
+    """F (P,n) and G (P,n,m) stacked from f and g one row at a time."""
+    return (np.array([system.f(x) for x in X]).reshape(len(X), system.n),
+            np.array([system.g(x) for x in X]).reshape(len(X), system.n, system.m))
 
 
 class TestLinear2d:
@@ -87,12 +105,49 @@ class TestCheckAssumptions:
 
     def test_registry_round_trip(self, cfg_a):
         register_system("linear2d_alias", builtin_linear2d)
-        import dataclasses
         cfg = dataclasses.replace(cfg_a, system_id="linear2d_alias")
         assert resolve_system(cfg).name == "linear2d"
 
     def test_unknown_system_id(self, cfg_a):
-        import dataclasses
         cfg = dataclasses.replace(cfg_a, system_id="missing")
         with pytest.raises(ValueError, match="unknown system id"):
             resolve_system(cfg)
+
+
+class TestRowEvaluators:
+    @pytest.mark.parametrize("factory", BUILTINS)
+    @settings(max_examples=200, deadline=None)
+    @given(X=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=16))
+    def test_rows_equal_pointwise_bit_for_bit(self, factory, X):
+        system = factory()
+        X = np.array(X)
+        F, G = system.fg_rows(X)
+        want_F, want_G = pointwise_rows(system, X)
+        assert F.dtype == G.dtype == np.float64
+        assert F.shape == want_F.shape and F.tobytes() == want_F.tobytes()
+        assert G.shape == want_G.shape and np.ascontiguousarray(G).tobytes() == want_G.tobytes()
+
+    @pytest.mark.parametrize("factory", BUILTINS)
+    def test_no_rows(self, factory):
+        system = factory()
+        F, G = system.fg_rows(np.empty((0, system.n)))
+        assert F.shape == (0, system.n) and G.shape == (0, system.n, system.m)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_grid_checks_equal_pointwise_path(self, name):
+        config = builtin_scenario(name)
+        system = resolve_system(config)
+        pointwise = dataclasses.replace(system, fg_rows=None)
+        assert system.fg_rows is not None
+        assert (grid_decrease_check(config, 41, make_controller(config, pointwise)).to_dict()
+                == grid_decrease_check(config, 41).to_dict())
+        assert (check_assumptions(pointwise, config, 33).to_dict()
+                == check_assumptions(system, config, 33).to_dict())
+
+    def test_system_without_rows_uses_pointwise_path(self, cfg_3d):
+        system = resolve_system(cfg_3d)
+        assert system.fg_rows is None
+        X = np.random.default_rng(3).uniform(-5.0, 5.0, size=(50, 3))
+        F, G = field_rows(system, X)
+        assert np.array_equal(F, -X) and np.array_equal(G, np.broadcast_to(np.eye(3), (50, 3, 3)))
+        assert grid_decrease_check(cfg_3d, resolution=11).counts["evaluated"] > 0
