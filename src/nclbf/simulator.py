@@ -470,8 +470,8 @@ def trajectory_csv_text(record: TrajectoryRecord) -> str:
 def read_trajectory_csv(fp) -> TrajectoryRecord:
     """Parse a CSV written by write_trajectory_csv into columns (outcome
     None); a malformed file, including a non-finite t or x, a t that does not
-    strictly increase or a t step more than 1e-6 relative off the first,
-    raises ValueError naming its 1-based row."""
+    strictly increase or a t step more than 1e-6 relative off the median
+    step, raises ValueError naming its 1-based row."""
     rows = csv.reader(fp)
     header = next(rows, [])
     n, m, N = (sum(h.startswith(p) for h in header) for p in ("x", "u", "mindist"))
@@ -496,12 +496,14 @@ def read_trajectory_csv(fp) -> TrajectoryRecord:
         raise ValueError("row 2: no sample rows after the header")
     values = np.array(values)
     dt = np.diff(values[:, 0])
-    # u, V and mindist stay unrestricted: a blown-up run records overflow there;
-    # t is k*dt, so a step off the first beyond rounding marks a dropped row
+    # t is k*dt, so a step off the median beyond rounding marks a dropped row;
+    # the lower median (empty for one sample) is one a single hole cannot set
+    ref = np.sort(dt)[(len(dt) - 1) // 2:][:1]
+    # u, V and mindist stay unrestricted: a blown-up run records overflow there
     for bad, what in ((~np.isfinite(values[:, :1 + n]).all(axis=1), "non-finite t or x"),
                       (np.r_[False, dt <= 0.0], "t does not increase"),
-                      (np.r_[False, ~np.isclose(dt, dt[:1], rtol=1e-6, atol=0.0)],
-                       "t step differs from the first step")):
+                      (np.r_[False, ~np.isclose(dt, ref, rtol=1e-6, atol=0.0)],
+                       "t step differs from the median step")):
         if bad.any():
             raise ValueError(f"row {int(np.argmax(bad)) + 2}: {what}")
     t, x, u, V, min_dist = map(np.ascontiguousarray,

@@ -280,6 +280,8 @@ MALFORMED_CSV = {
     "non-finite t": (HEADER + ROW + NEXT.replace("0.001", "inf"), 3),
     "repeated t": (HEADER + ROW + ROW, 3),
     "dropped row": (HEADER + ROW + NEXT + ROW.replace("0.0,", "0.003,", 1), 4),
+    "dropped second row": (HEADER + ROW + ROW.replace("0.0,", "0.002,", 1)
+                           + ROW.replace("0.0,", "0.003,", 1), 3),
 }
 
 
