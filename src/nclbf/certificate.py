@@ -18,6 +18,9 @@ import numpy as np
 
 from .scenario import ScenarioConfig, ScenarioError, boundary_radius_sq
 
+# |L - x.cbar| up to this counts as on the contact set (contact_condition).
+CONTACT_TOL = 1e-9
+
 # Region kinds of the row-batched labels; KINDS[code] is RegionLabel.kind.
 KINDS = ("R1", "R2", "R3", "UNSAFE")
 R1, R2, R3, UNSAFE = range(4)
@@ -37,6 +40,12 @@ def row_vecmat(a: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ G)[:, 0, :]
 
 
+def v_from_gap(L: float, h: float) -> float:
+    """V = max(L, max_i B_i) from L and dominant_gap's h: the one form that
+    the engine records and Certificate.V evaluates."""
+    return L + h if h > 0.0 else L
+
+
 @dataclass(frozen=True)
 class RegionLabel:
     """One of R1(i) (barrier i dominates), R2, R3(i) (band), UNSAFE(i)."""
@@ -45,7 +54,7 @@ class RegionLabel:
     index: int | None = None  # 0-based obstacle index; None for R2
 
     def __post_init__(self):
-        if self.kind not in ("R1", "R2", "R3", "UNSAFE"):
+        if self.kind not in KINDS:
             raise ValueError(f"bad region kind {self.kind!r}")
         if (self.index is None) != (self.kind == "R2"):
             raise ValueError("index required exactly for R1/R3/UNSAFE")
@@ -80,10 +89,11 @@ class BoundarySphere:
 
 
 class Certificate:
-    """Evaluator for V = max(L, max_i B_i) over a scenario's obstacles."""
+    """Evaluator for V = max(L, max_i B_i) and the band of a scenario."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        self.eps_band = config.integrator.eps_band
         self.n = config.n
         self.n_obstacles = config.n_obstacles
         self.centers = np.array([ob.center for ob in config.obstacles])        # (N, n)
@@ -91,6 +101,7 @@ class Certificate:
         self.eta2 = np.array([pa.eta2 for pa in config.params])                # (N,)
         self.radii_sq = np.array([ob.radius_sq for ob in config.obstacles])    # (N,)
         self.radii = np.sqrt(self.radii_sq)
+        self.phis = np.array([self.phi(j) for j in range(self.n_obstacles)])  # (N,)
         # plain-float copies for dominant_gap, the simulator's hot path
         self._obstacles = tuple(zip(self.centers.tolist(), self.eta1.tolist(),
                                     self.eta2.tolist()))
@@ -108,10 +119,6 @@ class Certificate:
     def grad_L(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * np.asarray(x, float)
 
-    def B_values(self, x: np.ndarray) -> np.ndarray:
-        d = x - self.centers
-        return self.eta2 - self.eta1 * np.einsum("ij,ij->i", d, d)
-
     def B(self, i: int, x: np.ndarray) -> float:
         d = x - self.centers[i]
         return float(self.eta2[i] - self.eta1[i] * d.dot(d))
@@ -122,7 +129,8 @@ class Certificate:
         return -2.0 * e1 * (x - self.centers[i])
 
     def V(self, x: np.ndarray) -> float:
-        return max(self.L(x), float(np.max(self.B_values(x))))
+        """V(x), equal bit for bit to the V the engine records at x."""
+        return v_from_gap(self.L(x), self.dominant_gap(x)[1])
 
     def gap(self, i: int, x: np.ndarray) -> float:
         """B_i(x) - L(x) for one given obstacle."""
@@ -181,19 +189,19 @@ class Certificate:
                 return j
         return None
 
-    def label(self, i: int, h: float, dds: list[float], eps_band: float) -> RegionLabel:
+    def label(self, i: int, h: float, dds: list[float]) -> RegionLabel:
         """Region from a dominant_gap result: unsafe test first, then band h."""
         u = self._first_unsafe(dds)
         if u is not None:
             return self._unsafe[u]
-        if h > eps_band:
+        if h > self.eps_band:
             return self._r1[i]
-        if -h > eps_band:
+        if -h > self.eps_band:
             return self._r2
         return self._r3[i]
 
-    def label_rows(self, i: np.ndarray, h: np.ndarray, dds: np.ndarray,
-                   eps_band: float) -> tuple[np.ndarray, np.ndarray]:
+    def label_rows(self, i: np.ndarray, h: np.ndarray,
+                   dds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """label for every row of a dominant_gap_rows result: (kind, index).
 
         kind holds codes into KINDS; index is the first unsafe obstacle for
@@ -201,14 +209,14 @@ class Certificate:
         """
         inside = dds < self.radii_sq
         unsafe = inside.any(axis=1)
-        kind = np.where(h > eps_band, R1, np.where(-h > eps_band, R2, R3))
+        kind = np.where(h > self.eps_band, R1, np.where(-h > self.eps_band, R2, R3))
         kind[unsafe] = UNSAFE
         index = np.where(unsafe, inside.argmax(axis=1), i)
         return kind, index
 
-    def classify(self, x: np.ndarray, eps_band: float) -> RegionLabel:
+    def classify(self, x: np.ndarray) -> RegionLabel:
         """Region of x: unsafe balls first, then the band on max_i B_i - L."""
-        return self.label(*self.dominant_gap(x), eps_band)
+        return self.label(*self.dominant_gap(x))
 
     def unsafe_index(self, x: np.ndarray) -> int | None:
         """Index of an obstacle whose open ball contains x, else None."""
@@ -218,13 +226,13 @@ class Certificate:
         """argmax_i B_i(x); ties break to the lowest index."""
         return self.dominant_gap(x)[0]
 
-    def admissible(self, x: np.ndarray, eps_band: float) -> tuple[bool, str]:
+    def admissible(self, x: np.ndarray) -> tuple[bool, str]:
         """Outside every obstacle and B_i - L <= -eps_band for every i."""
         i, h, dds = self.dominant_gap(x)
         u = self._first_unsafe(dds)
         if u is not None:
             return False, f"inside obstacle {u}"
-        if h > -eps_band:
+        if h > -self.eps_band:
             return False, f"in barrier region of obstacle {i}"
         return True, "stabilizer region"
 
@@ -279,25 +287,24 @@ class Certificate:
         a, b = base + t * perp, base - t * perp
         return (a, b) if a[0] >= b[0] else (b, a)
 
-    def contact_condition(self, i: int, x: np.ndarray, tol: float = 1e-9) -> bool:
+    def contact_condition(self, i: int, x: np.ndarray) -> bool:
         """General-n membership test for the contact set: ||x||^2 = x.cbar."""
         cbar = self.boundary_sphere(i).center
-        return abs(self.L(x) - float(x @ cbar)) <= tol
+        return abs(self.L(x) - float(x @ cbar)) <= CONTACT_TOL
 
-    def in_shrunk_band(self, x: np.ndarray, i: int, eps_band: float) -> bool:
-        """|B_i - L| <= eps_band and ||x||^2 < phi(c_i)."""
-        return abs(self.gap(i, x)) <= eps_band and self.L(x) < self.phi(i)
+    def in_shrunk_band(self, x: np.ndarray, i: int) -> bool:
+        """x in the shrunk band of obstacle i: shrunk_band_rows for one row."""
+        return bool(self.shrunk_band_rows(i, x[None, :])[0])
 
-    def shrunk_band_rows(self, i: int | np.ndarray, X: np.ndarray,
-                         eps_band: float) -> np.ndarray:
-        """in_shrunk_band for every row of X, bit for bit; i as in grad_B."""
+    def shrunk_band_rows(self, i: int | np.ndarray, X: np.ndarray) -> np.ndarray:
+        """|B_i - L| <= eps_band and ||x||^2 < phi(c_i) for every row of X;
+        i is one obstacle index or an array of one per row, as in grad_B."""
         D = X - self.centers[i]
         L = row_dot(X, X)
         gap = (self.eta2[i] - self.eta1[i] * row_dot(D, D)) - L
-        phi = np.array([self.phi(j) for j in range(self.n_obstacles)])
-        return (np.abs(gap) <= eps_band) & (L < phi[i])
+        return (np.abs(gap) <= self.eps_band) & (L < self.phis[i])
 
-    def shrunk_band_margin(self, i: int, eps_band: float) -> float:
+    def shrunk_band_margin(self, i: int) -> float:
         """Tangency-cone margin on phi for trajectory checks.
 
         Along the tangent ray through a contact point, |B - L| = (1+eta1)*phi*s^2
@@ -305,4 +312,4 @@ class Certificate:
         2*sqrt(eps_band*phi/(1+eta1)) of phi without being on the surface.
         """
         p = self.phi(i)
-        return 3.0 * math.sqrt(eps_band * max(p, 0.0) / (1.0 + self.eta1[i]))
+        return 3.0 * math.sqrt(self.eps_band * max(p, 0.0) / (1.0 + self.eta1[i]))

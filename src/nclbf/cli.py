@@ -21,7 +21,7 @@ from .scenario import (BUILTIN_SCENARIOS, IntegratorSettings, ScenarioConfig,
                        ScenarioError, builtin_scenario, load_scenario,
                        validate_params)
 from .systems import resolve_system
-from .verify import check_assumptions
+from .verify import ASSUMPTIONS_RESOLUTION, DECREASE_RESOLUTION, check_assumptions
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -167,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the lambdas look check_assumptions up when called, so patching cli's name works
     for name, text, resolution, fn in (
-            ("verify-derivative", "grid check of the decreasing condition", 201,
+            ("verify-derivative", "grid check of the decreasing condition", DECREASE_RESOLUTION,
              _report_command(lambda c, a: verify.grid_decrease_check(
                  c, resolution=a.resolution))),
-            ("check-assumptions", "sampled structural checks of f and g", 101,
+            ("check-assumptions", "sampled structural checks of f and g", ASSUMPTIONS_RESOLUTION,
              _report_command(lambda c, a: check_assumptions(
                  resolve_system(c), c, grid_resolution=a.resolution))),
             ("geometry", "virtual-boundary geometry per obstacle", None, _cmd_geometry),

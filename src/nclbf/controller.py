@@ -38,16 +38,22 @@ def mu(y: np.ndarray) -> np.ndarray:
         raise ZeroDivisionError("mu undefined for the zero vector")
     return y / n2
 
-def mu_bar(y: np.ndarray, tol: float = TOL_G) -> tuple[np.ndarray, np.ndarray]:
+def mu_bar(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise reciprocal with masking: (vector, active mask).
 
-    Component j is 1/y_j when |y_j| > tol and 0 (inactive) otherwise.
+    Component j is 1/y_j when |y_j| > TOL_G and 0 (inactive) otherwise.
     """
     y = np.asarray(y, float)
-    active = np.abs(y) > tol
+    active = np.abs(y) > TOL_G
     out = np.zeros_like(y)
     out[active] = 1.0 / y[active]
     return out, active
+
+
+def band_takes_kappa1(prev: RegionLabel, i) -> bool:
+    """The band rule: the barrier law resolves the band of obstacle i exactly
+    when prev is R1 of i.  For an index array i the result is per row."""
+    return prev.kind == "R1" and prev.index == i
 
 
 @dataclass(frozen=True)
@@ -60,15 +66,12 @@ class ControlDecision:
 class Controller:
     """Bundles system, certificate, and gains; all methods are pure in x."""
 
-    tol_g = TOL_G
-
     def __init__(self, system: ControlAffineSystem, certificate: Certificate,
                  config: ScenarioConfig):
         self.system = system
         self.cert = certificate
         self.gamma = config.gains.gamma
         self.c1 = [pa.c1 for pa in config.params]
-        self.eps_band = config.integrator.eps_band
 
     def kappa1(self, i: int, x: np.ndarray, f0: np.ndarray | None = None,
                g0: np.ndarray | None = None) -> np.ndarray:
@@ -78,9 +81,9 @@ class Controller:
         gB = self.cert.grad_B(i, x)
         Bf = float(gB.dot(f0))
         Bg = gB.dot(g0)
-        if math.sqrt(float(Bg.dot(Bg))) <= self.tol_g:
+        if math.sqrt(float(Bg.dot(Bg))) <= TOL_G:
             return np.zeros(self.system.m)
-        bar, _ = mu_bar(Bg, self.tol_g)
+        bar, _ = mu_bar(Bg)
         return -mu(Bg) * Bf - self.c1[i] * bar * self.cert.L(x)
 
     def kappa2(self, x: np.ndarray, f0: np.ndarray | None = None,
@@ -92,7 +95,7 @@ class Controller:
         Lf = float(gL.dot(f0))
         Lg = gL.dot(g0)
         n2 = float(Lg.dot(Lg))
-        if math.sqrt(n2) <= self.tol_g:
+        if math.sqrt(n2) <= TOL_G:
             return np.zeros(self.system.m)
         return -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2)) * (Lg / n2)
 
@@ -104,10 +107,10 @@ class Controller:
         Bf = row_dot(gB, F)
         Bg = row_vecmat(gB, G)
         n2 = row_dot(Bg, Bg)
-        live = np.sqrt(n2) > self.tol_g
+        live = np.sqrt(n2) > TOL_G
         Bf, Bg, n2 = Bf[live, None], Bg[live], n2[live, None]
         bar = np.zeros_like(Bg)
-        np.divide(1.0, Bg, out=bar, where=np.abs(Bg) > self.tol_g)
+        np.divide(1.0, Bg, out=bar, where=np.abs(Bg) > TOL_G)
         c1 = np.broadcast_to(np.asarray(self.c1)[i], (len(X), self.system.m))[live]
         U = np.zeros((len(X), self.system.m))
         U[live] = -(Bg / n2) * Bf - c1 * bar * row_dot(X[live], X[live])[:, None]
@@ -119,7 +122,7 @@ class Controller:
         Lf = row_dot(gL, F)
         Lg = row_vecmat(gL, G)
         n2 = row_dot(Lg, Lg)
-        live = np.sqrt(n2) > self.tol_g
+        live = np.sqrt(n2) > TOL_G
         Lf, Lg, n2 = Lf[live], Lg[live], n2[live]
         U = np.zeros((len(X), self.system.m))
         U[live] = (-(Lf + np.sqrt(Lf * Lf + self.gamma * n2 * n2)))[:, None] * (Lg / n2[:, None])
@@ -131,7 +134,7 @@ class Controller:
         if prev.kind == "UNSAFE":
             raise MemoryStateError("previous sample inside an unsafe ball; "
                                    "the safety monitor should have halted")
-        if prev.kind == "R1" and prev.index == i:
+        if band_takes_kappa1(prev, i):
             return self.kappa1(i, x, f0, g0)
         # prev R2, prev R3 (sliding), and cross-obstacle histories all fall
         # through to the stabilizer; the spheres are disjoint so cross-obstacle
@@ -141,8 +144,8 @@ class Controller:
     def dispatch(self, region: RegionLabel, x: np.ndarray, prev: RegionLabel,
                  f0: np.ndarray | None = None,
                  g0: np.ndarray | None = None) -> ControlDecision:
-        """Control for x, whose region is cert.classify(x, eps_band); prev is
-        the previous sample's region, which resolves the band."""
+        """Control for x, whose region is cert.classify(x); prev is the
+        previous sample's region, which resolves the band."""
         if region.kind == "UNSAFE":
             raise SafetyViolationError(
                 f"state inside unsafe ball {region.index} (obstacle {region.index + 1})")
@@ -152,7 +155,7 @@ class Controller:
         if region.kind == "R2":
             return ControlDecision(self.kappa2(x, f0, g0), "K2", region)
         u = self.kappa3(region.index, x, prev, f0, g0)
-        branch = "K1" if (prev.kind == "R1" and prev.index == region.index) else "K2"
+        branch = "K1" if band_takes_kappa1(prev, region.index) else "K2"
         return ControlDecision(u, f"K3:{region.index + 1}>{branch}", region)
 
 

@@ -321,7 +321,7 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
     from .certificate import Certificate  # certificate imports this module
     cert = Certificate(config)
     for k, x0 in enumerate(config.initial_states):
-        ok, why = cert.admissible(x0, config.integrator.eps_band)
+        ok, why = cert.admissible(x0)
         checks.append(ValidationCheck(f"initial_state[{k}] admissible ({why})",
                                       ok, float(np.linalg.norm(x0)), 0.0, 0.0))
     return ValidationReport(checks=tuple(checks), notes=(

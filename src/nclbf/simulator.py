@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import RegionLabel, row_dot
+from .certificate import RegionLabel, row_dot, v_from_gap
 from .controller import make_controller
 from .scenario import ScenarioConfig
 from .systems import ControlAffineSystem, resolve_system
@@ -180,8 +180,7 @@ class _Engine:
         self.ctrl = make_controller(config, system)
         self.cert = self.ctrl.cert
         self.dt = config.integrator.dt
-        self.eps_band = config.integrator.eps_band
-        self.h_floor = -0.25 * self.eps_band
+        self.h_floor = -0.25 * self.cert.eps_band
         self.prev: RegionLabel | None = None
         self.forced_k1 = -1
         self.slide = _SlideState()
@@ -313,12 +312,12 @@ class _Engine:
                 slide.sub = min(slide.sub * 2.0, self.dt)
                 continue
 
-            if self.forced_k1 == i and abs(h) <= self.eps_band:
+            if self.forced_k1 == i and abs(h) <= self.cert.eps_band:
                 u, law = self.ctrl.kappa1(i, x, f0, g0), f"K1:{i + 1}"
             else:
                 self.forced_k1 = -1
                 if region is None:
-                    region = self.cert.label(i, h, dd, self.eps_band)
+                    region = self.cert.label(i, h, dd)
                 dec = self.ctrl.dispatch(region, x, self.prev, f0, g0)
                 u, law = dec.u, dec.law
             if u_first is None:
@@ -356,7 +355,7 @@ class _Engine:
         """Simulate from x0 until convergence, timeout, or violation."""
         cols = ([], [], [], [], [], [])   # t, x, u, V, region, law
         outcome = Outcome("init_rejected")
-        if override_init or self.cert.admissible(x0, self.eps_band)[0]:
+        if override_init or self.cert.admissible(x0)[0]:
             outcome = self._loop(x0.copy(), cols)
         t, x, u, V, region, law = cols
         X = np.array(x, float).reshape(-1, self.system.n)
@@ -375,15 +374,15 @@ class _Engine:
         integ = self.config.integrator
         eps_conv_sq = integ.eps_conv ** 2
         n_steps = int(round(integ.t_max / integ.dt))
-        self.prev = cert.classify(x, integ.eps_band)
+        self.prev = cert.classify(x)
         k = 0
         i, h, dd = cert.dominant_gap(x)
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 t = k * integ.dt
                 L = cert.L(x)
-                region = cert.label(i, h, dd, integ.eps_band)
-                t_(t), x_(x), V_(L + h if h > 0.0 else L), region_(region)
+                region = cert.label(i, h, dd)
+                t_(t), x_(x), V_(v_from_gap(L, h)), region_(region)
                 if region.kind == "UNSAFE":
                     u_(np.zeros(self.system.m)), law_("-")
                     return Outcome("safety_violation", t=t, obstacle=region.index)

@@ -3,11 +3,11 @@
 The grid checks of the decreasing condition (grid_decrease_check) and of the
 drift conditions on f and g (check_assumptions) share one degenerate rule.
 
-The upper generalized derivative of V along the closed loop takes the
-barrier-side form in R1, the stabilizer-side form in R2, and is resolved in
-the band through the previous-sample region; without a history the
-conservative max of the two one-sided forms is used (the exact algebraic
-value of 0.5*(d1+d2) + 0.5*|d1-d2|).
+The upper generalized derivative of V along the closed loop, derivative_rows,
+takes the barrier-side form in R1, the stabilizer-side form in R2, and in the
+band the side the band rule picks from the previous-sample region; without a
+history the conservative max of the two (0.5*(d1+d2) + 0.5*|d1-d2|).  Check
+(d) applies it to a record's smooth steps; upper_derivative is one row.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from functools import partial
 
 import numpy as np
 
-from .certificate import (R1, R2, R3, UNSAFE, Certificate, RegionLabel, row_dot,
-                          row_vecmat)
-from .controller import Controller, make_controller
+from .certificate import (KINDS, R1, R2, R3, UNSAFE, Certificate, RegionLabel,
+                          row_dot, row_vecmat)
+from .controller import TOL_G, Controller, band_takes_kappa1, make_controller
 from .scenario import ScenarioConfig
 from .simulator import TrajectoryRecord
 from .systems import ControlAffineSystem
@@ -30,42 +30,35 @@ from .systems import ControlAffineSystem
 class DerivativeBreakdown:
     region: RegionLabel
     d_value: float
-    components: dict
-    h2: float
 
-    def to_dict(self) -> dict:
-        return {"region": self.region.code, "d_value": self.d_value,
-                "components": dict(self.components), "h2": self.h2}
+
+def derivative_rows(ctrl: Controller, X: np.ndarray, U: np.ndarray,
+                    prev: RegionLabel | None = None) -> tuple[np.ndarray, ...]:
+    """The generalized derivative of V at rows X (P, n) under inputs U (P, m),
+    with the rows' label_rows result: (kind, index, d).  V = B of the row's
+    obstacle in R1 and UNSAFE (B dominates L on and inside the ball) and V = L
+    in R2; prev, the previous sample's region or None, resolves the band."""
+    cert = ctrl.cert
+    kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
+    F, G = field_rows(ctrl.system, X)
+    F = F + (G @ U[:, :, None])[:, :, 0]
+    d1 = row_dot(cert.grad_B(index, X), F)
+    d2 = row_dot(cert.grad_L(X), F)
+    if prev is None:
+        band = 0.5 * (d1 + d2) + 0.5 * np.abs(d1 - d2)
+    else:
+        band = np.where(band_takes_kappa1(prev, index), d1, d2)
+    d = np.where((kind == R1) | (kind == UNSAFE), d1, np.where(kind == R2, d2, band))
+    return kind, index, d
 
 
 def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
                      prev: RegionLabel | None = None) -> DerivativeBreakdown:
-    """Evaluate the generalized derivative of V at x under input u; prev,
-    the previous sample's region, resolves the band (None: no history)."""
-    cert = ctrl.cert
-    region = cert.classify(x, ctrl.eps_band)
-    i = region.index if region.index is not None else cert.dominant_obstacle(x)
-    f0, g0 = ctrl.system.f(x), ctrl.system.g(x)
-    F = f0 + g0 @ u
-    gB = cert.grad_B(i, x)
-    gL = cert.grad_L(x)
-    d1 = float(gB @ F)
-    d2 = float(gL @ F)
-    comps = {"B_f": float(gB @ f0),
-             "B_g_u": float((gB @ g0) @ u),
-             "L_f": float(gL @ f0),
-             "L_g_u": float((gL @ g0) @ u)}
-    h2 = cert.gap(i, x)
-
-    if region.kind in ("R1", "UNSAFE"):
-        d = d1  # B dominates L on and inside the ball, so V = B there
-    elif region.kind == "R2":
-        d = d2
-    elif prev is None:
-        d = 0.5 * (d1 + d2) + 0.5 * abs(d1 - d2)
-    else:
-        d = d1 if (prev.kind == "R1" and prev.index == i) else d2
-    return DerivativeBreakdown(region=region, d_value=d, components=comps, h2=h2)
+    """derivative_rows for the one row x under input u: its region and value."""
+    kind, index, d = derivative_rows(ctrl, np.atleast_2d(x), np.atleast_2d(u), prev)
+    k = int(kind[0])
+    return DerivativeBreakdown(RegionLabel(KINDS[k], None if k == R2 else int(index[0])),
+                               float(d[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +67,11 @@ def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
 
 # Drift derivatives up to this count as nonpositive at degenerate points.
 TOL_F = 1e-9
+
+# Default grid points per axis of grid_decrease_check and check_assumptions,
+# which the CLI's --resolution options share.
+DECREASE_RESOLUTION = 201
+ASSUMPTIONS_RESOLUTION = 101
 
 # Grid checks evaluate this many rows per array pass, which bounds their
 # temporaries; ties across blocks still go to the first row in grid order.
@@ -161,7 +159,7 @@ class DecreaseReport:
                 "degenerate_escapes_in_finite_time": self.degenerate_escapes}
 
 
-def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
+def grid_decrease_check(config: ScenarioConfig, resolution: int = DECREASE_RESOLUTION,
                         controller: Controller | None = None) -> DecreaseReport:
     """min over the grid of -dV/||x||^2 under the dispatched controller.
 
@@ -193,10 +191,10 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
     for lo in range(0, len(pts), BLOCK_ROWS):
         X = pts[lo:lo + BLOCK_ROWS]
         L = row_dot(X, X)
-        kind, index = cert.label_rows(*cert.dominant_gap_rows(X), integ.eps_band)
+        kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
         origin = L <= integ.eps_conv ** 2
         unsafe = ~origin & (kind == UNSAFE)
-        shrunk = ~origin & (kind == R3) & cert.shrunk_band_rows(index, X, integ.eps_band)
+        shrunk = ~origin & (kind == R3) & cert.shrunk_band_rows(index, X)
         counts["excluded_origin_ball"] += int(origin.sum())
         counts["excluded_unsafe"] += int(unsafe.sum())
         counts["excluded_shrunk_band"] += int(shrunk.sum())
@@ -218,7 +216,7 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = 201,
                 grad = cert.grad_B(obstacle[r], Xr)
                 U = ctrl.kappa1_rows(obstacle[r], Xr, Fr, Gr)
             norm, drift[s, r] = _row_terms(grad, Fr, Gr)
-            live[s, r] = norm > ctrl.tol_g
+            live[s, r] = norm > TOL_G
             d[s, r] = np.where(live[s, r], row_dot(grad, Fr + (Gr @ U[:, :, None])[:, :, 0]),
                                0.0)
 
@@ -295,7 +293,7 @@ class AssumptionReport:
 
 
 def check_assumptions(system: ControlAffineSystem, config: ScenarioConfig,
-                      grid_resolution: int = 101) -> AssumptionReport:
+                      grid_resolution: int = ASSUMPTIONS_RESOLUTION) -> AssumptionReport:
     """Grid-sampled necessary checks of the drift conditions.
 
     At grid points where the relevant gradient-control row vanishes (below a
@@ -324,8 +322,7 @@ def check_assumptions(system: ControlAffineSystem, config: ScenarioConfig,
         svals[span] = np.linalg.svd(G, compute_uv=False)[:, -1]
         fields_finite = fields_finite and bool(np.all(np.isfinite(F))
                                                and np.all(np.isfinite(G)))
-        kind[span], index[span] = cert.label_rows(*cert.dominant_gap_rows(X),
-                                                  config.integrator.eps_band)
+        kind[span], index[span] = cert.label_rows(*cert.dominant_gap_rows(X))
         grads = [cert.grad_L(X)] + [cert.grad_B(i, X) for i in range(config.n_obstacles)]
         for r, grad in enumerate(grads):
             norms[r, span], drifts[r, span] = _row_terms(grad, F, G)
@@ -411,14 +408,13 @@ def record_checks(record: TrajectoryRecord, eps_conv: float) -> list[InvariantCh
     return checks
 
 
-def shrunk_band_check(record: TrajectoryRecord, cert: Certificate,
-                      eps_band: float) -> InvariantCheck:
-    """Invariant check (c): no sample with |B_i - L| <= eps_band and ||x||^2
+def shrunk_band_check(record: TrajectoryRecord, cert: Certificate) -> InvariantCheck:
+    """Invariant check (c): no sample in the shrunk band of cert with ||x||^2
     below phi_i by more than the tangency-cone margin; hits count (sample,
     obstacle) pairs."""
     L = row_dot(record.x, record.x)
-    hits = sum(cert.shrunk_band_rows(i, record.x, eps_band)
-               & (L < cert.phi(i) - cert.shrunk_band_margin(i, eps_band))
+    hits = sum(cert.shrunk_band_rows(i, record.x)
+               & (L < cert.phis[i] - cert.shrunk_band_margin(i))
                for i in range(cert.n_obstacles))
     n_hits = int(np.sum(hits))
     return InvariantCheck(
@@ -430,29 +426,20 @@ def shrunk_band_check(record: TrajectoryRecord, cert: Certificate,
 
 def fd_constant(record: TrajectoryRecord, ctrl: Controller,
                 eps_conv: float) -> tuple[float, int]:
-    """Invariant check (d): max(0, (V_k+1 - V_k)/dt - upper_derivative(ctrl,
-    x_k, u_k)) / dt over the smooth steps (both samples in one region, not
-    the band, ||x_k|| > eps_conv), and their count; dt = t[1] - t[0]."""
-    cert = ctrl.cert
+    """Invariant check (d): max(0, (V_k+1 - V_k)/dt - d_k) / dt over the smooth
+    steps (both samples in one region, not the band, ||x_k|| > eps_conv), and
+    their count; d_k is derivative_rows(ctrl, x_k, u_k), dt = t[1] - t[0]."""
     codes = {r: k for k, r in enumerate(set(record.region))}
     code = np.fromiter(map(codes.__getitem__, record.region), int, len(record))
     band = np.array([r.kind == "R3" for r in codes])[code]
     smooth = (code[:-1] == code[1:]) & ~band[:-1] & record.outside_ball(eps_conv)[:-1]
     if not smooth.any():
         return 0.0, 0
-    X, U = record.x[:-1][smooth], record.u[:-1][smooth]
-    # the region and obstacle upper_derivative picks from x itself
-    kind, index = cert.label_rows(*cert.dominant_gap_rows(X), ctrl.eps_band)
-    F, G = field_rows(ctrl.system, X)
-    F = F + (G @ U[:, :, None])[:, :, 0]
-    d1 = row_dot(cert.grad_B(index, X), F)
-    d2 = row_dot(cert.grad_L(X), F)
-    d = np.where((kind == R1) | (kind == UNSAFE), d1,
-                 np.where(kind == R2, d2, 0.5 * (d1 + d2) + 0.5 * np.abs(d1 - d2)))
+    _, _, d = derivative_rows(ctrl, record.x[:-1][smooth], record.u[:-1][smooth])
     dt = float(record.t[1] - record.t[0])
     resid = np.diff(record.V)[smooth] / dt - d
     resid = resid[resid > 0.0]
-    return (float(resid.max()) if resid.size else 0.0) / dt, len(X)
+    return (float(resid.max()) if resid.size else 0.0) / dt, len(d)
 
 
 def trajectory_invariants(record: TrajectoryRecord,
@@ -472,7 +459,7 @@ def trajectory_invariants(record: TrajectoryRecord,
     C, n_smooth = fd_constant(record, ctrl, integ.eps_conv)
     return InvariantReport(checks=(
         *record_checks(record, integ.eps_conv),
-        shrunk_band_check(record, ctrl.cert, integ.eps_band),
+        shrunk_band_check(record, ctrl.cert),
         InvariantCheck(
             "finite-difference consistency: (V_k+1 - V_k)/dt <= upper derivative + C*dt",
             True, f"C = {C:.6g} over {n_smooth} smooth steps")), fd_constant=C)

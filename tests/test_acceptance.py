@@ -103,7 +103,7 @@ def test_criterion_5_shrunk_band_and_exit_points(cfg_a, records_a):
     cert = Certificate(cfg_a)
     eps_band = cfg_a.integrator.eps_band
     phi = cert.phi(0)
-    margin = cert.shrunk_band_margin(0, eps_band)
+    margin = cert.shrunk_band_margin(0)
     contacts = cert.contact_points_2d(0)
 
     starts = [tuple(map(float, x)) for x in cfg_a.initial_states] + list(EXTRA_A_STARTS)
@@ -188,7 +188,7 @@ def _sample_r1_points(ctrl, rng, count):
     pts = []
     while len(pts) < count:
         x = sph.center + rng.uniform(-1, 1, size=2) * sph.radius
-        lab = cert.classify(x, 1e-3)
+        lab = cert.classify(x)
         if lab != RegionLabel("R1", 0):
             continue
         Bg = cert.grad_B(0, x) @ ctrl.system.g(x)
@@ -212,7 +212,7 @@ def test_criterion_7_closed_loop_identities(cfg_a):
     count = 0
     while count < 1000:
         x = rng.uniform(-5, 5, size=2)
-        if cert.classify(x, 1e-3) != RegionLabel("R2") or np.linalg.norm(x) < 1e-3:
+        if cert.classify(x) != RegionLabel("R2") or np.linalg.norm(x) < 1e-3:
             continue
         count += 1
         u = ctrl.kappa2(x)

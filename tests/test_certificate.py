@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,17 @@ def cert_a():
 @pytest.fixture(scope="module")
 def cert_b():
     return Certificate(builtin_scenario("nonlinear_mech_three"))
+
+
+def B_values(cert, x):
+    """Every B_i(x) as one einsum, a spelling independent of the certificate's."""
+    d = x - cert.centers
+    return cert.eta2 - cert.eta1 * np.einsum("ij,ij->i", d, d)
+
+
+def in_shrunk_band_oracle(cert, x, i):
+    """The shrunk-band test for one point as a scalar expression."""
+    return abs(cert.gap(i, x)) <= cert.eps_band and cert.L(x) < cert.phi(i)
 
 
 def sphere_point(cert, i, theta):
@@ -49,26 +61,29 @@ class TestFields:
 
 class TestClassify:
     def test_origin_is_stabilizer_region(self, cert_a):
-        assert cert_a.classify(np.zeros(2), 1e-3) == RegionLabel("R2")
+        assert cert_a.classify(np.zeros(2)) == RegionLabel("R2")
 
     def test_barrier_region_point(self, cert_a):
         # (2, 3.2) sits inside the unsafe ball itself; (2, 3.5) is barrier-side
-        assert cert_a.classify(np.array([2.0, 3.5]), 1e-3) == RegionLabel("R1", 0)
+        assert cert_a.classify(np.array([2.0, 3.5])) == RegionLabel("R1", 0)
 
     def test_obstacle_center_unsafe(self, cert_a):
-        assert cert_a.classify(np.array([2.0, 2.0]), 1e-3) == RegionLabel("UNSAFE", 0)
+        assert cert_a.classify(np.array([2.0, 2.0])) == RegionLabel("UNSAFE", 0)
 
     def test_point_on_boundary_sphere_is_band(self, cert_a):
         x = sphere_point(cert_a, 0, 1.3)
         assert abs(cert_a.B(0, x) - cert_a.L(x)) < 1e-10
-        assert cert_a.classify(x, 1e-3) == RegionLabel("R3", 0)
+        assert cert_a.classify(x) == RegionLabel("R3", 0)
 
     def test_partition_with_tiny_band(self, cert_a):
+        config = cert_a.config
+        cert = Certificate(dataclasses.replace(
+            config, integrator=dataclasses.replace(config.integrator, eps_band=1e-12)))
         rng = np.random.default_rng(3)
         counts = {"R1": 0, "R2": 0, "R3": 0, "UNSAFE": 0}
         for _ in range(4000):
             x = rng.uniform(-5, 5, size=2)
-            counts[cert_a.classify(x, 1e-12).kind] += 1
+            counts[cert.classify(x).kind] += 1
         assert counts["R3"] == 0  # measure-zero surface is never hit
         assert counts["R1"] > 0 and counts["R2"] > 0 and counts["UNSAFE"] > 0
 
@@ -94,7 +109,6 @@ class TestBoundarySphere:
         ob = ObstacleSpec(center=np.array([2.0, 2.0]), radius_sq=2.0)
         pa = ObstacleParams.resolve(ob, eta1=1e6, c1=[1.0, 1.0], w=1.0)
         cfg = builtin_scenario("linear2d_single")
-        import dataclasses
         cert = Certificate(dataclasses.replace(cfg, params=(pa,)))
         assert np.allclose(cert.boundary_sphere(0).center, ob.center, atol=1e-4)
 
@@ -121,7 +135,6 @@ class TestBufferWidth:
         assert inner + bw * bw == pytest.approx(rbar, rel=1e-12)
 
     def test_identity_randomized(self):
-        import dataclasses
         rng = np.random.default_rng(23)
         base = builtin_scenario("linear2d_single")
         for _ in range(100):
@@ -142,7 +155,6 @@ class TestBufferWidth:
         ob = ObstacleSpec(center=np.array([2.0, 2.0]), radius_sq=2.0)
         w = 1e-10
         pa = ObstacleParams.resolve(ob, eta1=9.0, c1=[1.0, 1.0], w=w)
-        import dataclasses
         cert = Certificate(dataclasses.replace(
             builtin_scenario("linear2d_single"), obstacles=(ob,), params=(pa,)))
         assert cert.buffer_width(0) == pytest.approx(math.sqrt(w / 10.0), rel=1e-9)
@@ -150,7 +162,6 @@ class TestBufferWidth:
     def test_no_positive_buffer_error(self):
         ob = ObstacleSpec(center=np.array([2.0, 2.0]), radius_sq=2.0)
         pa = ObstacleParams(eta1=9.0, eta2=9.0 * 2.0 + 18.0 - 0.5, c1=np.array([1.0, 1.0]))
-        import dataclasses
         cert = Certificate(dataclasses.replace(
             builtin_scenario("linear2d_single"), obstacles=(ob,), params=(pa,)))
         with pytest.raises(ScenarioError, match="no positive buffer"):
@@ -170,7 +181,6 @@ class TestPhi:
     def test_vanishes_at_eta2_upper_bound(self):
         ob = ObstacleSpec(center=np.array([2.0, 2.0]), radius_sq=2.0)
         pa = ObstacleParams(eta1=9.0, eta2=9.0 * 8.0 - 1e-6, c1=np.array([1.0, 1.0]))
-        import dataclasses
         cert = Certificate(dataclasses.replace(
             builtin_scenario("linear2d_single"), obstacles=(ob,), params=(pa,)))
         assert 0 < cert.phi(0) < 1e-6
@@ -189,12 +199,11 @@ class TestContactPoints:
             assert abs(cert_a.L(p) - phi) < 1e-9
             assert abs(float((p - sph.center) @ (p - sph.center)) - sph.radius_sq) < 1e-9
             assert abs(cert_a.L(p) - float(p @ sph.center)) < 1e-9
-            assert cert_a.contact_condition(0, p, tol=1e-9)
+            assert cert_a.contact_condition(0, p)
 
     def test_axis_obstacle_symmetry(self):
         ob = ObstacleSpec(center=np.array([3.0, 0.0]), radius_sq=1.0)
         pa = ObstacleParams.resolve(ob, eta1=8.0, c1=[1.0, 1.0], w=0.5)
-        import dataclasses
         cert = Certificate(dataclasses.replace(
             builtin_scenario("linear2d_single"), obstacles=(ob,), params=(pa,)))
         a, b = cert.contact_points_2d(0)
@@ -202,7 +211,6 @@ class TestContactPoints:
         assert a[1] == pytest.approx(-b[1], rel=1e-12)
 
     def test_dimension_error(self, cert_a):
-        import dataclasses
         cfg3 = dataclasses.replace(
             cert_a.config,
             state_box=np.array([[-5.0, 5.0]] * 3),
@@ -227,13 +235,13 @@ class TestShrunkBand:
     def test_sphere_point_below_phi_is_inside(self, cert_a):
         x = self.find_sphere_point_with_norm_sq(cert_a, 0, 1.0)
         assert cert_a.L(x) == pytest.approx(1.0, abs=1e-9)
-        assert cert_a.in_shrunk_band(x, 0, 1e-3)
+        assert cert_a.in_shrunk_band(x, 0)
 
     def test_contact_point_is_boundary(self, cert_a):
-        assert not cert_a.in_shrunk_band(np.array([1.87, 0.08]), 0, 1e-3)
+        assert not cert_a.in_shrunk_band(np.array([1.87, 0.08]), 0)
 
     def test_far_point_not_in_band(self, cert_a):
-        assert not cert_a.in_shrunk_band(np.array([5.0, 5.0]), 0, 1e-3)
+        assert not cert_a.in_shrunk_band(np.array([5.0, 5.0]), 0)
 
 
 class TestCertificateInvariants:
@@ -243,7 +251,7 @@ class TestCertificateInvariants:
         for x in pts:
             v = cert_a.V(x)
             L = cert_a.L(x)
-            b = float(np.max(cert_a.B_values(x)))
+            b = float(np.max(B_values(cert_a, x)))
             assert v >= 0.0
             assert (v >= L) == True  # noqa: E712 - v is max(L, ...)
             assert (v > L) == (b > L)
@@ -279,7 +287,7 @@ class TestSharedGapFormula:
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
     def test_classify_matches_array_rebuild(self, name):
         cert = Certificate(builtin_scenario(name))
-        eps = 1e-3
+        eps = cert.config.integrator.eps_band
         rng = np.random.default_rng(31)
         pts = np.concatenate([rng.uniform(-5, 5, size=(3000, 2)),
                               [sphere_point(cert, i, th) for i in range(cert.n_obstacles)
@@ -287,7 +295,7 @@ class TestSharedGapFormula:
         for x in pts:
             dd = np.sum((x - cert.centers) ** 2, axis=1)
             inside = np.nonzero(dd < cert.radii_sq)[0]
-            b = cert.B_values(x)
+            b = B_values(cert, x)
             i = int(np.argmax(b))
             h = float(b[i]) - cert.L(x)
             if inside.size:
@@ -296,7 +304,7 @@ class TestSharedGapFormula:
                 want = RegionLabel("R3", i)
             else:
                 want = RegionLabel("R1", i) if h > 0 else RegionLabel("R2")
-            assert cert.classify(x, eps) == want, x
+            assert cert.classify(x) == want, x
             assert cert.dominant_obstacle(x) == i
             assert cert.dominant_gap(x)[1] == pytest.approx(h, abs=1e-12)
             assert np.allclose(cert.min_dists(x), np.sqrt(dd) - cert.radii, atol=1e-12)
@@ -305,13 +313,13 @@ class TestSharedGapFormula:
     def test_admissible_matches_previous_rule(self, name):
         # outside every ball and B_i - L <= -eps_band for every obstacle
         cert = Certificate(builtin_scenario(name))
-        eps = 1e-3
+        eps = cert.config.integrator.eps_band
         rng = np.random.default_rng(37)
         for x in rng.uniform(-5, 5, size=(3000, 2)):
             dd = np.sum((x - cert.centers) ** 2, axis=1)
             want = (bool(np.all(dd >= cert.radii_sq))
-                    and bool(np.all(cert.B_values(x) - cert.L(x) <= -eps)))
-            ok, why = cert.admissible(x, eps)
+                    and bool(np.all(B_values(cert, x) - cert.L(x) <= -eps)))
+            ok, why = cert.admissible(x)
             assert ok == want, x
             assert (why == "stabilizer region") == ok
 
@@ -320,14 +328,14 @@ class TestRowBatchedTwins:
     """dominant_gap_rows/label_rows against dominant_gap/label, bit for bit."""
 
     @staticmethod
-    def assert_rows_match(cert, X, eps):
+    def assert_rows_match(cert, X):
         i, h, dds = cert.dominant_gap_rows(X)
-        kind, index = cert.label_rows(i, h, dds, eps)
+        kind, index = cert.label_rows(i, h, dds)
         for k, x in enumerate(X):
             si, sh, sdds = cert.dominant_gap(x)
             assert (int(i[k]), h[k].tobytes(), dds[k].tolist()) == (
                 si, np.float64(sh).tobytes(), sdds), x
-            lab = cert.label(si, sh, sdds, eps)
+            lab = cert.label(si, sh, sdds)
             got = RegionLabel(KINDS[kind[k]], None if kind[k] == R2 else int(index[k]))
             assert got == lab, x
 
@@ -338,30 +346,29 @@ class TestRowBatchedTwins:
         X = np.concatenate([rng.uniform(-5, 5, size=(3000, 2)),
                             [sphere_point(cert, i, th) for i in range(cert.n_obstacles)
                              for th in rng.uniform(0, 2 * math.pi, 200)]])
-        self.assert_rows_match(cert, X, 1e-3)
+        self.assert_rows_match(cert, X)
 
     def test_random_rows_three_dimensional(self, cfg_3d):
         cert = Certificate(cfg_3d)
         X = np.random.default_rng(43).uniform(-5, 5, size=(3000, 3))
-        self.assert_rows_match(cert, X, 1e-3)
+        self.assert_rows_match(cert, X)
 
     def test_exact_ties_go_to_the_lowest_index(self):
         # mirror-image obstacles: every point on the x1 axis has B_0 == B_1,
         # and near x1 = 3 both barriers dominate L (overlapping spheres)
-        import dataclasses
         base = builtin_scenario("linear2d_single")
         obs = tuple(ObstacleSpec(center=np.array([3.0, s]), radius_sq=0.5) for s in (1.0, -1.0))
         params = tuple(ObstacleParams.resolve(ob, eta1=2.0, c1=[1.0, 1.0], w=0.1)
                        for ob in obs)
         cert = Certificate(dataclasses.replace(base, obstacles=obs, params=params))
         X = np.stack([np.linspace(-5, 5, 401), np.zeros(401)], axis=1)
-        b = np.array([cert.B_values(x) for x in X])
+        b = np.array([B_values(cert, x) for x in X])
         assert np.array_equal(b[:, 0], b[:, 1])
         i, h, _ = cert.dominant_gap_rows(X)
         assert not i.any()
-        kind, _ = cert.label_rows(*cert.dominant_gap_rows(X), 1e-3)
+        kind, _ = cert.label_rows(*cert.dominant_gap_rows(X))
         assert {KINDS[k] for k in kind} >= {"R1", "R2"}
-        self.assert_rows_match(cert, X, 1e-3)
+        self.assert_rows_match(cert, X)
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
     def test_shrunk_band_rows(self, name):
@@ -370,8 +377,9 @@ class TestRowBatchedTwins:
         for i in range(cert.n_obstacles):
             X = np.array([sphere_point(cert, i, th) for th in rng.uniform(0, 2 * math.pi, 500)])
             X = X * rng.uniform(0.999, 1.001, size=(len(X), 1))
-            want = [cert.in_shrunk_band(x, i, 1e-3) for x in X]
-            assert cert.shrunk_band_rows(i, X, 1e-3).tolist() == want
+            want = [in_shrunk_band_oracle(cert, x, i) for x in X]
+            assert cert.shrunk_band_rows(i, X).tolist() == want
+            assert [cert.in_shrunk_band(x, i) for x in X] == want
             assert any(want) and not all(want)
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
@@ -383,8 +391,8 @@ class TestRowBatchedTwins:
                       for i, th in zip(index, rng.uniform(0, 2 * math.pi, len(index)))])
         X = X * rng.uniform(0.999, 1.001, size=(len(X), 1))
         grad = cert.grad_B(index, X)
-        shrunk = cert.shrunk_band_rows(index, X, 1e-3)
+        shrunk = cert.shrunk_band_rows(index, X)
         for k, (i, x) in enumerate(zip(index.tolist(), X)):
             assert grad[k].tobytes() == cert.grad_B(i, x).tobytes(), (i, x)
-            assert shrunk[k] == cert.in_shrunk_band(x, i, 1e-3), (i, x)
+            assert shrunk[k] == in_shrunk_band_oracle(cert, x, i), (i, x)
         assert shrunk.any() and not shrunk.all()

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from nclbf.cli import main
 from nclbf.scenario import builtin_scenario, save_scenario
+from nclbf.simulator import read_trajectory_csv, trajectory_csv_text
 
 
 def run_cli(*argv):
@@ -115,6 +118,48 @@ class TestSimulateCommand:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate") == 2
+
+    def test_start_inside_the_convergence_ball(self, tmp_path, capsys):
+        # converged at t = 0 with one sample: the record has no step
+        scenario = tmp_path / "ball.json"
+        scenario.write_text(json.dumps(dict(scenario_doc(), initial_states=[[0.005, 0.005]])))
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--scenario", str(scenario), "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        run, invariants = summary["runs"][0], summary["invariants"][0]
+        assert run["outcome"] == {"kind": "converged", "t": 0.0}
+        assert run["n_samples"] == 1 and run["max_v_increase"] == 0.0
+        assert invariants["checks"][-1]["detail"] == "C = 0 over 0 smooth steps"
+        csv_path = out / "run_00.csv"
+        text = csv_path.read_text()
+        rec = read_trajectory_csv(io.StringIO(text))
+        assert trajectory_csv_text(rec) == text
+        assert rec.v_increase(0.01) == (-math.inf, None)
+        assert run_cli("check-trajectory", "--csv", str(csv_path),
+                       "--scenario", str(scenario)) == 0
+        assert run_cli("check-trajectory", "--csv", str(csv_path)) == 0
+        assert run_cli("plot", "--scenario", str(scenario), "--out", str(tmp_path / "svg"),
+                       str(csv_path)) == 0
+
+    def test_override_init(self, tmp_path, capsys):
+        # (2, 3.5) lies in the barrier region, so the start is inadmissible
+        doc = scenario_doc()
+        doc["integrator"]["t_max"] = 20.0
+        doc["initial_states"] = [[2.0, 3.5]]
+        scenario = tmp_path / "barrier_start.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "rejected"
+        assert run_cli("simulate", "--scenario", str(scenario), "--out", str(out)) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["runs"][0]["outcome"] == {"kind": "init_rejected"}
+        assert not (out / "run_00.csv").exists()
+        out = tmp_path / "overridden"
+        assert run_cli("simulate", "--scenario", str(scenario), "--out", str(out),
+                       "--override-init") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["runs"][0]["outcome"] == {"kind": "converged", "t": 5.236}
+        assert summary["invariants"][0]["passed"]
+        assert (out / "run_00.csv").exists()
 
     def test_artifacts_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -28,7 +28,7 @@ def ctrl_b():
 
 def dispatch(ctrl, x, prev):
     """Classify x with the scenario's band, then dispatch on that region."""
-    return ctrl.dispatch(ctrl.cert.classify(x, ctrl.eps_band), x, prev)
+    return ctrl.dispatch(ctrl.cert.classify(x), x, prev)
 
 
 class TestMu:
@@ -51,17 +51,17 @@ class TestMu:
 
 class TestMuBar:
     def test_masked_component(self):
-        vec, active = mu_bar(np.array([0.0, -21.6]), tol=1e-9)
+        vec, active = mu_bar(np.array([0.0, -21.6]))
         assert np.allclose(vec, [0.0, -1.0 / 21.6])
         assert list(active) == [False, True]
 
     def test_all_active(self):
-        vec, active = mu_bar(np.array([4.0, 2.0]), tol=1e-9)
+        vec, active = mu_bar(np.array([4.0, 2.0]))
         assert np.allclose(vec, [0.25, 0.5])
         assert active.all()
 
     def test_tolerance_masking(self):
-        vec, active = mu_bar(np.array([1e-12, 1.0]), tol=1e-9)
+        vec, active = mu_bar(np.array([1e-12, 1.0]))
         assert np.allclose(vec, [0.0, 1.0])
         assert list(active) == [False, True]
 
@@ -92,7 +92,7 @@ class TestKappa1:
         count = 0
         while count < 1000:
             x = rng.uniform(-5, 5, size=2)
-            lab = cert.classify(x, 1e-3)
+            lab = cert.classify(x)
             Bg = cert.grad_B(0, x) @ ctrl_a.system.g(x)
             if lab != RegionLabel("R1", 0) or np.any(np.abs(Bg) <= 1e-6):
                 continue
@@ -201,7 +201,7 @@ class TestControlDispatch:
         prev = RegionLabel("R2")
         for _ in range(500):
             x = rng.uniform(-5, 5, size=2)
-            lab = ctrl_b.cert.classify(x, 1e-3)
+            lab = ctrl_b.cert.classify(x)
             if lab.kind == "UNSAFE":
                 continue
             dec = dispatch(ctrl_b, x, prev)

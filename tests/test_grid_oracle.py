@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nclbf.certificate import Certificate
-from nclbf.controller import make_controller
+from nclbf.controller import TOL_G, make_controller
 from nclbf.scenario import builtin_scenario
 from nclbf.systems import ControlAffineSystem, resolve_system
 from nclbf.verify import (BLOCK_ROWS, AssumptionEntry, AssumptionReport,
@@ -45,17 +45,18 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9, controller=None):
     max_drift = -math.inf
     escapes = 0
 
-    tol_g = ctrl.tol_g
+    tol_g = TOL_G
     for x in pts:
         L = float(x @ x)
         if L <= integ.eps_conv ** 2:
             counts["excluded_origin_ball"] += 1
             continue
-        lab = cert.classify(x, integ.eps_band)
+        lab = cert.classify(x)
         if lab.kind == "UNSAFE":
             counts["excluded_unsafe"] += 1
             continue
-        if lab.kind == "R3" and cert.in_shrunk_band(x, lab.index, integ.eps_band):
+        if (lab.kind == "R3" and abs(cert.gap(lab.index, x)) <= integ.eps_band
+                and cert.L(x) < cert.phi(lab.index)):
             counts["excluded_shrunk_band"] += 1
             continue
 
@@ -110,7 +111,6 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9, controller=None):
 def assumptions_oracle(system, config, grid_resolution=101, tol_f=1e-9):
     cert = Certificate(config)
     pts = _grid(config, grid_resolution)
-    eps_band = config.integrator.eps_band
 
     fs = np.array([system.f(x) for x in pts])
     gs = [system.g(x) for x in pts]
@@ -120,7 +120,7 @@ def assumptions_oracle(system, config, grid_resolution=101, tol_f=1e-9):
     fields_finite = bool(np.all(np.isfinite(fs))
                          and all(np.all(np.isfinite(g)) for g in gs))
 
-    labels = [cert.classify(x, eps_band) for x in pts]
+    labels = [cert.classify(x) for x in pts]
     entries = []
 
     def run_condition(name, member, grad, tol_scale_rows):

@@ -2,7 +2,8 @@
 
 ``fd_oracle`` is invariant check (d) and ``v_increase_oracle`` is
 ``TrajectoryRecord.v_increase`` as they were written over a tuple of samples,
-kept verbatim apart from iterating ``conftest.rows``.  The column forms must
+kept verbatim apart from iterating ``conftest.rows``; ``fd_oracle`` takes the
+generalized derivative by the scalar formula the row rule replaced.  The column forms must
 give the same report, to the bit, on the 16 fixture records, their CSV round
 trips and a record with a sample moved inside an obstacle.  ``csv_oracle`` is
 ``write_trajectory_csv`` through ``csv.writer``; the joined rows must give the
@@ -20,9 +21,10 @@ import numpy as np
 import pytest
 
 from conftest import doctored_record, rows
+from nclbf.certificate import Certificate
 from nclbf.controller import make_controller
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text, trajectory_header
-from nclbf.verify import trajectory_invariants, upper_derivative
+from nclbf.verify import trajectory_invariants
 
 
 def fd_oracle(record, config) -> tuple[float, str]:
@@ -38,8 +40,20 @@ def fd_oracle(record, config) -> tuple[float, str]:
             continue
         if float(np.linalg.norm(a.x)) <= integ.eps_conv:
             continue
-        d = upper_derivative(ctrl, a.x, a.u)
-        resid = (b.V - a.V) / dt - d.d_value
+        # the generalized derivative without history, in the region of x
+        cert, x = ctrl.cert, a.x
+        region = cert.classify(x)
+        i = region.index if region.index is not None else cert.dominant_obstacle(x)
+        F = ctrl.system.f(x) + ctrl.system.g(x) @ a.u
+        d1 = float(cert.grad_B(i, x) @ F)
+        d2 = float(cert.grad_L(x) @ F)
+        if region.kind in ("R1", "UNSAFE"):
+            d = d1
+        elif region.kind == "R2":
+            d = d2
+        else:
+            d = 0.5 * (d1 + d2) + 0.5 * abs(d1 - d2)
+        resid = (b.V - a.V) / dt - d
         worst_resid = max(worst_resid, resid)
         n_smooth += 1
     C = worst_resid / dt if n_smooth else 0.0
@@ -82,7 +96,10 @@ def assert_matches_oracles(record, config, fd, dv):
 @pytest.mark.parametrize("fixture, cfg", [("records_a", "cfg_a"), ("records_b", "cfg_b")])
 def test_fixture_records_and_round_trips(request, fixture, cfg):
     config = request.getfixturevalue(cfg)
+    cert = Certificate(config)
     for x0, rec in request.getfixturevalue(fixture).items():
+        # Certificate.V is the recorded V column, bit for bit
+        assert [cert.V(x) for x in rec.x] == rec.V.tolist(), x0
         fd = fd_oracle(rec, config)
         dv = v_increase_oracle(rec, config.integrator.eps_conv)
         assert fd[0] > 0.0, x0
@@ -106,7 +123,7 @@ def test_doctored_record(cfg_a, records_a):
 
 def test_relabelled_band_sample_uses_classified_region(cfg_a, records_a):
     # a smooth step whose recorded labels disagree with x: the derivative is
-    # taken in the region x classifies to, as upper_derivative does
+    # taken in the region x classifies to, as derivative_rows does
     rec = records_a[(5.0, 5.0)]
     k = next(k for k in range(len(rec) - 1)
              if rec.region[k].kind == "R3" and rec.region[k + 1].kind == "R3")

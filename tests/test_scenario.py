@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from nclbf.certificate import RegionLabel
+from nclbf.cli import main
 from nclbf.scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                             ScenarioError, builtin_scenario, derive_eta2,
                             eta1_lower_bound, load_scenario, save_scenario,
@@ -201,6 +204,40 @@ class TestScenarioIO:
         node[path[-1]] = value
         with pytest.raises(ScenarioError):
             load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("via, make, match", [
+        # documents: load_scenario raises and validate-params exits 2
+        ("doc", lambda d: d["obstacles"][0].update(center=[[2.0, 2.0]]), "flat vector"),
+        ("doc", lambda d: d["obstacles"][0].update(center=[math.inf, 2.0]), "must be finite"),
+        ("doc", lambda d: d["initial_states"].append([math.inf, 1.0]), "states must be finite"),
+        ("doc", lambda d: d["params"][0].pop("w"), "need w or eta2"),
+        ("doc", lambda d: d.update(state_box=[-5.0, 5.0]), r"shape \(n, 2\)"),
+        ("doc", lambda d: d.update(obstacles=[], params=[]), "at least one obstacle"),
+        ("doc", lambda d: d["obstacles"][0].update(center=[2.0, 2.0, 1.0]), "dimension 3 != "),
+        ("doc", lambda d: d["params"].append(d["params"][0]), "arrays must have the same length"),
+        # constructors: checks no document reaches, because an earlier check
+        # stops it or the document cannot express it
+        ("new", lambda: ObstacleParams(eta1=9.0, eta2=36.9, c1=[1.0], w=math.inf),
+         "w must be finite"),
+        ("new", lambda: dataclasses.replace(builtin_scenario("linear2d_single"), params=()),
+         "lists must have the same length"),
+        ("new", lambda: RegionLabel("R4"), "bad region kind"),
+        ("new", lambda: RegionLabel("R2", 0), "index required"),
+        ("new", lambda: RegionLabel("R1"), "index required"),
+    ])
+    def test_load_time_rejections(self, via, make, match, tmp_path, capsys):
+        if via == "new":
+            with pytest.raises(ValueError, match=match):
+                make()
+            return
+        doc = json.loads(self.scenario_text())
+        make(doc)
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario(json.dumps(doc))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-params", "--scenario", str(path)]) == 2
+        assert "bad scenario file" in capsys.readouterr().err
 
     def test_bytes_input_accepted(self):
         cfg = load_scenario(self.scenario_text().encode())

@@ -92,8 +92,8 @@ class TestSimulate:
         cert = Certificate(cfg_a)
         for k in range(0, len(rec), max(1, len(rec) // 97)):
             x = rec.x[k]
-            assert rec.V[k] == pytest.approx(cert.V(x), rel=1e-12)
-            assert rec.region[k] == cert.classify(x, cfg_a.integrator.eps_band)
+            assert rec.V[k] == cert.V(x)
+            assert rec.region[k] == cert.classify(x)
             assert np.allclose(rec.min_dist[k], cert.min_dists(x), atol=1e-12)
 
     def test_determinism_bitwise(self, cfg_a):
