@@ -1,8 +1,7 @@
 """Nonsmooth control Lyapunov barrier functions and safe stabilization."""
 
 from .certificate import BoundarySphere, Certificate, RegionLabel
-from .controller import (ControlDecision, Controller, SafetyViolationError,
-                         make_controller, mu, mu_bar)
+from .controller import ControlDecision, Controller, SafetyViolationError, mu, mu_bar
 from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                        ScenarioConfig, ScenarioError, ValidationReport,
                        builtin_scenario, derive_eta2, load_scenario,
@@ -18,8 +17,7 @@ from .verify import (AssumptionReport, DecreaseReport, DerivativeBreakdown,
 
 __all__ = [
     "BoundarySphere", "Certificate", "RegionLabel",
-    "ControlDecision", "Controller", "SafetyViolationError",
-    "make_controller", "mu", "mu_bar",
+    "ControlDecision", "Controller", "SafetyViolationError", "mu", "mu_bar",
     "IntegratorSettings", "ObstacleParams", "ObstacleSpec", "ScenarioConfig",
     "ScenarioError", "ValidationReport", "builtin_scenario", "derive_eta2",
     "load_scenario", "save_scenario", "validate_params",

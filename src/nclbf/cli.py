@@ -21,7 +21,7 @@ from .scenario import (BUILTIN_SCENARIOS, IntegratorSettings, ScenarioConfig,
                        ScenarioError, builtin_scenario, load_scenario,
                        validate_params)
 from .systems import resolve_system
-from .verify import ASSUMPTIONS_RESOLUTION, DECREASE_RESOLUTION, check_assumptions
+from .verify import check_assumptions
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -150,6 +150,15 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _resolution(floor: int):
+    """--resolution's type: a grid below the check's floor is a usage error."""
+    def resolution(text: str) -> int:
+        if int(text) < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}")
+        return int(text)
+    return resolution
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nclbf",
                                 description="Nonsmooth control Lyapunov barrier toolbox")
@@ -166,21 +175,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_simulate)
 
     # the lambdas look check_assumptions up when called, so patching cli's name works
-    for name, text, resolution, fn in (
-            ("verify-derivative", "grid check of the decreasing condition", DECREASE_RESOLUTION,
-             _report_command(lambda c, a: verify.grid_decrease_check(
-                 c, resolution=a.resolution))),
-            ("check-assumptions", "sampled structural checks of f and g", ASSUMPTIONS_RESOLUTION,
-             _report_command(lambda c, a: check_assumptions(
-                 resolve_system(c), c, grid_resolution=a.resolution))),
+    for name, text, grid, fn in (
+            ("verify-derivative", "grid check of the decreasing condition",
+             (verify.DECREASE_RESOLUTION, verify.DECREASE_FLOOR),
+             _report_command(lambda c, a: verify.grid_decrease_check(c, a.resolution))),
+            ("check-assumptions", "sampled structural checks of f and g",
+             (verify.ASSUMPTIONS_RESOLUTION, verify.ASSUMPTIONS_FLOOR),
+             _report_command(lambda c, a: check_assumptions(c, a.resolution))),
             ("geometry", "virtual-boundary geometry per obstacle", None, _cmd_geometry),
             ("validate-params", "check every design inequality", None,
              _report_command(lambda c, a: validate_params(c)))):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--scenario", required=True, help="builtin name or JSON file path")
         sp.add_argument("--out", default=None, help="write the JSON report here too")
-        if resolution:
-            sp.add_argument("--resolution", type=int, default=resolution)
+        if grid:
+            sp.add_argument("--resolution", type=_resolution(grid[1]), default=grid[0])
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("check-trajectory", help="invariant checks on a trajectory CSV")

@@ -4,7 +4,8 @@ kappa1 pushes the dominant barrier down at rate (sum of active c1)*||x||^2,
 kappa2 is Sontag's universal law on L, and kappa3 resolves the band B = L
 through the previous sample's region.  Control is dispatched on the region
 classification; the band uses a one-sample memory (the sample period plays
-the role of the lookback interval).
+the role of the lookback interval).  Controller(config) is built from the
+scenario alone: its system comes from the registry, by config.system_id.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .certificate import Certificate, RegionLabel, row_dot, row_vecmat
 from .scenario import ScenarioConfig
-from .systems import ControlAffineSystem, resolve_system
+from .systems import resolve_system
 
 # Absolute threshold below which a gradient-control row counts as vanished.
 TOL_G = 1e-9
@@ -64,12 +65,11 @@ class ControlDecision:
 
 
 class Controller:
-    """Bundles system, certificate, and gains; all methods are pure in x."""
+    """The scenario's system (by system_id), certificate and gains; pure in x."""
 
-    def __init__(self, system: ControlAffineSystem, certificate: Certificate,
-                 config: ScenarioConfig):
-        self.system = system
-        self.cert = certificate
+    def __init__(self, config: ScenarioConfig):
+        self.system = resolve_system(config)
+        self.cert = Certificate(config)
         self.gamma = config.gains.gamma
         self.c1 = [pa.c1 for pa in config.params]
 
@@ -158,8 +158,3 @@ class Controller:
         branch = "K1" if band_takes_kappa1(prev, region.index) else "K2"
         return ControlDecision(u, f"K3:{region.index + 1}>{branch}", region)
 
-
-def make_controller(config: ScenarioConfig,
-                    system: ControlAffineSystem | None = None) -> Controller:
-    sys_ = system if system is not None else resolve_system(config)
-    return Controller(sys_, Certificate(config), config)

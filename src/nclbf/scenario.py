@@ -269,12 +269,16 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
 
     Covers, per obstacle: origin strictly outside, the eta1 lower bound, the
     eta2 interval, the w range when w is given, positivity of c1; pairwise:
-    obstacle balls disjoint and boundary spheres disjoint.  Initial states are
-    reported admissible iff they lie in the stabilizer region (outside every
-    obstacle, below every barrier by at least eps_band).
+    obstacle balls disjoint and boundary spheres (Certificate.boundary_sphere)
+    disjoint.  Initial states are reported admissible iff they lie in the
+    stabilizer region (outside every obstacle, below every barrier by at least
+    eps_band).
     """
+    from .certificate import Certificate  # certificate imports this module
+    cert = Certificate(config)
     checks: list[ValidationCheck] = []
     multi = config.n_obstacles > 1
+    rbar = [boundary_radius_sq(ob, pa) for ob, pa in zip(config.obstacles, config.params)]
 
     for i, (ob, pa) in enumerate(zip(config.obstacles, config.params)):
         tag = f"obstacle[{i}]"
@@ -299,8 +303,8 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
             checks.append(ValidationCheck(f"{tag} 0 < w", pa.w > 0, pa.w, 0.0, pa.w))
             checks.append(ValidationCheck(f"{tag} w < eta1*(||c||^2-r) - max L(closure)",
                                           pa.w < wub, pa.w, wub, wub - pa.w))
-        rbar = boundary_radius_sq(ob, pa)
-        checks.append(ValidationCheck(f"{tag} boundary sphere radius^2 > 0", rbar > 0, rbar, 0.0, rbar))
+        checks.append(ValidationCheck(f"{tag} boundary sphere radius^2 > 0",
+                                      rbar[i] > 0, rbar[i], 0.0, rbar[i]))
 
     for i in range(config.n_obstacles):
         for j in range(i + 1, config.n_obstacles):
@@ -310,22 +314,20 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
             checks.append(ValidationCheck(
                 f"obstacles[{i},{j}] balls disjoint: ||ci-cj|| > sqrt(ri)+sqrt(rj)",
                 dist > balls, dist, balls, dist - balls))
-            ri = boundary_radius_sq(config.obstacles[i], config.params[i])
-            rj = boundary_radius_sq(config.obstacles[j], config.params[j])
-            if ri > 0 and rj > 0:
-                spheres = math.sqrt(ri) + math.sqrt(rj)
+            if rbar[i] > 0 and rbar[j] > 0:
+                si, sj = cert.boundary_sphere(i), cert.boundary_sphere(j)
+                dist = float(np.linalg.norm(si.center - sj.center))
+                spheres = si.radius + sj.radius
                 checks.append(ValidationCheck(
-                    f"spheres[{i},{j}] disjoint: ||ci-cj|| > sqrt(rbar_i)+sqrt(rbar_j)",
+                    f"spheres[{i},{j}] disjoint: ||cbar_i-cbar_j|| > sqrt(rbar_i)+sqrt(rbar_j)",
                     dist > spheres, dist, spheres, dist - spheres))
 
-    from .certificate import Certificate  # certificate imports this module
-    cert = Certificate(config)
     for k, x0 in enumerate(config.initial_states):
         ok, why = cert.admissible(x0)
         checks.append(ValidationCheck(f"initial_state[{k}] admissible ({why})",
                                       ok, float(np.linalg.norm(x0)), 0.0, 0.0))
     return ValidationReport(checks=tuple(checks), notes=(
-        "disjointness of boundary spheres checked pairwise on ||c_i - c_j||",))
+        "disjointness of boundary spheres checked pairwise on their centres cbar_i",))
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import RegionLabel, row_dot, v_from_gap
-from .controller import make_controller
+from .controller import Controller
 from .scenario import ScenarioConfig
-from .systems import ControlAffineSystem, resolve_system
+from .systems import ControlAffineSystem
 
 
 class NumericBlowupError(RuntimeError):
@@ -129,11 +129,11 @@ class TrajectoryRecord:
 
     def v_increase(self, eps_conv: float) -> tuple[float, float | None]:
         """Largest V_k+1 - V_k over steps from ||x_k|| > eps_conv, and its t_k
-        (the first on ties); (-inf, None) when no step qualifies."""
+        (the first on ties); (0.0, None) when no step qualifies."""
         steps = self.outside_ball(eps_conv)[:-1]
         dv = np.diff(self.V)[steps]
         if not dv.size:
-            return -math.inf, None
+            return 0.0, None
         k = int(np.argmax(dv))
         return float(dv[k]), float(self.t[:-1][steps][k])
 
@@ -174,11 +174,10 @@ class _Engine:
     slide on a surface B_i = L.
     """
 
-    def __init__(self, config: ScenarioConfig, system: ControlAffineSystem):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.system = system
-        self.ctrl = make_controller(config, system)
-        self.cert = self.ctrl.cert
+        self.ctrl = ctrl = Controller(config)
+        self.system, self.cert = ctrl.system, ctrl.cert
         self.dt = config.integrator.dt
         self.h_floor = -0.25 * self.cert.eps_band
         self.prev: RegionLabel | None = None
@@ -404,19 +403,16 @@ class _Engine:
 # ---------------------------------------------------------------------------
 
 def simulate(config: ScenarioConfig, x0: np.ndarray,
-             system: ControlAffineSystem | None = None,
              override_init: bool = False) -> TrajectoryRecord:
-    """Run the closed loop from x0 until convergence, timeout, or violation."""
-    sys_ = system if system is not None else resolve_system(config)
-    return _Engine(config, sys_).run(np.asarray(x0, float), override_init)
+    """Run config's closed loop from x0 until convergence, timeout, or violation."""
+    return _Engine(config).run(np.asarray(x0, float), override_init)
 
 
 def run_batch(config: ScenarioConfig,
               override_init: bool = False) -> tuple[SimulationSummary, tuple[TrajectoryRecord, ...]]:
     """Simulate every initial state; output order follows input order."""
-    sys_ = resolve_system(config)
     t0 = time.perf_counter()
-    records = tuple(simulate(config, x0, system=sys_, override_init=override_init)
+    records = tuple(simulate(config, x0, override_init=override_init)
                     for x0 in config.initial_states)
 
     runs = []
@@ -425,9 +421,8 @@ def run_batch(config: ScenarioConfig,
                  "outcome": rec.outcome.to_dict() if rec.outcome else None,
                  "n_samples": len(rec)}
         if len(rec):
-            dv, at = rec.v_increase(config.integrator.eps_conv)
             entry["final_norm"] = float(np.linalg.norm(rec.x[-1]))
-            entry["max_v_increase"] = 0.0 if at is None else dv
+            entry["max_v_increase"] = rec.v_increase(config.integrator.eps_conv)[0]
             entry["min_min_dist"] = rec.min_clearance()
         runs.append(entry)
     return SimulationSummary(runs=tuple(runs), wall_time_s=time.perf_counter() - t0), records

@@ -1,12 +1,12 @@
 """Control-affine systems xdot = f(x) + g(x) u and their registry.
 
 Two benchmarks are built in: a decoupled planar linear system and a nonlinear
-mechanical system with velocity-dependent damping.  Custom systems register
-through the same evaluator interface; no expression parser is provided.  A
-system may also give fg_rows, f and g over a block of rows at once, which must
-equal the per-point evaluators bit for bit; the grid checks use it.  The
-sampled checks of f and g (check_assumptions) live with the other grid checks
-in verify.
+mechanical system with velocity-dependent damping.  A custom system registers
+under a name with the same evaluators (no expression parser); a scenario names
+it by system_id, and every entry point gets it from resolve_system.  A system
+may also give fg_rows, f and g over a block of rows at once, equal to the
+per-point evaluators bit for bit; the grid checks use it.  The sampled checks
+of f and g (check_assumptions) live with the other grid checks in verify.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Numerical certification: the grid checks and the trajectory checks.
 
-The grid checks of the decreasing condition (grid_decrease_check) and of the
-drift conditions on f and g (check_assumptions) share one degenerate rule.
+Every check resolves its system from the scenario's system_id.  The grid checks
+of the decreasing condition (grid_decrease_check) and of the drift conditions
+on f and g (check_assumptions) share one degenerate rule.
 
 The upper generalized derivative of V along the closed loop, derivative_rows,
 takes the barrier-side form in R1, the stabilizer-side form in R2, and in the
@@ -20,10 +21,10 @@ import numpy as np
 
 from .certificate import (KINDS, R1, R2, R3, UNSAFE, Certificate, RegionLabel,
                           row_dot, row_vecmat)
-from .controller import TOL_G, Controller, band_takes_kappa1, make_controller
+from .controller import TOL_G, Controller, band_takes_kappa1
 from .scenario import ScenarioConfig
 from .simulator import TrajectoryRecord
-from .systems import ControlAffineSystem
+from .systems import ControlAffineSystem, resolve_system
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,10 @@ def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
 # Drift derivatives up to this count as nonpositive at degenerate points.
 TOL_F = 1e-9
 
-# Default grid points per axis of grid_decrease_check and check_assumptions,
-# which the CLI's --resolution options share.
-DECREASE_RESOLUTION = 201
-ASSUMPTIONS_RESOLUTION = 101
+# Default and smallest grid points per axis of grid_decrease_check and
+# check_assumptions, which the CLI's --resolution options share.
+DECREASE_RESOLUTION, DECREASE_FLOOR = 201, 11
+ASSUMPTIONS_RESOLUTION, ASSUMPTIONS_FLOOR = 101, 2
 
 # Grid checks evaluate this many rows per array pass, which bounds their
 # temporaries; ties across blocks still go to the first row in grid order.
@@ -159,8 +160,8 @@ class DecreaseReport:
                 "degenerate_escapes_in_finite_time": self.degenerate_escapes}
 
 
-def grid_decrease_check(config: ScenarioConfig, resolution: int = DECREASE_RESOLUTION,
-                        controller: Controller | None = None) -> DecreaseReport:
+def grid_decrease_check(config: ScenarioConfig,
+                        resolution: int = DECREASE_RESOLUTION) -> DecreaseReport:
     """min over the grid of -dV/||x||^2 under the dispatched controller.
 
     Excluded from the minimization: unsafe balls, shrunk bands, the
@@ -172,11 +173,10 @@ def grid_decrease_check(config: ScenarioConfig, resolution: int = DECREASE_RESOL
     The grid is scored BLOCK_ROWS rows at a time; among equal ratios the
     worst point is the first in grid order.
     """
-    if resolution < 11:
-        raise ValueError("resolution must be >= 11")
-    ctrl = controller if controller is not None else make_controller(config)
-    sys_ = ctrl.system
-    cert = ctrl.cert
+    if resolution < DECREASE_FLOOR:
+        raise ValueError(f"resolution must be >= {DECREASE_FLOOR}")
+    ctrl = Controller(config)
+    sys_, cert = ctrl.system, ctrl.cert
     integ = config.integrator
     pts = grid_points(config, resolution)
 
@@ -292,8 +292,8 @@ class AssumptionReport:
                 "notes": list(self.notes)}
 
 
-def check_assumptions(system: ControlAffineSystem, config: ScenarioConfig,
-                      grid_resolution: int = ASSUMPTIONS_RESOLUTION) -> AssumptionReport:
+def check_assumptions(config: ScenarioConfig,
+                      resolution: int = ASSUMPTIONS_RESOLUTION) -> AssumptionReport:
     """Grid-sampled necessary checks of the drift conditions.
 
     At grid points where the relevant gradient-control row vanishes (below a
@@ -304,10 +304,10 @@ def check_assumptions(system: ControlAffineSystem, config: ScenarioConfig,
     are sampled necessary conditions, not proofs; zero-state detectability is
     not decidable by sampling and is reported as such.
     """
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
-    cert = Certificate(config)
-    pts = grid_points(config, grid_resolution)
+    if resolution < ASSUMPTIONS_FLOOR:
+        raise ValueError(f"resolution must be >= {ASSUMPTIONS_FLOOR}")
+    system, cert = resolve_system(config), Certificate(config)
+    pts = grid_points(config, resolution)
     n_rows = 1 + config.n_obstacles   # grad L, then grad B_i
     kind = np.empty(len(pts), dtype=int)
     index = np.empty(len(pts), dtype=int)
@@ -454,7 +454,7 @@ def trajectory_invariants(record: TrajectoryRecord,
     """
     if not len(record):
         raise ValueError("record is empty")
-    ctrl = make_controller(config)
+    ctrl = Controller(config)
     integ = config.integrator
     C, n_smooth = fd_constant(record, ctrl, integ.eps_conv)
     return InvariantReport(checks=(

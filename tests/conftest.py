@@ -62,6 +62,21 @@ def closed_loop_slow_eigenvalue(ctrl, h: float = 1e-6) -> float:
     return float(np.linalg.eigvals(jac).real.max())
 
 
+def with_system(config, system):
+    """config pointed at system, registered under system.name: the one way
+    to run the entry points on a system of a test's own."""
+    register_system(system.name, lambda: system)
+    return dataclasses.replace(config, system_id=system.name)
+
+
+def zero_gain(config):
+    """config with obstacle 1's c1 set to zeros after validation, which
+    rejects zero gains; the controller reads c1 from the config."""
+    pa = dataclasses.replace(config.params[0])
+    object.__setattr__(pa, "c1", np.zeros_like(pa.c1))
+    return dataclasses.replace(config, params=(pa,) + config.params[1:])
+
+
 Row = namedtuple("Row", "t x u V region law min_dist")
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from conftest import EXTRA_A_STARTS, closed_loop_slow_eigenvalue
 from nclbf.certificate import Certificate, RegionLabel
-from nclbf.controller import make_controller
+from nclbf.controller import Controller
 from nclbf.scenario import ObstacleSpec, derive_eta2, validate_params
 from nclbf.simulator import rk4_step, run_batch
 from nclbf.systems import builtin_linear2d
@@ -151,7 +151,7 @@ def test_criterion_6_multi_obstacle_convergence_by_t20(cfg_b, timed_batch_b20, r
     """
     _, records, _ = timed_batch_b20
     eps_conv = cfg_b.integrator.eps_conv
-    lam = closed_loop_slow_eigenvalue(make_controller(cfg_b))
+    lam = closed_loop_slow_eigenvalue(Controller(cfg_b))
     rows, failures = [], []
     for x0, rec in zip(cfg_b.initial_states, records):
         x0 = tuple(map(float, x0))
@@ -199,7 +199,7 @@ def _sample_r1_points(ctrl, rng, count):
 
 
 def test_criterion_7_closed_loop_identities(cfg_a):
-    ctrl = make_controller(cfg_a)
+    ctrl = Controller(cfg_a)
     cert = ctrl.cert
     rng = np.random.default_rng(42)
     worst_r1 = 0.0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ import pytest
 from nclbf.cli import main
 from nclbf.scenario import builtin_scenario, save_scenario
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text
+from nclbf.verify import (ASSUMPTIONS_FLOOR, DECREASE_FLOOR, check_assumptions,
+                          grid_decrease_check)
 
 
 def run_cli(*argv):
@@ -129,12 +130,14 @@ class TestSimulateCommand:
         run, invariants = summary["runs"][0], summary["invariants"][0]
         assert run["outcome"] == {"kind": "converged", "t": 0.0}
         assert run["n_samples"] == 1 and run["max_v_increase"] == 0.0
+        # no step qualifies, so V did not rise: summary and check (b) both read 0
+        assert invariants["checks"][1]["detail"] == "max per-step increase = 0"
         assert invariants["checks"][-1]["detail"] == "C = 0 over 0 smooth steps"
         csv_path = out / "run_00.csv"
         text = csv_path.read_text()
         rec = read_trajectory_csv(io.StringIO(text))
         assert trajectory_csv_text(rec) == text
-        assert rec.v_increase(0.01) == (-math.inf, None)
+        assert rec.v_increase(0.01) == (0.0, None)
         assert run_cli("check-trajectory", "--csv", str(csv_path),
                        "--scenario", str(scenario)) == 0
         assert run_cli("check-trajectory", "--csv", str(csv_path)) == 0
@@ -182,6 +185,21 @@ def test_integrator_flags_only_where_used(command, flag, tmp_path):
                    flag, "0.01") == 2
 
 
+@pytest.mark.parametrize("command,floor,check", [
+    ("verify-derivative", DECREASE_FLOOR, grid_decrease_check),
+    ("check-assumptions", ASSUMPTIONS_FLOOR, check_assumptions)])
+def test_resolution_below_the_floor_is_usage_error(command, floor, check, capsys):
+    # the CLI and the library function share one floor
+    assert (DECREASE_FLOOR, ASSUMPTIONS_FLOOR) == (11, 2)
+    config = builtin_scenario("linear2d_single")
+    with pytest.raises(ValueError, match=f">= {floor}"):
+        check(config, floor - 1)
+    assert check(config, floor).to_dict()
+    assert run_cli(command, "--scenario", "linear2d_single", "--resolution", str(floor - 1)) == 2
+    assert f"--resolution: must be >= {floor}" in capsys.readouterr().err
+    assert run_cli(command, "--scenario", "linear2d_single", "--resolution", str(floor)) != 2
+
+
 class TestGeometryCommand:
     def test_values(self, capsys):
         assert run_cli("geometry", "--scenario", "linear2d_single") == 0
@@ -220,6 +238,23 @@ class TestValidateParamsCommand:
         path.write_text(json.dumps(doc))
         assert run_cli("validate-params", "--scenario", str(path)) == 1
         assert not json.loads(capsys.readouterr().out)["passed"]
+
+    def test_overlapping_boundary_spheres_exit_one(self, tmp_path, capsys):
+        # the obstacle centres lie 3.61 apart, but the spheres B_i = L sit at
+        # cbar_i = eta1_i c_i / (1 + eta1_i): (1.2, 0) and (3.485, -1.394),
+        # 2.677 apart with radii 1.118 and 2.356, so they overlap by 0.797
+        doc = {"system": "linear2d", "state_box": [[-6, 6], [-6, 6]],
+               "obstacles": [{"center": [2.0, 0.0], "radius": 0.3},
+                             {"center": [5.0, -2.0], "radius": 0.3}],
+               "params": [{"eta1": 1.5, "w": 0.1, "c1": [10.0, 20.0]},
+                          {"eta1": 2.3, "w": 6.0, "c1": [10.0, 20.0]}],
+               "gamma": 0.1}
+        path = tmp_path / "spheres.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate-params", "--scenario", str(path)) == 1
+        failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+        assert [c["name"].split()[0] for c in failed] == ["spheres[0,1]"]
+        assert failed[0]["slack"] == pytest.approx(-0.797, abs=1e-3)
 
 
 class TestVerifyDerivativeCommand:

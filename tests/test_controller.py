@@ -10,20 +10,20 @@ import pytest
 
 from conftest import closed_loop_slow_eigenvalue
 from nclbf.certificate import RegionLabel
-from nclbf.controller import (MemoryStateError, SafetyViolationError,
-                              make_controller, mu, mu_bar)
+from nclbf.controller import (Controller, MemoryStateError, SafetyViolationError,
+                              mu, mu_bar)
 from nclbf.scenario import ControllerGains, builtin_scenario
 from nclbf.verify import field_rows
 
 
 @pytest.fixture(scope="module")
 def ctrl_a():
-    return make_controller(builtin_scenario("linear2d_single"))
+    return Controller(builtin_scenario("linear2d_single"))
 
 
 @pytest.fixture(scope="module")
 def ctrl_b():
-    return make_controller(builtin_scenario("nonlinear_mech_three"))
+    return Controller(builtin_scenario("nonlinear_mech_three"))
 
 
 def dispatch(ctrl, x, prev):
@@ -142,7 +142,7 @@ class TestKappa2:
         # c = 11 + (sqrt(484 + 16 gamma) - 22)/2 >= 11, so its slow root never
         # passes (-11 + sqrt(117))/2 = -0.09167 whatever gamma is.
         cfg = builtin_scenario("nonlinear_mech_three")
-        ctrl = make_controller(dataclasses.replace(cfg, gains=ControllerGains(gamma)))
+        ctrl = Controller(dataclasses.replace(cfg, gains=ControllerGains(gamma)))
         lam = closed_loop_slow_eigenvalue(ctrl)
         c = 11.0 + (math.sqrt(484.0 + 16.0 * gamma) - 22.0) / 2.0
         assert lam == pytest.approx((-c + math.sqrt(c * c - 4.0)) / 2.0, rel=1e-4)
@@ -229,7 +229,7 @@ class TestRowBatchedLaws:
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three", "3d"])
     def test_laws_match_scalar_forms(self, name, cfg_3d):
-        ctrl = make_controller(cfg_3d if name == "3d" else builtin_scenario(name))
+        ctrl = Controller(cfg_3d if name == "3d" else builtin_scenario(name))
         X = self.rows(ctrl, np.random.default_rng(53))
         F, G = field_rows(ctrl.system, X)
         U2 = ctrl.kappa2_rows(X, F, G)
@@ -246,7 +246,7 @@ class TestRowBatchedLaws:
             assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
 
     def test_gains_read_at_call_time(self):
-        ctrl = make_controller(builtin_scenario("linear2d_single"))
+        ctrl = Controller(builtin_scenario("linear2d_single"))
         X = np.random.default_rng(59).uniform(-5, 5, size=(100, 2))
         F, G = field_rows(ctrl.system, X)
         before = ctrl.kappa1_rows(0, X, F, G)

@@ -2,7 +2,9 @@
 
 ``decrease_oracle`` and ``assumptions_oracle`` are the point-by-point
 ``grid_decrease_check`` and ``check_assumptions`` kept verbatim except for
-their names; they call only the scalar certificate and controller forms.  The
+their names and the lines that build their controller or system, which come
+from the scenario as in the checks; they call only the scalar certificate and
+controller forms.  The
 array versions must reproduce their reports exactly: every ``to_dict()`` is
 compared with ``==``, no tolerance.
 """
@@ -15,8 +17,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import with_system, zero_gain
 from nclbf.certificate import Certificate
-from nclbf.controller import TOL_G, make_controller
+from nclbf.controller import TOL_G, Controller
 from nclbf.scenario import builtin_scenario
 from nclbf.systems import ControlAffineSystem, resolve_system
 from nclbf.verify import (BLOCK_ROWS, AssumptionEntry, AssumptionReport,
@@ -30,8 +33,8 @@ def _grid(config, resolution):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def decrease_oracle(config, resolution=201, tol_f=1e-9, controller=None):
-    ctrl = controller if controller is not None else make_controller(config)
+def decrease_oracle(config, resolution=201, tol_f=1e-9):
+    ctrl = Controller(config)
     sys_ = ctrl.system
     cert = ctrl.cert
     integ = config.integrator
@@ -108,7 +111,8 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9, controller=None):
         degenerate_ok=max_drift <= tol_f, degenerate_escapes=escapes)
 
 
-def assumptions_oracle(system, config, grid_resolution=101, tol_f=1e-9):
+def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
+    system = resolve_system(config)
     cert = Certificate(config)
     pts = _grid(config, grid_resolution)
 
@@ -182,16 +186,16 @@ def shifted(name, seed):
     return dataclasses.replace(config, state_box=box + shift)
 
 
-def assert_same_decrease(config, resolution, controller=None):
-    got = grid_decrease_check(config, resolution=resolution, controller=controller)
-    want = decrease_oracle(config, resolution=resolution, controller=controller)
+def assert_same_decrease(config, resolution):
+    got = grid_decrease_check(config, resolution=resolution)
+    want = decrease_oracle(config, resolution=resolution)
     assert got.to_dict() == want.to_dict()
     return got
 
 
-def assert_same_assumptions(system, config, resolution):
-    got = check_assumptions(system, config, grid_resolution=resolution)
-    want = assumptions_oracle(system, config, grid_resolution=resolution)
+def assert_same_assumptions(config, resolution):
+    got = check_assumptions(config, resolution=resolution)
+    want = assumptions_oracle(config, grid_resolution=resolution)
     assert got.to_dict() == want.to_dict()
     return got
 
@@ -221,9 +225,7 @@ class TestDecreaseMatchesLoop:
         assert_same_decrease(cfg_3d, 21)
 
     def test_zero_gain_controller(self, cfg_a):
-        ctrl = make_controller(cfg_a)
-        ctrl.c1[0] = np.zeros(2)
-        assert not assert_same_decrease(cfg_a, 31, controller=ctrl).passed
+        assert not assert_same_decrease(zero_gain(cfg_a), 31).passed
 
     def test_grid_smaller_than_one_block(self, cfg_b):
         assert 41 ** 2 < BLOCK_ROWS
@@ -239,8 +241,7 @@ class TestDecreaseMatchesLoop:
         # along grad L and across the ball without moving the zero row
         degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: x.copy(),
                                          lambda x: np.zeros((2, 2)))
-        ctrl = make_controller(cfg_a, degenerate)
-        report = assert_same_decrease(cfg_a, 21, controller=ctrl)
+        report = assert_same_decrease(with_system(cfg_a, degenerate), 21)
         assert report.degenerate_ok is False
         assert report.counts["evaluated"] == 0 and report.degenerate_escapes == 0
 
@@ -248,21 +249,19 @@ class TestDecreaseMatchesLoop:
 class TestAssumptionsMatchLoop:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_fixtures(self, name):
-        config = builtin_scenario(name)
-        assert_same_assumptions(resolve_system(config), config, 101)
+        assert_same_assumptions(builtin_scenario(name), 101)
 
     @pytest.mark.parametrize("name,seed", [("linear2d_single", 1),
                                            ("nonlinear_mech_three", 4),
                                            ("nonlinear_mech_three", 9)])
     def test_shifted_boxes(self, name, seed):
-        config = shifted(name, seed)
-        assert_same_assumptions(resolve_system(config), config, 101)
+        assert_same_assumptions(shifted(name, seed), 101)
 
     def test_three_dimensional(self, cfg_3d):
-        assert_same_assumptions(resolve_system(cfg_3d), cfg_3d, 21)
+        assert_same_assumptions(cfg_3d, 21)
 
     def test_violations_path(self, cfg_a):
         degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: x.copy(),
                                          lambda x: np.zeros((2, 2)))
-        report = assert_same_assumptions(degenerate, cfg_a, 21)
+        report = assert_same_assumptions(with_system(cfg_a, degenerate), 21)
         assert report.entries[0].violations

@@ -22,14 +22,14 @@ import pytest
 
 from conftest import doctored_record, rows
 from nclbf.certificate import Certificate
-from nclbf.controller import make_controller
+from nclbf.controller import Controller
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text, trajectory_header
 from nclbf.verify import trajectory_invariants
 
 
 def fd_oracle(record, config) -> tuple[float, str]:
     """fd_constant and detail of check (d) by the per-sample loop."""
-    ctrl = make_controller(config)
+    ctrl = Controller(config)
     integ = config.integrator
     samples = rows(record)
     dt = samples[1].t - samples[0].t if len(samples) > 1 else 0.0

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from nclbf.controller import make_controller
+from conftest import with_system
 from nclbf.scenario import builtin_scenario
 from nclbf.systems import (ControlAffineSystem, builtin_linear2d,
                            builtin_nonlinear_mech, register_system, resolve_system)
@@ -64,13 +64,13 @@ class TestNonlinearMech:
 
 class TestCheckAssumptions:
     def test_linear2d_passes(self, cfg_a):
-        report = check_assumptions(builtin_linear2d(), cfg_a, grid_resolution=41)
+        report = check_assumptions(cfg_a, resolution=41)
         assert report.passed
         assert report.g_full_rank
         assert "not machine-checked" in report.zero_state_detectability
 
     def test_nonlinear_mech_passes_with_escape_notes(self, cfg_b):
-        report = check_assumptions(builtin_nonlinear_mech(), cfg_b, grid_resolution=101)
+        report = check_assumptions(cfg_b, resolution=101)
         assert report.passed
         # the x2 = 2 line inside obstacle 1's barrier region drifts upward but
         # leaves the degenerate set in finite time
@@ -85,7 +85,7 @@ class TestCheckAssumptions:
             return np.zeros((2, 2))
 
         degenerate = ControlAffineSystem("degenerate", 2, 2, f, g)
-        report = check_assumptions(degenerate, cfg_a, grid_resolution=21)
+        report = check_assumptions(with_system(cfg_a, degenerate), resolution=21)
         assert not report.passed
         assert not report.g_full_rank
         entry = report.entries[0]
@@ -115,12 +115,14 @@ class TestRowEvaluators:
     def test_grid_checks_equal_pointwise_path(self, name):
         config = builtin_scenario(name)
         system = resolve_system(config)
-        pointwise = dataclasses.replace(system, fg_rows=None)
         assert system.fg_rows is not None
-        assert (grid_decrease_check(config, 41, make_controller(config, pointwise)).to_dict()
+        pointwise = with_system(config, dataclasses.replace(
+            system, name=f"{system.name}_pointwise", fg_rows=None))
+        assert resolve_system(pointwise).fg_rows is None
+        assert (grid_decrease_check(pointwise, 41).to_dict()
                 == grid_decrease_check(config, 41).to_dict())
-        assert (check_assumptions(pointwise, config, 33).to_dict()
-                == check_assumptions(system, config, 33).to_dict())
+        assert (check_assumptions(pointwise, 33).to_dict()
+                == check_assumptions(config, 33).to_dict())
 
     def test_system_without_rows_uses_pointwise_path(self, cfg_3d):
         system = resolve_system(cfg_3d)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from nclbf.certificate import Certificate, RegionLabel
-from nclbf.controller import make_controller
+from nclbf.controller import Controller
 from nclbf.scenario import builtin_scenario
-from conftest import doctored_record, rows
+from conftest import doctored_record, rows, zero_gain
 from nclbf.simulator import read_trajectory_csv, simulate, trajectory_csv_text
 from nclbf.verify import (grid_decrease_check, shrunk_band_check,
                           trajectory_invariants, upper_derivative)
@@ -36,7 +36,7 @@ def shrunk_band_oracle(record, config):
 
 @pytest.fixture(scope="module")
 def ctrl_a():
-    return make_controller(builtin_scenario("linear2d_single"))
+    return Controller(builtin_scenario("linear2d_single"))
 
 
 class TestUpperDerivative:
@@ -105,15 +105,14 @@ class TestGridDecrease:
         assert report.counts["excluded_unsafe"] > 0
 
     def test_degenerate_gain_fails(self, cfg_a):
-        ctrl = make_controller(cfg_a)
-        ctrl.c1[0] = np.zeros(2)  # force the rejected-upstream degenerate case
-        report = grid_decrease_check(cfg_a, resolution=31, controller=ctrl)
+        cfg = zero_gain(cfg_a)   # force the rejected-upstream degenerate case
+        report = grid_decrease_check(cfg, resolution=31)
         assert not report.passed
         assert report.rho0_star <= 0.0
         # the worst point sits on the barrier side, where the decrease is
         # proportional to the (now zero) gain sum
         wp = np.asarray(report.worst_point)
-        assert ctrl.cert.classify(wp).kind in ("R1", "R3")
+        assert Certificate(cfg).classify(wp).kind in ("R1", "R3")
 
     def test_empty_grid_certifies_nothing(self, cfg_a):
         # a +-0.05 box around obstacle 1's center: all 121 points are unsafe
