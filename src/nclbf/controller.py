@@ -51,6 +51,14 @@ def mu_bar(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, active
 
 
+def control_terms(grad: np.ndarray, F: np.ndarray,
+                  G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of one side (grad L, or grad B of each row's obstacle): the
+    control row grad.g, its squared norm and the drift grad.f."""
+    row = row_vecmat(grad, G)
+    return row, row_dot(row, row), row_dot(grad, F)
+
+
 def band_takes_kappa1(prev: RegionLabel, i) -> bool:
     """The band rule: the barrier law resolves the band of obstacle i exactly
     when prev is R1 of i.  For an index array i the result is per row."""
@@ -103,10 +111,15 @@ class Controller:
                     G: np.ndarray) -> np.ndarray:
         """kappa1 for every row of X (P, n), given f rows F (P, n), g rows G
         (P, n, m) and i as in Certificate.grad_B; each row equals kappa1 bit for bit."""
-        gB = self.cert.grad_B(i, X)
-        Bf = row_dot(gB, F)
-        Bg = row_vecmat(gB, G)
-        n2 = row_dot(Bg, Bg)
+        return self.kappa1_terms(i, X, *control_terms(self.cert.grad_B(i, X), F, G))
+
+    def kappa2_rows(self, X: np.ndarray, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """kappa2 for every row of X, bit for bit as kappa1_rows is to kappa1."""
+        return self.kappa2_terms(X, *control_terms(self.cert.grad_L(X), F, G))
+
+    def kappa1_terms(self, i: int | np.ndarray, X: np.ndarray, Bg: np.ndarray,
+                     n2: np.ndarray, Bf: np.ndarray) -> np.ndarray:
+        """kappa1_rows from the barrier side's control_terms."""
         live = np.sqrt(n2) > TOL_G
         Bf, Bg, n2 = Bf[live, None], Bg[live], n2[live, None]
         bar = np.zeros_like(Bg)
@@ -116,12 +129,9 @@ class Controller:
         U[live] = -(Bg / n2) * Bf - c1 * bar * row_dot(X[live], X[live])[:, None]
         return U
 
-    def kappa2_rows(self, X: np.ndarray, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """kappa2 for every row of X, bit for bit as kappa1_rows is to kappa1."""
-        gL = 2.0 * X
-        Lf = row_dot(gL, F)
-        Lg = row_vecmat(gL, G)
-        n2 = row_dot(Lg, Lg)
+    def kappa2_terms(self, X: np.ndarray, Lg: np.ndarray, n2: np.ndarray,
+                     Lf: np.ndarray) -> np.ndarray:
+        """kappa2_rows from the stabilizer side's control_terms."""
         live = np.sqrt(n2) > TOL_G
         Lf, Lg, n2 = Lf[live], Lg[live], n2[live]
         U = np.zeros((len(X), self.system.m))

@@ -5,8 +5,10 @@ mechanical system with velocity-dependent damping.  A custom system registers
 under a name with the same evaluators (no expression parser); a scenario names
 it by system_id, and every entry point gets it from resolve_system.  A system
 may also give fg_rows, f and g over a block of rows at once, equal to the
-per-point evaluators bit for bit; the grid checks use it.  The sampled checks
-of f and g (check_assumptions) live with the other grid checks in verify.
+per-point evaluators bit for bit; the grid checks use it.  nonlinear_mech's
+fg_rows evaluates its scalar damping term once per distinct bit pattern of x2,
+so a grid costs one per x2 line.  The sampled checks of f and g
+(check_assumptions) live with the other grid checks in verify.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ def builtin_nonlinear_mech() -> ControlAffineSystem:
 
     def fg_rows(X):
         x1, x2 = X[:, 0], X[:, 1]
-        damp = np.fromiter(map(_damp, x2.tolist()), float, len(X))
+        # _damp once per distinct bit pattern: 0.0, -0.0 and NaN payloads stay apart
+        keys, inverse = np.unique(x2.view(np.int64), return_inverse=True)
+        damp = np.fromiter(map(_damp, keys.view(float).tolist()), float, len(keys))[inverse]
         return np.stack([x2, -x1 - x2 - damp], axis=1), np.broadcast_to(col, (len(X), 2, 1))
 
     return ControlAffineSystem(name="nonlinear_mech", n=2, m=1, f=f, g=g, fg_rows=fg_rows)

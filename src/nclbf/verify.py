@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .certificate import (KINDS, R1, R2, R3, UNSAFE, Certificate, RegionLabel,
-                          row_dot, row_vecmat)
-from .controller import TOL_G, Controller, band_takes_kappa1
+                          row_dot)
+from .controller import TOL_G, Controller, band_takes_kappa1, control_terms
 from .scenario import ScenarioConfig
 from .simulator import TrajectoryRecord
 from .systems import ControlAffineSystem, resolve_system
@@ -114,13 +114,6 @@ def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) 
     return float(np.linalg.norm(r1 - r0)) / h > 1e-6
 
 
-def _row_terms(grad: np.ndarray, F: np.ndarray,
-               G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the norm of the control row grad.g and the drift grad.f."""
-    row = row_vecmat(grad, G)
-    return np.sqrt(row_dot(row, row)), row_dot(grad, F)
-
-
 def _degenerate_rule(system: ControlAffineSystem, cert: Certificate, X: np.ndarray,
                      drift: np.ndarray, obstacle: np.ndarray | None) -> tuple[list, list]:
     """The drift condition on rows X whose control row (grad L . g for obstacle
@@ -210,13 +203,11 @@ def grid_decrease_check(config: ScenarioConfig,
         d, drift = np.zeros((2, len(X))), np.zeros((2, len(X)))
         for s, (r, obstacle) in enumerate(sides):
             Xr, Fr, Gr = X[r], F[r], G[r]
-            if obstacle is None:
-                grad, U = cert.grad_L(Xr), ctrl.kappa2_rows(Xr, Fr, Gr)
-            else:
-                grad = cert.grad_B(obstacle[r], Xr)
-                U = ctrl.kappa1_rows(obstacle[r], Xr, Fr, Gr)
-            norm, drift[s, r] = _row_terms(grad, Fr, Gr)
-            live[s, r] = norm > TOL_G
+            grad = cert.grad_L(Xr) if obstacle is None else cert.grad_B(obstacle[r], Xr)
+            terms = control_terms(grad, Fr, Gr)
+            U = (ctrl.kappa2_terms(Xr, *terms) if obstacle is None
+                 else ctrl.kappa1_terms(obstacle[r], Xr, *terms))
+            drift[s, r], live[s, r] = terms[2], np.sqrt(terms[1]) > TOL_G
             d[s, r] = np.where(live[s, r], row_dot(grad, Fr + (Gr @ U[:, :, None])[:, :, 0]),
                                0.0)
 
@@ -285,7 +276,9 @@ class AssumptionReport:
     def to_dict(self) -> dict:
         return {"passed": self.passed,
                 "entries": [e.to_dict() for e in self.entries],
-                "g_min_singular_value": self.g_min_singular_value,
+                # NaN when no g row is finite: there is no value to report
+                "g_min_singular_value": (None if math.isnan(self.g_min_singular_value)
+                                         else self.g_min_singular_value),
                 "g_full_rank": self.g_full_rank,
                 "fields_finite": self.fields_finite,
                 "zero_state_detectability": self.zero_state_detectability,
@@ -311,22 +304,24 @@ def check_assumptions(config: ScenarioConfig,
     n_rows = 1 + config.n_obstacles   # grad L, then grad B_i
     kind = np.empty(len(pts), dtype=int)
     index = np.empty(len(pts), dtype=int)
-    svals = np.empty(len(pts))
     norms = np.empty((n_rows, len(pts)))
     drifts = np.empty((n_rows, len(pts)))
-    fields_finite = True
+    g_min_sv, fields_finite = math.nan, True
     for lo in range(0, len(pts), BLOCK_ROWS):
         X = pts[lo:lo + BLOCK_ROWS]
         F, G = field_rows(system, X)
         span = slice(lo, lo + len(X))
-        svals[span] = np.linalg.svd(G, compute_uv=False)[:, -1]
-        fields_finite = fields_finite and bool(np.all(np.isfinite(F))
-                                               and np.all(np.isfinite(G)))
+        # one SVD per run of bit-equal g rows, finite rows only (NaN: none finite)
+        bits, finite = G.view(np.int64), np.isfinite(G).all(axis=(1, 2))
+        new = finite & np.append(True, (bits[1:] != bits[:-1]).any(axis=(1, 2)))
+        g_min_sv = float(np.fmin.reduce(np.linalg.svd(G[new], compute_uv=False)[:, -1],
+                                        initial=g_min_sv))
+        fields_finite = fields_finite and bool(finite.all() and np.isfinite(F).all())
         kind[span], index[span] = cert.label_rows(*cert.dominant_gap_rows(X))
         grads = [cert.grad_L(X)] + [cert.grad_B(i, X) for i in range(config.n_obstacles)]
         for r, grad in enumerate(grads):
-            norms[r, span], drifts[r, span] = _row_terms(grad, F, G)
-    g_min_sv = float(np.min(svals))
+            _, n2, drifts[r, span] = control_terms(grad, F, G)
+            norms[r, span] = np.sqrt(n2)
     g_full_rank = g_min_sv > 1e-9
 
     def condition(name, member, r):

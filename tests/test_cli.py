@@ -5,12 +5,15 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+from conftest import with_system
 from nclbf.cli import main
 from nclbf.scenario import builtin_scenario, save_scenario
+from nclbf.systems import ControlAffineSystem
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text
 from nclbf.verify import (ASSUMPTIONS_FLOOR, DECREASE_FLOOR, check_assumptions,
                           grid_decrease_check)
@@ -294,6 +297,20 @@ class TestCheckAssumptionsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] and doc["g_full_rank"]
         assert "not machine-checked" in doc["zero_state_detectability"]
+
+    def test_non_finite_g_reports_and_exits_1(self, tmp_path, capsys):
+        # g = NaN * I on the x1 = 5 column: the report says so instead of a crash
+        nan_g = ControlAffineSystem(
+            "nan_g_cli", 2, 2, lambda x: -x,
+            lambda x: np.eye(2) * (math.nan if x[0] > 4.9 else 1.0))
+        path = tmp_path / "nan_g.json"
+        path.write_text(save_scenario(with_system(builtin_scenario("linear2d_single"), nan_g)))
+        assert run_cli("check-assumptions", "--scenario", str(path),
+                       "--resolution", "11") == 1
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert not doc["passed"] and not doc["fields_finite"]
+        assert doc["g_min_singular_value"] == 1.0 and "error" not in out.err
 
 
 class TestCheckTrajectoryCommand:

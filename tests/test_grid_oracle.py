@@ -202,6 +202,13 @@ def assert_same_assumptions(config, resolution):
 
 FIXTURES = ("linear2d_single", "nonlinear_mech_three")
 
+# state-dependent g without fg_rows, so runs of equal g rows are the grid's x2
+# lines; the corner variant differs only at (5, 5), the last row of its only block
+STATE_G = ControlAffineSystem("state_g", 2, 2, lambda x: -x,
+                              lambda x: np.diag([1.0, 0.1 + x[0] ** 2]))
+CORNER_G = ControlAffineSystem("corner_g", 2, 2, lambda x: -x,
+                               lambda x: np.diag([1.0, 0.5 if x.sum() == 10.0 else 1.0]))
+
 
 class TestDecreaseMatchesLoop:
     @pytest.mark.parametrize("name", FIXTURES)
@@ -236,6 +243,9 @@ class TestDecreaseMatchesLoop:
         assert 65 ** 2 > BLOCK_ROWS and 65 ** 2 % BLOCK_ROWS
         assert_same_decrease(cfg_a, 65)
 
+    def test_state_dependent_g(self, cfg_a):
+        assert_same_decrease(with_system(cfg_a, STATE_G), 41)
+
     def test_degenerate_channel_failure(self, cfg_a):
         # g = 0 leaves no control channel anywhere, and f = x drifts outward
         # along grad L and across the ball without moving the zero row
@@ -259,6 +269,17 @@ class TestAssumptionsMatchLoop:
 
     def test_three_dimensional(self, cfg_3d):
         assert_same_assumptions(cfg_3d, 21)
+
+    def test_state_dependent_g(self, cfg_a):
+        # 65^2 rows: a full block and a partial one, each with many runs of
+        # equal g; the smallest singular value is on the x1 = 0 line, mid-block
+        report = assert_same_assumptions(with_system(cfg_a, STATE_G), 65)
+        assert report.g_min_singular_value == pytest.approx(0.1)
+
+    def test_g_differing_only_in_the_last_row(self, cfg_a):
+        assert cfg_a.state_box.max() == 5.0 and 41 ** 2 < BLOCK_ROWS
+        report = assert_same_assumptions(with_system(cfg_a, CORNER_G), 41)
+        assert report.g_min_singular_value == 0.5
 
     def test_violations_path(self, cfg_a):
         degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: x.copy(),

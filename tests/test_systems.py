@@ -93,6 +93,18 @@ class TestCheckAssumptions:
         assert entry.degenerate_points == entry.points_checked
         assert len(entry.violations) >= entry.points_checked - 1
 
+    @pytest.mark.parametrize("edge,g_min_sv", [(4.9, 1.0), (-math.inf, None)])
+    def test_non_finite_g_is_reported(self, cfg_a, edge, g_min_sv):
+        # g = NaN * I for x1 > edge: the x1 = 5 column of an 11^2 grid, or every row
+        def g(x):
+            return np.eye(2) * (math.nan if x[0] > edge else 1.0)
+
+        nan_g = ControlAffineSystem(f"nan_g_{edge}", 2, 2, lambda x: -x, g)
+        doc = check_assumptions(with_system(cfg_a, nan_g), resolution=11).to_dict()
+        assert doc["fields_finite"] is False and doc["passed"] is False
+        assert doc["g_min_singular_value"] == g_min_sv
+        assert doc["g_full_rank"] is (g_min_sv is not None)
+
     def test_registry_round_trip(self, cfg_a):
         register_system("linear2d_alias", builtin_linear2d)
         cfg = dataclasses.replace(cfg_a, system_id="linear2d_alias")
