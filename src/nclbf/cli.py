@@ -52,7 +52,8 @@ def _load(scenario_arg: str, dt: float | None = None,
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # reports write a non-finite float as null: one left over is a bug, not a token
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     print(text)

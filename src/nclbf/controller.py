@@ -80,6 +80,11 @@ class Controller:
         self.cert = Certificate(config)
         self.gamma = config.gains.gamma
         self.c1 = [pa.c1 for pa in config.params]
+        # each law string is built once, so a run's law column shares them:
+        # k1_law[i], and k3_law[i][b] with b the band rule's verdict
+        n = config.n_obstacles
+        self.k1_law = tuple(f"K1:{i + 1}" for i in range(n))
+        self.k3_law = tuple((f"K3:{i + 1}>K2", f"K3:{i + 1}>K1") for i in range(n))
 
     def kappa1(self, i: int, x: np.ndarray, f0: np.ndarray | None = None,
                g0: np.ndarray | None = None) -> np.ndarray:
@@ -161,10 +166,10 @@ class Controller:
                 f"state inside unsafe ball {region.index} (obstacle {region.index + 1})")
         if region.kind == "R1":
             return ControlDecision(self.kappa1(region.index, x, f0, g0),
-                                   f"K1:{region.index + 1}", region)
+                                   self.k1_law[region.index], region)
         if region.kind == "R2":
             return ControlDecision(self.kappa2(x, f0, g0), "K2", region)
         u = self.kappa3(region.index, x, prev, f0, g0)
-        branch = "K1" if band_takes_kappa1(prev, region.index) else "K2"
-        return ControlDecision(u, f"K3:{region.index + 1}>{branch}", region)
+        law = self.k3_law[region.index][band_takes_kappa1(prev, region.index)]
+        return ControlDecision(u, law, region)
 

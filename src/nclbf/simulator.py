@@ -21,8 +21,10 @@ Sliding ends where the stabilizer field stops pushing inward, which is the
 tangency (contact-point) condition; the state then peels off toward the
 origin.  Runs are deterministic: repeated simulation of the same scenario is
 bit-identical.  A run is a TrajectoryRecord of columns, one row per sample:
-the engine stacks them once at the end, the trajectory checks and plots read
-them as arrays, and the CSV holds them in the same order.
+the engine appends each sample's floats to flat float64 buffers and its
+region and law as shared objects, and wraps the buffers as arrays at the end
+without a copy; the trajectory checks and plots read them as arrays, and the
+CSV holds them in the same order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 import time
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -304,7 +308,7 @@ class _Engine:
                     continue
                 u, slide.alpha, x = pin
                 if u_first is None:
-                    u_first, law_first = u, f"K3:{i + 1}>K2"
+                    u_first, law_first = u, self.ctrl.k3_law[i][False]
                 i, h, dd = self.cert.dominant_gap(x)
                 region = f0 = None
                 remaining -= tau
@@ -312,7 +316,7 @@ class _Engine:
                 continue
 
             if self.forced_k1 == i and abs(h) <= self.cert.eps_band:
-                u, law = self.ctrl.kappa1(i, x, f0, g0), f"K1:{i + 1}"
+                u, law = self.ctrl.kappa1(i, x, f0, g0), self.ctrl.k1_law[i]
             else:
                 self.forced_k1 = -1
                 if region is None:
@@ -352,23 +356,24 @@ class _Engine:
 
     def run(self, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
         """Simulate from x0 until convergence, timeout, or violation."""
-        cols = ([], [], [], [], [], [])   # t, x, u, V, region, law
+        cols = (array("d"), array("d"), array("d"), [], [])   # x, u, V, region, law
         outcome = Outcome("init_rejected")
         if override_init or self.cert.admissible(x0)[0]:
             outcome = self._loop(x0.copy(), cols)
-        t, x, u, V, region, law = cols
-        X = np.array(x, float).reshape(-1, self.system.n)
+        x, u, V, region, law = cols
+        X = np.frombuffer(x).reshape(-1, self.system.n)
         # dominant_gap_rows sums the squared centre distances as the step did
         return TrajectoryRecord(
-            t=np.array(t, float), x=X, u=np.array(u, float).reshape(-1, self.system.m),
-            V=np.array(V, float), region=tuple(region), law=tuple(law),
+            t=np.arange(len(V)) * self.dt, x=X, u=np.frombuffer(u).reshape(-1, self.system.m),
+            V=np.frombuffer(V), region=tuple(region), law=tuple(law),
             min_dist=np.sqrt(self.cert.dominant_gap_rows(X)[2]) - self.cert.radii,
             outcome=outcome)
 
-    def _loop(self, x: np.ndarray, cols: tuple[list, ...]) -> Outcome:
-        """Step from x, appending each sample to the lists cols, until the
-        run ends."""
-        t_, x_, u_, V_, region_, law_ = (c.append for c in cols)
+    def _loop(self, x: np.ndarray, cols: tuple) -> Outcome:
+        """Step from x, appending each sample to cols, until the run ends:
+        x, u and V as float64 bytes, region and law as the shared objects."""
+        x_, u_ = (c.frombytes for c in cols[:2])
+        V_, region_, law_ = (c.append for c in cols[2:])
         cert = self.cert
         integ = self.config.integrator
         eps_conv_sq = integ.eps_conv ** 2
@@ -381,16 +386,16 @@ class _Engine:
                 t = k * integ.dt
                 L = cert.L(x)
                 region = cert.label(i, h, dd)
-                t_(t), x_(x), V_(v_from_gap(L, h)), region_(region)
+                x_(x.tobytes()), V_(v_from_gap(L, h)), region_(region)
                 if region.kind == "UNSAFE":
-                    u_(np.zeros(self.system.m)), law_("-")
+                    u_(np.zeros(self.system.m).tobytes()), law_("-")
                     return Outcome("safety_violation", t=t, obstacle=region.index)
                 if L <= eps_conv_sq or k >= n_steps:
                     dec = self.ctrl.dispatch(region, x, self.prev)
-                    u_(dec.u), law_(dec.law)
+                    u_(dec.u.tobytes()), law_(dec.law)
                     return Outcome("converged" if L <= eps_conv_sq else "timeout", t=t)
                 x_next, i, h, dd, u, law = self.advance(x, i, h, dd, region)
-                u_(u), law_(law)
+                u_(u.tobytes()), law_(law)
                 if not all(map(math.isfinite, x_next.tolist())):
                     return Outcome("numeric_blowup", t=t)
                 self.prev = region
@@ -474,21 +479,23 @@ def read_trajectory_csv(fp) -> TrajectoryRecord:
     j = 2 + n + m   # the region column; law follows it
     labels = {r.code: r for r in [RegionLabel("R2")] + [
         RegionLabel(kind, i) for kind in ("R1", "R3", "UNSAFE") for i in range(N)]}
-    values, region, law = [], [], []
+    # each row's floats go to one flat float64 buffer, 8 B per value, and equal
+    # law strings share one object, as the engine's do
+    values, region, law = array("d"), [], []
     for k, row in enumerate(rows, 2):
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
             if row[j] not in labels:
                 raise ValueError(f"no region {row[j]!r} with {N} obstacles")
-            values.append([float(v) for v in row[:j] + row[j + 2:]])
+            values.extend(map(float, row[:j] + row[j + 2:]))
         except ValueError as e:
             raise ValueError(f"row {k}: {e}") from None
         region.append(labels[row[j]])
-        law.append(row[j + 1])
+        law.append(sys.intern(row[j + 1]))
     if not values:
         raise ValueError("row 2: no sample rows after the header")
-    values = np.array(values)
+    values = np.frombuffer(values).reshape(len(region), -1)
     dt = np.diff(values[:, 0])
     # t is k*dt, so a step off the median beyond rounding marks a dropped row;
     # the lower median (empty for one sample) is one a single hole cannot set

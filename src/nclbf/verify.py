@@ -27,6 +27,12 @@ from .simulator import TrajectoryRecord
 from .systems import ControlAffineSystem, resolve_system
 
 
+def json_float(v: float) -> float | None:
+    """v as a report writes it: a non-finite value, which standard JSON cannot
+    hold, is null."""
+    return v if math.isfinite(v) else None
+
+
 @dataclass(frozen=True)
 class DerivativeBreakdown:
     region: RegionLabel
@@ -74,8 +80,9 @@ TOL_F = 1e-9
 DECREASE_RESOLUTION, DECREASE_FLOOR = 201, 11
 ASSUMPTIONS_RESOLUTION, ASSUMPTIONS_FLOOR = 101, 2
 
-# Grid checks evaluate this many rows per array pass, which bounds their
-# temporaries; ties across blocks still go to the first row in grid order.
+# Grid checks and check (d) evaluate this many rows per array pass, which
+# bounds their temporaries; ties across blocks still go to the first row in
+# grid order.
 BLOCK_ROWS = 4096
 
 
@@ -136,20 +143,24 @@ class DecreaseReport:
     counts: dict
     degenerate_max_drift: float
     degenerate_ok: bool
+    fields_finite: bool
     degenerate_escapes: int = 0
 
     @property
     def passed(self) -> bool:
         # a grid with no evaluated point certifies nothing
-        return self.counts["evaluated"] > 0 and self.rho0_star > 0.0 and self.degenerate_ok
+        return (self.counts["evaluated"] > 0 and self.rho0_star > 0.0 and self.degenerate_ok
+                and self.fields_finite)
 
     def to_dict(self) -> dict:
+        # rho0_star is inf when no point was evaluated: null
         return {"passed": self.passed,
-                "rho0_star": self.rho0_star if self.counts["evaluated"] else None,
+                "rho0_star": json_float(self.rho0_star),
                 "worst_point": list(self.worst_point),
                 "grid_shape": list(self.grid_shape), "counts": dict(self.counts),
-                "degenerate_max_drift": self.degenerate_max_drift,
+                "degenerate_max_drift": json_float(self.degenerate_max_drift),
                 "degenerate_ok": self.degenerate_ok,
+                "fields_finite": self.fields_finite,
                 "degenerate_escapes_in_finite_time": self.degenerate_escapes}
 
 
@@ -164,7 +175,9 @@ def grid_decrease_check(config: ScenarioConfig,
     counted separately and their drift derivative checked against TOL_F).
     Band points are scored under the worse of the two one-sided branches.
     The grid is scored BLOCK_ROWS rows at a time; among equal ratios the
-    worst point is the first in grid order.
+    worst point is the first in grid order.  fields_finite says f and g are
+    finite at every point not excluded; a NaN ratio is not scored, and
+    a NaN degenerate drift fails (degenerate_max_drift is then NaN).
     """
     if resolution < DECREASE_FLOOR:
         raise ValueError(f"resolution must be >= {DECREASE_FLOOR}")
@@ -180,6 +193,7 @@ def grid_decrease_check(config: ScenarioConfig,
     worst = None
     max_drift = -math.inf
     escapes = 0
+    fields_finite = True
 
     for lo in range(0, len(pts), BLOCK_ROWS):
         X = pts[lo:lo + BLOCK_ROWS]
@@ -195,6 +209,7 @@ def grid_decrease_check(config: ScenarioConfig,
         keep = ~(origin | unsafe | shrunk)
         X, L, kind, index = X[keep], L[keep], kind[keep], index[keep]
         F, G = field_rows(sys_, X)
+        fields_finite = fields_finite and bool(np.isfinite(F).all() and np.isfinite(G).all())
         # per side (0: the barrier of each row's obstacle under kappa1,
         # 1: the stabilizer under kappa2): its rows and their obstacles
         sides = ((np.flatnonzero((kind == R1) | (kind == R3)), index),
@@ -219,7 +234,8 @@ def grid_decrease_check(config: ScenarioConfig,
             side_escapes, failures = _degenerate_rule(
                 sys_, cert, X[r], drift[s, r], None if obstacle is None else obstacle[r])
             escapes += len(side_escapes)
-            max_drift = max([max_drift] + [p[-1] for p in failures])
+            # np.max, unlike max, keeps a NaN drift
+            max_drift = float(np.max([max_drift] + [p[-1] for p in failures]))
 
         # max over the candidates in order: the stabilizer side wins only if larger
         scored = live[0] | live[1]
@@ -236,7 +252,8 @@ def grid_decrease_check(config: ScenarioConfig,
         rho0_star=rho0, worst_point=tuple(map(float, worst)) if worst is not None else (),
         grid_shape=tuple([resolution] * config.n),
         counts=counts, degenerate_max_drift=max_drift,
-        degenerate_ok=max_drift <= TOL_F, degenerate_escapes=escapes)
+        degenerate_ok=max_drift <= TOL_F, fields_finite=fields_finite,
+        degenerate_escapes=escapes)
 
 
 @dataclass(frozen=True)
@@ -254,8 +271,8 @@ class AssumptionEntry:
     def to_dict(self) -> dict:
         return {"condition": self.condition, "points_checked": self.points_checked,
                 "degenerate_points": self.degenerate_points,
-                "violations": [list(v) for v in self.violations],
-                "escape_in_finite_time": [list(v) for v in self.escape_notes],
+                "violations": [list(map(json_float, v)) for v in self.violations],
+                "escape_in_finite_time": [list(map(json_float, v)) for v in self.escape_notes],
                 "passed": self.passed}
 
 
@@ -277,8 +294,7 @@ class AssumptionReport:
         return {"passed": self.passed,
                 "entries": [e.to_dict() for e in self.entries],
                 # NaN when no g row is finite: there is no value to report
-                "g_min_singular_value": (None if math.isnan(self.g_min_singular_value)
-                                         else self.g_min_singular_value),
+                "g_min_singular_value": json_float(self.g_min_singular_value),
                 "g_full_rank": self.g_full_rank,
                 "fields_finite": self.fields_finite,
                 "zero_state_detectability": self.zero_state_detectability,
@@ -380,7 +396,7 @@ class InvariantReport:
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks],
-                "fd_constant": self.fd_constant}
+                "fd_constant": json_float(self.fd_constant)}
 
 
 V_DECREASE_TOL = 1e-6
@@ -423,18 +439,23 @@ def fd_constant(record: TrajectoryRecord, ctrl: Controller,
                 eps_conv: float) -> tuple[float, int]:
     """Invariant check (d): max(0, (V_k+1 - V_k)/dt - d_k) / dt over the smooth
     steps (both samples in one region, not the band, ||x_k|| > eps_conv), and
-    their count; d_k is derivative_rows(ctrl, x_k, u_k), dt = t[1] - t[0]."""
+    their count; d_k is derivative_rows(ctrl, x_k, u_k), dt = t[1] - t[0],
+    evaluated BLOCK_ROWS steps at a time."""
     codes = {r: k for k, r in enumerate(set(record.region))}
     code = np.fromiter(map(codes.__getitem__, record.region), int, len(record))
     band = np.array([r.kind == "R3" for r in codes])[code]
     smooth = (code[:-1] == code[1:]) & ~band[:-1] & record.outside_ball(eps_conv)[:-1]
-    if not smooth.any():
+    steps = np.flatnonzero(smooth)
+    if not steps.size:
         return 0.0, 0
-    _, _, d = derivative_rows(ctrl, record.x[:-1][smooth], record.u[:-1][smooth])
     dt = float(record.t[1] - record.t[0])
-    resid = np.diff(record.V)[smooth] / dt - d
-    resid = resid[resid > 0.0]
-    return (float(resid.max()) if resid.size else 0.0) / dt, len(d)
+    worst = 0.0
+    for lo in range(0, len(steps), BLOCK_ROWS):
+        k = steps[lo:lo + BLOCK_ROWS]
+        _, _, d = derivative_rows(ctrl, record.x[k], record.u[k])
+        # fmax skips a NaN residual
+        worst = float(np.fmax.reduce((record.V[k + 1] - record.V[k]) / dt - d, initial=worst))
+    return worst / dt, len(steps)
 
 
 def trajectory_invariants(record: TrajectoryRecord,

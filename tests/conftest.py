@@ -7,6 +7,7 @@ take tens of seconds; every test reads from the same records.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -67,6 +68,14 @@ def with_system(config, system):
     to run the entry points on a system of a test's own."""
     register_system(system.name, lambda: system)
     return dataclasses.replace(config, system_id=system.name)
+
+
+def nan_f_system(gain: float):
+    """f = -x, NaN where x1 > 4.9 (the x1 = 5 column of an 11^2 grid over
+    [-5, 5]^2), and g = gain * I: every channel live (1) or none (0)."""
+    return ControlAffineSystem(f"nan_f_{gain:g}", 2, 2,
+                               lambda x: -x * (math.nan if x[0] > 4.9 else 1.0),
+                               lambda x: gain * np.eye(2))
 
 
 def zero_gain(config):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import with_system
+from conftest import nan_f_system, with_system
 from nclbf.cli import main
 from nclbf.scenario import builtin_scenario, save_scenario
 from nclbf.systems import ControlAffineSystem
@@ -311,6 +311,30 @@ class TestCheckAssumptionsCommand:
         doc = json.loads(out.out)
         assert not doc["passed"] and not doc["fields_finite"]
         assert doc["g_min_singular_value"] == 1.0 and "error" not in out.err
+
+
+@pytest.mark.parametrize("gain", [1.0, 0.0])
+def test_non_finite_f_reports_are_strict_json(gain, tmp_path, capsys):
+    # f is NaN on the x1 = 5 column; every non-finite value is written as null
+    path = tmp_path / "nan_f.json"
+    path.write_text(save_scenario(with_system(builtin_scenario("linear2d_single"),
+                                              nan_f_system(gain))))
+    docs = []
+    for command in ("verify-derivative", "check-assumptions"):
+        assert run_cli(command, "--scenario", str(path), "--resolution", "11") == 1
+        out = capsys.readouterr()
+        assert not out.err
+        docs.append(json.loads(out.out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}")))
+    vd, ca = docs
+    assert vd["fields_finite"] is False and not vd["passed"]
+    assert ca["fields_finite"] is False and not ca["passed"]
+    if gain:
+        # every channel is live: the finite points alone would certify
+        assert vd["rho0_star"] > 0.0 and vd["degenerate_ok"]
+    else:
+        # no channel anywhere: the column's NaN drifts fail and have no maximum
+        assert vd["degenerate_max_drift"] is None and not vd["degenerate_ok"]
+        assert [5.0, -5.0, None] in ca["entries"][0]["violations"]
 
 
 class TestCheckTrajectoryCommand:

@@ -3,9 +3,11 @@
 ``decrease_oracle`` and ``assumptions_oracle`` are the point-by-point
 ``grid_decrease_check`` and ``check_assumptions`` kept verbatim except for
 their names and the lines that build their controller or system, which come
-from the scenario as in the checks; they call only the scalar certificate and
-controller forms.  The
-array versions must reproduce their reports exactly: every ``to_dict()`` is
+from the scenario as in the checks, and the non-finite rules that
+``decrease_oracle`` shares with the check: ``fields_finite`` over the points
+where f and g are evaluated, and a NaN degenerate drift kept by the maximum;
+they call only the scalar certificate and controller forms.  The array
+versions must reproduce their reports exactly: every ``to_dict()`` is
 compared with ``==``, no tolerance.
 """
 
@@ -17,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import with_system, zero_gain
+from conftest import nan_f_system, with_system, zero_gain
 from nclbf.certificate import Certificate
 from nclbf.controller import TOL_G, Controller
 from nclbf.scenario import builtin_scenario
@@ -47,6 +49,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
     worst = None
     max_drift = -math.inf
     escapes = 0
+    fields_finite = True
 
     tol_g = TOL_G
     for x in pts:
@@ -65,6 +68,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
 
         f0 = sys_.f(x)
         g0 = sys_.g(x)
+        fields_finite = fields_finite and bool(np.isfinite(f0).all() and np.isfinite(g0).all())
         cands = []
         drift_rows = []
         if lab.kind in ("R1", "R3"):
@@ -94,7 +98,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
                 if control_row_transversal(sys_, row_fn, x):
                     escapes += 1
                 else:
-                    max_drift = max(max_drift, drift)
+                    max_drift = float(np.max([max_drift, drift]))
             continue
         counts["evaluated"] += 1
         d = max(cands)
@@ -108,7 +112,8 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
         rho0_star=rho0, worst_point=tuple(map(float, worst)) if worst is not None else (),
         grid_shape=tuple([resolution] * config.n),
         counts=counts, degenerate_max_drift=max_drift,
-        degenerate_ok=max_drift <= tol_f, degenerate_escapes=escapes)
+        degenerate_ok=max_drift <= tol_f, fields_finite=fields_finite,
+        degenerate_escapes=escapes)
 
 
 def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
@@ -255,6 +260,13 @@ class TestDecreaseMatchesLoop:
         assert report.degenerate_ok is False
         assert report.counts["evaluated"] == 0 and report.degenerate_escapes == 0
 
+    @pytest.mark.parametrize("gain", [1.0, 0.0])
+    def test_non_finite_f(self, cfg_a, gain):
+        report = assert_same_decrease(with_system(cfg_a, nan_f_system(gain)), 11)
+        assert report.fields_finite is False and not report.passed
+        if not gain:
+            assert math.isnan(report.degenerate_max_drift)
+
 
 class TestAssumptionsMatchLoop:
     @pytest.mark.parametrize("name", FIXTURES)
@@ -280,6 +292,10 @@ class TestAssumptionsMatchLoop:
         assert cfg_a.state_box.max() == 5.0 and 41 ** 2 < BLOCK_ROWS
         report = assert_same_assumptions(with_system(cfg_a, CORNER_G), 41)
         assert report.g_min_singular_value == 0.5
+
+    @pytest.mark.parametrize("gain", [1.0, 0.0])
+    def test_non_finite_f(self, cfg_a, gain):
+        assert not assert_same_assumptions(with_system(cfg_a, nan_f_system(gain)), 11).passed
 
     def test_violations_path(self, cfg_a):
         degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: x.copy(),

@@ -6,10 +6,12 @@ import dataclasses
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nclbf import builtin_scenario
 from nclbf.certificate import Certificate
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
@@ -182,6 +184,29 @@ class TestThreeDimensional:
         # (4, 4, 2) lies behind the obstacle on the ray through its center
         assert any(law.startswith("K3") for law in rec.law)
         assert trajectory_invariants(rec, cfg_3d).passed
+
+
+def test_run_memory_is_its_columns():
+    # nonlinear_mech_three from (-5, 5) needs about 50 s, so t_max = 2 gives
+    # 2,001 samples; a short run first keeps one-time allocations out
+    cfg = builtin_scenario("nonlinear_mech_three")
+    x0 = np.array([-5.0, 5.0])
+    simulate(dataclasses.replace(cfg, integrator=dataclasses.replace(
+        cfg.integrator, t_max=0.01)), x0)
+    cfg = dataclasses.replace(cfg, integrator=dataclasses.replace(cfg.integrator, t_max=2.0))
+    tracemalloc.start()
+    try:
+        rec = simulate(cfg, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    K = len(rec)
+    assert K == 2001 and rec.outcome.kind == "timeout"
+    # the record keeps 80 B per sample (n = 2, m = 1, N = 3); an ndarray per
+    # sample for x and u and a law string per step would take about 500 B
+    assert peak < 250 * K, peak / K
+    assert rec.t.tolist() == [k * cfg.integrator.dt for k in range(K)]
+    assert len(set(map(id, rec.law))) == len(set(rec.law))
 
 
 class TestRunBatch:
