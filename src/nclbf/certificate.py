@@ -40,10 +40,20 @@ def row_vecmat(a: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ G)[:, 0, :]
 
 
-def v_from_gap(L: float, h: float) -> float:
-    """V = max(L, max_i B_i) from L and dominant_gap's h: the one form that
-    the engine records and Certificate.V evaluates."""
-    return L + h if h > 0.0 else L
+def v_from_gap(X: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """V = max(L, max_i B_i) for every row of X (P, n) from dominant_gap_rows'
+    h: the one form that the engine records and Certificate.V evaluates."""
+    L = row_dot(X, X)
+    return np.where(h > 0.0, L + h, L)
+
+
+def region_codes(n_obstacles: int) -> np.ndarray:
+    """The CSV code of each label_rows pair (kind, index) at [kind, index + 1]
+    ('R1:1', 'R2', 'R3:1', 'U:1': 1-based obstacles), None for no pair."""
+    codes = np.array([[None] + [f"{tag}:{i}" for i in range(1, n_obstacles + 1)]
+                      for tag in ("R1", "R2", "R3", "U")], dtype=object)
+    codes[R2] = ["R2"] + [None] * n_obstacles
+    return codes
 
 
 @dataclass(frozen=True)
@@ -61,19 +71,9 @@ class RegionLabel:
 
     @property
     def code(self) -> str:
-        """Short code with 1-based obstacle index, e.g. 'R1:1', 'R2', 'U:2'."""
-        if self.kind == "R2":
-            return "R2"
-        tag = "U" if self.kind == "UNSAFE" else self.kind
-        return f"{tag}:{self.index + 1}"
-
-    @classmethod
-    def from_code(cls, code: str) -> "RegionLabel":
-        if code == "R2":
-            return cls("R2")
-        tag, _, idx = code.partition(":")
-        kind = "UNSAFE" if tag == "U" else tag
-        return cls(kind, int(idx) - 1)
+        """The region's CSV code (region_codes), e.g. 'R1:1', 'R2', 'U:2'."""
+        i = -1 if self.index is None else self.index
+        return region_codes(i + 1)[KINDS.index(self.kind), i + 1]
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ class Certificate:
         return -2.0 * e1 * (x - self.centers[i])
 
     def V(self, x: np.ndarray) -> float:
-        """V(x), equal bit for bit to the V the engine records at x."""
-        return v_from_gap(self.L(x), self.dominant_gap(x)[1])
+        """V(x): v_from_gap for the one row x, as the engine records it."""
+        return float(v_from_gap(x[None, :], self.dominant_gap(x)[1])[0])
 
     def gap(self, i: int, x: np.ndarray) -> float:
         """B_i(x) - L(x) for one given obstacle."""
@@ -183,17 +183,11 @@ class Certificate:
 
     # -- regions ------------------------------------------------------------
 
-    def _first_unsafe(self, dds: list[float]) -> int | None:
-        for j, (dd, rsq) in enumerate(zip(dds, self._radii_sq)):
-            if dd < rsq:
-                return j
-        return None
-
     def label(self, i: int, h: float, dds: list[float]) -> RegionLabel:
         """Region from a dominant_gap result: unsafe test first, then band h."""
-        u = self._first_unsafe(dds)
-        if u is not None:
-            return self._unsafe[u]
+        for j, (dd, rsq) in enumerate(zip(dds, self._radii_sq)):
+            if dd < rsq:
+                return self._unsafe[j]
         if h > self.eps_band:
             return self._r1[i]
         if -h > self.eps_band:
@@ -205,22 +199,18 @@ class Certificate:
         """label for every row of a dominant_gap_rows result: (kind, index).
 
         kind holds codes into KINDS; index is the first unsafe obstacle for
-        UNSAFE rows and the dominant obstacle otherwise (unused for R2).
+        UNSAFE rows, -1 for R2 rows and the dominant obstacle otherwise.
         """
         inside = dds < self.radii_sq
         unsafe = inside.any(axis=1)
         kind = np.where(h > self.eps_band, R1, np.where(-h > self.eps_band, R2, R3))
         kind[unsafe] = UNSAFE
-        index = np.where(unsafe, inside.argmax(axis=1), i)
+        index = np.where(unsafe, inside.argmax(axis=1), np.where(kind == R2, -1, i))
         return kind, index
 
     def classify(self, x: np.ndarray) -> RegionLabel:
         """Region of x: unsafe balls first, then the band on max_i B_i - L."""
         return self.label(*self.dominant_gap(x))
-
-    def unsafe_index(self, x: np.ndarray) -> int | None:
-        """Index of an obstacle whose open ball contains x, else None."""
-        return self._first_unsafe(self.dominant_gap(x)[2])
 
     def dominant_obstacle(self, x: np.ndarray) -> int:
         """argmax_i B_i(x); ties break to the lowest index."""
@@ -229,16 +219,12 @@ class Certificate:
     def admissible(self, x: np.ndarray) -> tuple[bool, str]:
         """Outside every obstacle and B_i - L <= -eps_band for every i."""
         i, h, dds = self.dominant_gap(x)
-        u = self._first_unsafe(dds)
-        if u is not None:
-            return False, f"inside obstacle {u}"
+        region = self.label(i, h, dds)
+        if region.kind == "UNSAFE":
+            return False, f"inside obstacle {region.index}"
         if h > -self.eps_band:
             return False, f"in barrier region of obstacle {i}"
         return True, "stabilizer region"
-
-    def min_dists(self, x: np.ndarray) -> np.ndarray:
-        """Per-obstacle ||x - c_i|| - sqrt(r_i); positive means clear."""
-        return np.sqrt(self.dominant_gap(x)[2]) - self.radii
 
     # -- virtual boundary geometry -------------------------------------------
 

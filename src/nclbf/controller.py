@@ -22,6 +22,15 @@ from .systems import resolve_system
 # Absolute threshold below which a gradient-control row counts as vanished.
 TOL_G = 1e-9
 
+K2_LAW, NO_LAW = "K2", "-"   # kappa2's law name; no law (a sample in an unsafe ball)
+
+
+def law_names(n_obstacles: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """The barrier laws' names, each built once (1-based obstacle i): k1[i] is
+    'K1:i' and k3[i][b] is 'K3:i>K2' or 'K3:i>K1' by the band rule's verdict b."""
+    return (tuple(f"K1:{i + 1}" for i in range(n_obstacles)),
+            tuple((f"K3:{i + 1}>K2", f"K3:{i + 1}>K1") for i in range(n_obstacles)))
+
 
 class SafetyViolationError(RuntimeError):
     """Control requested inside an unsafe ball."""
@@ -80,11 +89,7 @@ class Controller:
         self.cert = Certificate(config)
         self.gamma = config.gains.gamma
         self.c1 = [pa.c1 for pa in config.params]
-        # each law string is built once, so a run's law column shares them:
-        # k1_law[i], and k3_law[i][b] with b the band rule's verdict
-        n = config.n_obstacles
-        self.k1_law = tuple(f"K1:{i + 1}" for i in range(n))
-        self.k3_law = tuple((f"K3:{i + 1}>K2", f"K3:{i + 1}>K1") for i in range(n))
+        self.k1_law, self.k3_law = law_names(config.n_obstacles)
 
     def kappa1(self, i: int, x: np.ndarray, f0: np.ndarray | None = None,
                g0: np.ndarray | None = None) -> np.ndarray:
@@ -168,7 +173,7 @@ class Controller:
             return ControlDecision(self.kappa1(region.index, x, f0, g0),
                                    self.k1_law[region.index], region)
         if region.kind == "R2":
-            return ControlDecision(self.kappa2(x, f0, g0), "K2", region)
+            return ControlDecision(self.kappa2(x, f0, g0), K2_LAW, region)
         u = self.kappa3(region.index, x, prev, f0, g0)
         law = self.k3_law[region.index][band_takes_kappa1(prev, region.index)]
         return ControlDecision(u, law, region)

@@ -268,11 +268,12 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
     """Check every design inequality with numeric slack; failures are entries.
 
     Covers, per obstacle: origin strictly outside, the eta1 lower bound, the
-    eta2 interval, the w range when w is given, positivity of c1; pairwise:
-    obstacle balls disjoint and boundary spheres (Certificate.boundary_sphere)
-    disjoint.  Initial states are reported admissible iff they lie in the
-    stabilizer region (outside every obstacle, below every barrier by at least
-    eps_band).
+    eta2 interval, the w range when w is given and a positive boundary-sphere
+    radius; pairwise: obstacle balls disjoint and boundary spheres
+    (Certificate.boundary_sphere) disjoint.  c1 is not an entry: ObstacleParams
+    rejects a c1 that is not positive when it is built.  Initial states are
+    reported admissible iff they lie in the stabilizer region (outside every
+    obstacle, below every barrier by at least eps_band).
     """
     from .certificate import Certificate  # certificate imports this module
     cert = Certificate(config)

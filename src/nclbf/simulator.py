@@ -21,10 +21,8 @@ Sliding ends where the stabilizer field stops pushing inward, which is the
 tangency (contact-point) condition; the state then peels off toward the
 origin.  Runs are deterministic: repeated simulation of the same scenario is
 bit-identical.  A run is a TrajectoryRecord of columns, one row per sample:
-the engine appends each sample's floats to flat float64 buffers and its
-region and law as shared objects, and wraps the buffers as arrays at the end
-without a copy; the trajectory checks and plots read them as arrays, and the
-CSV holds them in the same order.
+the engine records x, u and the law, and derives V, the region and min_dist
+from one row pass over x; the checks, plots and CSV read the columns.
 """
 
 from __future__ import annotations
@@ -32,16 +30,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 import time
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
-from .certificate import RegionLabel, row_dot, v_from_gap
-from .controller import Controller
+from .certificate import RegionLabel, region_codes, row_dot, v_from_gap
+from .controller import K2_LAW, NO_LAW, Controller, law_names
 from .scenario import ScenarioConfig
 from .systems import ControlAffineSystem
 
@@ -84,7 +82,7 @@ def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
 
 
 # One row of a TrajectoryRecord; built only by TrajectoryRecord.samples.
-StepSample = namedtuple("StepSample", "t x u V region law min_dist")
+StepSample = namedtuple("StepSample", "t x u V kind index law min_dist")
 
 
 @dataclass(frozen=True)
@@ -102,14 +100,15 @@ class Outcome:
 class TrajectoryRecord:
     """One run as columns, row k being the sample at t_k: float arrays t (K,),
     x (K, n), u (K, m) (the input applied from x_k), V (K,) and min_dist
-    (K, N) (||x_k - c_i|| - sqrt(r_i)), and tuples of the engine's shared
-    RegionLabel and law strings."""
+    (K, N) (||x_k - c_i|| - sqrt(r_i)), int arrays kind (K,) and index (K,)
+    (x_k's region as Certificate.label_rows gives it), and the law strings."""
 
     t: np.ndarray
     x: np.ndarray
     u: np.ndarray
     V: np.ndarray
-    region: tuple[RegionLabel, ...]
+    kind: np.ndarray
+    index: np.ndarray
     law: tuple[str, ...]
     min_dist: np.ndarray
     outcome: Outcome | None
@@ -121,7 +120,7 @@ class TrajectoryRecord:
     def samples(self) -> tuple[StepSample, ...]:
         """The rows as StepSample objects, built on each access."""
         return tuple(map(StepSample, self.t.tolist(), self.x, self.u, self.V.tolist(),
-                         self.region, self.law, self.min_dist))
+                         self.kind.tolist(), self.index.tolist(), self.law, self.min_dist))
 
     def outside_ball(self, eps_conv: float) -> np.ndarray:
         """Rows with ||x||^2 > eps_conv^2: the engine's not-yet-converged test."""
@@ -356,24 +355,22 @@ class _Engine:
 
     def run(self, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
         """Simulate from x0 until convergence, timeout, or violation."""
-        cols = (array("d"), array("d"), array("d"), [], [])   # x, u, V, region, law
+        x, u, law = array("d"), array("d"), []
         outcome = Outcome("init_rejected")
         if override_init or self.cert.admissible(x0)[0]:
-            outcome = self._loop(x0.copy(), cols)
-        x, u, V, region, law = cols
+            outcome = self._loop(x0.copy(), x.frombytes, u.frombytes, law.append)
         X = np.frombuffer(x).reshape(-1, self.system.n)
-        # dominant_gap_rows sums the squared centre distances as the step did
-        return TrajectoryRecord(
-            t=np.arange(len(V)) * self.dt, x=X, u=np.frombuffer(u).reshape(-1, self.system.m),
-            V=np.frombuffer(V), region=tuple(region), law=tuple(law),
-            min_dist=np.sqrt(self.cert.dominant_gap_rows(X)[2]) - self.cert.radii,
-            outcome=outcome)
+        # row k is the step's dominant_gap(x_k) bit for bit: V and region as seen
+        with np.errstate(over="ignore", invalid="ignore"):
+            i, h, dds = self.cert.dominant_gap_rows(X)
+            return TrajectoryRecord(
+                np.arange(len(X)) * self.dt, X, np.frombuffer(u).reshape(-1, self.system.m),
+                v_from_gap(X, h), *self.cert.label_rows(i, h, dds), tuple(law),
+                np.sqrt(dds) - self.cert.radii, outcome)
 
-    def _loop(self, x: np.ndarray, cols: tuple) -> Outcome:
-        """Step from x, appending each sample to cols, until the run ends:
-        x, u and V as float64 bytes, region and law as the shared objects."""
-        x_, u_ = (c.frombytes for c in cols[:2])
-        V_, region_, law_ = (c.append for c in cols[2:])
+    def _loop(self, x: np.ndarray, x_, u_, law_) -> Outcome:
+        """Step from x until the run ends, passing each sample's x and u as
+        float64 bytes to x_ and u_ and its law, a shared string, to law_."""
         cert = self.cert
         integ = self.config.integrator
         eps_conv_sq = integ.eps_conv ** 2
@@ -386,9 +383,9 @@ class _Engine:
                 t = k * integ.dt
                 L = cert.L(x)
                 region = cert.label(i, h, dd)
-                x_(x.tobytes()), V_(v_from_gap(L, h)), region_(region)
+                x_(x.tobytes())
                 if region.kind == "UNSAFE":
-                    u_(np.zeros(self.system.m).tobytes()), law_("-")
+                    u_(np.zeros(self.system.m).tobytes()), law_(NO_LAW)
                     return Outcome("safety_violation", t=t, obstacle=region.index)
                 if L <= eps_conv_sq or k >= n_steps:
                     dec = self.ctrl.dispatch(region, x, self.prev)
@@ -450,13 +447,12 @@ def write_trajectory_csv(record: TrajectoryRecord, fp) -> None:
     """
     if not len(record):
         raise ValueError("cannot write an empty trajectory")
-    code = {r: r.code for r in set(record.region)}
+    N = record.min_dist.shape[1]
     floats = [record.t, *record.x.T, *record.u.T, record.V]
     cols = ([map(repr, map(float, c)) for c in floats]
-            + [map(code.__getitem__, record.region), record.law]
+            + [region_codes(N)[record.kind, record.index + 1].tolist(), record.law]
             + [map(repr, map(float, c)) for c in record.min_dist.T])
-    fp.write(",".join(trajectory_header(record.x.shape[1], record.u.shape[1],
-                                        record.min_dist.shape[1])) + "\n")
+    fp.write(",".join(trajectory_header(record.x.shape[1], record.u.shape[1], N)) + "\n")
     fp.writelines(map("%s\n".__mod__, map(",".join, zip(*cols))))
 
 
@@ -468,45 +464,58 @@ def trajectory_csv_text(record: TrajectoryRecord) -> str:
 
 def read_trajectory_csv(fp) -> TrajectoryRecord:
     """Parse a CSV written by write_trajectory_csv into columns (outcome
-    None); a malformed file, including a non-finite t or x, a t that does not
-    strictly increase or a t step more than 1e-6 relative off the median
-    step, raises ValueError naming its 1-based row."""
+    None); a malformed file, including an unknown region or law, a non-finite
+    t or x, a t that does not strictly increase or a t step more than 1e-6
+    relative off the median step, raises ValueError naming its 1-based row."""
     rows = csv.reader(fp)
     header = next(rows, [])
     n, m, N = (sum(h.startswith(p) for h in header) for p in ("x", "u", "mindist"))
     if header != trajectory_header(n, m, N):
         raise ValueError("row 1: not a t,x..,u..,V,region,law,mindist.. header")
     j = 2 + n + m   # the region column; law follows it
-    labels = {r.code: r for r in [RegionLabel("R2")] + [
-        RegionLabel(kind, i) for kind in ("R1", "R3", "UNSAFE") for i in range(N)]}
-    # each row's floats go to one flat float64 buffer, 8 B per value, and equal
-    # law strings share one object, as the engine's do
-    values, region, law = array("d"), [], []
-    for k, row in enumerate(rows, 2):
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-            if row[j] not in labels:
-                raise ValueError(f"no region {row[j]!r} with {N} obstacles")
-            values.extend(map(float, row[:j] + row[j + 2:]))
-        except ValueError as e:
-            raise ValueError(f"row {k}: {e}") from None
-        region.append(labels[row[j]])
-        law.append(sys.intern(row[j + 1]))
-    if not values:
+    # a region is kept as its flat index into region_codes(N) and a law as the
+    # law table's shared string; the floats of each 64 rows go through one
+    # block to each column group's own float64 buffer, 8 B per value
+    slot_of = {c: s for s, c in enumerate(region_codes(N).ravel()) if c}
+    k1, k3 = law_names(N)
+    laws = {s: s for s in (K2_LAW, NO_LAW, *k1, *chain(*k3))}
+    spans = ((0, 1), (1, 1 + n), (1 + n, j - 1), (j - 1, j), (j, j + N))
+    floats, slot, law = [array("d") for _ in spans], array("q"), []
+    rows = enumerate(rows, 2)
+    while chunk := list(islice(rows, 64)):
+        block = array("d")
+        for k, row in chunk:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                if (s := slot_of.get(row[j])) is None:
+                    raise ValueError(f"no region {row[j]!r} with {N} obstacles")
+                if (name := laws.get(row[j + 1])) is None:
+                    raise ValueError(f"no law {row[j + 1]!r} with {N} obstacles")
+                block.extend(map(float, row[:j] + row[j + 2:]))
+            except ValueError as e:
+                raise ValueError(f"row {k}: {e}") from None
+            slot.append(s), law.append(name)
+        B = np.frombuffer(block).reshape(-1, j + N)
+        for col, (a, b) in zip(floats, spans):
+            col.frombytes(B[:, a:b].tobytes())
+    if not law:
         raise ValueError("row 2: no sample rows after the header")
-    values = np.frombuffer(values).reshape(len(region), -1)
-    dt = np.diff(values[:, 0])
+    t, x, u, V, min_dist = (np.frombuffer(c).reshape(len(law), b - a)
+                            for c, (a, b) in zip(floats, spans))
+    t, V = t[:, 0], V[:, 0]
+    dt = np.diff(t)
     # t is k*dt, so a step off the median beyond rounding marks a dropped row;
-    # the lower median (empty for one sample) is one a single hole cannot set
-    ref = np.sort(dt)[(len(dt) - 1) // 2:][:1]
+    # the lower median (empty for one sample) is one a single hole cannot set;
+    # copied out, so the sorted steps are freed before the comparison
+    ref = np.sort(dt)[(len(dt) - 1) // 2:][:1].copy()
     # u, V and mindist stay unrestricted: a blown-up run records overflow there
-    for bad, what in ((~np.isfinite(values[:, :1 + n]).all(axis=1), "non-finite t or x"),
+    for bad, what in ((~(np.isfinite(t) & np.isfinite(x).all(axis=1)), "non-finite t or x"),
                       (np.r_[False, dt <= 0.0], "t does not increase"),
                       (np.r_[False, ~np.isclose(dt, ref, rtol=1e-6, atol=0.0)],
                        "t step differs from the median step")):
         if bad.any():
             raise ValueError(f"row {int(np.argmax(bad)) + 2}: {what}")
-    t, x, u, V, min_dist = map(np.ascontiguousarray,
-                               np.split(values, [1, 1 + n, j - 1, j], axis=1))
-    return TrajectoryRecord(t[:, 0], x, u, V[:, 0], tuple(region), tuple(law), min_dist, None)
+    kind, index = np.divmod(np.frombuffer(slot, np.int64), N + 1)
+    index -= 1
+    return TrajectoryRecord(t, x, u, V, kind, index, tuple(law), min_dist, None)

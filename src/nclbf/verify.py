@@ -441,10 +441,8 @@ def fd_constant(record: TrajectoryRecord, ctrl: Controller,
     steps (both samples in one region, not the band, ||x_k|| > eps_conv), and
     their count; d_k is derivative_rows(ctrl, x_k, u_k), dt = t[1] - t[0],
     evaluated BLOCK_ROWS steps at a time."""
-    codes = {r: k for k, r in enumerate(set(record.region))}
-    code = np.fromiter(map(codes.__getitem__, record.region), int, len(record))
-    band = np.array([r.kind == "R3" for r in codes])[code]
-    smooth = (code[:-1] == code[1:]) & ~band[:-1] & record.outside_ball(eps_conv)[:-1]
+    same = (record.kind[:-1] == record.kind[1:]) & (record.index[:-1] == record.index[1:])
+    smooth = same & (record.kind[:-1] != R3) & record.outside_ball(eps_conv)[:-1]
     steps = np.flatnonzero(smooth)
     if not steps.size:
         return 0.0, 0

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nclbf import builtin_scenario, simulate
+from nclbf.certificate import KINDS, R2, UNSAFE, Certificate, RegionLabel
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
 from nclbf.systems import ControlAffineSystem, register_system
@@ -90,21 +91,26 @@ Row = namedtuple("Row", "t x u V region law min_dist")
 
 
 def rows(record) -> list[Row]:
-    """The record's samples one row at a time, for the per-sample oracles."""
+    """The record's samples one row at a time, for the per-sample oracles;
+    region is the RegionLabel of the row's (kind, index)."""
+    region = [RegionLabel(KINDS[k], None if k == R2 else i)
+              for k, i in zip(record.kind.tolist(), record.index.tolist())]
     return [Row(*r) for r in zip(record.t.tolist(), record.x, record.u, record.V.tolist(),
-                                 record.region, record.law, record.min_dist)]
+                                 region, record.law, record.min_dist)]
 
 
 def doctored_record(record, config, k: int = 100):
     """record with sample k moved onto obstacle 1's centre, inside the ball."""
-    from nclbf.certificate import Certificate, RegionLabel
     cert = Certificate(config)
     inside = np.array(config.obstacles[0].center)
     x, V, md = record.x.copy(), record.V.copy(), record.min_dist.copy()
-    x[k], V[k], md[k] = inside, cert.V(inside), cert.min_dists(inside)
-    region, law = list(record.region), list(record.law)
-    region[k], law[k] = RegionLabel("UNSAFE", 0), "-"
-    return dataclasses.replace(record, x=x, V=V, min_dist=md, region=tuple(region),
+    kind, index = record.kind.copy(), record.index.copy()
+    x[k], V[k] = inside, cert.V(inside)
+    md[k] = np.sqrt(cert.dominant_gap(inside)[2]) - cert.radii
+    kind[k], index[k] = UNSAFE, 0
+    law = list(record.law)
+    law[k] = "-"
+    return dataclasses.replace(record, x=x, V=V, min_dist=md, kind=kind, index=index,
                                law=tuple(law))
 
 

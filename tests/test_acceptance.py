@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import EXTRA_A_STARTS, closed_loop_slow_eigenvalue
-from nclbf.certificate import Certificate, RegionLabel
+from nclbf.certificate import R2, R3, Certificate, RegionLabel
 from nclbf.controller import Controller
 from nclbf.scenario import ObstacleSpec, derive_eta2, validate_params
 from nclbf.simulator import rk4_step, run_batch
@@ -116,8 +116,9 @@ def test_criterion_5_shrunk_band_and_exit_points(cfg_a, records_a):
         D = rec.x - cert.centers[0]
         B = cert.eta2[0] - cert.eta1[0] * np.einsum("ij,ij->i", D, D)
         band_hits += int(np.sum((np.abs(B - L) <= eps_band) & (L < phi - margin)))
-        last_r3 = max((k for k, r in enumerate(rec.region) if r.kind == "R3"), default=None)
-        if last_r3 is not None:
+        band = np.flatnonzero(rec.kind == R3)
+        if band.size:
+            last_r3 = band[-1]
             exit_dists[x0] = min(float(np.linalg.norm(rec.x[last_r3] - c)) for c in contacts)
     ok = band_hits == 0 and all(d <= 0.05 for d in exit_dists.values())
     report(5, ok, f"band hits {band_hits}; exit distances "
@@ -160,7 +161,7 @@ def test_criterion_6_multi_obstacle_convergence_by_t20(cfg_b, timed_batch_b20, r
             failures.append(f"{x0}: outcome {kind}")
             continue
         e = len(rec)
-        while e > 0 and rec.region[e - 1].kind == "R2":
+        while e > 0 and rec.kind[e - 1] == R2:
             e -= 1
         t_e = float(rec.t[e]) if e < len(rec) else math.inf
         Ls = np.einsum("ij,ij->i", rec.x[e:], rec.x[e:])

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from nclbf.certificate import KINDS, R2, Certificate, RegionLabel
+from nclbf.certificate import KINDS, R2, UNSAFE, Certificate, RegionLabel, region_codes
 from nclbf.scenario import (ObstacleParams, ObstacleSpec, ScenarioError,
                             builtin_scenario, eta1_lower_bound, w_upper_bound)
 
@@ -88,9 +88,16 @@ class TestClassify:
         assert counts["R1"] > 0 and counts["R2"] > 0 and counts["UNSAFE"] > 0
 
     def test_codes_round_trip(self):
-        for lab in (RegionLabel("R2"), RegionLabel("R1", 0), RegionLabel("R3", 2),
-                    RegionLabel("UNSAFE", 1)):
-            assert RegionLabel.from_code(lab.code) == lab
+        # region_codes holds each label_rows pair's code once, at [kind, index + 1]
+        codes = region_codes(3)
+        pairs = {c: (k, i - 1) for (k, i), c in np.ndenumerate(codes) if c}
+        assert len(pairs) == 1 + 3 * 3 and pairs["R2"] == (R2, -1)
+        for lab, code in ((RegionLabel("R2"), "R2"), (RegionLabel("R1", 0), "R1:1"),
+                          (RegionLabel("R3", 2), "R3:3"), (RegionLabel("UNSAFE", 1), "U:2")):
+            assert lab.code == code
+            k, i = pairs[code]
+            assert codes[k, i + 1] == code
+            assert RegionLabel(KINDS[k], None if k == R2 else i) == lab
 
 
 class TestBoundarySphere:
@@ -273,12 +280,17 @@ class TestCertificateInvariants:
             assert cert_a.V(x) > floor - 1e-9
 
     def test_min_dists_sign_tracks_safety(self, cert_b):
-        rng = np.random.default_rng(8)
-        for _ in range(2000):
-            x = rng.uniform(-5, 5, size=2)
-            md = cert_b.min_dists(x)
-            unsafe = cert_b.unsafe_index(x)
-            assert (unsafe is not None) == bool(np.any(md < 0))
+        # the clearance sqrt(dds) - radii is negative exactly in an unsafe
+        # ball, and an UNSAFE label names the first such obstacle
+        X = np.random.default_rng(8).uniform(-5, 5, size=(2000, 2))
+        i, h, dds = cert_b.dominant_gap_rows(X)
+        kind, index = cert_b.label_rows(i, h, dds)
+        inside = np.sqrt(dds) - cert_b.radii < 0
+        assert np.array_equal(kind == UNSAFE, inside.any(axis=1))
+        assert np.array_equal(index[kind == UNSAFE], inside[kind == UNSAFE].argmax(axis=1))
+        for x, k in zip(X, kind):
+            dd = cert_b.dominant_gap(x)[2]
+            assert (k == UNSAFE) == bool(np.any(np.sqrt(dd) - cert_b.radii < 0))
 
 
 class TestSharedGapFormula:
@@ -307,7 +319,7 @@ class TestSharedGapFormula:
             assert cert.classify(x) == want, x
             assert cert.dominant_obstacle(x) == i
             assert cert.dominant_gap(x)[1] == pytest.approx(h, abs=1e-12)
-            assert np.allclose(cert.min_dists(x), np.sqrt(dd) - cert.radii, atol=1e-12)
+            assert np.allclose(np.sqrt(cert.dominant_gap(x)[2]), np.sqrt(dd), atol=1e-12)
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
     def test_admissible_matches_previous_rule(self, name):
@@ -338,6 +350,7 @@ class TestRowBatchedTwins:
             lab = cert.label(si, sh, sdds)
             got = RegionLabel(KINDS[kind[k]], None if kind[k] == R2 else int(index[k]))
             assert got == lab, x
+            assert (index[k] == -1) == (kind[k] == R2), x
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
     def test_random_rows(self, name):

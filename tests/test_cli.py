@@ -397,6 +397,8 @@ MALFORMED_CSV = {
     "non-numeric field": (HEADER + ROW + ROW.replace("5.0,5.0", "5.0,abc"), 3),
     "unknown region code": (HEADER + ROW + ROW.replace("R2", "X:1"), 3),
     "region of no obstacle": (HEADER + ROW + ROW.replace("R2", "R1:2"), 3),
+    "unknown law": (HEADER + ROW + NEXT.replace("K2", "bogus"), 3),
+    "law of no obstacle": (HEADER + ROW + NEXT.replace("K2", "K1:2"), 3),
     "non-finite x": (HEADER + ROW + NEXT.replace("5.0,5.0", "nan,5.0"), 3),
     "non-finite t": (HEADER + ROW + NEXT.replace("0.001", "inf"), 3),
     "repeated t": (HEADER + ROW + ROW, 3),

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import doctored_record, rows
-from nclbf.certificate import Certificate
+from nclbf.certificate import R3, Certificate
 from nclbf.controller import Controller
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text, trajectory_header
 from nclbf.verify import trajectory_invariants
@@ -74,10 +74,11 @@ def v_increase_oracle(record, eps_conv: float) -> tuple[float, float | None]:
 def csv_oracle(record) -> str:
     """trajectory_csv_text written by csv.writer, which quotes where needed."""
     fp = io.StringIO()
-    code = {r: r.code for r in set(record.region)}
+    region = [r.region for r in rows(record)]
+    code = {r: r.code for r in set(region)}
     floats = [record.t, *record.x.T, *record.u.T, record.V]
     cols = ([map(repr, map(float, c)) for c in floats]
-            + [map(code.__getitem__, record.region), record.law]
+            + [map(code.__getitem__, region), record.law]
             + [map(repr, map(float, c)) for c in record.min_dist.T])
     wr = csv.writer(fp, lineterminator="\n")
     wr.writerow(trajectory_header(record.x.shape[1], record.u.shape[1],
@@ -125,10 +126,9 @@ def test_relabelled_band_sample_uses_classified_region(cfg_a, records_a):
     # a smooth step whose recorded labels disagree with x: the derivative is
     # taken in the region x classifies to, as derivative_rows does
     rec = records_a[(5.0, 5.0)]
-    k = next(k for k in range(len(rec) - 1)
-             if rec.region[k].kind == "R3" and rec.region[k + 1].kind == "R3")
-    region = list(rec.region)
-    region[k] = region[k + 1] = rec.region[0]
-    relabelled = dataclasses.replace(rec, region=tuple(region))
+    k = next(k for k in range(len(rec) - 1) if rec.kind[k] == rec.kind[k + 1] == R3)
+    kind, index = rec.kind.copy(), rec.index.copy()
+    kind[k:k + 2], index[k:k + 2] = kind[0], index[0]
+    relabelled = dataclasses.replace(rec, kind=kind, index=index)
     assert_matches_oracles(relabelled, cfg_a, fd_oracle(relabelled, cfg_a),
                            v_increase_oracle(relabelled, cfg_a.integrator.eps_conv))

@@ -6,13 +6,14 @@ import dataclasses
 import hashlib
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nclbf import builtin_scenario
-from nclbf.certificate import Certificate
+from nclbf.certificate import KINDS, R3, UNSAFE, Certificate
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
 from nclbf.simulator import (NumericBlowupError, _Engine, read_trajectory_csv,
@@ -20,6 +21,23 @@ from nclbf.simulator import (NumericBlowupError, _Engine, read_trajectory_csv,
                              trajectory_header, write_trajectory_csv)
 from nclbf.systems import ControlAffineSystem, builtin_linear2d, register_system
 from nclbf.verify import record_checks
+
+
+def assert_columns_are_the_scalar_forms(rec, config):
+    """Every row's (kind, index), V and min_dist, which the engine derives from
+    one row pass over x, equal the scalar forms at that x: the label of
+    dominant_gap (R2 at index -1), Certificate.V, the step's own L + h rule,
+    and sqrt(dd) - radii."""
+    cert = Certificate(config)
+    assert len(rec) and rec.kind.shape == rec.index.shape == (len(rec),)
+    for k, x in enumerate(rec.x):
+        i, h, dd = cert.dominant_gap(x)
+        lab = cert.label(i, h, dd)
+        assert (KINDS[rec.kind[k]], rec.index[k]) == (
+            lab.kind, -1 if lab.index is None else lab.index), k
+        L = float(x.dot(x))
+        assert rec.V[k] == cert.V(x) == (L + h if h > 0.0 else L), k
+        assert rec.min_dist[k].tolist() == (np.sqrt(dd) - cert.radii).tolist(), k
 
 
 class TestRk4Step:
@@ -65,7 +83,7 @@ class TestSimulate:
         assert rec.outcome.t < cfg_a.integrator.t_max
         assert rec.min_clearance() > 0.0
         # the path detours along the virtual boundary: some samples sit in the band
-        assert any(r.kind == "R3" for r in rec.region)
+        assert (rec.kind == R3).any()
 
     def test_obstacle_center_start_rejected(self, cfg_a):
         rec = simulate(cfg_a, np.array([2.0, 2.0]))
@@ -73,7 +91,7 @@ class TestSimulate:
         assert len(rec) == 0
         assert (rec.t.shape, rec.x.shape, rec.u.shape, rec.V.shape, rec.min_dist.shape) == (
             (0,), (0, 2), (0, 2), (0,), (0, 1))
-        assert rec.region == () and rec.law == ()
+        assert rec.kind.shape == rec.index.shape == (0,) and rec.law == ()
 
     def test_barrier_region_start_rejected_without_override(self, cfg_a):
         assert simulate(cfg_a, np.array([2.0, 3.5])).outcome.kind == "init_rejected"
@@ -87,16 +105,12 @@ class TestSimulate:
         assert rec.min_clearance() > 0.0
 
     def test_sample_grid_and_consistency(self, cfg_a, records_a):
+        # the other runs that check their columns this way: the 3-D run, the
+        # safety violation, the numeric blowup and the slide pin failures
         rec = records_a[(5.0, 2.0)]
         dt = cfg_a.integrator.dt
         assert np.allclose(np.diff(rec.t), dt, atol=1e-12)
-        from nclbf.certificate import Certificate
-        cert = Certificate(cfg_a)
-        for k in range(0, len(rec), max(1, len(rec) // 97)):
-            x = rec.x[k]
-            assert rec.V[k] == cert.V(x)
-            assert rec.region[k] == cert.classify(x)
-            assert np.allclose(rec.min_dist[k], cert.min_dists(x), atol=1e-12)
+        assert_columns_are_the_scalar_forms(rec, cfg_a)
 
     def test_determinism_bitwise(self, cfg_a):
         a = simulate(cfg_a, np.array([3.0, 5.0]))
@@ -123,6 +137,8 @@ class TestSimulate:
         rec = simulate(cfg, np.array([4.0, 0.0]))
         assert rec.outcome.kind == "numeric_blowup"
         assert len(rec)  # aborted mid-run, samples up to the failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_columns_are_the_scalar_forms(rec, cfg)
 
     def test_safety_violation_outcome(self, cfg_a):
         # a constant drift into the ball and a dead input channel: kappa1
@@ -135,8 +151,9 @@ class TestSimulate:
         rec = simulate(cfg, np.array([5.0, 2.0]))
         assert (rec.outcome.kind, rec.outcome.obstacle) == ("safety_violation", 0)
         assert rec.outcome.t == pytest.approx(1.586)
-        assert (rec.region[-1].code, rec.law[-1]) == ("U:1", "-")
+        assert (rec.kind[-1], rec.index[-1], rec.law[-1]) == (UNSAFE, 0, "-")
         assert not rec.u[-1].any()
+        assert_columns_are_the_scalar_forms(rec, cfg)
         assert "K1:1" in rec.law
         assert not record_checks(rec, cfg.integrator.eps_conv)[0].passed
 
@@ -149,7 +166,9 @@ class TestSlidePinFailure:
         pinned = _Engine._pinned
         monkeypatch.setattr(_Engine, "_pinned",
                             lambda self, *a: None if fails(self) else pinned(self, *a))
-        return simulate(cfg, np.array([5.0, 5.0]))
+        rec = simulate(cfg, np.array([5.0, 5.0]))
+        assert_columns_are_the_scalar_forms(rec, cfg)
+        return rec
 
     def test_halved_substeps_keep_the_slide(self, cfg_a, monkeypatch):
         # every pin above dt/8 fails, so each slide step halves its substep
@@ -184,6 +203,7 @@ class TestThreeDimensional:
         # (4, 4, 2) lies behind the obstacle on the ray through its center
         assert any(law.startswith("K3") for law in rec.law)
         assert trajectory_invariants(rec, cfg_3d).passed
+        assert_columns_are_the_scalar_forms(rec, cfg_3d)
 
 
 def test_run_memory_is_its_columns():
@@ -202,7 +222,7 @@ def test_run_memory_is_its_columns():
         tracemalloc.stop()
     K = len(rec)
     assert K == 2001 and rec.outcome.kind == "timeout"
-    # the record keeps 80 B per sample (n = 2, m = 1, N = 3); an ndarray per
+    # the record keeps 88 B per sample (n = 2, m = 1, N = 3); an ndarray per
     # sample for x and u and a law string per step would take about 500 B
     assert peak < 250 * K, peak / K
     assert rec.t.tolist() == [k * cfg.integrator.dt for k in range(K)]
@@ -248,7 +268,8 @@ class TestTrajectoryCsv:
         assert np.array_equal(rec.t, back.t) and np.array_equal(rec.V, back.V)
         assert np.array_equal(rec.x, back.x)
         assert np.array_equal(rec.u, back.u)
-        assert rec.region == back.region and rec.law == back.law
+        assert np.array_equal(rec.kind, back.kind) and np.array_equal(rec.index, back.index)
+        assert rec.kind.dtype == back.kind.dtype and rec.law == back.law
         assert np.array_equal(rec.min_dist, back.min_dist)
 
     def test_region_and_law_codes(self, records_a):
@@ -263,6 +284,23 @@ class TestTrajectoryCsv:
         assert "R3:1" in codes
         laws = {line.split(",")[7] for line in lines[1:]}
         assert "K2" in laws and "K3:1>K2" in laws
+
+    def test_read_holds_each_float_about_once(self, records_a):
+        # each column group reads into its own buffer, so the columns need no
+        # copy at the end: the read peaks well below twice the record
+        text = trajectory_csv_text(records_a[(5.0, 2.0)])
+        read_trajectory_csv(io.StringIO("".join(text.splitlines(True)[:3])))
+        fp = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            rec = read_trajectory_csv(fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (rec.t, rec.x, rec.u, rec.V, rec.kind, rec.index,
+                                      rec.min_dist)) + sys.getsizeof(rec.law)
+        assert len(rec) >= 2000 and all(a.flags.c_contiguous for a in (rec.t, rec.x, rec.u))
+        assert peak < 1.5 * kept, peak / kept
 
     def test_empty_record_rejected(self, cfg_a):
         rec = simulate(cfg_a, np.array([2.0, 2.0]))   # init_rejected: no samples
@@ -288,7 +326,7 @@ class TestRecordColumns:
             assert isinstance(s, StepSample) and type(s.t) is float and type(s.V) is float
             assert s.t == rec.t[k] and s.V == rec.V[k]
             assert np.array_equal(s.x, rec.x[k]) and np.array_equal(s.u, rec.u[k])
-            assert s.region is rec.region[k] and s.law == rec.law[k]
+            assert (s.kind, s.index) == (rec.kind[k], rec.index[k]) and s.law is rec.law[k]
             assert np.array_equal(s.min_dist, rec.min_dist[k])
         assert [s.law for s in samples] == list(rec.law)
 
@@ -296,7 +334,8 @@ class TestRecordColumns:
         rec = records_b[(2.0, 5.0)]
         cert = Certificate(cfg_b)
         for k in (0, 1234, len(rec) - 1):
-            assert rec.min_dist[k].tolist() == cert.min_dists(rec.x[k]).tolist()
+            dd = cert.dominant_gap(rec.x[k])[2]
+            assert rec.min_dist[k].tolist() == (np.sqrt(dd) - cert.radii).tolist()
         assert rec.min_clearance() == min(rec.min_dist.ravel().tolist())
 
 
