@@ -1,7 +1,7 @@
 """Nonsmooth control Lyapunov barrier functions and safe stabilization."""
 
-from .certificate import BoundarySphere, Certificate, RegionLabel
-from .controller import ControlDecision, Controller, SafetyViolationError, mu, mu_bar
+from .certificate import BoundarySphere, Certificate
+from .controller import Controller, SafetyViolationError, mu, mu_bar
 from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                        ScenarioConfig, ScenarioError, ValidationReport,
                        builtin_scenario, derive_eta2, load_scenario,
@@ -11,13 +11,12 @@ from .simulator import (Outcome, SimulationSummary, TrajectoryRecord,
                         trajectory_csv_text, write_trajectory_csv)
 from .systems import (ControlAffineSystem, builtin_linear2d,
                       builtin_nonlinear_mech, register_system, resolve_system)
-from .verify import (AssumptionReport, DecreaseReport, DerivativeBreakdown,
-                     InvariantReport, check_assumptions, grid_decrease_check,
-                     trajectory_invariants, upper_derivative)
+from .verify import (AssumptionReport, DecreaseReport, InvariantReport,
+                     check_assumptions, grid_decrease_check, trajectory_invariants,
+                     upper_derivative)
 
 __all__ = [
-    "BoundarySphere", "Certificate", "RegionLabel",
-    "ControlDecision", "Controller", "SafetyViolationError", "mu", "mu_bar",
+    "BoundarySphere", "Certificate", "Controller", "SafetyViolationError", "mu", "mu_bar",
     "IntegratorSettings", "ObstacleParams", "ObstacleSpec", "ScenarioConfig",
     "ScenarioError", "ValidationReport", "builtin_scenario", "derive_eta2",
     "load_scenario", "save_scenario", "validate_params",
@@ -26,7 +25,7 @@ __all__ = [
     "trajectory_csv_text", "write_trajectory_csv",
     "ControlAffineSystem", "builtin_linear2d", "builtin_nonlinear_mech",
     "register_system", "resolve_system",
-    "AssumptionReport", "DecreaseReport", "DerivativeBreakdown", "InvariantReport",
+    "AssumptionReport", "DecreaseReport", "InvariantReport",
     "check_assumptions", "grid_decrease_check", "trajectory_invariants",
     "upper_derivative",
 ]

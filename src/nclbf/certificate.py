@@ -6,7 +6,10 @@ sphere (the virtual boundary) whose center and radius follow from completing
 the square; its tangency points with rays through the origin are the contact
 points where sliding trajectories peel off toward the origin.
 
-All functions are pure in (certificate, x); obstacle indices are 0-based.
+A region is one int pair (kind, index), kind one of R1, R2, R3, UNSAFE:
+label gives it for one state and label_rows for rows, and region_codes(N)
+maps it to its CSV code.  All functions are pure in (certificate, x);
+obstacle indices are 0-based.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .scenario import ScenarioConfig, ScenarioError, boundary_radius_sq
 # |L - x.cbar| up to this counts as on the contact set (contact_condition).
 CONTACT_TOL = 1e-9
 
-# Region kinds of the row-batched labels; KINDS[code] is RegionLabel.kind.
-KINDS = ("R1", "R2", "R3", "UNSAFE")
+# A region is the int pair (kind, index): index is the dominant obstacle in
+# R1 and R3, the first unsafe obstacle in UNSAFE and -1 in R2.
 R1, R2, R3, UNSAFE = range(4)
 
 
@@ -57,26 +60,6 @@ def region_codes(n_obstacles: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RegionLabel:
-    """One of R1(i) (barrier i dominates), R2, R3(i) (band), UNSAFE(i)."""
-
-    kind: str                 # "R1" | "R2" | "R3" | "UNSAFE"
-    index: int | None = None  # 0-based obstacle index; None for R2
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"bad region kind {self.kind!r}")
-        if (self.index is None) != (self.kind == "R2"):
-            raise ValueError("index required exactly for R1/R3/UNSAFE")
-
-    @property
-    def code(self) -> str:
-        """The region's CSV code (region_codes), e.g. 'R1:1', 'R2', 'U:2'."""
-        i = -1 if self.index is None else self.index
-        return region_codes(i + 1)[KINDS.index(self.kind), i + 1]
-
-
-@dataclass(frozen=True)
 class BoundarySphere:
     """Sphere {x : B_i(x) = L(x)} with center eta1*c/(1+eta1)."""
 
@@ -106,10 +89,6 @@ class Certificate:
         self._obstacles = tuple(zip(self.centers.tolist(), self.eta1.tolist(),
                                     self.eta2.tolist()))
         self._radii_sq = tuple(self.radii_sq.tolist())
-        self._r1 = tuple(RegionLabel("R1", j) for j in range(self.n_obstacles))
-        self._r2 = RegionLabel("R2")
-        self._r3 = tuple(RegionLabel("R3", j) for j in range(self.n_obstacles))
-        self._unsafe = tuple(RegionLabel("UNSAFE", j) for j in range(self.n_obstacles))
 
     # -- scalar fields ------------------------------------------------------
 
@@ -183,23 +162,24 @@ class Certificate:
 
     # -- regions ------------------------------------------------------------
 
-    def label(self, i: int, h: float, dds: list[float]) -> RegionLabel:
-        """Region from a dominant_gap result: unsafe test first, then band h."""
+    def label(self, i: int, h: float, dds: list[float]) -> tuple[int, int]:
+        """Region (kind, index) from a dominant_gap result, as Python ints:
+        label_rows' row for it.  Unsafe test first, then the band on h."""
         for j, (dd, rsq) in enumerate(zip(dds, self._radii_sq)):
             if dd < rsq:
-                return self._unsafe[j]
+                return UNSAFE, j
         if h > self.eps_band:
-            return self._r1[i]
+            return R1, i
         if -h > self.eps_band:
-            return self._r2
-        return self._r3[i]
+            return R2, -1
+        return R3, i
 
     def label_rows(self, i: np.ndarray, h: np.ndarray,
                    dds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """label for every row of a dominant_gap_rows result: (kind, index).
 
-        kind holds codes into KINDS; index is the first unsafe obstacle for
-        UNSAFE rows, -1 for R2 rows and the dominant obstacle otherwise.
+        kind holds R1, R2, R3 or UNSAFE; index is the first unsafe obstacle
+        for UNSAFE rows, -1 for R2 rows and the dominant obstacle otherwise.
         """
         inside = dds < self.radii_sq
         unsafe = inside.any(axis=1)
@@ -208,8 +188,9 @@ class Certificate:
         index = np.where(unsafe, inside.argmax(axis=1), np.where(kind == R2, -1, i))
         return kind, index
 
-    def classify(self, x: np.ndarray) -> RegionLabel:
-        """Region of x: unsafe balls first, then the band on max_i B_i - L."""
+    def classify(self, x: np.ndarray) -> tuple[int, int]:
+        """Region (kind, index) of x: unsafe balls first, then the band on
+        max_i B_i - L."""
         return self.label(*self.dominant_gap(x))
 
     def dominant_obstacle(self, x: np.ndarray) -> int:
@@ -219,9 +200,9 @@ class Certificate:
     def admissible(self, x: np.ndarray) -> tuple[bool, str]:
         """Outside every obstacle and B_i - L <= -eps_band for every i."""
         i, h, dds = self.dominant_gap(x)
-        region = self.label(i, h, dds)
-        if region.kind == "UNSAFE":
-            return False, f"inside obstacle {region.index}"
+        kind, j = self.label(i, h, dds)
+        if kind == UNSAFE:
+            return False, f"inside obstacle {j}"
         if h > -self.eps_band:
             return False, f"in barrier region of obstacle {i}"
         return True, "stabilizer region"

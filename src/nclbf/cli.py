@@ -40,9 +40,11 @@ def _load(scenario_arg: str, dt: float | None = None,
             raise CliError(f"scenario '{scenario_arg}' is neither a builtin "
                            f"({', '.join(sorted(BUILTIN_SCENARIOS))}) nor an existing file")
         try:
-            config = load_scenario(path.read_text())
+            config = load_scenario(path.read_text(encoding="utf-8"))
         except ScenarioError as e:
             raise CliError(f"bad scenario file {path}: {e}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise CliError(f"cannot read scenario file {path}: {e}") from e
     resolve_system(config)   # an unknown system or a dimension mismatch exits 2 here
     updates = {k: v for k, v in (("dt", dt), ("t_max", t_max)) if v is not None}
     if updates:
@@ -86,23 +88,27 @@ def _report_command(make):
     return run
 
 
-def _read_record(name: str) -> simulator.TrajectoryRecord:
+def _read_record(name: str, config: ScenarioConfig | None) -> simulator.TrajectoryRecord:
+    """The trajectory CSV name; given a scenario, its (n, m, N) must match."""
     try:
         with open(name, newline="") as fp:
-            return simulator.read_trajectory_csv(fp)
+            record = simulator.read_trajectory_csv(fp)
     except FileNotFoundError:
         raise CliError(f"trajectory file not found: {name}") from None
+    except OSError as e:
+        raise CliError(f"cannot read trajectory file {name}: {e}") from e
     except (ValueError, csv.Error) as e:
         raise CliError(f"bad trajectory file {name}: {e}") from e
+    shape = (record.x.shape[1], record.u.shape[1], record.min_dist.shape[1])
+    if config and shape != (config.n, resolve_system(config).m, config.n_obstacles):
+        raise CliError(f"trajectory {name} has (n, m, N) = {shape}: not the scenario's")
+    return record
 
 
 def _cmd_check_trajectory(args) -> int:
-    record = _read_record(args.csv)
-    if args.scenario:
-        config = _load(args.scenario)
-        shape = (record.x.shape[1], record.u.shape[1], record.min_dist.shape[1])
-        if shape != (config.n, resolve_system(config).m, config.n_obstacles):
-            raise CliError(f"trajectory {args.csv} has (n, m, N) = {shape}: not the scenario's")
+    config = _load(args.scenario) if args.scenario else None
+    record = _read_record(args.csv, config)
+    if config:
         report = verify.trajectory_invariants(record, config)
         doc, passed = report.to_dict(), report.passed
     else:
@@ -141,7 +147,7 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_plot(args) -> int:
     config = _load(args.scenario)
-    records = [_read_record(name) for name in args.csv]
+    records = [_read_record(name, config) for name in args.csv]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if config.n == 2:

@@ -2,20 +2,20 @@
 
 kappa1 pushes the dominant barrier down at rate (sum of active c1)*||x||^2,
 kappa2 is Sontag's universal law on L, and kappa3 resolves the band B = L
-through the previous sample's region.  Control is dispatched on the region
-classification; the band uses a one-sample memory (the sample period plays
-the role of the lookback interval).  Controller(config) is built from the
-scenario alone: its system comes from the registry, by config.system_id.
+through the previous sample's region.  Control is dispatched on the region,
+the certificate's (kind, index) pair; the band uses a one-sample memory (the
+sample period plays the role of the lookback interval).  Controller(config)
+is built from the scenario alone: its system comes from the registry, by
+config.system_id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import Certificate, RegionLabel, row_dot, row_vecmat
+from .certificate import R1, R2, UNSAFE, Certificate, row_dot, row_vecmat
 from .scenario import ScenarioConfig
 from .systems import resolve_system
 
@@ -68,17 +68,10 @@ def control_terms(grad: np.ndarray, F: np.ndarray,
     return row, row_dot(row, row), row_dot(grad, F)
 
 
-def band_takes_kappa1(prev: RegionLabel, i) -> bool:
+def band_takes_kappa1(prev: tuple[int, int], i) -> bool:
     """The band rule: the barrier law resolves the band of obstacle i exactly
-    when prev is R1 of i.  For an index array i the result is per row."""
-    return prev.kind == "R1" and prev.index == i
-
-
-@dataclass(frozen=True)
-class ControlDecision:
-    u: np.ndarray
-    law: str              # "K1:1", "K2", "K3:1>K1", "K3:1>K2" (1-based index)
-    region: RegionLabel
+    when prev is (R1, i).  For an index array i the result is per row."""
+    return prev[0] == R1 and prev[1] == i
 
 
 class Controller:
@@ -148,10 +141,10 @@ class Controller:
         U[live] = (-(Lf + np.sqrt(Lf * Lf + self.gamma * n2 * n2)))[:, None] * (Lg / n2[:, None])
         return U
 
-    def kappa3(self, i: int, x: np.ndarray, prev: RegionLabel,
+    def kappa3(self, i: int, x: np.ndarray, prev: tuple[int, int],
                f0: np.ndarray | None = None, g0: np.ndarray | None = None) -> np.ndarray:
         """Band law resolved by prev, the previous sample's region."""
-        if prev.kind == "UNSAFE":
+        if prev[0] == UNSAFE:
             raise MemoryStateError("previous sample inside an unsafe ball; "
                                    "the safety monitor should have halted")
         if band_takes_kappa1(prev, i):
@@ -161,20 +154,18 @@ class Controller:
         # memory only arises from numerical band overlap.
         return self.kappa2(x, f0, g0)
 
-    def dispatch(self, region: RegionLabel, x: np.ndarray, prev: RegionLabel,
+    def dispatch(self, region: tuple[int, int], x: np.ndarray, prev: tuple[int, int],
                  f0: np.ndarray | None = None,
-                 g0: np.ndarray | None = None) -> ControlDecision:
-        """Control for x, whose region is cert.classify(x); prev is the
+                 g0: np.ndarray | None = None) -> tuple[np.ndarray, str]:
+        """Control u for x, whose region is cert.classify(x), and its law
+        ('K1:1', 'K2', 'K3:1>K1', 'K3:1>K2': 1-based obstacle); prev is the
         previous sample's region, which resolves the band."""
-        if region.kind == "UNSAFE":
-            raise SafetyViolationError(
-                f"state inside unsafe ball {region.index} (obstacle {region.index + 1})")
-        if region.kind == "R1":
-            return ControlDecision(self.kappa1(region.index, x, f0, g0),
-                                   self.k1_law[region.index], region)
-        if region.kind == "R2":
-            return ControlDecision(self.kappa2(x, f0, g0), K2_LAW, region)
-        u = self.kappa3(region.index, x, prev, f0, g0)
-        law = self.k3_law[region.index][band_takes_kappa1(prev, region.index)]
-        return ControlDecision(u, law, region)
+        kind, i = region
+        if kind == UNSAFE:
+            raise SafetyViolationError(f"state inside unsafe ball {i} (obstacle {i + 1})")
+        if kind == R1:
+            return self.kappa1(i, x, f0, g0), self.k1_law[i]
+        if kind == R2:
+            return self.kappa2(x, f0, g0), K2_LAW
+        return self.kappa3(i, x, prev, f0, g0), self.k3_law[i][band_takes_kappa1(prev, i)]
 

@@ -38,7 +38,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .certificate import RegionLabel, region_codes, row_dot, v_from_gap
+from .certificate import UNSAFE, region_codes, row_dot, v_from_gap
 from .controller import K2_LAW, NO_LAW, Controller, law_names
 from .scenario import ScenarioConfig
 from .systems import ControlAffineSystem
@@ -171,10 +171,10 @@ class _SlideState:
 class _Engine:
     """One closed-loop run and the hybrid feedback's discrete state.
 
-    That state is the region of the previous sample, which kappa3 reads; the
-    barrier-entry latch forced_k1 (the obstacle whose region a located event
-    properly entered, held on kappa1 while inside the band, else -1); and the
-    slide on a surface B_i = L.
+    That state is the region (kind, index) of the previous sample, which
+    kappa3 reads; the barrier-entry latch forced_k1 (the obstacle whose region
+    a located event properly entered, held on kappa1 while inside the band,
+    else -1); and the slide on a surface B_i = L.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -183,7 +183,7 @@ class _Engine:
         self.system, self.cert = ctrl.system, ctrl.cert
         self.dt = config.integrator.dt
         self.h_floor = -0.25 * self.cert.eps_band
-        self.prev: RegionLabel | None = None
+        self.prev: tuple[int, int] | None = None
         self.forced_k1 = -1
         self.slide = _SlideState()
 
@@ -270,7 +270,7 @@ class _Engine:
         return ua, w
 
     def advance(self, x: np.ndarray, i: int, h: float, dd: list[float],
-                region: RegionLabel):
+                region: tuple[int, int]):
         """Integrate one recorded step from x, whose (i, h, dd) triple is
         Certificate.dominant_gap(x) and whose label is region.
 
@@ -320,8 +320,7 @@ class _Engine:
                 self.forced_k1 = -1
                 if region is None:
                     region = self.cert.label(i, h, dd)
-                dec = self.ctrl.dispatch(region, x, self.prev, f0, g0)
-                u, law = dec.u, dec.law
+                u, law = self.ctrl.dispatch(region, x, self.prev, f0, g0)
             if u_first is None:
                 u_first, law_first = u, law
 
@@ -384,12 +383,12 @@ class _Engine:
                 L = cert.L(x)
                 region = cert.label(i, h, dd)
                 x_(x.tobytes())
-                if region.kind == "UNSAFE":
+                if region[0] == UNSAFE:
                     u_(np.zeros(self.system.m).tobytes()), law_(NO_LAW)
-                    return Outcome("safety_violation", t=t, obstacle=region.index)
+                    return Outcome("safety_violation", t=t, obstacle=region[1])
                 if L <= eps_conv_sq or k >= n_steps:
-                    dec = self.ctrl.dispatch(region, x, self.prev)
-                    u_(dec.u.tobytes()), law_(dec.law)
+                    u, law = self.ctrl.dispatch(region, x, self.prev)
+                    u_(u.tobytes()), law_(law)
                     return Outcome("converged" if L <= eps_conv_sq else "timeout", t=t)
                 x_next, i, h, dd, u, law = self.advance(x, i, h, dd, region)
                 u_(u.tobytes()), law_(law)
@@ -464,13 +463,14 @@ def trajectory_csv_text(record: TrajectoryRecord) -> str:
 
 def read_trajectory_csv(fp) -> TrajectoryRecord:
     """Parse a CSV written by write_trajectory_csv into columns (outcome
-    None); a malformed file, including an unknown region or law, a non-finite
-    t or x, a t that does not strictly increase or a t step more than 1e-6
-    relative off the median step, raises ValueError naming its 1-based row."""
+    None); a malformed file, including a header with no x or no mindist
+    column, an unknown region or law, a non-finite t or x, a t that does not
+    strictly increase or a t step more than 1e-6 relative off the median
+    step, raises ValueError naming its 1-based row."""
     rows = csv.reader(fp)
     header = next(rows, [])
     n, m, N = (sum(h.startswith(p) for h in header) for p in ("x", "u", "mindist"))
-    if header != trajectory_header(n, m, N):
+    if header != trajectory_header(n, m, N) or not (n and N):
         raise ValueError("row 1: not a t,x..,u..,V,region,law,mindist.. header")
     j = 2 + n + m   # the region column; law follows it
     # a region is kept as its flat index into region_codes(N) and a law as the

@@ -8,7 +8,9 @@ The upper generalized derivative of V along the closed loop, derivative_rows,
 takes the barrier-side form in R1, the stabilizer-side form in R2, and in the
 band the side the band rule picks from the previous-sample region; without a
 history the conservative max of the two (0.5*(d1+d2) + 0.5*|d1-d2|).  Check
-(d) applies it to a record's smooth steps; upper_derivative is one row.
+(d) applies it to a record's smooth steps; upper_derivative is one row, as
+Python scalars (kind, index, d).  A region is the certificate's int pair
+(kind, index), in label_rows' format.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .certificate import (KINDS, R1, R2, R3, UNSAFE, Certificate, RegionLabel,
-                          row_dot)
+from .certificate import R1, R2, R3, UNSAFE, Certificate, row_dot
 from .controller import TOL_G, Controller, band_takes_kappa1, control_terms
 from .scenario import ScenarioConfig
 from .simulator import TrajectoryRecord
@@ -33,18 +34,12 @@ def json_float(v: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
-@dataclass(frozen=True)
-class DerivativeBreakdown:
-    region: RegionLabel
-    d_value: float
-
-
 def derivative_rows(ctrl: Controller, X: np.ndarray, U: np.ndarray,
-                    prev: RegionLabel | None = None) -> tuple[np.ndarray, ...]:
+                    prev: tuple[int, int] | None = None) -> tuple[np.ndarray, ...]:
     """The generalized derivative of V at rows X (P, n) under inputs U (P, m),
     with the rows' label_rows result: (kind, index, d).  V = B of the row's
     obstacle in R1 and UNSAFE (B dominates L on and inside the ball) and V = L
-    in R2; prev, the previous sample's region or None, resolves the band."""
+    in R2; prev, the previous sample's (kind, index) or None, resolves the band."""
     cert = ctrl.cert
     kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
     F, G = field_rows(ctrl.system, X)
@@ -60,12 +55,10 @@ def derivative_rows(ctrl: Controller, X: np.ndarray, U: np.ndarray,
 
 
 def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
-                     prev: RegionLabel | None = None) -> DerivativeBreakdown:
-    """derivative_rows for the one row x under input u: its region and value."""
+                     prev: tuple[int, int] | None = None) -> tuple[int, int, float]:
+    """derivative_rows for the one row x under input u: (kind, index, d)."""
     kind, index, d = derivative_rows(ctrl, np.atleast_2d(x), np.atleast_2d(u), prev)
-    k = int(kind[0])
-    return DerivativeBreakdown(RegionLabel(KINDS[k], None if k == R2 else int(index[0])),
-                               float(d[0]))
+    return int(kind[0]), int(index[0]), float(d[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nclbf import builtin_scenario, simulate
-from nclbf.certificate import KINDS, R2, UNSAFE, Certificate, RegionLabel
+from nclbf.certificate import UNSAFE, Certificate
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
 from nclbf.systems import ControlAffineSystem, register_system
@@ -92,9 +92,8 @@ Row = namedtuple("Row", "t x u V region law min_dist")
 
 def rows(record) -> list[Row]:
     """The record's samples one row at a time, for the per-sample oracles;
-    region is the RegionLabel of the row's (kind, index)."""
-    region = [RegionLabel(KINDS[k], None if k == R2 else i)
-              for k, i in zip(record.kind.tolist(), record.index.tolist())]
+    region is the row's (kind, index) as Python ints."""
+    region = zip(record.kind.tolist(), record.index.tolist())
     return [Row(*r) for r in zip(record.t.tolist(), record.x, record.u, record.V.tolist(),
                                  region, record.law, record.min_dist)]
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import EXTRA_A_STARTS, closed_loop_slow_eigenvalue
-from nclbf.certificate import R2, R3, Certificate, RegionLabel
+from nclbf.certificate import R1, R2, R3, Certificate
 from nclbf.controller import Controller
 from nclbf.scenario import ObstacleSpec, derive_eta2, validate_params
 from nclbf.simulator import rk4_step, run_batch
@@ -189,8 +189,7 @@ def _sample_r1_points(ctrl, rng, count):
     pts = []
     while len(pts) < count:
         x = sph.center + rng.uniform(-1, 1, size=2) * sph.radius
-        lab = cert.classify(x)
-        if lab != RegionLabel("R1", 0):
+        if cert.classify(x) != (R1, 0):
             continue
         Bg = cert.grad_B(0, x) @ ctrl.system.g(x)
         if np.any(np.abs(Bg) <= 1e-6):
@@ -213,7 +212,7 @@ def test_criterion_7_closed_loop_identities(cfg_a):
     count = 0
     while count < 1000:
         x = rng.uniform(-5, 5, size=2)
-        if cert.classify(x) != RegionLabel("R2") or np.linalg.norm(x) < 1e-3:
+        if cert.classify(x) != (R2, -1) or np.linalg.norm(x) < 1e-3:
             continue
         count += 1
         u = ctrl.kappa2(x)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from nclbf.certificate import KINDS, R2, UNSAFE, Certificate, RegionLabel, region_codes
+from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate, region_codes
 from nclbf.scenario import (ObstacleParams, ObstacleSpec, ScenarioError,
                             builtin_scenario, eta1_lower_bound, w_upper_bound)
 
@@ -61,43 +61,40 @@ class TestFields:
 
 class TestClassify:
     def test_origin_is_stabilizer_region(self, cert_a):
-        assert cert_a.classify(np.zeros(2)) == RegionLabel("R2")
+        assert cert_a.classify(np.zeros(2)) == (R2, -1)
 
     def test_barrier_region_point(self, cert_a):
         # (2, 3.2) sits inside the unsafe ball itself; (2, 3.5) is barrier-side
-        assert cert_a.classify(np.array([2.0, 3.5])) == RegionLabel("R1", 0)
+        assert cert_a.classify(np.array([2.0, 3.5])) == (R1, 0)
 
     def test_obstacle_center_unsafe(self, cert_a):
-        assert cert_a.classify(np.array([2.0, 2.0])) == RegionLabel("UNSAFE", 0)
+        assert cert_a.classify(np.array([2.0, 2.0])) == (UNSAFE, 0)
 
     def test_point_on_boundary_sphere_is_band(self, cert_a):
         x = sphere_point(cert_a, 0, 1.3)
         assert abs(cert_a.B(0, x) - cert_a.L(x)) < 1e-10
-        assert cert_a.classify(x) == RegionLabel("R3", 0)
+        assert cert_a.classify(x) == (R3, 0)
 
     def test_partition_with_tiny_band(self, cert_a):
         config = cert_a.config
         cert = Certificate(dataclasses.replace(
             config, integrator=dataclasses.replace(config.integrator, eps_band=1e-12)))
         rng = np.random.default_rng(3)
-        counts = {"R1": 0, "R2": 0, "R3": 0, "UNSAFE": 0}
+        counts = dict.fromkeys((R1, R2, R3, UNSAFE), 0)
         for _ in range(4000):
             x = rng.uniform(-5, 5, size=2)
-            counts[cert.classify(x).kind] += 1
-        assert counts["R3"] == 0  # measure-zero surface is never hit
-        assert counts["R1"] > 0 and counts["R2"] > 0 and counts["UNSAFE"] > 0
+            counts[cert.classify(x)[0]] += 1
+        assert counts[R3] == 0  # measure-zero surface is never hit
+        assert counts[R1] > 0 and counts[R2] > 0 and counts[UNSAFE] > 0
 
     def test_codes_round_trip(self):
         # region_codes holds each label_rows pair's code once, at [kind, index + 1]
         codes = region_codes(3)
         pairs = {c: (k, i - 1) for (k, i), c in np.ndenumerate(codes) if c}
         assert len(pairs) == 1 + 3 * 3 and pairs["R2"] == (R2, -1)
-        for lab, code in ((RegionLabel("R2"), "R2"), (RegionLabel("R1", 0), "R1:1"),
-                          (RegionLabel("R3", 2), "R3:3"), (RegionLabel("UNSAFE", 1), "U:2")):
-            assert lab.code == code
-            k, i = pairs[code]
-            assert codes[k, i + 1] == code
-            assert RegionLabel(KINDS[k], None if k == R2 else i) == lab
+        for (k, i), code in (((R2, -1), "R2"), ((R1, 0), "R1:1"),
+                             ((R3, 2), "R3:3"), ((UNSAFE, 1), "U:2")):
+            assert codes[k, i + 1] == code and pairs[code] == (k, i)
 
 
 class TestBoundarySphere:
@@ -311,11 +308,11 @@ class TestSharedGapFormula:
             i = int(np.argmax(b))
             h = float(b[i]) - cert.L(x)
             if inside.size:
-                want = RegionLabel("UNSAFE", int(inside[0]))
+                want = (UNSAFE, int(inside[0]))
             elif abs(h) <= eps:
-                want = RegionLabel("R3", i)
+                want = (R3, i)
             else:
-                want = RegionLabel("R1", i) if h > 0 else RegionLabel("R2")
+                want = (R1, i) if h > 0 else (R2, -1)
             assert cert.classify(x) == want, x
             assert cert.dominant_obstacle(x) == i
             assert cert.dominant_gap(x)[1] == pytest.approx(h, abs=1e-12)
@@ -348,8 +345,7 @@ class TestRowBatchedTwins:
             assert (int(i[k]), h[k].tobytes(), dds[k].tolist()) == (
                 si, np.float64(sh).tobytes(), sdds), x
             lab = cert.label(si, sh, sdds)
-            got = RegionLabel(KINDS[kind[k]], None if kind[k] == R2 else int(index[k]))
-            assert got == lab, x
+            assert (kind[k], index[k]) == lab and tuple(map(type, lab)) == (int, int), x
             assert (index[k] == -1) == (kind[k] == R2), x
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
@@ -380,7 +376,7 @@ class TestRowBatchedTwins:
         i, h, _ = cert.dominant_gap_rows(X)
         assert not i.any()
         kind, _ = cert.label_rows(*cert.dominant_gap_rows(X))
-        assert {KINDS[k] for k in kind} >= {"R1", "R2"}
+        assert set(kind.tolist()) >= {R1, R2}
         self.assert_rows_match(cert, X)
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])

@@ -69,6 +69,16 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--scenario", "missing.json",
                        "--out", str(tmp_path)) == 2
 
+    def test_scenario_directory_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("validate-params", "--scenario", str(tmp_path)) == 2
+        assert "cannot read scenario file" in capsys.readouterr().err
+
+    def test_scenario_not_utf8_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(json.dumps(scenario_doc()).encode() + b" \xff")
+        assert run_cli("validate-params", "--scenario", str(bad)) == 2
+        assert "cannot read scenario file" in capsys.readouterr().err
+
     def test_bad_scenario_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -379,6 +389,10 @@ class TestCheckTrajectoryCommand:
     def test_missing_csv(self):
         assert run_cli("check-trajectory", "--csv", "nothing.csv") == 2
 
+    def test_csv_directory_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("check-trajectory", "--csv", str(tmp_path)) == 2
+        assert "cannot read trajectory file" in capsys.readouterr().err
+
     def test_dimensions_must_match_the_scenario(self, run_dir, capsys):
         assert run_cli("check-trajectory", "--csv", str(run_dir / "run_00.csv"),
                        "--scenario", "nonlinear_mech_three") == 2
@@ -393,6 +407,8 @@ MALFORMED_CSV = {
     "empty": ("", 1),
     "header only": (HEADER, 2),
     "bad header": ("t,x1,x2,u1,u2,V,law,region,mindist1\n" + ROW, 1),
+    "no mindist column": (HEADER.replace(",mindist1", "") + ROW.replace(",2.8", ""), 1),
+    "no x column": (HEADER.replace("x1,x2,", "") + ROW.replace("5.0,5.0,", ""), 1),
     "short row": (HEADER + ROW + "0.001,4.9,4.9\n", 3),
     "non-numeric field": (HEADER + ROW + ROW.replace("5.0,5.0", "5.0,abc"), 3),
     "unknown region code": (HEADER + ROW + ROW.replace("R2", "X:1"), 3),
@@ -438,6 +454,15 @@ class TestPlotCommand:
         assert phase.startswith("<svg")
         assert "<circle" in phase and "<polyline" in phase
         assert (out1 / "value.svg").read_text() == (out2 / "value.svg").read_text()
+
+    def test_csv_of_another_scenario_is_usage_error(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert run_cli("simulate", "--scenario", "nonlinear_mech_three", "--t-max", "0.01",
+                       "--out", str(runs)) == 1
+        assert run_cli("plot", "--scenario", "linear2d_single", "--out", str(tmp_path / "fig"),
+                       str(runs / "run_00.csv")) == 2
+        assert "(n, m, N) = (2, 1, 3)" in capsys.readouterr().err
+        assert not (tmp_path / "fig").exists()
 
     def test_empty_record_list_gives_axes_only(self, tmp_path):
         out = tmp_path / "fig"

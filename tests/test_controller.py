@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import closed_loop_slow_eigenvalue
-from nclbf.certificate import RegionLabel
+from nclbf.certificate import R1, R2, R3, UNSAFE
 from nclbf.controller import (Controller, MemoryStateError, SafetyViolationError,
                               mu, mu_bar)
 from nclbf.scenario import ControllerGains, builtin_scenario
@@ -94,7 +94,7 @@ class TestKappa1:
             x = rng.uniform(-5, 5, size=2)
             lab = cert.classify(x)
             Bg = cert.grad_B(0, x) @ ctrl_a.system.g(x)
-            if lab != RegionLabel("R1", 0) or np.any(np.abs(Bg) <= 1e-6):
+            if lab != (R1, 0) or np.any(np.abs(Bg) <= 1e-6):
                 continue
             count += 1
             u = ctrl_a.kappa1(0, x)
@@ -152,9 +152,9 @@ class TestKappa2:
 class TestKappa3:
     def test_memory_dispatch(self, ctrl_a):
         x = np.array([2.0, 3.5])  # on the barrier side near the band
-        from_r1 = ctrl_a.kappa3(0, x, RegionLabel("R1", 0))
-        from_r2 = ctrl_a.kappa3(0, x, RegionLabel("R2"))
-        from_r3 = ctrl_a.kappa3(0, x, RegionLabel("R3", 0))
+        from_r1 = ctrl_a.kappa3(0, x, (R1, 0))
+        from_r2 = ctrl_a.kappa3(0, x, (R2, -1))
+        from_r3 = ctrl_a.kappa3(0, x, (R3, 0))
         assert np.array_equal(from_r1, ctrl_a.kappa1(0, x))
         assert np.array_equal(from_r2, ctrl_a.kappa2(x))
         assert np.array_equal(from_r3, ctrl_a.kappa2(x))
@@ -162,52 +162,46 @@ class TestKappa3:
     def test_cross_obstacle_memory_falls_back_to_stabilizer(self, ctrl_b):
         x = np.array([2.0, 0.9])
         assert np.array_equal(
-            ctrl_b.kappa3(0, x, RegionLabel("R1", 2)),
+            ctrl_b.kappa3(0, x, (R1, 2)),
             ctrl_b.kappa2(x))
 
     def test_unsafe_memory_rejected(self, ctrl_a):
         with pytest.raises(MemoryStateError):
-            ctrl_a.kappa3(0, np.array([2.0, 3.5]), RegionLabel("UNSAFE", 0))
+            ctrl_a.kappa3(0, np.array([2.0, 3.5]), (UNSAFE, 0))
 
 
 class TestControlDispatch:
     def test_stabilizer_region(self, ctrl_a):
-        dec = dispatch(ctrl_a, np.array([5.0, 5.0]), RegionLabel("R2"))
-        assert dec.law == "K2" and dec.region == RegionLabel("R2")
+        assert dispatch(ctrl_a, np.array([5.0, 5.0]), (R2, -1))[1] == "K2"
 
     def test_barrier_region(self, ctrl_a):
-        dec = dispatch(ctrl_a, np.array([2.0, 3.5]), RegionLabel("R2"))
-        assert dec.law == "K1:1" and dec.region == RegionLabel("R1", 0)
+        assert dispatch(ctrl_a, np.array([2.0, 3.5]), (R2, -1))[1] == "K1:1"
 
     def test_multi_obstacle_far_field(self, ctrl_b):
-        dec = dispatch(ctrl_b, np.array([-5.0, 0.0]), RegionLabel("R2"))
-        assert dec.law == "K2"
+        assert dispatch(ctrl_b, np.array([-5.0, 0.0]), (R2, -1))[1] == "K2"
 
     def test_band_law_tags(self, ctrl_a):
         cert = ctrl_a.cert
         sph = cert.boundary_sphere(0)
         x = sph.center + sph.radius * np.array([math.cos(1.0), math.sin(1.0)])
-        dec = dispatch(ctrl_a, x, RegionLabel("R1", 0))
-        assert dec.law == "K3:1>K1"
-        dec = dispatch(ctrl_a, x, RegionLabel("R2"))
-        assert dec.law == "K3:1>K2"
+        assert dispatch(ctrl_a, x, (R1, 0))[1] == "K3:1>K1"
+        assert dispatch(ctrl_a, x, (R2, -1))[1] == "K3:1>K2"
 
     def test_unsafe_state_raises(self, ctrl_a):
         with pytest.raises(SafetyViolationError):
-            dispatch(ctrl_a, np.array([2.0, 2.0]), RegionLabel("R2"))
+            dispatch(ctrl_a, np.array([2.0, 2.0]), (R2, -1))
 
     def test_law_matches_region_randomized(self, ctrl_b):
         rng = np.random.default_rng(29)
-        prev = RegionLabel("R2")
+        prev = (R2, -1)
         for _ in range(500):
             x = rng.uniform(-5, 5, size=2)
-            lab = ctrl_b.cert.classify(x)
-            if lab.kind == "UNSAFE":
+            kind, _ = ctrl_b.cert.classify(x)
+            if kind == UNSAFE:
                 continue
-            dec = dispatch(ctrl_b, x, prev)
-            assert dec.region == lab
-            assert dec.law.startswith({"R1": "K1", "R2": "K2", "R3": "K3"}[lab.kind])
-            assert dec.u.shape == (ctrl_b.system.m,)
+            u, law = dispatch(ctrl_b, x, prev)
+            assert law.startswith({R1: "K1", R2: "K2", R3: "K3"}[kind])
+            assert u.shape == (ctrl_b.system.m,)
 
 
 class TestRowBatchedLaws:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import nan_f_system, with_system, zero_gain
-from nclbf.certificate import Certificate
+from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate
 from nclbf.controller import TOL_G, Controller
 from nclbf.scenario import builtin_scenario
 from nclbf.systems import ControlAffineSystem, resolve_system
@@ -57,12 +57,12 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
         if L <= integ.eps_conv ** 2:
             counts["excluded_origin_ball"] += 1
             continue
-        lab = cert.classify(x)
-        if lab.kind == "UNSAFE":
+        kind, i = cert.classify(x)
+        if kind == UNSAFE:
             counts["excluded_unsafe"] += 1
             continue
-        if (lab.kind == "R3" and abs(cert.gap(lab.index, x)) <= integ.eps_band
-                and cert.L(x) < cert.phi(lab.index)):
+        if (kind == R3 and abs(cert.gap(i, x)) <= integ.eps_band
+                and cert.L(x) < cert.phi(i)):
             counts["excluded_shrunk_band"] += 1
             continue
 
@@ -71,8 +71,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
         fields_finite = fields_finite and bool(np.isfinite(f0).all() and np.isfinite(g0).all())
         cands = []
         drift_rows = []
-        if lab.kind in ("R1", "R3"):
-            i = lab.index
+        if kind in (R1, R3):
             gB = cert.grad_B(i, x)
             Bg = gB @ g0
             if math.sqrt(float(Bg @ Bg)) > tol_g:
@@ -81,7 +80,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
             else:
                 drift_rows.append((float(gB @ f0),
                                    lambda y, i=i: cert.grad_B(i, y) @ sys_.g(y)))
-        if lab.kind in ("R2", "R3"):
+        if kind in (R2, R3):
             gL = cert.grad_L(x)
             Lg = gL @ g0
             if math.sqrt(float(Lg @ Lg)) > tol_g:
@@ -160,13 +159,13 @@ def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
 
     rows_L = [cert.grad_L(x) @ gs[k] for k, x in enumerate(pts)]
     run_condition("grad L . f <= 0 where grad L . g = 0 (in R2 or any band)",
-                  lambda lab, x: lab.kind in ("R2", "R3"),
+                  lambda lab, x: lab[0] in (R2, R3),
                   cert.grad_L, rows_L)
     for i in range(config.n_obstacles):
         rows_B = [cert.grad_B(i, x) @ gs[k] for k, x in enumerate(pts)]
         run_condition(
             f"grad B[{i}] . f <= 0 where grad B[{i}] . g = 0 (in R1[{i}] or band[{i}])",
-            lambda lab, x, i=i: lab.kind in ("R1", "R3") and lab.index == i,
+            lambda lab, x, i=i: lab in ((R1, i), (R3, i)),
             lambda x, i=i: cert.grad_B(i, x), rows_B)
 
     notes = []

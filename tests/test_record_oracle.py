@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import doctored_record, rows
-from nclbf.certificate import R3, Certificate
+from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate, region_codes
 from nclbf.controller import Controller
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text, trajectory_header
 from nclbf.verify import trajectory_invariants
@@ -36,20 +36,21 @@ def fd_oracle(record, config) -> tuple[float, str]:
     worst_resid = 0.0
     n_smooth = 0
     for a, b in zip(samples, samples[1:]):
-        if a.region.kind == "R3" or b.region.kind == "R3" or a.region != b.region:
+        if a.region[0] == R3 or b.region[0] == R3 or a.region != b.region:
             continue
         if float(np.linalg.norm(a.x)) <= integ.eps_conv:
             continue
         # the generalized derivative without history, in the region of x
         cert, x = ctrl.cert, a.x
-        region = cert.classify(x)
-        i = region.index if region.index is not None else cert.dominant_obstacle(x)
+        kind, i = cert.classify(x)
+        if kind == R2:
+            i = cert.dominant_obstacle(x)
         F = ctrl.system.f(x) + ctrl.system.g(x) @ a.u
         d1 = float(cert.grad_B(i, x) @ F)
         d2 = float(cert.grad_L(x) @ F)
-        if region.kind in ("R1", "UNSAFE"):
+        if kind in (R1, UNSAFE):
             d = d1
-        elif region.kind == "R2":
+        elif kind == R2:
             d = d2
         else:
             d = 0.5 * (d1 + d2) + 0.5 * abs(d1 - d2)
@@ -74,11 +75,10 @@ def v_increase_oracle(record, eps_conv: float) -> tuple[float, float | None]:
 def csv_oracle(record) -> str:
     """trajectory_csv_text written by csv.writer, which quotes where needed."""
     fp = io.StringIO()
-    region = [r.region for r in rows(record)]
-    code = {r: r.code for r in set(region)}
+    codes = region_codes(record.min_dist.shape[1])
     floats = [record.t, *record.x.T, *record.u.T, record.V]
     cols = ([map(repr, map(float, c)) for c in floats]
-            + [map(code.__getitem__, region), record.law]
+            + [[codes[k, i + 1] for k, i in (r.region for r in rows(record))], record.law]
             + [map(repr, map(float, c)) for c in record.min_dist.T])
     wr = csv.writer(fp, lineterminator="\n")
     wr.writerow(trajectory_header(record.x.shape[1], record.u.shape[1],

@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from nclbf.certificate import RegionLabel
 from nclbf.cli import main
 from nclbf.scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                             ScenarioError, builtin_scenario, derive_eta2,
@@ -221,9 +220,6 @@ class TestScenarioIO:
          "w must be finite"),
         ("new", lambda: dataclasses.replace(builtin_scenario("linear2d_single"), params=()),
          "lists must have the same length"),
-        ("new", lambda: RegionLabel("R4"), "bad region kind"),
-        ("new", lambda: RegionLabel("R2", 0), "index required"),
-        ("new", lambda: RegionLabel("R1"), "index required"),
     ])
     def test_load_time_rejections(self, via, make, match, tmp_path, capsys):
         if via == "new":

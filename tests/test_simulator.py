@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nclbf import builtin_scenario
-from nclbf.certificate import KINDS, R3, UNSAFE, Certificate
+from nclbf.certificate import R3, UNSAFE, Certificate
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
 from nclbf.simulator import (NumericBlowupError, _Engine, read_trajectory_csv,
@@ -32,9 +32,7 @@ def assert_columns_are_the_scalar_forms(rec, config):
     assert len(rec) and rec.kind.shape == rec.index.shape == (len(rec),)
     for k, x in enumerate(rec.x):
         i, h, dd = cert.dominant_gap(x)
-        lab = cert.label(i, h, dd)
-        assert (KINDS[rec.kind[k]], rec.index[k]) == (
-            lab.kind, -1 if lab.index is None else lab.index), k
+        assert (rec.kind[k], rec.index[k]) == cert.label(i, h, dd), k
         L = float(x.dot(x))
         assert rec.V[k] == cert.V(x) == (L + h if h > 0.0 else L), k
         assert rec.min_dist[k].tolist() == (np.sqrt(dd) - cert.radii).tolist(), k

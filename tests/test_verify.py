@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from nclbf.certificate import Certificate, RegionLabel
+from nclbf.certificate import R1, R2, R3, Certificate
 from nclbf.controller import Controller
 from nclbf.scenario import builtin_scenario
 from conftest import doctored_record, rows, zero_gain
@@ -43,28 +43,28 @@ class TestUpperDerivative:
     def test_barrier_branch_matches_gain_identity(self, ctrl_a):
         x = np.array([2.0, 3.2])
         u = ctrl_a.kappa1(0, x)
-        d = upper_derivative(ctrl_a, x, u)
-        assert d.d_value == pytest.approx(-20.0 * 14.24, rel=1e-9)
-        assert d.d_value == pytest.approx(-284.8, rel=1e-9)
+        d = upper_derivative(ctrl_a, x, u)[2]
+        assert d == pytest.approx(-20.0 * 14.24, rel=1e-9)
+        assert d == pytest.approx(-284.8, rel=1e-9)
 
     def test_stabilizer_branch_matches_sontag_identity(self, ctrl_a):
         x = np.array([1.0, 0.0])
         u = ctrl_a.kappa2(x)
-        d = upper_derivative(ctrl_a, x, u)
-        assert d.region == RegionLabel("R2")
-        assert d.d_value == pytest.approx(-math.sqrt(4.0 + 1.6), rel=1e-12)
+        kind, index, d = upper_derivative(ctrl_a, x, u)
+        assert (kind, index) == (R2, -1)
+        assert d == pytest.approx(-math.sqrt(4.0 + 1.6), rel=1e-12)
 
     def test_band_without_memory_is_max_of_branches(self, ctrl_a):
         cert = ctrl_a.cert
         sph = cert.boundary_sphere(0)
         x = sph.center + sph.radius * np.array([math.cos(2.2), math.sin(2.2)])
         u = np.array([0.3, -0.4])
-        d = upper_derivative(ctrl_a, x, u, prev=None)
+        d = upper_derivative(ctrl_a, x, u, prev=None)[2]
         F = ctrl_a.system.f(x) + ctrl_a.system.g(x) @ u
         d1 = float(cert.grad_B(0, x) @ F)
         d2 = float(cert.grad_L(x) @ F)
-        assert d.d_value == pytest.approx(max(d1, d2), rel=1e-12)
-        assert d.d_value == pytest.approx(0.5 * (d1 + d2) + 0.5 * abs(d1 - d2), rel=1e-12)
+        assert d == pytest.approx(max(d1, d2), rel=1e-12)
+        assert d == pytest.approx(0.5 * (d1 + d2) + 0.5 * abs(d1 - d2), rel=1e-12)
 
     def test_band_memory_resolution(self, ctrl_a):
         cert = ctrl_a.cert
@@ -74,12 +74,12 @@ class TestUpperDerivative:
         F = ctrl_a.system.f(x) + ctrl_a.system.g(x) @ u
         d1 = float(cert.grad_B(0, x) @ F)
         d2 = float(cert.grad_L(x) @ F)
-        got_r1 = upper_derivative(ctrl_a, x, u, RegionLabel("R1", 0))
-        got_r2 = upper_derivative(ctrl_a, x, u, RegionLabel("R2"))
-        got_r3 = upper_derivative(ctrl_a, x, u, RegionLabel("R3", 0))
-        assert got_r1.d_value == pytest.approx(d1, rel=1e-12)
-        assert got_r2.d_value == pytest.approx(d2, rel=1e-12)
-        assert got_r3.d_value == pytest.approx(d2, rel=1e-12)
+        got_r1 = upper_derivative(ctrl_a, x, u, (R1, 0))
+        got_r2 = upper_derivative(ctrl_a, x, u, (R2, -1))
+        got_r3 = upper_derivative(ctrl_a, x, u, (R3, 0))
+        assert got_r1[2] == pytest.approx(d1, rel=1e-12)
+        assert got_r2[2] == pytest.approx(d2, rel=1e-12)
+        assert got_r3[2] == pytest.approx(d2, rel=1e-12)
 
 
 class TestGridDecrease:
@@ -112,7 +112,7 @@ class TestGridDecrease:
         # the worst point sits on the barrier side, where the decrease is
         # proportional to the (now zero) gain sum
         wp = np.asarray(report.worst_point)
-        assert Certificate(cfg).classify(wp).kind in ("R1", "R3")
+        assert Certificate(cfg).classify(wp)[0] in (R1, R3)
 
     def test_empty_grid_certifies_nothing(self, cfg_a):
         # a +-0.05 box around obstacle 1's center: all 121 points are unsafe
