@@ -4,8 +4,8 @@ from .certificate import BoundarySphere, Certificate
 from .controller import Controller, SafetyViolationError, mu, mu_bar
 from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                        ScenarioConfig, ScenarioError, ValidationReport,
-                       builtin_scenario, derive_eta2, load_scenario,
-                       save_scenario, validate_params)
+                       builtin_scenario, derive_eta2, json_doc,
+                       load_scenario, save_scenario, validate_params)
 from .simulator import (Outcome, SimulationSummary, TrajectoryRecord,
                         read_trajectory_csv, rk4_step, run_batch, simulate,
                         trajectory_csv_text, write_trajectory_csv)
@@ -19,7 +19,7 @@ __all__ = [
     "BoundarySphere", "Certificate", "Controller", "SafetyViolationError", "mu", "mu_bar",
     "IntegratorSettings", "ObstacleParams", "ObstacleSpec", "ScenarioConfig",
     "ScenarioError", "ValidationReport", "builtin_scenario", "derive_eta2",
-    "load_scenario", "save_scenario", "validate_params",
+    "json_doc", "load_scenario", "save_scenario", "validate_params",
     "Outcome", "SimulationSummary", "TrajectoryRecord",
     "read_trajectory_csv", "rk4_step", "run_batch", "simulate",
     "trajectory_csv_text", "write_trajectory_csv",

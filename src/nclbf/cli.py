@@ -13,12 +13,13 @@ import csv
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import plotting, simulator, verify
 from .certificate import Certificate
 from .scenario import (BUILTIN_SCENARIOS, IntegratorSettings, ScenarioConfig,
-                       ScenarioError, builtin_scenario, load_scenario,
+                       ScenarioError, builtin_scenario, json_doc, load_scenario,
                        validate_params)
 from .systems import resolve_system
 from .verify import check_assumptions
@@ -53,27 +54,45 @@ def _load(scenario_arg: str, dt: float | None = None,
     return config
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    # reports write a non-finite float as null: one left over is a bug, not a token
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+def _json_text(v) -> str:
+    # json_doc writes a non-finite float as null: one left over is a bug, not a token
+    return json.dumps(json_doc(v), indent=2, sort_keys=True, allow_nan=False)
+
+
+@contextmanager
+def _writing(path):
+    """Every file and directory the CLI writes is made inside this: an OSError
+    (an --out that is a directory, an existing file or under a missing
+    directory) is a usage error."""
+    try:
+        yield
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}") from e
+
+
+def _emit(report, out: str | None) -> None:
+    text = _json_text(report)
     if out:
-        Path(out).write_text(text + "\n")
+        with _writing(out):
+            Path(out).write_text(text + "\n")
     print(text)
 
 
 def _cmd_simulate(args) -> int:
     config = _load(args.scenario, args.dt, args.t_max)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     summary, records = simulator.run_batch(config, override_init=args.override_init)
     for idx, rec in enumerate(records):
         if len(rec):
-            with open(outdir / f"run_{idx:02d}.csv", "w", newline="") as fp:
+            path = outdir / f"run_{idx:02d}.csv"
+            with _writing(path), open(path, "w", newline="") as fp:
                 simulator.write_trajectory_csv(rec, fp)
-    doc = summary.to_dict()
-    doc["invariants"] = [verify.trajectory_invariants(rec, config).to_dict() if len(rec)
-                         else None for rec in records]
-    (outdir / "summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = dict(json_doc(summary), invariants=[
+        verify.trajectory_invariants(rec, config) if len(rec) else None for rec in records])
+    with _writing(outdir / "summary.json"):
+        (outdir / "summary.json").write_text(_json_text(doc) + "\n")
     print(f"wrote {sum(1 for r in records if len(r))} trajectory files and "
           f"summary.json to {outdir}")
     return EXIT_OK if all(r.outcome.kind == "converged" for r in records) else EXIT_FAIL
@@ -83,7 +102,7 @@ def _report_command(make):
     """A command that emits the report make(config, args); exit 1 unless it passed."""
     def run(args) -> int:
         report = make(_load(args.scenario), args)
-        _emit(report.to_dict(), args.out)
+        _emit(report, args.out)
         return EXIT_OK if report.passed else EXIT_FAIL
     return run
 
@@ -110,15 +129,15 @@ def _cmd_check_trajectory(args) -> int:
     record = _read_record(args.csv, config)
     if config:
         report = verify.trajectory_invariants(record, config)
-        doc, passed = report.to_dict(), report.passed
+        passed = report.passed
     else:
         # without a scenario only the self-contained columns can be checked,
         # with the default convergence radius
         checks = verify.record_checks(record, IntegratorSettings().eps_conv)
         passed = all(c.passed for c in checks)
-        doc = {"passed": passed, "checks": [c.to_dict() for c in checks],
-               "note": "no scenario given: band and derivative checks skipped"}
-    _emit(doc, args.out)
+        report = {"passed": passed, "checks": checks,
+                  "note": "no scenario given: band and derivative checks skipped"}
+    _emit(report, args.out)
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -149,10 +168,13 @@ def _cmd_plot(args) -> int:
     config = _load(args.scenario)
     records = [_read_record(name, config) for name in args.csv]
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     if config.n == 2:
-        (outdir / "phase.svg").write_text(plotting.render_phase_svg(records, config))
-    (outdir / "value.svg").write_text(plotting.render_value_svg(records))
+        with _writing(outdir / "phase.svg"):
+            (outdir / "phase.svg").write_text(plotting.render_phase_svg(records, config))
+    with _writing(outdir / "value.svg"):
+        (outdir / "value.svg").write_text(plotting.render_value_svg(records))
     print(f"wrote {'phase.svg, ' if config.n == 2 else ''}value.svg to {outdir}")
     return EXIT_OK
 

@@ -8,14 +8,15 @@ workers.
 
 Scenario files are JSON; see ``save_scenario`` for the schema.  Obstacles are
 given by center and *radius* in the file (human units); internally the squared
-radius is the primary quantity entering every formula.
+radius is the primary quantity entering every formula.  Every report reaches
+JSON through ``json_doc``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 
@@ -238,10 +239,6 @@ class ValidationCheck:
     bound: float
     slack: float
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "value": self.value,
-                "bound": self.bound, "slack": self.slack}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -251,11 +248,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks],
-                "notes": list(self.notes)}
 
 
 def boundary_radius_sq(obstacle: ObstacleSpec, params: ObstacleParams) -> float:
@@ -334,6 +326,26 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # JSON I/O
 # ---------------------------------------------------------------------------
+
+def json_doc(v):
+    """v as a report writes it in JSON: a dataclass is its fields by name,
+    leaving out those that are None, plus its passed verdict when it has one;
+    tuples become lists and dicts are converted value by value; a non-finite
+    float, which standard JSON cannot hold, is null."""
+    if is_dataclass(v):
+        doc = {f.name: json_doc(getattr(v, f.name)) for f in fields(v)
+               if getattr(v, f.name) is not None}
+        if hasattr(v, "passed"):
+            doc["passed"] = v.passed
+        return doc
+    if isinstance(v, dict):
+        return {k: json_doc(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [json_doc(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
+
 
 def _require(d: dict, key: str, where: str):
     if not isinstance(d, dict):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .certificate import UNSAFE, region_codes, row_dot, v_from_gap
 from .controller import K2_LAW, NO_LAW, Controller, law_names
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, json_doc
 from .systems import ControlAffineSystem
 
 
@@ -90,10 +90,6 @@ class Outcome:
     kind: str                  # converged | timeout | safety_violation | init_rejected | numeric_blowup
     t: float | None = None
     obstacle: int | None = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in (("kind", self.kind), ("t", self.t),
-                                  ("obstacle", self.obstacle)) if v is not None}
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +141,6 @@ class TrajectoryRecord:
 class SimulationSummary:
     runs: tuple[dict, ...]
     wall_time_s: float
-
-    def to_dict(self) -> dict:
-        return {"runs": list(self.runs), "wall_time_s": self.wall_time_s}
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +412,7 @@ def run_batch(config: ScenarioConfig,
     runs = []
     for idx, (x0, rec) in enumerate(zip(config.initial_states, records)):
         entry = {"index": idx, "x0": list(map(float, x0)),
-                 "outcome": rec.outcome.to_dict() if rec.outcome else None,
+                 "outcome": json_doc(rec.outcome),
                  "n_samples": len(rec)}
         if len(rec):
             entry["final_norm"] = float(np.linalg.norm(rec.x[-1]))

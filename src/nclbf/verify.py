@@ -28,12 +28,6 @@ from .simulator import TrajectoryRecord
 from .systems import ControlAffineSystem, resolve_system
 
 
-def json_float(v: float) -> float | None:
-    """v as a report writes it: a non-finite value, which standard JSON cannot
-    hold, is null."""
-    return v if math.isfinite(v) else None
-
-
 def derivative_rows(ctrl: Controller, X: np.ndarray, U: np.ndarray,
                     prev: tuple[int, int] | None = None) -> tuple[np.ndarray, ...]:
     """The generalized derivative of V at rows X (P, n) under inputs U (P, m),
@@ -130,31 +124,20 @@ def _degenerate_rule(system: ControlAffineSystem, cert: Certificate, X: np.ndarr
 
 @dataclass(frozen=True)
 class DecreaseReport:
-    rho0_star: float
+    rho0_star: float                # inf when no point was evaluated
     worst_point: tuple[float, ...]
     grid_shape: tuple[int, ...]
     counts: dict
     degenerate_max_drift: float
     degenerate_ok: bool
     fields_finite: bool
-    degenerate_escapes: int = 0
+    degenerate_escapes_in_finite_time: int = 0
 
     @property
     def passed(self) -> bool:
         # a grid with no evaluated point certifies nothing
         return (self.counts["evaluated"] > 0 and self.rho0_star > 0.0 and self.degenerate_ok
                 and self.fields_finite)
-
-    def to_dict(self) -> dict:
-        # rho0_star is inf when no point was evaluated: null
-        return {"passed": self.passed,
-                "rho0_star": json_float(self.rho0_star),
-                "worst_point": list(self.worst_point),
-                "grid_shape": list(self.grid_shape), "counts": dict(self.counts),
-                "degenerate_max_drift": json_float(self.degenerate_max_drift),
-                "degenerate_ok": self.degenerate_ok,
-                "fields_finite": self.fields_finite,
-                "degenerate_escapes_in_finite_time": self.degenerate_escapes}
 
 
 def grid_decrease_check(config: ScenarioConfig,
@@ -246,7 +229,7 @@ def grid_decrease_check(config: ScenarioConfig,
         grid_shape=tuple([resolution] * config.n),
         counts=counts, degenerate_max_drift=max_drift,
         degenerate_ok=max_drift <= TOL_F, fields_finite=fields_finite,
-        degenerate_escapes=escapes)
+        degenerate_escapes_in_finite_time=escapes)
 
 
 @dataclass(frozen=True)
@@ -255,24 +238,17 @@ class AssumptionEntry:
     points_checked: int
     degenerate_points: int
     violations: tuple[tuple[float, ...], ...]
-    escape_notes: tuple[tuple[float, ...], ...]
+    escape_in_finite_time: tuple[tuple[float, ...], ...]
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {"condition": self.condition, "points_checked": self.points_checked,
-                "degenerate_points": self.degenerate_points,
-                "violations": [list(map(json_float, v)) for v in self.violations],
-                "escape_in_finite_time": [list(map(json_float, v)) for v in self.escape_notes],
-                "passed": self.passed}
-
 
 @dataclass(frozen=True)
 class AssumptionReport:
     entries: tuple[AssumptionEntry, ...]
-    g_min_singular_value: float
+    g_min_singular_value: float     # NaN when no g row is finite
     g_full_rank: bool
     fields_finite: bool
     zero_state_detectability: str
@@ -282,16 +258,6 @@ class AssumptionReport:
     def passed(self) -> bool:
         return (all(e.passed for e in self.entries) and self.g_full_rank
                 and self.fields_finite)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed,
-                "entries": [e.to_dict() for e in self.entries],
-                # NaN when no g row is finite: there is no value to report
-                "g_min_singular_value": json_float(self.g_min_singular_value),
-                "g_full_rank": self.g_full_rank,
-                "fields_finite": self.fields_finite,
-                "zero_state_detectability": self.zero_state_detectability,
-                "notes": list(self.notes)}
 
 
 def check_assumptions(config: ScenarioConfig,
@@ -342,7 +308,8 @@ def check_assumptions(config: ScenarioConfig,
                                                index[rows] if r else None)
         return AssumptionEntry(condition=name, points_checked=int(member.sum()),
                                degenerate_points=len(rows),
-                               violations=tuple(violations), escape_notes=tuple(escapes))
+                               violations=tuple(violations),
+                               escape_in_finite_time=tuple(escapes))
 
     band = kind == R3
     entries = [condition("grad L . f <= 0 where grad L . g = 0 (in R2 or any band)",
@@ -353,7 +320,7 @@ def check_assumptions(config: ScenarioConfig,
             ((kind == R1) | band) & (index == i), 1 + i))
 
     notes = []
-    if any(e.escape_notes for e in entries):
+    if any(e.escape_in_finite_time for e in entries):
         notes.append("pointwise drift-positive degenerate points leave the degenerate "
                      "set in finite time (transversal drift); reported informationally")
     return AssumptionReport(
@@ -374,9 +341,6 @@ class InvariantCheck:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class InvariantReport:
@@ -386,10 +350,6 @@ class InvariantReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks],
-                "fd_constant": json_float(self.fd_constant)}
 
 
 V_DECREASE_TOL = 1e-6

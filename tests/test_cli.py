@@ -12,7 +12,7 @@ import pytest
 
 from conftest import nan_f_system, with_system
 from nclbf.cli import main
-from nclbf.scenario import builtin_scenario, save_scenario
+from nclbf.scenario import builtin_scenario, json_doc, save_scenario
 from nclbf.systems import ControlAffineSystem
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text
 from nclbf.verify import (ASSUMPTIONS_FLOOR, DECREASE_FLOOR, check_assumptions,
@@ -207,7 +207,7 @@ def test_resolution_below_the_floor_is_usage_error(command, floor, check, capsys
     config = builtin_scenario("linear2d_single")
     with pytest.raises(ValueError, match=f">= {floor}"):
         check(config, floor - 1)
-    assert check(config, floor).to_dict()
+    assert json_doc(check(config, floor))
     assert run_cli(command, "--scenario", "linear2d_single", "--resolution", str(floor - 1)) == 2
     assert f"--resolution: must be >= {floor}" in capsys.readouterr().err
     assert run_cli(command, "--scenario", "linear2d_single", "--resolution", str(floor)) != 2
@@ -470,3 +470,37 @@ class TestPlotCommand:
         phase = (out / "phase.svg").read_text()
         assert phase.startswith("<svg") and phase.rstrip().endswith("</svg>")
         assert "<polyline" not in phase  # no trajectories, just geometry/axes
+
+
+def test_overflowing_run_writes_strict_json(tmp_path):
+    # f = 1e43 x: the last finite state's ||x||^2 overflows, so the run's
+    # final_norm and max_v_increase are inf, which summary.json writes as null
+    stiff = ControlAffineSystem("stiff", 2, 2, lambda x: 1e43 * x, lambda x: np.eye(2))
+    config = dataclasses.replace(with_system(builtin_scenario("linear2d_single"), stiff),
+                                 initial_states=(np.array([5.0, 5.0]),))
+    path = tmp_path / "stiff.json"
+    path.write_text(save_scenario(config))
+    out = tmp_path / "runs"
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(out)) == 1
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+    run = summary["runs"][0]
+    assert run["final_norm"] is None and run["max_v_increase"] is None
+
+
+@pytest.mark.parametrize("command,target", [
+    ("validate-params", "missing/x.json"),
+    ("plot", "file"),
+    ("simulate", "file"),
+    ("verify-derivative", "dir"),
+])
+def test_unwritable_out_is_usage_error(command, target, tmp_path, capsys):
+    # an --out under a missing directory, an existing file where a directory
+    # goes, or a directory where a file goes: the write fails, and exits 2
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / target)
+    extra = ["--resolution", "11"] if command == "verify-derivative" else []
+    assert run_cli(command, "--scenario", "linear2d_single", "--out", out, *extra) == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err and not captured.out

@@ -7,7 +7,7 @@ from the scenario as in the checks, and the non-finite rules that
 ``decrease_oracle`` shares with the check: ``fields_finite`` over the points
 where f and g are evaluated, and a NaN degenerate drift kept by the maximum;
 they call only the scalar certificate and controller forms.  The array
-versions must reproduce their reports exactly: every ``to_dict()`` is
+versions must reproduce their reports exactly: every report's ``json_doc`` is
 compared with ``==``, no tolerance.
 """
 
@@ -22,7 +22,7 @@ import pytest
 from conftest import nan_f_system, with_system, zero_gain
 from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate
 from nclbf.controller import TOL_G, Controller
-from nclbf.scenario import builtin_scenario
+from nclbf.scenario import builtin_scenario, json_doc
 from nclbf.systems import ControlAffineSystem, resolve_system
 from nclbf.verify import (BLOCK_ROWS, AssumptionEntry, AssumptionReport,
                           DecreaseReport, check_assumptions,
@@ -112,7 +112,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
         grid_shape=tuple([resolution] * config.n),
         counts=counts, degenerate_max_drift=max_drift,
         degenerate_ok=max_drift <= tol_f, fields_finite=fields_finite,
-        degenerate_escapes=escapes)
+        degenerate_escapes_in_finite_time=escapes)
 
 
 def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
@@ -155,7 +155,7 @@ def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
         entries.append(AssumptionEntry(condition=name, points_checked=checked,
                                        degenerate_points=degenerate,
                                        violations=tuple(violations),
-                                       escape_notes=tuple(escapes)))
+                                       escape_in_finite_time=tuple(escapes)))
 
     rows_L = [cert.grad_L(x) @ gs[k] for k, x in enumerate(pts)]
     run_condition("grad L . f <= 0 where grad L . g = 0 (in R2 or any band)",
@@ -169,7 +169,7 @@ def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
             lambda x, i=i: cert.grad_B(i, x), rows_B)
 
     notes = []
-    if any(e.escape_notes for e in entries):
+    if any(e.escape_in_finite_time for e in entries):
         notes.append("pointwise drift-positive degenerate points leave the degenerate "
                      "set in finite time (transversal drift); reported informationally")
     return AssumptionReport(
@@ -193,14 +193,14 @@ def shifted(name, seed):
 def assert_same_decrease(config, resolution):
     got = grid_decrease_check(config, resolution=resolution)
     want = decrease_oracle(config, resolution=resolution)
-    assert got.to_dict() == want.to_dict()
+    assert json_doc(got) == json_doc(want)
     return got
 
 
 def assert_same_assumptions(config, resolution):
     got = check_assumptions(config, resolution=resolution)
     want = assumptions_oracle(config, grid_resolution=resolution)
-    assert got.to_dict() == want.to_dict()
+    assert json_doc(got) == json_doc(want)
     return got
 
 
@@ -224,7 +224,7 @@ class TestDecreaseMatchesLoop:
             # the escape path: grid points whose control channel vanishes
             # while the drift pushes outward
             assert report.counts["degenerate_channel"] == 134
-            assert report.degenerate_escapes > 0
+            assert report.degenerate_escapes_in_finite_time > 0
 
     @pytest.mark.parametrize("name,seed", [("linear2d_single", 1),
                                            ("nonlinear_mech_three", 4),
@@ -257,7 +257,8 @@ class TestDecreaseMatchesLoop:
                                          lambda x: np.zeros((2, 2)))
         report = assert_same_decrease(with_system(cfg_a, degenerate), 21)
         assert report.degenerate_ok is False
-        assert report.counts["evaluated"] == 0 and report.degenerate_escapes == 0
+        assert (report.counts["evaluated"] == 0
+                and report.degenerate_escapes_in_finite_time == 0)
 
     @pytest.mark.parametrize("gain", [1.0, 0.0])
     def test_non_finite_f(self, cfg_a, gain):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import with_system
-from nclbf.scenario import builtin_scenario
+from nclbf.scenario import builtin_scenario, json_doc
 from nclbf.systems import (ControlAffineSystem, builtin_linear2d,
                            builtin_nonlinear_mech, register_system, resolve_system)
 from nclbf.verify import check_assumptions, field_rows, grid_decrease_check
@@ -75,7 +75,7 @@ class TestCheckAssumptions:
         # the x2 = 2 line inside obstacle 1's barrier region drifts upward but
         # leaves the degenerate set in finite time
         b2 = next(e for e in report.entries if "B[1]" in e.condition)
-        assert b2.escape_notes and not b2.violations
+        assert b2.escape_in_finite_time and not b2.violations
 
     def test_uncontrollable_unstable_system_fails_everywhere(self, cfg_a):
         def f(x):
@@ -100,7 +100,7 @@ class TestCheckAssumptions:
             return np.eye(2) * (math.nan if x[0] > edge else 1.0)
 
         nan_g = ControlAffineSystem(f"nan_g_{edge}", 2, 2, lambda x: -x, g)
-        doc = check_assumptions(with_system(cfg_a, nan_g), resolution=11).to_dict()
+        doc = json_doc(check_assumptions(with_system(cfg_a, nan_g), resolution=11))
         assert doc["fields_finite"] is False and doc["passed"] is False
         assert doc["g_min_singular_value"] == g_min_sv
         assert doc["g_full_rank"] is (g_min_sv is not None)
@@ -131,10 +131,10 @@ class TestRowEvaluators:
         pointwise = with_system(config, dataclasses.replace(
             system, name=f"{system.name}_pointwise", fg_rows=None))
         assert resolve_system(pointwise).fg_rows is None
-        assert (grid_decrease_check(pointwise, 41).to_dict()
-                == grid_decrease_check(config, 41).to_dict())
-        assert (check_assumptions(pointwise, 33).to_dict()
-                == check_assumptions(config, 33).to_dict())
+        assert (json_doc(grid_decrease_check(pointwise, 41))
+                == json_doc(grid_decrease_check(config, 41)))
+        assert (json_doc(check_assumptions(pointwise, 33))
+                == json_doc(check_assumptions(config, 33)))
 
     def test_system_without_rows_uses_pointwise_path(self, cfg_3d):
         system = resolve_system(cfg_3d)

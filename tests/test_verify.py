@@ -12,7 +12,7 @@ import pytest
 
 from nclbf.certificate import R1, R2, R3, Certificate
 from nclbf.controller import Controller
-from nclbf.scenario import builtin_scenario
+from nclbf.scenario import builtin_scenario, json_doc
 from conftest import doctored_record, rows, zero_gain
 from nclbf.simulator import read_trajectory_csv, simulate, trajectory_csv_text
 from nclbf.verify import (grid_decrease_check, shrunk_band_check,
@@ -123,7 +123,7 @@ class TestGridDecrease:
         assert report.counts["excluded_unsafe"] == report.counts["total"] == 121
         assert report.counts["evaluated"] == 0
         assert not report.passed
-        doc = report.to_dict()
+        doc = json_doc(report)
         assert doc["rho0_star"] is None and doc["worst_point"] == []
         json.dumps(doc, allow_nan=False)
 
