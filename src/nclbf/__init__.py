@@ -1,7 +1,7 @@
 """Nonsmooth control Lyapunov barrier functions and safe stabilization."""
 
 from .certificate import BoundarySphere, Certificate
-from .controller import Controller, SafetyViolationError, mu, mu_bar
+from .controller import Controller, SafetyViolationError
 from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                        ScenarioConfig, ScenarioError, ValidationReport,
                        builtin_scenario, derive_eta2, json_doc,
@@ -16,7 +16,7 @@ from .verify import (AssumptionReport, DecreaseReport, InvariantReport,
                      upper_derivative)
 
 __all__ = [
-    "BoundarySphere", "Certificate", "Controller", "SafetyViolationError", "mu", "mu_bar",
+    "BoundarySphere", "Certificate", "Controller", "SafetyViolationError",
     "IntegratorSettings", "ObstacleParams", "ObstacleSpec", "ScenarioConfig",
     "ScenarioError", "ValidationReport", "builtin_scenario", "derive_eta2",
     "json_doc", "load_scenario", "save_scenario", "validate_params",

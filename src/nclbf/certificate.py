@@ -85,7 +85,7 @@ class Certificate:
         self.radii_sq = np.array([ob.radius_sq for ob in config.obstacles])    # (N,)
         self.radii = np.sqrt(self.radii_sq)
         self.phis = np.array([self.phi(j) for j in range(self.n_obstacles)])  # (N,)
-        # plain-float copies for dominant_gap, the simulator's hot path
+        # plain-float copies for the simulator's hot path
         self._obstacles = tuple(zip(self.centers.tolist(), self.eta1.tolist(),
                                     self.eta2.tolist()))
         self._radii_sq = tuple(self.radii_sq.tolist())
@@ -112,8 +112,10 @@ class Certificate:
         return float(v_from_gap(x[None, :], self.dominant_gap(x)[1])[0])
 
     def gap(self, i: int, x: np.ndarray) -> float:
-        """B_i(x) - L(x) for one given obstacle."""
-        return self.B(i, x) - self.L(x)
+        """B_i(x) - L(x) for one given obstacle, as B and L evaluate them."""
+        _, e1, e2 = self._obstacles[i]
+        d = x - self.centers[i]
+        return (e2 - e1 * float(d.dot(d))) - float(x.dot(x))
 
     def dominant_gap(self, x: np.ndarray) -> tuple[int, float, list[float]]:
         """Dominant obstacle i = argmax_j B_j(x), B_i(x) - L(x), and ||x - c_j||^2.

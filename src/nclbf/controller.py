@@ -40,26 +40,6 @@ class MemoryStateError(RuntimeError):
     """Region memory holds a state the controller cannot have reached."""
 
 
-def mu(y: np.ndarray) -> np.ndarray:
-    """y^T / ||y||^2; satisfies y @ mu(y) = 1.  Rejects the zero vector."""
-    y = np.asarray(y, float)
-    n2 = float(y.dot(y))
-    if n2 == 0.0:
-        raise ZeroDivisionError("mu undefined for the zero vector")
-    return y / n2
-
-def mu_bar(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise reciprocal with masking: (vector, active mask).
-
-    Component j is 1/y_j when |y_j| > TOL_G and 0 (inactive) otherwise.
-    """
-    y = np.asarray(y, float)
-    active = np.abs(y) > TOL_G
-    out = np.zeros_like(y)
-    out[active] = 1.0 / y[active]
-    return out, active
-
-
 def control_terms(grad: np.ndarray, F: np.ndarray,
                   G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of one side (grad L, or grad B of each row's obstacle): the
@@ -86,16 +66,24 @@ class Controller:
 
     def kappa1(self, i: int, x: np.ndarray, f0: np.ndarray | None = None,
                g0: np.ndarray | None = None) -> np.ndarray:
-        """Barrier-decrease law: grad B.(f + g u) = -(sum of active c1)*||x||^2."""
+        """Barrier-decrease law: grad B.(f + g u) = -(sum of active c1)*||x||^2.
+
+        u_j = -(Bg_j/||Bg||^2)*Bf - c1_j*mubar_j*L, mubar_j being 1/Bg_j where
+        |Bg_j| > TOL_G and 0 (channel j inactive) elsewhere; zero when Bg vanishes.
+        """
         if f0 is None:
             f0, g0 = self.system.f(x), self.system.g(x)
-        gB = self.cert.grad_B(i, x)
+        c, e1, _ = self.cert._obstacles[i]
+        s = -2.0 * e1
+        gB = np.array([s * (a - b) for a, b in zip(x.tolist(), c)])   # grad_B
         Bf = float(gB.dot(f0))
         Bg = gB.dot(g0)
-        if math.sqrt(float(Bg.dot(Bg))) <= TOL_G:
+        n2 = float(Bg.dot(Bg))
+        if math.sqrt(n2) <= TOL_G:
             return np.zeros(self.system.m)
-        bar, _ = mu_bar(Bg)
-        return -mu(Bg) * Bf - self.c1[i] * bar * self.cert.L(x)
+        L = float(x.dot(x))
+        return np.array([-(b / n2) * Bf - (c1 * (1.0 / b if abs(b) > TOL_G else 0.0)) * L
+                         for b, c1 in zip(Bg.tolist(), self.c1[i].tolist())])
 
     def kappa2(self, x: np.ndarray, f0: np.ndarray | None = None,
                g0: np.ndarray | None = None) -> np.ndarray:
@@ -108,7 +96,8 @@ class Controller:
         n2 = float(Lg.dot(Lg))
         if math.sqrt(n2) <= TOL_G:
             return np.zeros(self.system.m)
-        return -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2)) * (Lg / n2)
+        k = -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2))
+        return np.array([k * (b / n2) for b in Lg.tolist()])
 
     def kappa1_rows(self, i: int | np.ndarray, X: np.ndarray, F: np.ndarray,
                     G: np.ndarray) -> np.ndarray:

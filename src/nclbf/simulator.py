@@ -51,24 +51,22 @@ class NumericBlowupError(RuntimeError):
 def _rk4(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
          dt: float, f0: np.ndarray, g0: np.ndarray) -> np.ndarray:
     # f0, g0 are f(x), g(x): the first stage, shared by every step from x.
-    # Stage states are combined on plain floats: the same element-wise
-    # operations as array arithmetic, so bit-identical, at a fraction of the
-    # per-call overhead for small n.  ndarray.dot gives the same BLAS result
-    # as @ with less call overhead; the hot paths here and in the controller
-    # use it for that reason.
+    # Elementwise arithmetic runs on plain floats in the order array
+    # arithmetic would use, so bit-identical at a fraction of the per-call
+    # overhead for small n; products stay ndarray.dot, whose BLAS kernel
+    # fuses the multiply-add (here and in the controller).  g u is formed
+    # once while g returns g0 itself, as both builtins do.
     f, g = system.f, system.g
-    k1 = (f0 + g0.dot(u)).tolist()
+    gu = g0.dot(u)
     xs = x.tolist()
-    half = 0.5 * dt
-    x2 = np.array([k * half + a for k, a in zip(k1, xs)])
-    k2 = (f(x2) + g(x2).dot(u)).tolist()
-    x3 = np.array([k * half + a for k, a in zip(k2, xs)])
-    k3 = (f(x3) + g(x3).dot(u)).tolist()
-    x4 = np.array([k * dt + a for k, a in zip(k3, xs)])
-    k4 = (f(x4) + g(x4).dot(u)).tolist()
+    ks = [(f0 + gu).tolist()]
+    for c in (0.5 * dt, 0.5 * dt, dt):
+        xc = np.array([k * c + a for k, a in zip(ks[-1], xs)])
+        gc = g(xc)
+        ks.append((f(xc) + (gu if gc is g0 else gc.dot(u))).tolist())
     w = dt / 6.0
     return np.array([(((b + c) * 2.0 + a) + d) * w + v
-                     for a, b, c, d, v in zip(k1, k2, k3, k4, xs)])
+                     for a, b, c, d, v in zip(*ks, xs)])
 
 
 def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
@@ -228,7 +226,9 @@ class _Engine:
     def _rates(self, i: int, x: np.ndarray, f0: np.ndarray, g0: np.ndarray):
         """grad h for h = B_i - L, and kappa2, dh/dt under it, kappa1, dh/dt
         under it: (grad h, u2, hd2, u1, hd1).  f0, g0 are f(x), g(x)."""
-        gh = self.cert.grad_B(i, x) - 2.0 * x
+        c, e1, _ = self.cert._obstacles[i]
+        s = -2.0 * e1
+        gh = np.array([s * (a - b) - 2.0 * a for a, b in zip(x.tolist(), c)])
         u2 = self.ctrl.kappa2(x, f0, g0)
         u1 = self.ctrl.kappa1(i, x, f0, g0)
         return gh, u2, float(gh.dot(f0 + g0.dot(u2))), u1, float(gh.dot(f0 + g0.dot(u1)))
@@ -248,13 +248,15 @@ class _Engine:
         if n2 < 1e-18 or hd2 <= 0.0:
             return None
         w = hg / n2
-        ua = u2 - hd2 * w  # kappa2 projected onto the surface through g
+        u2l = u2.tolist()
+        # kappa2 projected onto the surface through g
+        ua = np.array([a - hd2 * b for a, b in zip(u2l, w.tolist())])
         xa = f0 + g0.dot(ua)
         vda = 2.0 * float(x.dot(xa))
         speed_a = math.sqrt(float(xa.dot(xa)))
         if hd1 < 0.0:
             lam = hd2 / (hd2 - hd1)
-            ub = lam * u1 + (1.0 - lam) * u2
+            ub = np.array([lam * a + (1.0 - lam) * b for a, b in zip(u1.tolist(), u2l)])
             xb = f0 + g0.dot(ub)
             vdb = 2.0 * float(x.dot(xb))
             tie = 1e-9 * (1.0 + abs(vda))
@@ -372,21 +374,21 @@ class _Engine:
         i, h, dd = cert.dominant_gap(x)
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                t = k * integ.dt
                 L = cert.L(x)
                 region = cert.label(i, h, dd)
                 x_(x.tobytes())
                 if region[0] == UNSAFE:
                     u_(np.zeros(self.system.m).tobytes()), law_(NO_LAW)
-                    return Outcome("safety_violation", t=t, obstacle=region[1])
+                    return Outcome("safety_violation", t=k * integ.dt, obstacle=region[1])
                 if L <= eps_conv_sq or k >= n_steps:
                     u, law = self.ctrl.dispatch(region, x, self.prev)
                     u_(u.tobytes()), law_(law)
-                    return Outcome("converged" if L <= eps_conv_sq else "timeout", t=t)
+                    return Outcome("converged" if L <= eps_conv_sq else "timeout",
+                                   t=k * integ.dt)
                 x_next, i, h, dd, u, law = self.advance(x, i, h, dd, region)
                 u_(u.tobytes()), law_(law)
                 if not all(map(math.isfinite, x_next.tolist())):
-                    return Outcome("numeric_blowup", t=t)
+                    return Outcome("numeric_blowup", t=k * integ.dt)
                 self.prev = region
                 x = x_next
                 k += 1
@@ -415,8 +417,10 @@ def run_batch(config: ScenarioConfig,
                  "outcome": json_doc(rec.outcome),
                  "n_samples": len(rec)}
         if len(rec):
-            entry["final_norm"] = float(np.linalg.norm(rec.x[-1]))
-            entry["max_v_increase"] = rec.v_increase(config.integrator.eps_conv)[0]
+            # a blown-up run's last finite state may overflow ||x||^2: inf, quietly
+            with np.errstate(over="ignore", invalid="ignore"):
+                entry["final_norm"] = float(np.linalg.norm(rec.x[-1]))
+                entry["max_v_increase"] = rec.v_increase(config.integrator.eps_conv)[0]
             entry["min_min_dist"] = rec.min_clearance()
         runs.append(entry)
     return SimulationSummary(runs=tuple(runs), wall_time_s=time.perf_counter() - t0), records

@@ -24,6 +24,10 @@ from .scenario import ScenarioConfig, ScenarioError
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
+    """xdot = f(x) + g(x) u.  An array that f or g returns must not change in
+    later calls: the engine reuses f(x) and g(x) for every probe from x, and
+    g u for an RK4 step while g returns that same array."""
+
     name: str
     n: int
     m: int

@@ -423,10 +423,10 @@ def trajectory_invariants(record: TrajectoryRecord,
         raise ValueError("record is empty")
     ctrl = Controller(config)
     integ = config.integrator
-    C, n_smooth = fd_constant(record, ctrl, integ.eps_conv)
-    return InvariantReport(checks=(
-        *record_checks(record, integ.eps_conv),
-        shrunk_band_check(record, ctrl.cert),
-        InvariantCheck(
-            "finite-difference consistency: (V_k+1 - V_k)/dt <= upper derivative + C*dt",
-            True, f"C = {C:.6g} over {n_smooth} smooth steps")), fd_constant=C)
+    # a blown-up run records states whose ||x||^2 overflows: inf, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        C, n_smooth = fd_constant(record, ctrl, integ.eps_conv)
+        checks = (*record_checks(record, integ.eps_conv), shrunk_band_check(record, ctrl.cert))
+    return InvariantReport(checks=(*checks, InvariantCheck(
+        "finite-difference consistency: (V_k+1 - V_k)/dt <= upper derivative + C*dt",
+        True, f"C = {C:.6g} over {n_smooth} smooth steps")), fd_constant=C)
