@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificate import R1, R2, UNSAFE, Certificate, row_dot, row_vecmat
 from .scenario import ScenarioConfig
-from .systems import resolve_system
+from .systems import fg_at, resolve_system
 
 # Absolute threshold below which a gradient-control row counts as vanished.
 TOL_G = 1e-9
@@ -72,7 +72,7 @@ class Controller:
         |Bg_j| > TOL_G and 0 (channel j inactive) elsewhere; zero when Bg vanishes.
         """
         if f0 is None:
-            f0, g0 = self.system.f(x), self.system.g(x)
+            f0, g0 = fg_at(self.system, x)
         c, e1, _ = self.cert._obstacles[i]
         s = -2.0 * e1
         gB = np.array([s * (a - b) for a, b in zip(x.tolist(), c)])   # grad_B
@@ -89,7 +89,7 @@ class Controller:
                g0: np.ndarray | None = None) -> np.ndarray:
         """Sontag's law: grad L.(f + g u) = -sqrt(L_f^2 + gamma*||L_g||^4)."""
         if f0 is None:
-            f0, g0 = self.system.f(x), self.system.g(x)
+            f0, g0 = fg_at(self.system, x)
         gL = 2.0 * x
         Lf = float(gL.dot(f0))
         Lg = gL.dot(g0)

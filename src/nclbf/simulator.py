@@ -41,7 +41,7 @@ import numpy as np
 from .certificate import UNSAFE, region_codes, row_dot, v_from_gap
 from .controller import K2_LAW, NO_LAW, Controller, law_names
 from .scenario import ScenarioConfig, json_doc
-from .systems import ControlAffineSystem
+from .systems import ControlAffineSystem, fg_at
 
 
 class NumericBlowupError(RuntimeError):
@@ -51,19 +51,18 @@ class NumericBlowupError(RuntimeError):
 def _rk4(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
          dt: float, f0: np.ndarray, g0: np.ndarray) -> np.ndarray:
     # f0, g0 are f(x), g(x): the first stage, shared by every step from x.
-    # Elementwise arithmetic runs on plain floats in the order array
-    # arithmetic would use, so bit-identical at a fraction of the per-call
-    # overhead for small n; products stay ndarray.dot, whose BLAS kernel
-    # fuses the multiply-add (here and in the controller).  g u is formed
-    # once while g returns g0 itself, as both builtins do.
+    # The stages are lists of floats, f's input, summed in array order: bit-
+    # identical at a fraction of the per-call cost for small n.  Products stay
+    # ndarray.dot, whose BLAS kernel fuses the multiply-add (here and in the
+    # controller); g u is reused while g returns g0 itself, as the builtins do.
     f, g = system.f, system.g
-    gu = g0.dot(u)
+    gu = g0.dot(u).tolist()
     xs = x.tolist()
-    ks = [(f0 + gu).tolist()]
+    ks = [[a + b for a, b in zip(f0.tolist(), gu)]]
     for c in (0.5 * dt, 0.5 * dt, dt):
-        xc = np.array([k * c + a for k, a in zip(ks[-1], xs)])
+        xc = [k * c + a for k, a in zip(ks[-1], xs)]
         gc = g(xc)
-        ks.append((f(xc) + (gu if gc is g0 else gc.dot(u))).tolist())
+        ks.append([a + b for a, b in zip(f(xc), gu if gc is g0 else gc.dot(u).tolist())])
     w = dt / 6.0
     return np.array([(((b + c) * 2.0 + a) + d) * w + v
                      for a, b, c, d, v in zip(*ks, xs)])
@@ -73,7 +72,7 @@ def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
              dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of xdot = f(x) + g(x) u, u held fixed."""
     x = np.asarray(x, float)
-    out = _rk4(system, x, np.asarray(u, float), dt, system.f(x), system.g(x))
+    out = _rk4(system, x, np.asarray(u, float), dt, *fg_at(system, x))
     if not np.all(np.isfinite(out)):
         raise NumericBlowupError(f"non-finite state after step from {x!r}")
     return out
@@ -281,12 +280,9 @@ class _Engine:
         f0 = g0 = None
         while remaining > 1e-15 * self.dt:
             if f0 is None:
-                f0, g0 = self.system.f(x), self.system.g(x)
+                f0, g0 = fg_at(self.system, x)
             if slide.active:
-                if slide.i != i:
-                    slide.active = False
-                    continue
-                surface = self._slide_nominal(x, i, f0, g0)
+                surface = self._slide_nominal(x, i, f0, g0) if slide.i == i else None
                 if surface is None:
                     slide.active = False
                     continue
@@ -330,7 +326,7 @@ class _Engine:
             remaining -= tau
             i, h, dd = self.cert.dominant_gap(x)
             region = None
-            f0, g0 = self.system.f(x), self.system.g(x)
+            f0, g0 = fg_at(self.system, x)
             _, _, hd2, _, hd1 = self._rates(i, x, f0, g0)
             if hd2 > 0.0 > hd1:
                 slide.active = True
@@ -354,13 +350,14 @@ class _Engine:
         if override_init or self.cert.admissible(x0)[0]:
             outcome = self._loop(x0.copy(), x.frombytes, u.frombytes, law.append)
         X = np.frombuffer(x).reshape(-1, self.system.n)
-        # row k is the step's dominant_gap(x_k) bit for bit: V and region as seen
+        # row k is dominant_gap(x_k) bit for bit, as the engine saw it; dds -> min_dist
         with np.errstate(over="ignore", invalid="ignore"):
             i, h, dds = self.cert.dominant_gap_rows(X)
+            kind, index = self.cert.label_rows(i, h, dds)
+            np.subtract(np.sqrt(dds, out=dds), self.cert.radii, out=dds)
             return TrajectoryRecord(
                 np.arange(len(X)) * self.dt, X, np.frombuffer(u).reshape(-1, self.system.m),
-                v_from_gap(X, h), *self.cert.label_rows(i, h, dds), tuple(law),
-                np.sqrt(dds) - self.cert.radii, outcome)
+                v_from_gap(X, h), kind, index, tuple(law), dds, outcome)
 
     def _loop(self, x: np.ndarray, x_, u_, law_) -> Outcome:
         """Step from x until the run ends, passing each sample's x and u as

@@ -3,19 +3,18 @@
 Two benchmarks are built in: a decoupled planar linear system and a nonlinear
 mechanical system with velocity-dependent damping.  A custom system registers
 under a name with the same evaluators (no expression parser); a scenario names
-it by system_id, and every entry point gets it from resolve_system.  A system
-may also give fg_rows, f and g over a block of rows at once, equal to the
-per-point evaluators bit for bit; the grid checks use it.  nonlinear_mech's
-fg_rows evaluates its scalar damping term once per distinct bit pattern of x2,
-so a grid costs one per x2 line.  The sampled checks of f and g
-(check_assumptions) live with the other grid checks in verify.
+it by system_id, and every entry point gets it from resolve_system.  f and g
+take the state as a list of floats, so an RK4 stage builds no array.  fg_rows,
+if given, is f and g over a block of rows, bit for bit; the grid checks use
+it, and nonlinear_mech's evaluates the damping term once per x2 bit pattern.
+The sampled checks of f and g live with the other grid checks in verify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,17 +23,24 @@ from .scenario import ScenarioConfig, ScenarioError
 
 @dataclass(frozen=True)
 class ControlAffineSystem:
-    """xdot = f(x) + g(x) u.  An array that f or g returns must not change in
-    later calls: the engine reuses f(x) and g(x) for every probe from x, and
-    g u for an RK4 step while g returns that same array."""
+    """xdot = f(x) + g(x) u, f and g taking x as a list of n Python floats: f
+    returns n floats (a list or any 1-D sequence), g an (n, m) array.  An
+    array that f or g returns must not change in later calls: the engine
+    reuses f(x) and g(x) for every probe from x, and g u while g returns it."""
 
     name: str
     n: int
     m: int
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[list[float]], Sequence[float]]
+    g: Callable[[list[float]], np.ndarray]
     # X (P,n) -> F (P,n), G (P,n,m) with row k equal to (f(X[k]), g(X[k])) bit for bit
     fg_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+
+def fg_at(system: ControlAffineSystem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(x) as a float array, for dot products, and g(x), at a state array x."""
+    xs = x.tolist()
+    return np.asarray(system.f(xs), float), system.g(xs)
 
 
 def builtin_linear2d() -> ControlAffineSystem:
@@ -42,7 +48,7 @@ def builtin_linear2d() -> ControlAffineSystem:
     eye = np.eye(2)
 
     def f(x):
-        return -x
+        return [-a for a in x]
 
     def g(x):
         return eye
@@ -63,8 +69,8 @@ def builtin_nonlinear_mech() -> ControlAffineSystem:
     col = np.array([[0.0], [1.0]])
 
     def f(x):
-        x1, x2 = x.tolist()
-        return np.array([x2, -x1 - x2 - _damp(x2)])
+        x1, x2 = x
+        return [x2, -x1 - x2 - _damp(x2)]
 
     def g(x):
         return col

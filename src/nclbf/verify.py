@@ -85,11 +85,9 @@ def field_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarray, 
     one, which matches f and g bit for bit, else f and g point by point."""
     if system.fg_rows is not None:
         return system.fg_rows(X)
-    F = np.empty((len(X), system.n))
-    G = np.empty((len(X), system.n, system.m))
-    for k, x in enumerate(X):
-        F[k], G[k] = system.f(x), system.g(x)
-    return F, G
+    xs = X.tolist()
+    return (np.array([system.f(x) for x in xs], float).reshape(len(X), system.n),
+            np.array([system.g(x) for x in xs], float).reshape(len(X), system.n, system.m))
 
 
 def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) -> bool:
@@ -98,13 +96,12 @@ def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) 
     True means the drift carries the state off the row's zero set in finite
     time (finite-difference directional derivative along f).
     """
-    fx = system.f(x)
+    fx = np.asarray(system.f(x.tolist()), float)
     nf = float(np.linalg.norm(fx))
     if nf == 0.0:
         return False
     h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    step = (h / nf) * fx
-    r0, r1 = row_fn(x), row_fn(x + step)
+    r0, r1 = row_fn(x), row_fn(x + (h / nf) * fx)
     return float(np.linalg.norm(r1 - r0)) / h > 1e-6
 
 
@@ -117,7 +114,7 @@ def _degenerate_rule(system: ControlAffineSystem, cert: Certificate, X: np.ndarr
     out = ([], [])
     for k in np.flatnonzero(~(drift <= TOL_F)):
         grad = cert.grad_L if obstacle is None else partial(cert.grad_B, obstacle[k])
-        transversal = control_row_transversal(system, lambda y: grad(y) @ system.g(y), X[k])
+        transversal = control_row_transversal(system, lambda y: grad(y) @ system.g(y.tolist()), X[k])
         out[not transversal].append(tuple(X[k].tolist()) + (float(drift[k]),))
     return out
 

@@ -34,8 +34,8 @@ def cfg_b():
 def cfg_3d():
     """Fully actuated xdot = -x + u in R^3 with one admissible ball."""
     eye = np.eye(3)
-    register_system("linear3d",
-                    lambda: ControlAffineSystem("linear3d", 3, 3, lambda x: -x, lambda x: eye))
+    register_system("linear3d", lambda: ControlAffineSystem(
+        "linear3d", 3, 3, lambda x: [-a for a in x], lambda x: eye))
     ob = ObstacleSpec(center=np.array([2.0, 2.0, 1.0]), radius_sq=1.0)
     pa = ObstacleParams.resolve(ob, eta1=9.0, c1=[10.0, 20.0, 30.0], w=1.0)
     return ScenarioConfig(system_id="linear3d", state_box=np.array([[-5.0, 5.0]] * 3),
@@ -71,11 +71,30 @@ def with_system(config, system):
     return dataclasses.replace(config, system_id=system.name)
 
 
+def spy_system(system):
+    """system without fg_rows, named system.name + '_spy', whose f and g
+    assert that they get the state as a list of n Python floats and count
+    their calls: returns (spy, {"f": calls, "g": calls})."""
+    calls = {"f": 0, "g": 0}
+
+    def checked(key, fn):
+        def wrapper(x):
+            assert type(x) is list and len(x) == system.n, (key, x)
+            assert all(type(a) is float for a in x), (key, x)
+            calls[key] += 1
+            return fn(x)
+        return wrapper
+
+    spy = ControlAffineSystem(f"{system.name}_spy", system.n, system.m,
+                              checked("f", system.f), checked("g", system.g))
+    return spy, calls
+
+
 def nan_f_system(gain: float):
     """f = -x, NaN where x1 > 4.9 (the x1 = 5 column of an 11^2 grid over
     [-5, 5]^2), and g = gain * I: every channel live (1) or none (0)."""
     return ControlAffineSystem(f"nan_f_{gain:g}", 2, 2,
-                               lambda x: -x * (math.nan if x[0] > 4.9 else 1.0),
+                               lambda x: [-a * (math.nan if x[0] > 4.9 else 1.0) for a in x],
                                lambda x: gain * np.eye(2))
 
 

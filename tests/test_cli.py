@@ -311,7 +311,7 @@ class TestCheckAssumptionsCommand:
     def test_non_finite_g_reports_and_exits_1(self, tmp_path, capsys):
         # g = NaN * I on the x1 = 5 column: the report says so instead of a crash
         nan_g = ControlAffineSystem(
-            "nan_g_cli", 2, 2, lambda x: -x,
+            "nan_g_cli", 2, 2, lambda x: [-a for a in x],
             lambda x: np.eye(2) * (math.nan if x[0] > 4.9 else 1.0))
         path = tmp_path / "nan_g.json"
         path.write_text(save_scenario(with_system(builtin_scenario("linear2d_single"), nan_g)))
@@ -475,7 +475,8 @@ class TestPlotCommand:
 def test_overflowing_run_writes_strict_json(tmp_path):
     # f = 1e43 x: the last finite state's ||x||^2 overflows, so the run's
     # final_norm and max_v_increase are inf, which summary.json writes as null
-    stiff = ControlAffineSystem("stiff", 2, 2, lambda x: 1e43 * x, lambda x: np.eye(2))
+    stiff = ControlAffineSystem("stiff", 2, 2, lambda x: [1e43 * a for a in x],
+                                lambda x: np.eye(2))
     config = dataclasses.replace(with_system(builtin_scenario("linear2d_single"), stiff),
                                  initial_states=(np.array([5.0, 5.0]),))
     path = tmp_path / "stiff.json"

@@ -26,7 +26,7 @@ from conftest import with_system
 from nclbf.controller import TOL_G, Controller
 from nclbf.scenario import builtin_scenario
 from nclbf.simulator import _Engine, _rk4, simulate, trajectory_csv_text
-from nclbf.systems import ControlAffineSystem
+from nclbf.systems import ControlAffineSystem, fg_at
 from test_simulator import PINNED_CSV_A
 
 
@@ -144,7 +144,8 @@ def assert_engine_matches(engine, x, u, dts=(1e-3,), f0=None) -> list[str]:
     ctrl, cert, system = engine.ctrl, engine.cert, engine.system
     branches = []
     with np.errstate(all="ignore"):
-        f0, g0 = system.f(x) if f0 is None else f0, system.g(x)
+        xs = x.tolist()
+        f0, g0 = np.asarray(system.f(xs), float) if f0 is None else f0, system.g(xs)
         assert as_bytes(ctrl.kappa2(x, f0, g0)) == as_bytes(kappa2_oracle(ctrl, x, f0, g0)), x
         for i in range(cert.n_obstacles):
             for got, want in ((ctrl.kappa1(i, x, f0, g0), kappa1_oracle(ctrl, i, x, f0, g0)),
@@ -196,7 +197,7 @@ def test_fixture_slide_states_match_oracles(cfg_a, cfg_b, records_a, records_b):
 
 
 def dense_g_system(name: str, g_const: np.ndarray) -> ControlAffineSystem:
-    return ControlAffineSystem(name, 2, 2, lambda x: -x, lambda x: g_const)
+    return ControlAffineSystem(name, 2, 2, lambda x: [-a for a in x], lambda x: g_const)
 
 
 @pytest.mark.parametrize("system", [
@@ -239,16 +240,32 @@ def test_kappa1_reads_c1_at_call_time():
 def test_fresh_g_array_per_call_reproduces_pinned_trajectories(cfg_a):
     """A linear2d whose g returns a new identity each call takes _rk4's
     per-stage g.dot(u) branch and gives the pinned trajectories."""
-    fresh = ControlAffineSystem("linear2d_fresh_g", 2, 2, lambda x: -x, lambda x: np.eye(2))
+    fresh = ControlAffineSystem("linear2d_fresh_g", 2, 2, lambda x: [-a for a in x],
+                                lambda x: np.eye(2))
     config = with_system(cfg_a, fresh)
     for x0 in ((5.0, 5.0), (4.0, 4.0)):
         text = trajectory_csv_text(simulate(config, np.array(x0)))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CSV_A[x0], x0
 
 
+@pytest.mark.parametrize("f", [lambda x: -np.asarray(x), lambda x: tuple(-a for a in x)],
+                         ids=["array", "tuple"])
+def test_f_sequence_forms_reproduce_pinned_trajectories(cfg_a, f):
+    """f may return any 1-D sequence: a linear2d whose f returns an array or
+    a tuple gives the bytes of the builtin's list f."""
+    eye = np.eye(2)
+    config = with_system(cfg_a, ControlAffineSystem("linear2d_seq_f", 2, 2, f, lambda x: eye))
+    for x0 in ((5.0, 5.0), (4.0, 4.0)):
+        text = trajectory_csv_text(simulate(config, np.array(x0)))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CSV_A[x0], x0
+
+
 def test_state_dependent_g_matches_oracle_rk4():
+    calls = []
+
     def g(x):
-        x1, x2 = x.tolist()
+        calls.append(x)
+        x1, x2 = x
         return np.array([[1.0 + 0.1 * x2, 0.2], [math.sin(x1), 1.0 - 0.05 * x1 * x2]])
 
     system = ControlAffineSystem("state_g", 2, 2, lambda x: np.array([x[1], -x[0]]), g)
@@ -258,3 +275,9 @@ def test_state_dependent_g_matches_oracle_rk4():
     for x in random_rows(rng, config, 200):
         assert_engine_matches(engine, x, rng.normal(scale=5.0, size=2),
                               dts=(1e-3, rng.uniform(0, 0.2)))
+    # g is evaluated at each of the three inner stages of every step
+    x, u = np.array([1.0, 2.0]), np.array([0.5, -0.5])
+    f0, g0 = fg_at(system, x)
+    calls.clear()
+    _rk4(system, x, u, 0.1, f0, g0)
+    assert len(calls) == 3 and calls[0] != calls[1] != calls[2]

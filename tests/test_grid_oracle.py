@@ -208,10 +208,10 @@ FIXTURES = ("linear2d_single", "nonlinear_mech_three")
 
 # state-dependent g without fg_rows, so runs of equal g rows are the grid's x2
 # lines; the corner variant differs only at (5, 5), the last row of its only block
-STATE_G = ControlAffineSystem("state_g", 2, 2, lambda x: -x,
+STATE_G = ControlAffineSystem("state_g", 2, 2, lambda x: [-a for a in x],
                               lambda x: np.diag([1.0, 0.1 + x[0] ** 2]))
-CORNER_G = ControlAffineSystem("corner_g", 2, 2, lambda x: -x,
-                               lambda x: np.diag([1.0, 0.5 if x.sum() == 10.0 else 1.0]))
+CORNER_G = ControlAffineSystem("corner_g", 2, 2, lambda x: [-a for a in x],
+                               lambda x: np.diag([1.0, 0.5 if sum(x) == 10.0 else 1.0]))
 
 
 class TestDecreaseMatchesLoop:
@@ -253,7 +253,7 @@ class TestDecreaseMatchesLoop:
     def test_degenerate_channel_failure(self, cfg_a):
         # g = 0 leaves no control channel anywhere, and f = x drifts outward
         # along grad L and across the ball without moving the zero row
-        degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: x.copy(),
+        degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: list(x),
                                          lambda x: np.zeros((2, 2)))
         report = assert_same_decrease(with_system(cfg_a, degenerate), 21)
         assert report.degenerate_ok is False
@@ -298,7 +298,7 @@ class TestAssumptionsMatchLoop:
         assert not assert_same_assumptions(with_system(cfg_a, nan_f_system(gain)), 11).passed
 
     def test_violations_path(self, cfg_a):
-        degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: x.copy(),
+        degenerate = ControlAffineSystem("degenerate", 2, 2, lambda x: list(x),
                                          lambda x: np.zeros((2, 2)))
         report = assert_same_assumptions(with_system(cfg_a, degenerate), 21)
         assert report.entries[0].violations

@@ -157,7 +157,7 @@ def test_empty_grid_rho0_star(cfg_a):
 
 
 def test_nan_g_min_singular_value(cfg_a):
-    nan_g = ControlAffineSystem("nan_g_oracle", 2, 2, lambda x: -x,
+    nan_g = ControlAffineSystem("nan_g_oracle", 2, 2, lambda x: [-a for a in x],
                                 lambda x: np.eye(2) * math.nan)
     report = check_assumptions(with_system(cfg_a, nan_g), 11)
     assert math.isnan(report.g_min_singular_value)

@@ -31,8 +31,8 @@ velocities = st.lists(st.sampled_from(EDGE), max_size=5).flatmap(
 
 def pointwise_rows(system, X):
     """F (P,n) and G (P,n,m) stacked from f and g one row at a time."""
-    return (np.array([system.f(x) for x in X]).reshape(len(X), system.n),
-            np.array([system.g(x) for x in X]).reshape(len(X), system.n, system.m))
+    return (np.array([system.f(x) for x in X.tolist()]).reshape(len(X), system.n),
+            np.array([system.g(x) for x in X.tolist()]).reshape(len(X), system.n, system.m))
 
 
 def assert_rows_equal_pointwise(system, X):

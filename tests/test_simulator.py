@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import spy_system, with_system
 from nclbf import builtin_scenario
 from nclbf.certificate import R3, UNSAFE, Certificate
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
@@ -19,7 +20,8 @@ from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
 from nclbf.simulator import (NumericBlowupError, _Engine, read_trajectory_csv,
                              rk4_step, run_batch, simulate, trajectory_csv_text,
                              trajectory_header, write_trajectory_csv)
-from nclbf.systems import ControlAffineSystem, builtin_linear2d, register_system
+from nclbf.systems import (ControlAffineSystem, builtin_linear2d, register_system,
+                           resolve_system)
 from nclbf.verify import record_checks
 
 
@@ -64,6 +66,7 @@ class TestRk4Step:
 
     def test_blowup_detected(self):
         def f(x):
+            x = np.asarray(x)
             return x * float(x @ x)
 
         def g(x):
@@ -120,6 +123,7 @@ class TestSimulate:
 
     def test_numeric_blowup_outcome(self, cfg_a):
         def f(x):
+            x = np.asarray(x)
             return np.array([x[0] ** 3, -x[1]])
 
         def g(x):
@@ -202,6 +206,21 @@ class TestThreeDimensional:
         assert any(law.startswith("K3") for law in rec.law)
         assert trajectory_invariants(rec, cfg_3d).passed
         assert_columns_are_the_scalar_forms(rec, cfg_3d)
+
+
+@pytest.mark.parametrize("name, x0, t_max, evals", [
+    ("linear2d_single", (5.0, 5.0), 20.0, 40113),
+    ("nonlinear_mech_three", (-5.0, 5.0), 2.0, 10106),
+])
+def test_rhs_evaluations_per_run(name, x0, t_max, evals):
+    """f and g evaluations of a run, pinned to the engine that took the state
+    as an array: the list form adds none, and f and g go together."""
+    cfg = builtin_scenario(name)
+    spy, calls = spy_system(resolve_system(cfg))
+    cfg = with_system(dataclasses.replace(
+        cfg, integrator=dataclasses.replace(cfg.integrator, t_max=t_max)), spy)
+    simulate(cfg, np.array(x0))
+    assert calls == {"f": evals, "g": evals}
 
 
 def test_run_memory_is_its_columns():

@@ -11,11 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import with_system
+from conftest import spy_system, with_system
+from nclbf.controller import Controller
 from nclbf.scenario import builtin_scenario, json_doc
+from nclbf.simulator import rk4_step, simulate
 from nclbf.systems import (ControlAffineSystem, builtin_linear2d,
                            builtin_nonlinear_mech, register_system, resolve_system)
-from nclbf.verify import check_assumptions, field_rows, grid_decrease_check
+from nclbf.verify import (check_assumptions, control_row_transversal, field_rows,
+                          grid_decrease_check)
 
 BUILTINS = (builtin_linear2d, builtin_nonlinear_mech)
 
@@ -79,7 +82,7 @@ class TestCheckAssumptions:
 
     def test_uncontrollable_unstable_system_fails_everywhere(self, cfg_a):
         def f(x):
-            return x.copy()
+            return list(x)
 
         def g(x):
             return np.zeros((2, 2))
@@ -99,7 +102,7 @@ class TestCheckAssumptions:
         def g(x):
             return np.eye(2) * (math.nan if x[0] > edge else 1.0)
 
-        nan_g = ControlAffineSystem(f"nan_g_{edge}", 2, 2, lambda x: -x, g)
+        nan_g = ControlAffineSystem(f"nan_g_{edge}", 2, 2, lambda x: [-a for a in x], g)
         doc = json_doc(check_assumptions(with_system(cfg_a, nan_g), resolution=11))
         assert doc["fields_finite"] is False and doc["passed"] is False
         assert doc["g_min_singular_value"] == g_min_sv
@@ -143,3 +146,37 @@ class TestRowEvaluators:
         F, G = field_rows(system, X)
         assert np.array_equal(F, -X) and np.array_equal(G, np.broadcast_to(np.eye(3), (50, 3, 3)))
         assert grid_decrease_check(cfg_3d, resolution=11).counts["evaluated"] > 0
+
+
+class TestStateContract:
+    """f and g take the state as a list of n Python floats, from every caller:
+    spy_system's f and g assert it on each call."""
+
+    def test_every_caller_passes_a_list_of_floats(self, cfg_a):
+        spy, calls = spy_system(builtin_linear2d())
+        config = with_system(cfg_a, spy)
+
+        def evals(run):
+            before = dict(calls)
+            run()
+            return calls["f"] - before["f"], calls["g"] - before["g"]
+
+        x, u = np.array([4.0, 3.5]), np.array([1.0, -2.0])
+        assert min(evals(lambda: simulate(config, np.array([5.0, 5.0])))) > 0
+        assert evals(lambda: rk4_step(spy, x, u, 1e-3)) == (4, 4)
+        ctrl = Controller(config)
+        assert evals(lambda: ctrl.kappa1(0, x)) == (1, 1)
+        assert evals(lambda: ctrl.kappa2(x)) == (1, 1)
+        X = np.random.default_rng(4).uniform(-5.0, 5.0, size=(7, 2))
+        assert evals(lambda: field_rows(spy, X)) == (7, 7)
+        assert evals(lambda: control_row_transversal(spy, lambda y: 2.0 * y, x)) == (1, 0)
+
+    def test_degenerate_rule_passes_a_list_of_floats(self, cfg_a):
+        # every point but the origin is degenerate with a positive drift, so
+        # beyond field_rows' 25 calls each, the transversal test evaluates f,
+        # and g through the control row, at those points
+        spy, calls = spy_system(ControlAffineSystem("degenerate", 2, 2, lambda x: list(x),
+                                                    lambda x: np.zeros((2, 2))))
+        report = check_assumptions(with_system(cfg_a, spy), resolution=5)
+        assert report.entries[0].degenerate_points > 0
+        assert calls["f"] > 25 and calls["g"] > 25
