@@ -47,7 +47,7 @@ def v_from_gap(X: np.ndarray, h: np.ndarray) -> np.ndarray:
     """V = max(L, max_i B_i) for every row of X (P, n) from dominant_gap_rows'
     h: the one form that the engine records and Certificate.V evaluates."""
     L = row_dot(X, X)
-    return np.where(h > 0.0, L + h, L)
+    return np.add(L, h, out=L, where=h > 0.0)
 
 
 def region_codes(n_obstacles: int) -> np.ndarray:

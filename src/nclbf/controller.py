@@ -75,15 +75,21 @@ class Controller:
             f0, g0 = fg_at(self.system, x)
         c, e1, _ = self.cert._obstacles[i]
         s = -2.0 * e1
-        gB = np.array([s * (a - b) for a, b in zip(x.tolist(), c)])   # grad_B
+        gB = x.tolist()
+        for j in range(len(gB)):
+            gB[j] = s * (gB[j] - c[j])
+        gB = np.array(gB)   # grad_B
         Bf = float(gB.dot(f0))
         Bg = gB.dot(g0)
         n2 = float(Bg.dot(Bg))
         if math.sqrt(n2) <= TOL_G:
             return np.zeros(self.system.m)
         L = float(x.dot(x))
-        return np.array([-(b / n2) * Bf - (c1 * (1.0 / b if abs(b) > TOL_G else 0.0)) * L
-                         for b, c1 in zip(Bg.tolist(), self.c1[i].tolist())])
+        u, c1 = Bg.tolist(), self.c1[i].tolist()
+        for j in range(len(u)):
+            b = u[j]
+            u[j] = -(b / n2) * Bf - (c1[j] * (1.0 / b if abs(b) > TOL_G else 0.0)) * L
+        return np.array(u)
 
     def kappa2(self, x: np.ndarray, f0: np.ndarray | None = None,
                g0: np.ndarray | None = None) -> np.ndarray:
@@ -97,7 +103,10 @@ class Controller:
         if math.sqrt(n2) <= TOL_G:
             return np.zeros(self.system.m)
         k = -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2))
-        return np.array([k * (b / n2) for b in Lg.tolist()])
+        u = Lg.tolist()
+        for j in range(len(u)):
+            u[j] = k * (u[j] / n2)
+        return np.array(u)
 
     def kappa1_rows(self, i: int | np.ndarray, X: np.ndarray, F: np.ndarray,
                     G: np.ndarray) -> np.ndarray:

@@ -51,21 +51,36 @@ class NumericBlowupError(RuntimeError):
 def _rk4(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
          dt: float, f0: np.ndarray, g0: np.ndarray) -> np.ndarray:
     # f0, g0 are f(x), g(x): the first stage, shared by every step from x.
-    # The stages are lists of floats, f's input, summed in array order: bit-
-    # identical at a fraction of the per-call cost for small n.  Products stay
+    # The stages are lists of floats, f's input, summed in array order by
+    # indexed loops (before CPython 3.12 a comprehension is a call of its own):
+    # bit-identical and cheaper than arrays for small n.  Products stay
     # ndarray.dot, whose BLAS kernel fuses the multiply-add (here and in the
     # controller); g u is reused while g returns g0 itself, as the builtins do.
     f, g = system.f, system.g
     gu = g0.dot(u).tolist()
     xs = x.tolist()
-    ks = [[a + b for a, b in zip(f0.tolist(), gu)]]
+    r = range(len(xs))
+    k = f0.tolist()
+    for j in r:
+        k[j] += gu[j]
+    ks = [k]
     for c in (0.5 * dt, 0.5 * dt, dt):
-        xc = [k * c + a for k, a in zip(ks[-1], xs)]
+        xc = xs[:]
+        for j in r:
+            xc[j] = k[j] * c + xs[j]
         gc = g(xc)
-        ks.append([a + b for a, b in zip(f(xc), gu if gc is g0 else gc.dot(u).tolist())])
+        k = f(xc)
+        # a fresh list of Python floats, so the sums never run on numpy scalars
+        k = k.tolist() if isinstance(k, np.ndarray) else list(k)
+        gcu = gu if gc is g0 else gc.dot(u).tolist()
+        for j in r:
+            k[j] += gcu[j]
+        ks.append(k)
+    k1, k2, k3, k4 = ks
     w = dt / 6.0
-    return np.array([(((b + c) * 2.0 + a) + d) * w + v
-                     for a, b, c, d, v in zip(*ks, xs)])
+    for j in r:
+        xs[j] = (((k2[j] + k3[j]) * 2.0 + k1[j]) + k4[j]) * w + xs[j]
+    return np.array(xs)
 
 
 def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
@@ -227,7 +242,10 @@ class _Engine:
         under it: (grad h, u2, hd2, u1, hd1).  f0, g0 are f(x), g(x)."""
         c, e1, _ = self.cert._obstacles[i]
         s = -2.0 * e1
-        gh = np.array([s * (a - b) - 2.0 * a for a, b in zip(x.tolist(), c)])
+        gh = x.tolist()
+        for j in range(len(gh)):
+            gh[j] = s * (gh[j] - c[j]) - 2.0 * gh[j]
+        gh = np.array(gh)
         u2 = self.ctrl.kappa2(x, f0, g0)
         u1 = self.ctrl.kappa1(i, x, f0, g0)
         return gh, u2, float(gh.dot(f0 + g0.dot(u2))), u1, float(gh.dot(f0 + g0.dot(u1)))
@@ -247,15 +265,20 @@ class _Engine:
         if n2 < 1e-18 or hd2 <= 0.0:
             return None
         w = hg / n2
-        u2l = u2.tolist()
+        u2l, ua = u2.tolist(), w.tolist()
         # kappa2 projected onto the surface through g
-        ua = np.array([a - hd2 * b for a, b in zip(u2l, w.tolist())])
+        for j in range(len(ua)):
+            ua[j] = u2l[j] - hd2 * ua[j]
+        ua = np.array(ua)
         xa = f0 + g0.dot(ua)
         vda = 2.0 * float(x.dot(xa))
         speed_a = math.sqrt(float(xa.dot(xa)))
         if hd1 < 0.0:
             lam = hd2 / (hd2 - hd1)
-            ub = np.array([lam * a + (1.0 - lam) * b for a, b in zip(u1.tolist(), u2l)])
+            ub = u1.tolist()
+            for j in range(len(ub)):
+                ub[j] = lam * ub[j] + (1.0 - lam) * u2l[j]
+            ub = np.array(ub)
             xb = f0 + g0.dot(ub)
             vdb = 2.0 * float(x.dot(xb))
             tie = 1e-9 * (1.0 + abs(vda))
@@ -350,14 +373,16 @@ class _Engine:
         if override_init or self.cert.admissible(x0)[0]:
             outcome = self._loop(x0.copy(), x.frombytes, u.frombytes, law.append)
         X = np.frombuffer(x).reshape(-1, self.system.n)
+        law = tuple(law)
         # row k is dominant_gap(x_k) bit for bit, as the engine saw it; dds -> min_dist
         with np.errstate(over="ignore", invalid="ignore"):
             i, h, dds = self.cert.dominant_gap_rows(X)
             kind, index = self.cert.label_rows(i, h, dds)
+            del i
             np.subtract(np.sqrt(dds, out=dds), self.cert.radii, out=dds)
             return TrajectoryRecord(
                 np.arange(len(X)) * self.dt, X, np.frombuffer(u).reshape(-1, self.system.m),
-                v_from_gap(X, h), kind, index, tuple(law), dds, outcome)
+                v_from_gap(X, h), kind, index, law, dds, outcome)
 
     def _loop(self, x: np.ndarray, x_, u_, law_) -> Outcome:
         """Step from x until the run ends, passing each sample's x and u as

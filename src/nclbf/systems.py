@@ -48,7 +48,8 @@ def builtin_linear2d() -> ControlAffineSystem:
     eye = np.eye(2)
 
     def f(x):
-        return [-a for a in x]
+        x1, x2 = x
+        return [-x1, -x2]
 
     def g(x):
         return eye

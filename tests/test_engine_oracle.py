@@ -8,13 +8,15 @@ apart from their names, taking the controller or engine as their first
 argument and calling each other.  The engine now does their elementwise
 arithmetic on floats in the same order and keeps every product an
 ``ndarray.dot``, so each must give the same bytes: on random states of both
-builtins, on states the fixture runs slide through, and on edge rows (a
-channel at or below ``TOL_G``, a vanished channel, a dense g, non-finite
-input).
+builtins, of ``cfg_3d``'s linear3d and of a system with n = 3, m = 2 and a
+dense g that changes with x, on states the fixture runs slide through, and on
+edge rows (a channel at or below ``TOL_G``, a vanished channel, a dense g,
+non-finite input).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -24,7 +26,7 @@ import pytest
 
 from conftest import with_system
 from nclbf.controller import TOL_G, Controller
-from nclbf.scenario import builtin_scenario
+from nclbf.scenario import ObstacleParams, ScenarioConfig, builtin_scenario
 from nclbf.simulator import _Engine, _rk4, simulate, trajectory_csv_text
 from nclbf.systems import ControlAffineSystem, fg_at
 from test_simulator import PINNED_CSV_A
@@ -170,9 +172,30 @@ def random_rows(rng, config, count):
     return rng.uniform(box[:, 0], box[:, 1], size=(count, config.n))
 
 
-@pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
-def test_random_states_match_oracles(name):
-    config = builtin_scenario(name)
+def dense_state_g_config(cfg_3d) -> ScenarioConfig:
+    """cfg_3d's ball on xdot = -x + g(x) u with n = 3, m = 2 and a dense g
+    that changes with x: the loops over states and over inputs differ in
+    length, and every RK4 stage forms its own g u."""
+
+    def g(x):
+        x1, x2, x3 = x
+        return np.array([[1.0 + 0.1 * x2, 0.3], [math.sin(x1), 1.0 - 0.05 * x1 * x3],
+                         [0.2 * x3, -0.7]])
+
+    system = ControlAffineSystem("dense_state_g3", 3, 2, lambda x: [-a for a in x], g)
+    params = (ObstacleParams.resolve(cfg_3d.obstacles[0], eta1=9.0, c1=[10.0, 20.0], w=1.0),)
+    return with_system(dataclasses.replace(cfg_3d, params=params), system)
+
+
+@pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three", "linear3d",
+                                  "dense_state_g3"])
+def test_random_states_match_oracles(name, cfg_3d):
+    if name == "linear3d":
+        config = cfg_3d
+    elif name == "dense_state_g3":
+        config = dense_state_g_config(cfg_3d)
+    else:
+        config = builtin_scenario(name)
     engine = engine_for(config)
     rng = np.random.default_rng(16)
     branches = []
@@ -200,6 +223,23 @@ def dense_g_system(name: str, g_const: np.ndarray) -> ControlAffineSystem:
     return ControlAffineSystem(name, 2, 2, lambda x: [-a for a in x], lambda x: g_const)
 
 
+nan, inf = math.nan, math.inf
+NON_FINITE_F0 = ([nan, 0.0], [inf, -inf], [1e308, 1e308])
+
+
+def edge_rows(config) -> list[np.ndarray]:
+    """States of linear2d_single where a channel sits at or below TOL_G, Bg
+    or Lg vanishes, or the state is non-finite or extreme."""
+    (c1, c2), e1 = config.obstacles[0].center, config.params[0].eta1
+    tiny = 0.4 * TOL_G / (2.0 * e1)    # |Bg_1| = 0.4 TOL_G on linear2d
+    rows = [(c1, 4.5), (c1 + tiny, 4.5), (c1 - tiny, -1.0), (3.0, c2 + tiny),
+            (c1 + 2.5 * tiny, 4.5), (c1 + 0.5, c2 + 2.5),
+            (c1, c2),                           # grad B = 0: Bg vanishes
+            (0.0, 0.0), (tiny, -tiny),          # Lg vanishes
+            (nan, 1.0), (inf, 2.0), (-inf, inf), (1e200, 1e200), (1e-320, 3.0)]
+    return list(map(np.array, rows))
+
+
 @pytest.mark.parametrize("system", [
     None,
     # input 2 drives nothing: Bg_2 and Lg_2 are 0, channel 2 inactive
@@ -211,20 +251,29 @@ def dense_g_system(name: str, g_const: np.ndarray) -> ControlAffineSystem:
 def test_edge_rows_match_oracles(system):
     config = builtin_scenario("linear2d_single")
     engine = engine_for(config, system)
-    (c1, c2), e1 = config.obstacles[0].center, config.params[0].eta1
-    tiny = 0.4 * TOL_G / (2.0 * e1)    # |Bg_1| = 0.4 TOL_G on linear2d
-    nan, inf = math.nan, math.inf
-    rows = [(c1, 4.5), (c1 + tiny, 4.5), (c1 - tiny, -1.0), (3.0, c2 + tiny),
-            (c1 + 2.5 * tiny, 4.5), (c1 + 0.5, c2 + 2.5),
-            (c1, c2),                           # grad B = 0: Bg vanishes
-            (0.0, 0.0), (tiny, -tiny),          # Lg vanishes
-            (nan, 1.0), (inf, 2.0), (-inf, inf), (1e200, 1e200), (1e-320, 3.0)]
-    for x in map(np.array, rows):
+    for x in edge_rows(config):
         assert_engine_matches(engine, x, np.array([1.5, -2.0]), dts=(1e-3, 0.5))
     # non-finite f0 and u as well
-    for f0 in ([nan, 0.0], [inf, -inf], [1e308, 1e308]):
+    for f0 in NON_FINITE_F0:
         assert_engine_matches(engine, np.array([3.0, 4.0]), np.array([nan, 1.0]),
                               f0=np.array(f0))
+
+
+def test_array_f_gives_list_f_bytes_on_edge_rows():
+    """_rk4 takes an ndarray from f as Python floats, so an f returning
+    -np.asarray(x) gives the builtin list f's bytes, NaN sign bits included."""
+    config = builtin_scenario("linear2d_single")
+    listed = engine_for(config).system
+    arrayed = ControlAffineSystem("linear2d_array_f", 2, 2, lambda x: -np.asarray(x),
+                                  listed.g)
+    cases = [(x, np.array([1.5, -2.0]), fg_at(listed, x)) for x in edge_rows(config)]
+    cases += [(np.array([3.0, 4.0]), np.array([nan, 1.0]), (np.array(f0), np.eye(2)))
+              for f0 in NON_FINITE_F0]
+    with np.errstate(all="ignore"):
+        for x, u, (f0, g0) in cases:
+            for dt in (1e-3, 0.5):
+                assert as_bytes(_rk4(arrayed, x, u, dt, f0, g0)) == as_bytes(
+                    _rk4(listed, x, u, dt, f0, g0)), (x, u, f0, dt)
 
 
 def test_kappa1_reads_c1_at_call_time():
