@@ -21,9 +21,6 @@ import numpy as np
 
 from .scenario import ScenarioConfig, ScenarioError, boundary_radius_sq
 
-# |L - x.cbar| up to this counts as on the contact set (contact_condition).
-CONTACT_TOL = 1e-9
-
 # A region is the int pair (kind, index): index is the dominant obstacle in
 # R1 and R3, the first unsafe obstacle in UNSAFE and -1 in R2.
 R1, R2, R3, UNSAFE = range(4)
@@ -84,7 +81,9 @@ class Certificate:
         self.eta2 = np.array([pa.eta2 for pa in config.params])                # (N,)
         self.radii_sq = np.array([ob.radius_sq for ob in config.obstacles])    # (N,)
         self.radii = np.sqrt(self.radii_sq)
-        self.phis = np.array([self.phi(j) for j in range(self.n_obstacles)])  # (N,)
+        # (eta1*||c||^2 - eta2)/(eta1 + 1): the squared norm at the contact points
+        self.phis = ((self.eta1 * row_dot(self.centers, self.centers) - self.eta2)
+                     / (self.eta1 + 1.0))                                     # (N,)
         # plain-float copies for the simulator's hot path
         self._obstacles = tuple(zip(self.centers.tolist(), self.eta1.tolist(),
                                     self.eta2.tolist()))
@@ -110,12 +109,6 @@ class Certificate:
     def V(self, x: np.ndarray) -> float:
         """V(x): v_from_gap for the one row x, as the engine records it."""
         return float(v_from_gap(x[None, :], self.dominant_gap(x)[1])[0])
-
-    def gap(self, i: int, x: np.ndarray) -> float:
-        """B_i(x) - L(x) for one given obstacle, as B and L evaluate them."""
-        _, e1, e2 = self._obstacles[i]
-        d = x - self.centers[i]
-        return (e2 - e1 * float(d.dot(d))) - float(x.dot(x))
 
     def dominant_gap(self, x: np.ndarray) -> tuple[int, float, list[float]]:
         """Dominant obstacle i = argmax_j B_j(x), B_i(x) - L(x), and ||x - c_j||^2.
@@ -144,23 +137,36 @@ class Certificate:
 
         Accumulates in the scalar loop's order, so row k equals
         dominant_gap(X[k]) bit for bit; ties still break to the lowest index.
+        Two float temporaries, d and bj (last holding L), serve every pass.
         """
-        L = np.zeros(len(X))
-        for k in range(self.n):
-            L += X[:, k] * X[:, k]
         best_i = np.zeros(len(X), dtype=int)
         best_b = np.full(len(X), -math.inf)
         dds = np.zeros((len(X), self.n_obstacles))
+        d, bj = np.empty(len(X)), np.empty(len(X))
         for j, (c, e1, e2) in enumerate(self._obstacles):
             dd = dds[:, j]
             for k, b in enumerate(c):
-                d = X[:, k] - b
-                dd += d * d
-            bj = e2 - e1 * dd
+                np.subtract(X[:, k], b, out=d)
+                dd += np.multiply(d, d, out=d)
+            np.subtract(e2, np.multiply(e1, dd, out=bj), out=bj)
             wins = bj > best_b
             best_i[wins] = j
-            best_b[wins] = bj[wins]
-        return best_i, best_b - L, dds
+            np.copyto(best_b, bj, where=wins)
+        bj[:] = 0.0
+        for k in range(self.n):
+            bj += np.multiply(X[:, k], X[:, k], out=d)
+        return best_i, np.subtract(best_b, bj, out=best_b), dds
+
+    def record_columns(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
+        """V (P,), kind (P,), index (P,) and min_dist (P, N) of every row of X
+        (P, n), the columns a TrajectoryRecord derives from x: row k is
+        dominant_gap(X[k]) bit for bit, labelled, and ||x - c_i|| - sqrt(r_i)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            i, h, dds = self.dominant_gap_rows(X)
+            kind, index = self.label_rows(i, h, dds)
+            del i
+            np.subtract(np.sqrt(dds, out=dds), self.radii, out=dds)
+            return v_from_gap(X, h), kind, index, dds
 
     # -- regions ------------------------------------------------------------
 
@@ -227,11 +233,6 @@ class Certificate:
                                 "eta1*r + max L over the closed ball)")
         return math.sqrt(w / (self.eta1[i] + 1.0))
 
-    def phi(self, i: int) -> float:
-        """(eta1*||c||^2 - eta2)/(eta1 + 1): squared norm at the contact points."""
-        e1 = self.eta1[i]
-        return (e1 * float(self.centers[i] @ self.centers[i]) - self.eta2[i]) / (e1 + 1.0)
-
     def contact_points_2d(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Tangency points of origin rays with the boundary sphere (n = 2).
 
@@ -243,7 +244,7 @@ class Certificate:
         sph = self.boundary_sphere(i)
         cbar = sph.center
         d2 = float(cbar @ cbar)
-        p = self.phi(i)
+        p = self.phis[i]
         if p <= 0 or d2 <= sph.radius_sq:
             raise ScenarioError(f"obstacle {i}: no real contact points "
                                 "(boundary sphere reaches the origin)")
@@ -255,11 +256,6 @@ class Certificate:
         t = math.sqrt(t_sq)
         a, b = base + t * perp, base - t * perp
         return (a, b) if a[0] >= b[0] else (b, a)
-
-    def contact_condition(self, i: int, x: np.ndarray) -> bool:
-        """General-n membership test for the contact set: ||x||^2 = x.cbar."""
-        cbar = self.boundary_sphere(i).center
-        return abs(self.L(x) - float(x @ cbar)) <= CONTACT_TOL
 
     def in_shrunk_band(self, x: np.ndarray, i: int) -> bool:
         """x in the shrunk band of obstacle i: shrunk_band_rows for one row."""
@@ -280,5 +276,5 @@ class Certificate:
         while phi - ||x||^2 ~ 2*phi*s, so samples within the band stay within
         2*sqrt(eps_band*phi/(1+eta1)) of phi without being on the surface.
         """
-        p = self.phi(i)
+        p = self.phis[i]
         return 3.0 * math.sqrt(self.eps_band * max(p, 0.0) / (1.0 + self.eta1[i]))

@@ -108,7 +108,8 @@ def _report_command(make):
 
 
 def _read_record(name: str, config: ScenarioConfig | None) -> simulator.TrajectoryRecord:
-    """The trajectory CSV name; given a scenario, its (n, m, N) must match."""
+    """The trajectory CSV name; given a scenario, its (n, m, N) must match and
+    V, the region and min_dist are rebuilt from x, so checks judge the states."""
     try:
         with open(name, newline="") as fp:
             record = simulator.read_trajectory_csv(fp)
@@ -119,9 +120,12 @@ def _read_record(name: str, config: ScenarioConfig | None) -> simulator.Trajecto
     except (ValueError, csv.Error) as e:
         raise CliError(f"bad trajectory file {name}: {e}") from e
     shape = (record.x.shape[1], record.u.shape[1], record.min_dist.shape[1])
-    if config and shape != (config.n, resolve_system(config).m, config.n_obstacles):
+    if not config:
+        return record
+    if shape != (config.n, resolve_system(config).m, config.n_obstacles):
         raise CliError(f"trajectory {name} has (n, m, N) = {shape}: not the scenario's")
-    return record
+    V, kind, index, min_dist = Certificate(config).record_columns(record.x)
+    return dataclasses.replace(record, V=V, kind=kind, index=index, min_dist=min_dist)
 
 
 def _cmd_check_trajectory(args) -> int:
@@ -154,7 +158,7 @@ def _cmd_geometry(args) -> int:
             "boundary_center": sph.center.tolist(),
             "boundary_radius_sq": sph.radius_sq,
             "buffer_width": cert.buffer_width(i),
-            "phi": cert.phi(i),
+            "phi": cert.phis[i],
         }
         if config.n == 2:
             a, b = cert.contact_points_2d(i)

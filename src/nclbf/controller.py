@@ -108,19 +108,10 @@ class Controller:
             u[j] = k * (u[j] / n2)
         return np.array(u)
 
-    def kappa1_rows(self, i: int | np.ndarray, X: np.ndarray, F: np.ndarray,
-                    G: np.ndarray) -> np.ndarray:
-        """kappa1 for every row of X (P, n), given f rows F (P, n), g rows G
-        (P, n, m) and i as in Certificate.grad_B; each row equals kappa1 bit for bit."""
-        return self.kappa1_terms(i, X, *control_terms(self.cert.grad_B(i, X), F, G))
-
-    def kappa2_rows(self, X: np.ndarray, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """kappa2 for every row of X, bit for bit as kappa1_rows is to kappa1."""
-        return self.kappa2_terms(X, *control_terms(self.cert.grad_L(X), F, G))
-
     def kappa1_terms(self, i: int | np.ndarray, X: np.ndarray, Bg: np.ndarray,
                      n2: np.ndarray, Bf: np.ndarray) -> np.ndarray:
-        """kappa1_rows from the barrier side's control_terms."""
+        """kappa1 for every row of X from control_terms(grad_B(i, X), F, G), i as
+        in Certificate.grad_B; row k equals kappa1(i_k, X[k]) bit for bit."""
         live = np.sqrt(n2) > TOL_G
         Bf, Bg, n2 = Bf[live, None], Bg[live], n2[live, None]
         bar = np.zeros_like(Bg)
@@ -132,7 +123,7 @@ class Controller:
 
     def kappa2_terms(self, X: np.ndarray, Lg: np.ndarray, n2: np.ndarray,
                      Lf: np.ndarray) -> np.ndarray:
-        """kappa2_rows from the stabilizer side's control_terms."""
+        """kappa2 for every row of X from control_terms(grad_L(X), F, G), bit for bit."""
         live = np.sqrt(n2) > TOL_G
         Lf, Lg, n2 = Lf[live], Lg[live], n2[live]
         U = np.zeros((len(X), self.system.m))

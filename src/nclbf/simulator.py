@@ -38,7 +38,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .certificate import UNSAFE, region_codes, row_dot, v_from_gap
+from .certificate import UNSAFE, region_codes, row_dot
 from .controller import K2_LAW, NO_LAW, Controller, law_names
 from .scenario import ScenarioConfig, json_doc
 from .systems import ControlAffineSystem, fg_at
@@ -166,10 +166,9 @@ _SUB_MIN_FRACTION = 64.0  # smallest slide substep is dt/64
 
 @dataclass
 class _SlideState:
-    active: bool = False
-    i: int = -1
-    h_tgt: float = 0.0
-    sub: float = 0.0
+    i: int                    # the slide is on the surface B_i = L
+    h_tgt: float
+    sub: float
     alpha: float = 0.0        # warm start for the pinning correction
 
 
@@ -179,7 +178,7 @@ class _Engine:
     That state is the region (kind, index) of the previous sample, which
     kappa3 reads; the barrier-entry latch forced_k1 (the obstacle whose region
     a located event properly entered, held on kappa1 while inside the band,
-    else -1); and the slide on a surface B_i = L.
+    else -1); and the slide on a surface B_i = L, None outside a slide.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -190,7 +189,7 @@ class _Engine:
         self.h_floor = -0.25 * self.cert.eps_band
         self.prev: tuple[int, int] | None = None
         self.forced_k1 = -1
-        self.slide = _SlideState()
+        self.slide: _SlideState | None = None
 
     def _locate(self, x: np.ndarray, u: np.ndarray, span: float, h0: float,
                 f0: np.ndarray, g0: np.ndarray) -> float:
@@ -219,7 +218,7 @@ class _Engine:
 
         def h_end(alpha: float) -> tuple[float, np.ndarray]:
             xe = _rk4(self.system, x, nominal + alpha * w, tau, f0, g0)
-            return self.cert.gap(i, xe) - h_tgt, xe
+            return self.cert.B(i, xe) - self.cert.L(xe) - h_tgt, xe
 
         a = warm
         fa, _ = h_end(a)
@@ -295,7 +294,6 @@ class _Engine:
         the first input applied; the triple is Certificate.dominant_gap of
         x_next, so the next sample needs no new barrier evaluation.
         """
-        slide = self.slide
         remaining = self.dt
         sub_min = self.dt / _SUB_MIN_FRACTION
         u_first: np.ndarray | None = None
@@ -304,10 +302,10 @@ class _Engine:
         while remaining > 1e-15 * self.dt:
             if f0 is None:
                 f0, g0 = fg_at(self.system, x)
-            if slide.active:
+            if (slide := self.slide) is not None:
                 surface = self._slide_nominal(x, i, f0, g0) if slide.i == i else None
                 if surface is None:
-                    slide.active = False
+                    self.slide = None
                     continue
                 tau = min(remaining, slide.sub)
                 slide.h_tgt = max(slide.h_tgt - _SLIDE_RAMP * (4.0 * tau / self.dt),
@@ -317,7 +315,7 @@ class _Engine:
                     if slide.sub > sub_min:
                         slide.sub = max(slide.sub * 0.5, sub_min)
                         continue
-                    slide.active = False
+                    self.slide = None
                     continue
                 u, slide.alpha, x = pin
                 if u_first is None:
@@ -352,11 +350,7 @@ class _Engine:
             f0, g0 = fg_at(self.system, x)
             _, _, hd2, _, hd1 = self._rates(i, x, f0, g0)
             if hd2 > 0.0 > hd1:
-                slide.active = True
-                slide.i = i
-                slide.h_tgt = min(h, 0.0)
-                slide.sub = self.dt / 4.0
-                slide.alpha = 0.0
+                self.slide = _SlideState(i, min(h, 0.0), self.dt / 4.0)
                 self.forced_k1 = -1
             elif hd2 > 0.0 and hd1 >= 0.0:
                 # both fields point inward: the flow properly enters the
@@ -373,16 +367,10 @@ class _Engine:
         if override_init or self.cert.admissible(x0)[0]:
             outcome = self._loop(x0.copy(), x.frombytes, u.frombytes, law.append)
         X = np.frombuffer(x).reshape(-1, self.system.n)
-        law = tuple(law)
-        # row k is dominant_gap(x_k) bit for bit, as the engine saw it; dds -> min_dist
-        with np.errstate(over="ignore", invalid="ignore"):
-            i, h, dds = self.cert.dominant_gap_rows(X)
-            kind, index = self.cert.label_rows(i, h, dds)
-            del i
-            np.subtract(np.sqrt(dds, out=dds), self.cert.radii, out=dds)
-            return TrajectoryRecord(
-                np.arange(len(X)) * self.dt, X, np.frombuffer(u).reshape(-1, self.system.m),
-                v_from_gap(X, h), kind, index, law, dds, outcome)
+        V, kind, index, min_dist = self.cert.record_columns(X)
+        return TrajectoryRecord(
+            np.arange(len(X)) * self.dt, X, np.frombuffer(u).reshape(-1, self.system.m),
+            V, kind, index, tuple(law), min_dist, outcome)
 
     def _loop(self, x: np.ndarray, x_, u_, law_) -> Outcome:
         """Step from x until the run ends, passing each sample's x and u as

@@ -64,7 +64,7 @@ def test_criterion_1_parameter_reproduction(cfg_a, cfg_b):
 
 def test_criterion_2_geometry_reproduction(cfg_a):
     cert = Certificate(cfg_a)
-    phi = cert.phi(0)
+    phi = cert.phis[0]
     a, b = cert.contact_points_2d(0)
     ok = (abs(phi - 3.50) <= 0.02
           and np.allclose(a, [1.87, 0.08], atol=0.02)
@@ -102,7 +102,7 @@ def test_criterion_4_certificate_decrease(cfg_a, timed_batch_a):
 def test_criterion_5_shrunk_band_and_exit_points(cfg_a, records_a):
     cert = Certificate(cfg_a)
     eps_band = cfg_a.integrator.eps_band
-    phi = cert.phi(0)
+    phi = cert.phis[0]
     margin = cert.shrunk_band_margin(0)
     contacts = cert.contact_points_2d(0)
 

@@ -31,7 +31,7 @@ def B_values(cert, x):
 
 def in_shrunk_band_oracle(cert, x, i):
     """The shrunk-band test for one point as a scalar expression."""
-    return abs(cert.gap(i, x)) <= cert.eps_band and cert.L(x) < cert.phi(i)
+    return abs(cert.B(i, x) - cert.L(x)) <= cert.eps_band and cert.L(x) < cert.phis[i]
 
 
 def sphere_point(cert, i, theta):
@@ -174,20 +174,23 @@ class TestBufferWidth:
 
 class TestPhi:
     def test_single_obstacle_value(self, cert_a):
-        assert cert_a.phi(0) == pytest.approx(3.51, rel=1e-12)
+        assert cert_a.phis[0] == pytest.approx(3.51, rel=1e-12)
         # the published rounded figure
-        assert cert_a.phi(0) == pytest.approx(3.50, abs=0.02)
+        assert cert_a.phis[0] == pytest.approx(3.50, abs=0.02)
 
     def test_second_multi_obstacle_value(self, cert_b):
-        assert cert_b.phi(1) == pytest.approx((19 * 8 - 22.7) / 20, rel=1e-12)
-        assert cert_b.phi(1) == pytest.approx(6.465, abs=1e-10)
+        assert cert_b.phis[1] == pytest.approx((19 * 8 - 22.7) / 20, rel=1e-12)
+        assert cert_b.phis[1] == pytest.approx(6.465, abs=1e-10)
+        # the array equals the per-obstacle scalar expression bit for bit
+        for i, (c, e1, e2) in enumerate(zip(cert_b.centers, cert_b.eta1, cert_b.eta2)):
+            assert cert_b.phis[i] == (e1 * float(c @ c) - e2) / (e1 + 1.0)
 
     def test_vanishes_at_eta2_upper_bound(self):
         ob = ObstacleSpec(center=np.array([2.0, 2.0]), radius_sq=2.0)
         pa = ObstacleParams(eta1=9.0, eta2=9.0 * 8.0 - 1e-6, c1=np.array([1.0, 1.0]))
         cert = Certificate(dataclasses.replace(
             builtin_scenario("linear2d_single"), obstacles=(ob,), params=(pa,)))
-        assert 0 < cert.phi(0) < 1e-6
+        assert 0 < cert.phis[0] < 1e-6
 
 
 class TestContactPoints:
@@ -197,13 +200,12 @@ class TestContactPoints:
         assert np.allclose(b, [0.08, 1.87], atol=0.02)
 
     def test_substitution_oracle(self, cert_a):
-        phi = cert_a.phi(0)
+        phi = cert_a.phis[0]
         sph = cert_a.boundary_sphere(0)
         for p in cert_a.contact_points_2d(0):
             assert abs(cert_a.L(p) - phi) < 1e-9
             assert abs(float((p - sph.center) @ (p - sph.center)) - sph.radius_sq) < 1e-9
             assert abs(cert_a.L(p) - float(p @ sph.center)) < 1e-9
-            assert cert_a.contact_condition(0, p)
 
     def test_axis_obstacle_symmetry(self):
         ob = ObstacleSpec(center=np.array([3.0, 0.0]), radius_sq=1.0)

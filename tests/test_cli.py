@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import nan_f_system, with_system
-from nclbf.cli import main
+from nclbf.certificate import UNSAFE, Certificate
+from nclbf.cli import _read_record, main
 from nclbf.scenario import builtin_scenario, json_doc, save_scenario
 from nclbf.systems import ControlAffineSystem
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text
@@ -385,6 +386,37 @@ class TestCheckTrajectoryCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] and "note" in doc
+
+    def test_scenario_checks_judge_the_states(self, tmp_path, capsys):
+        # the sample at t = 0.099 moved to the obstacle centre, its V, region
+        # and mindist left as written: with a scenario those columns are
+        # rebuilt from x, so the safety and decrease checks fail; without
+        # one, the file's own columns are judged and pass
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--scenario", "linear2d_single", "--t-max", "2",
+                       "--out", str(out)) == 1
+        lines = (out / "run_00.csv").read_text().splitlines(keepends=True)
+        t, _, _, rest = lines[100].split(",", 3)
+        lines[100] = ",".join((t, "2.0", "2.0", rest))
+        inside = tmp_path / "inside.csv"
+        inside.write_text("".join(lines))
+        capsys.readouterr()
+        assert run_cli("check-trajectory", "--csv", str(inside),
+                       "--scenario", "linear2d_single") == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["passed"] for c in checks] == [False, False, True, True]
+        assert checks[0]["detail"] == "min over run = -1.41421"
+        assert run_cli("check-trajectory", "--csv", str(inside)) == 0
+        # an untouched file's rebuilt columns are its own, bit for bit
+        cfg = builtin_scenario("linear2d_single")
+        with open(out / "run_00.csv", newline="") as fp:
+            written = read_trajectory_csv(fp)
+        rebuilt = _read_record(str(out / "run_00.csv"), cfg)
+        for name in ("x", "V", "kind", "index", "min_dist"):
+            assert getattr(rebuilt, name).tobytes() == getattr(written, name).tobytes()
+        doctored = _read_record(str(inside), cfg)
+        assert doctored.V[99] == Certificate(cfg).V(np.array([2.0, 2.0])) != written.V[99]
+        assert (doctored.kind[99], doctored.index[99]) == (UNSAFE, 0)
 
     def test_missing_csv(self):
         assert run_cli("check-trajectory", "--csv", "nothing.csv") == 2

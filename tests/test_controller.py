@@ -12,7 +12,8 @@ from conftest import closed_loop_slow_eigenvalue
 # the array helpers kappa1 was written with, kept as parts of its oracle
 from test_engine_oracle import mu, mu_bar
 from nclbf.certificate import R1, R2, R3, UNSAFE
-from nclbf.controller import Controller, MemoryStateError, SafetyViolationError
+from nclbf.controller import (Controller, MemoryStateError, SafetyViolationError,
+                              control_terms)
 from nclbf.scenario import ControllerGains, builtin_scenario
 from nclbf.verify import field_rows
 
@@ -205,8 +206,18 @@ class TestControlDispatch:
             assert u.shape == (ctrl_b.system.m,)
 
 
+def kappa1_rows(ctrl, i, X, F, G):
+    """kappa1 for every row from the barrier side's control_terms, as the
+    grid check composes it."""
+    return ctrl.kappa1_terms(i, X, *control_terms(ctrl.cert.grad_B(i, X), F, G))
+
+
+def kappa2_rows(ctrl, X, F, G):
+    return ctrl.kappa2_terms(X, *control_terms(ctrl.cert.grad_L(X), F, G))
+
+
 class TestRowBatchedLaws:
-    """kappa1_rows/kappa2_rows against kappa1/kappa2, bit for bit."""
+    """kappa1_terms/kappa2_terms on control_terms against kappa1/kappa2, bit for bit."""
 
     @staticmethod
     def rows(ctrl, rng):
@@ -227,16 +238,16 @@ class TestRowBatchedLaws:
         ctrl = Controller(cfg_3d if name == "3d" else builtin_scenario(name))
         X = self.rows(ctrl, np.random.default_rng(53))
         F, G = field_rows(ctrl.system, X)
-        U2 = ctrl.kappa2_rows(X, F, G)
+        U2 = kappa2_rows(ctrl, X, F, G)
         assert not U2[2000].any() and U2.any()   # row 2000 is the origin
         for i in range(ctrl.cert.n_obstacles):
-            U1 = ctrl.kappa1_rows(i, X, F, G)
+            U1 = kappa1_rows(ctrl, i, X, F, G)
             for k, x in enumerate(X):
                 assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
         for k, x in enumerate(X):
             assert U2[k].tobytes() == ctrl.kappa2(x).tobytes(), x
         index = np.random.default_rng(57).integers(ctrl.cert.n_obstacles, size=len(X))
-        U1 = ctrl.kappa1_rows(index, X, F, G)
+        U1 = kappa1_rows(ctrl, index, X, F, G)
         for k, (i, x) in enumerate(zip(index.tolist(), X)):
             assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
 
@@ -244,10 +255,10 @@ class TestRowBatchedLaws:
         ctrl = Controller(builtin_scenario("linear2d_single"))
         X = np.random.default_rng(59).uniform(-5, 5, size=(100, 2))
         F, G = field_rows(ctrl.system, X)
-        before = ctrl.kappa1_rows(0, X, F, G)
+        before = kappa1_rows(ctrl, 0, X, F, G)
         ctrl.c1[0] = np.zeros(2)
-        after = ctrl.kappa1_rows(0, X, F, G)
+        after = kappa1_rows(ctrl, 0, X, F, G)
         assert not np.array_equal(before, after)
         assert all(after[k].tobytes() == ctrl.kappa1(0, x).tobytes()
                    for k, x in enumerate(X))
-        assert np.array_equal(ctrl.kappa1_rows(np.zeros(len(X), dtype=int), X, F, G), after)
+        assert np.array_equal(kappa1_rows(ctrl, np.zeros(len(X), dtype=int), X, F, G), after)

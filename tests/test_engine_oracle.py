@@ -153,8 +153,7 @@ def assert_engine_matches(engine, x, u, dts=(1e-3,), f0=None) -> list[str]:
             for got, want in ((ctrl.kappa1(i, x, f0, g0), kappa1_oracle(ctrl, i, x, f0, g0)),
                               (engine._rates(i, x, f0, g0), rates_oracle(engine, i, x, f0, g0)),
                               (engine._slide_nominal(x, i, f0, g0),
-                               slide_nominal_oracle(engine, x, i, f0, g0)),
-                              (cert.gap(i, x), cert.B(i, x) - cert.L(x))):
+                               slide_nominal_oracle(engine, x, i, f0, g0))):
                 assert as_bytes(got) == as_bytes(want), (i, x)
             branches.append(branch(engine, x, i, f0, g0))
         for dt in dts:

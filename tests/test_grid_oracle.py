@@ -61,8 +61,8 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
         if kind == UNSAFE:
             counts["excluded_unsafe"] += 1
             continue
-        if (kind == R3 and abs(cert.gap(i, x)) <= integ.eps_band
-                and cert.L(x) < cert.phi(i)):
+        if (kind == R3 and abs(cert.B(i, x) - cert.L(x)) <= integ.eps_band
+                and cert.L(x) < cert.phis[i]):
             counts["excluded_shrunk_band"] += 1
             continue
 

@@ -14,7 +14,8 @@ import pytest
 
 from conftest import spy_system, with_system
 from nclbf import builtin_scenario
-from nclbf.certificate import R3, UNSAFE, Certificate
+from nclbf.certificate import R1, R3, UNSAFE, Certificate
+from nclbf.controller import Controller
 from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
                             ObstacleSpec, ScenarioConfig)
 from nclbf.simulator import (NumericBlowupError, _Engine, read_trajectory_csv,
@@ -192,6 +193,55 @@ class TestSlidePinFailure:
         assert rec.min_clearance() == pytest.approx(0.0219, abs=1e-4)
         assert {"K1:1", "K2"} == set(rec.law)
         assert np.linalg.norm(rec.x[-1]) > 4.0
+
+
+def test_barrier_entry_latch_holds_kappa1(cfg_a, monkeypatch):
+    """The step from sample 2 of this admissible start crosses into the
+    barrier region where both fields point inward (dh/dt = +148.8 under
+    kappa2, +397.6 under kappa1): the latch puts kappa1, not dispatch's band
+    law, on the rest of that step."""
+    calls = []   # ("rates", x, hd2, hd1), ("k1", x) outside _rates, ("dispatch", x)
+    in_rates = []
+    rates, kappa1, dispatch = _Engine._rates, Controller.kappa1, Controller.dispatch
+
+    def rates_spy(self, i, x, *a):
+        in_rates.append(True)
+        try:
+            out = rates(self, i, x, *a)
+        finally:
+            in_rates.pop()
+        calls.append(("rates", x.tolist(), out[2], out[4]))
+        return out
+
+    def kappa1_spy(self, i, x, *a):
+        if not in_rates:
+            calls.append(("k1", x.tolist()))
+        return kappa1(self, i, x, *a)
+
+    def dispatch_spy(self, region, x, *a):
+        calls.append(("dispatch", x.tolist()))
+        return dispatch(self, region, x, *a)
+
+    monkeypatch.setattr(_Engine, "_rates", rates_spy)
+    monkeypatch.setattr(Controller, "kappa1", kappa1_spy)
+    monkeypatch.setattr(Controller, "dispatch", dispatch_spy)
+    cfg = dataclasses.replace(cfg_a, integrator=dataclasses.replace(cfg_a.integrator,
+                                                                    t_max=0.3))
+    x0 = np.array([3.5285, 1.9299])
+    assert Certificate(cfg).admissible(x0)[0]
+    rec = simulate(cfg, x0)
+    assert rec.x[3].tolist() == [3.5228277373280354, 1.7602712111174612]
+    assert (rec.kind[3], rec.index[3], rec.law[3]) == (R1, 0, "K1:1")
+    assert rec.law[:3] == ("K2",) * 3
+    # the located crossing: sample 2's dispatch, then _rates at the crossing
+    # with both rates positive, then kappa1 there with no dispatch between
+    first = next(k for k, c in enumerate(calls) if c[0] == "rates")
+    (_, x2), (_, xc, hd2, hd1), after = calls[first - 1], calls[first], calls[first + 1]
+    assert x2 == rec.x[2].tolist()
+    assert xc == pytest.approx([3.5189, 1.9246], abs=1e-4)
+    assert hd2 == pytest.approx(148.8, abs=0.1) and hd1 == pytest.approx(397.6, abs=0.1)
+    assert after == ("k1", xc)
+    assert_columns_are_the_scalar_forms(rec, cfg)
 
 
 class TestThreeDimensional:

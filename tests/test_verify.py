@@ -25,11 +25,10 @@ def shrunk_band_oracle(record, config):
     eps_band = config.integrator.eps_band
     hits = []
     margins = [cert.shrunk_band_margin(i) for i in range(cert.n_obstacles)]
-    phis = [cert.phi(i) for i in range(cert.n_obstacles)]
     for s in rows(record):
         for i in range(cert.n_obstacles):
-            if (abs(cert.gap(i, s.x)) <= eps_band
-                    and cert.L(s.x) < phis[i] - margins[i]):
+            if (abs(cert.B(i, s.x) - cert.L(s.x)) <= eps_band
+                    and cert.L(s.x) < cert.phis[i] - margins[i]):
                 hits.append((s.t, i))
     return f"{len(hits)} samples flagged" + (f", first at t = {hits[0][0]:.4g}" if hits else "")
 
