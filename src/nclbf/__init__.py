@@ -1,22 +1,21 @@
 """Nonsmooth control Lyapunov barrier functions and safe stabilization."""
 
-from .certificate import BoundarySphere, Certificate
+from .certificate import Certificate
 from .controller import Controller, SafetyViolationError
 from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
-                       ScenarioConfig, ScenarioError, ValidationReport,
-                       builtin_scenario, derive_eta2, json_doc,
-                       load_scenario, save_scenario, validate_params)
+                       ScenarioConfig, ScenarioError, builtin_scenario,
+                       derive_eta2, json_doc, load_scenario, save_scenario)
 from .simulator import (Outcome, SimulationSummary, TrajectoryRecord,
                         read_trajectory_csv, rk4_step, run_batch, simulate,
                         trajectory_csv_text, write_trajectory_csv)
 from .systems import (ControlAffineSystem, builtin_linear2d,
                       builtin_nonlinear_mech, register_system, resolve_system)
 from .verify import (AssumptionReport, DecreaseReport, InvariantReport,
-                     check_assumptions, grid_decrease_check, trajectory_invariants,
-                     upper_derivative)
+                     ValidationReport, check_assumptions, grid_decrease_check,
+                     trajectory_invariants, upper_derivative, validate_params)
 
 __all__ = [
-    "BoundarySphere", "Certificate", "Controller", "SafetyViolationError",
+    "Certificate", "Controller", "SafetyViolationError",
     "IntegratorSettings", "ObstacleParams", "ObstacleSpec", "ScenarioConfig",
     "ScenarioError", "ValidationReport", "builtin_scenario", "derive_eta2",
     "json_doc", "load_scenario", "save_scenario", "validate_params",

@@ -15,11 +15,10 @@ obstacle indices are 0-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ScenarioConfig, ScenarioError, boundary_radius_sq
+from .scenario import ScenarioConfig, ScenarioError
 
 # A region is the int pair (kind, index): index is the dominant obstacle in
 # R1 and R3, the first unsafe obstacle in UNSAFE and -1 in R2.
@@ -56,18 +55,6 @@ def region_codes(n_obstacles: int) -> np.ndarray:
     return codes
 
 
-@dataclass(frozen=True)
-class BoundarySphere:
-    """Sphere {x : B_i(x) = L(x)} with center eta1*c/(1+eta1)."""
-
-    center: np.ndarray
-    radius_sq: float
-
-    @property
-    def radius(self) -> float:
-        return math.sqrt(self.radius_sq)
-
-
 class Certificate:
     """Evaluator for V = max(L, max_i B_i) and the band of a scenario."""
 
@@ -81,9 +68,14 @@ class Certificate:
         self.eta2 = np.array([pa.eta2 for pa in config.params])                # (N,)
         self.radii_sq = np.array([ob.radius_sq for ob in config.obstacles])    # (N,)
         self.radii = np.sqrt(self.radii_sq)
+        cc = row_dot(self.centers, self.centers)                              # (N,)
+        # the virtual boundary {B_i = L} is the sphere ||x - cbar_i||^2 = rbar_i^2;
+        # rbar^2 is evaluated on Python floats, whose ** 2 rounds unlike numpy's
+        self.cbars = self.eta1[:, None] * self.centers / (self.eta1 + 1.0)[:, None]  # (N, n)
+        self.rbars_sq = np.array([((1.0 + e1) * e2 - e1 * c) / (1.0 + e1) ** 2 for e1, e2, c
+                                  in zip(self.eta1.tolist(), self.eta2.tolist(), cc.tolist())])
         # (eta1*||c||^2 - eta2)/(eta1 + 1): the squared norm at the contact points
-        self.phis = ((self.eta1 * row_dot(self.centers, self.centers) - self.eta2)
-                     / (self.eta1 + 1.0))                                     # (N,)
+        self.phis = (self.eta1 * cc - self.eta2) / (self.eta1 + 1.0)         # (N,)
         # plain-float copies for the simulator's hot path
         self._obstacles = tuple(zip(self.centers.tolist(), self.eta1.tolist(),
                                     self.eta2.tolist()))
@@ -191,9 +183,12 @@ class Certificate:
         """
         inside = dds < self.radii_sq
         unsafe = inside.any(axis=1)
-        kind = np.where(h > self.eps_band, R1, np.where(-h > self.eps_band, R2, R3))
+        kind = np.full(len(h), R3)
+        kind[h > self.eps_band] = R1
+        kind[h < -self.eps_band] = R2
+        index = np.where(kind == R2, -1, i)
         kind[unsafe] = UNSAFE
-        index = np.where(unsafe, inside.argmax(axis=1), np.where(kind == R2, -1, i))
+        index[unsafe] = inside[unsafe].argmax(axis=1)
         return kind, index
 
     def classify(self, x: np.ndarray) -> tuple[int, int]:
@@ -217,13 +212,12 @@ class Certificate:
 
     # -- virtual boundary geometry -------------------------------------------
 
-    def boundary_sphere(self, i: int) -> BoundarySphere:
-        e1 = self.eta1[i]
-        center = e1 * self.centers[i] / (1.0 + e1)
-        radius_sq = boundary_radius_sq(self.config.obstacles[i], self.config.params[i])
-        if radius_sq <= 0:
+    def boundary_sphere(self, i: int) -> tuple[np.ndarray, float]:
+        """(cbars[i], rbars_sq[i]), the virtual boundary of obstacle i; raises
+        ScenarioError when it is empty."""
+        if self.rbars_sq[i] <= 0:
             raise ScenarioError(f"obstacle {i}: boundary sphere is empty (radius_sq <= 0)")
-        return BoundarySphere(center=center, radius_sq=radius_sq)
+        return self.cbars[i], float(self.rbars_sq[i])
 
     def buffer_width(self, i: int) -> float:
         """sqrt(w / (eta1 + 1)): gap between the sphere and the unsafe ball."""
@@ -241,11 +235,10 @@ class Certificate:
         """
         if self.n != 2:
             raise ScenarioError(f"contact points in closed form need n = 2 (n = {self.n})")
-        sph = self.boundary_sphere(i)
-        cbar = sph.center
+        cbar, rbar_sq = self.boundary_sphere(i)
         d2 = float(cbar @ cbar)
         p = self.phis[i]
-        if p <= 0 or d2 <= sph.radius_sq:
+        if p <= 0 or d2 <= rbar_sq:
             raise ScenarioError(f"obstacle {i}: no real contact points "
                                 "(boundary sphere reaches the origin)")
         t_sq = p - p * p / d2

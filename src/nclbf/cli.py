@@ -19,8 +19,7 @@ from pathlib import Path
 from . import plotting, simulator, verify
 from .certificate import Certificate
 from .scenario import (BUILTIN_SCENARIOS, IntegratorSettings, ScenarioConfig,
-                       ScenarioError, builtin_scenario, json_doc, load_scenario,
-                       validate_params)
+                       ScenarioError, builtin_scenario, json_doc, load_scenario)
 from .systems import resolve_system
 from .verify import check_assumptions
 
@@ -150,13 +149,13 @@ def _cmd_geometry(args) -> int:
     cert = Certificate(config)
     obstacles = []
     for i in range(config.n_obstacles):
-        sph = cert.boundary_sphere(i)
+        cbar, rbar_sq = cert.boundary_sphere(i)
         entry = {
             "obstacle": i,
             "center": config.obstacles[i].center.tolist(),
             "radius": config.obstacles[i].radius,
-            "boundary_center": sph.center.tolist(),
-            "boundary_radius_sq": sph.radius_sq,
+            "boundary_center": cbar.tolist(),
+            "boundary_radius_sq": rbar_sq,
             "buffer_width": cert.buffer_width(i),
             "phi": cert.phis[i],
         }
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
              _report_command(lambda c, a: check_assumptions(c, a.resolution))),
             ("geometry", "virtual-boundary geometry per obstacle", None, _cmd_geometry),
             ("validate-params", "check every design inequality", None,
-             _report_command(lambda c, a: validate_params(c)))):
+             _report_command(lambda c, a: verify.validate_params(c)))):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--scenario", required=True, help="builtin name or JSON file path")
         sp.add_argument("--out", default=None, help="write the JSON report here too")

@@ -55,12 +55,12 @@ def band_takes_kappa1(prev: tuple[int, int], i) -> bool:
 
 
 class Controller:
-    """The scenario's system (by system_id), certificate and gains; pure in x."""
+    """The scenario's system (by system_id), certificate and gain gamma; pure in x."""
 
     def __init__(self, config: ScenarioConfig):
         self.system = resolve_system(config)
         self.cert = Certificate(config)
-        self.gamma = config.gains.gamma
+        self.gamma = config.gamma
         self.c1 = [pa.c1 for pa in config.params]
         self.k1_law, self.k3_law = law_names(config.n_obstacles)
 

@@ -91,9 +91,9 @@ def render_phase_svg(records: list[TrajectoryRecord], config: ScenarioConfig) ->
         cx, cy = ob.center
         cv.add(f'<circle cx="{_fmt(px(cx))}" cy="{_fmt(py(cy))}" r="{_fmt(ob.radius * sx)}" '
                'fill="#c8c8c8" stroke="#505050" stroke-width="1"/>')
-        sph = cert.boundary_sphere(i)
-        cv.add(f'<circle cx="{_fmt(px(sph.center[0]))}" cy="{_fmt(py(sph.center[1]))}" '
-               f'r="{_fmt(sph.radius * sx)}" fill="none" stroke="#303030" '
+        cbar, rbar_sq = cert.boundary_sphere(i)
+        cv.add(f'<circle cx="{_fmt(px(cbar[0]))}" cy="{_fmt(py(cbar[1]))}" '
+               f'r="{_fmt(math.sqrt(rbar_sq) * sx)}" fill="none" stroke="#303030" '
                'stroke-width="1" stroke-dasharray="6 4"/>')
         for cp in cert.contact_points_2d(i):
             x, y = px(cp[0]), py(cp[1])
@@ -114,17 +114,19 @@ def render_phase_svg(records: list[TrajectoryRecord], config: ScenarioConfig) ->
 
 
 def render_value_svg(records: list[TrajectoryRecord]) -> str:
-    """V along each run against time."""
+    """V along each run against time, scaled to the largest finite V; a
+    non-finite V (a run that blew up) is left out of its run's path."""
     x0m, y0m, w, h = 60.0, 20.0, 560.0, 300.0
-    runs = [rec for rec in records if len(rec)]
-    t_hi = max((float(rec.t[-1]) for rec in runs), default=1.0)
-    v_hi = max((float(rec.V.max()) for rec in runs), default=1.0)
+    finite = [np.isfinite(rec.V) for rec in records]
+    t_hi = max((float(rec.t[-1]) for rec in records if len(rec)), default=1.0)
+    v_hi = max((float(rec.V[k].max(initial=0.0)) for rec, k in zip(records, finite)),
+               default=1.0)
     t_hi = t_hi if t_hi > 0 else 1.0
     v_hi = v_hi if v_hi > 0 else 1.0
     cv = _Canvas(680, 380)
-    for k, rec in enumerate(records):
-        if len(rec):
-            _polyline(cv, _PALETTE[k % len(_PALETTE)], x0m + rec.t / t_hi * w,
-                      y0m + h - rec.V / v_hi * h)
+    for k, (rec, keep) in enumerate(zip(records, finite)):
+        if keep.any():
+            _polyline(cv, _PALETTE[k % len(_PALETTE)], x0m + rec.t[keep] / t_hi * w,
+                      y0m + h - rec.V[keep] / v_hi * h)
     _frame(cv, x0m, y0m, w, h, (0.0, t_hi), (0.0, v_hi), "t", "V")
     return cv.finish()

@@ -157,15 +157,6 @@ class ObstacleParams:
 
 
 @dataclass(frozen=True)
-class ControllerGains:
-    gamma: float
-
-    def __post_init__(self):
-        if not (0 < self.gamma < math.inf):
-            raise ScenarioError("gamma must be positive and finite")
-
-
-@dataclass(frozen=True)
 class IntegratorSettings:
     dt: float = 1e-3
     t_max: float = 20.0
@@ -181,17 +172,19 @@ class IntegratorSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Immutable scenario: system id, state box, obstacles, params, gains."""
+    """Immutable scenario: system id, state box, obstacles, params, gamma."""
 
     system_id: str
     state_box: np.ndarray            # (n, 2) per-axis [lo, hi]; advisory
     obstacles: tuple[ObstacleSpec, ...]
     params: tuple[ObstacleParams, ...]
-    gains: ControllerGains
+    gamma: float
     integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
     initial_states: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
+        if not (0 < self.gamma < math.inf):
+            raise ScenarioError("gamma must be positive and finite")
         object.__setattr__(self, "state_box", _readonly(self.state_box))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "params", tuple(self.params))
@@ -225,102 +218,6 @@ class ScenarioConfig:
     @property
     def n_obstacles(self) -> int:
         return len(self.obstacles)
-
-
-# ---------------------------------------------------------------------------
-# Parameter validation report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    value: float
-    bound: float
-    slack: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
-    notes: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def boundary_radius_sq(obstacle: ObstacleSpec, params: ObstacleParams) -> float:
-    """Squared radius of the sphere where B = L: [(1+e1)e2 - e1||c||^2]/(1+e1)^2."""
-    e1 = params.eta1
-    return ((1.0 + e1) * params.eta2 - e1 * obstacle.center_norm_sq) / (1.0 + e1) ** 2
-
-
-def validate_params(config: ScenarioConfig) -> ValidationReport:
-    """Check every design inequality with numeric slack; failures are entries.
-
-    Covers, per obstacle: origin strictly outside, the eta1 lower bound, the
-    eta2 interval, the w range when w is given and a positive boundary-sphere
-    radius; pairwise: obstacle balls disjoint and boundary spheres
-    (Certificate.boundary_sphere) disjoint.  c1 is not an entry: ObstacleParams
-    rejects a c1 that is not positive when it is built.  Initial states are
-    reported admissible iff they lie in the stabilizer region (outside every
-    obstacle, below every barrier by at least eps_band).
-    """
-    from .certificate import Certificate  # certificate imports this module
-    cert = Certificate(config)
-    checks: list[ValidationCheck] = []
-    multi = config.n_obstacles > 1
-    rbar = [boundary_radius_sq(ob, pa) for ob, pa in zip(config.obstacles, config.params)]
-
-    for i, (ob, pa) in enumerate(zip(config.obstacles, config.params)):
-        tag = f"obstacle[{i}]"
-        v = ob.center_norm_sq - ob.radius_sq
-        checks.append(ValidationCheck(f"{tag} origin outside: ||c||^2 - r > 0", v > 0, v, 0.0, v))
-
-        lb = eta1_lower_bound(ob)
-        ok = pa.eta1 > lb if multi else pa.eta1 >= lb
-        rel = ">" if multi else ">="
-        checks.append(ValidationCheck(f"{tag} eta1 {rel} (||c||+sqrt(r))/(||c||-sqrt(r))",
-                                      ok, pa.eta1, lb, pa.eta1 - lb))
-
-        lo = pa.eta1 * ob.radius_sq + ob.max_L_over_closure()
-        checks.append(ValidationCheck(f"{tag} eta1*r + max L(closure) <= eta2",
-                                      lo <= pa.eta2, pa.eta2, lo, pa.eta2 - lo))
-        hi = pa.eta1 * ob.center_norm_sq
-        checks.append(ValidationCheck(f"{tag} eta2 < eta1*||c||^2",
-                                      pa.eta2 < hi, pa.eta2, hi, hi - pa.eta2))
-
-        if pa.w is not None:
-            wub = w_upper_bound(pa.eta1, ob)
-            checks.append(ValidationCheck(f"{tag} 0 < w", pa.w > 0, pa.w, 0.0, pa.w))
-            checks.append(ValidationCheck(f"{tag} w < eta1*(||c||^2-r) - max L(closure)",
-                                          pa.w < wub, pa.w, wub, wub - pa.w))
-        checks.append(ValidationCheck(f"{tag} boundary sphere radius^2 > 0",
-                                      rbar[i] > 0, rbar[i], 0.0, rbar[i]))
-
-    for i in range(config.n_obstacles):
-        for j in range(i + 1, config.n_obstacles):
-            oi, oj = config.obstacles[i], config.obstacles[j]
-            dist = float(np.linalg.norm(oi.center - oj.center))
-            balls = oi.radius + oj.radius
-            checks.append(ValidationCheck(
-                f"obstacles[{i},{j}] balls disjoint: ||ci-cj|| > sqrt(ri)+sqrt(rj)",
-                dist > balls, dist, balls, dist - balls))
-            if rbar[i] > 0 and rbar[j] > 0:
-                si, sj = cert.boundary_sphere(i), cert.boundary_sphere(j)
-                dist = float(np.linalg.norm(si.center - sj.center))
-                spheres = si.radius + sj.radius
-                checks.append(ValidationCheck(
-                    f"spheres[{i},{j}] disjoint: ||cbar_i-cbar_j|| > sqrt(rbar_i)+sqrt(rbar_j)",
-                    dist > spheres, dist, spheres, dist - spheres))
-
-    for k, x0 in enumerate(config.initial_states):
-        ok, why = cert.admissible(x0)
-        checks.append(ValidationCheck(f"initial_state[{k}] admissible ({why})",
-                                      ok, float(np.linalg.norm(x0)), 0.0, 0.0))
-    return ValidationReport(checks=tuple(checks), notes=(
-        "disjointness of boundary spheres checked pairwise on their centres cbar_i",))
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +292,14 @@ def _parse(doc) -> ScenarioConfig:
         w, eta2 = (None if pd.get(key) is None else float(pd[key]) for key in ("w", "eta2"))
         params.append(ObstacleParams.resolve(obstacles[k], eta1, c1, w=w, eta2=eta2))
 
-    gains = ControllerGains(gamma=float(_require(doc, "gamma", "scenario")))
+    gamma = float(_require(doc, "gamma", "scenario"))
     # absent settings take the IntegratorSettings defaults; unknown ones are errors
     integrator = IntegratorSettings(**{k: float(v) for k, v in doc.get("integrator", {}).items()})
     initial_states = tuple(np.asarray(v, float) for v in doc.get("initial_states", []))
 
     return ScenarioConfig(system_id=system_id, state_box=state_box,
                           obstacles=tuple(obstacles), params=tuple(params),
-                          gains=gains, integrator=integrator,
+                          gamma=gamma, integrator=integrator,
                           initial_states=initial_states)
 
 
@@ -417,7 +314,7 @@ def save_scenario(config: ScenarioConfig) -> str:
             {k: v for k, v in (("eta1", pa.eta1), ("w", pa.w), ("eta2", pa.eta2),
                                ("c1", pa.c1.tolist())) if v is not None}
             for pa in config.params],
-        "gamma": config.gains.gamma,
+        "gamma": config.gamma,
         "integrator": {"dt": config.integrator.dt, "t_max": config.integrator.t_max,
                        "eps_conv": config.integrator.eps_conv,
                        "eps_band": config.integrator.eps_band},
@@ -437,7 +334,7 @@ def linear2d_single() -> ScenarioConfig:
     pa = ObstacleParams.resolve(ob, eta1=9.0, c1=[10.0, 20.0], w=0.9)
     return ScenarioConfig(
         system_id="linear2d", state_box=box, obstacles=(ob,), params=(pa,),
-        gains=ControllerGains(gamma=0.1),
+        gamma=0.1,
         integrator=IntegratorSettings(dt=1e-3, t_max=20.0, eps_conv=1e-2, eps_band=1e-3),
         initial_states=tuple(np.array(v) for v in
                              [(5.0, 5.0), (4.0, 4.0), (3.5, 3.5), (5.0, 2.0), (3.0, 5.0)]))
@@ -464,7 +361,7 @@ def nonlinear_mech_three() -> ScenarioConfig:
     )
     return ScenarioConfig(
         system_id="nonlinear_mech", state_box=box, obstacles=obs, params=pas,
-        gains=ControllerGains(gamma=5.0),
+        gamma=5.0,
         integrator=IntegratorSettings(dt=1e-3, t_max=60.0, eps_conv=1e-2, eps_band=1e-3),
         initial_states=tuple(np.array(v) for v in
                              [(-5.0, 5.0), (-4.0, -5.0), (-5.0, 0.0), (5.0, -5.0),

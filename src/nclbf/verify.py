@@ -1,4 +1,5 @@
-"""Numerical certification: the grid checks and the trajectory checks.
+"""Numerical certification: the grid checks, the trajectory checks and the
+design inequalities (validate_params).
 
 Every check resolves its system from the scenario's system_id.  The grid checks
 of the decreasing condition (grid_decrease_check) and of the drift conditions
@@ -23,7 +24,7 @@ import numpy as np
 
 from .certificate import R1, R2, R3, UNSAFE, Certificate, row_dot
 from .controller import TOL_G, Controller, band_takes_kappa1, control_terms
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, eta1_lower_bound, w_upper_bound
 from .simulator import TrajectoryRecord
 from .systems import ControlAffineSystem, resolve_system
 
@@ -427,3 +428,91 @@ def trajectory_invariants(record: TrajectoryRecord,
     return InvariantReport(checks=(*checks, InvariantCheck(
         "finite-difference consistency: (V_k+1 - V_k)/dt <= upper derivative + C*dt",
         True, f"C = {C:.6g} over {n_smooth} smooth steps")), fd_constant=C)
+
+
+# ---------------------------------------------------------------------------
+# Design inequalities
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ValidationCheck:
+    name: str
+    passed: bool
+    value: float
+    bound: float
+    slack: float
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    checks: tuple[ValidationCheck, ...]
+    notes: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def validate_params(config: ScenarioConfig) -> ValidationReport:
+    """Check every design inequality with numeric slack; failures are entries.
+
+    Covers, per obstacle: origin strictly outside, the eta1 lower bound, the
+    eta2 interval, the w range when w is given and a positive boundary-sphere
+    radius (Certificate.rbars_sq); pairwise: obstacle balls disjoint and
+    boundary spheres disjoint.  c1 is not an entry: ObstacleParams rejects a
+    c1 that is not positive when it is built.  Initial states are reported
+    admissible iff they lie in the stabilizer region (outside every obstacle,
+    below every barrier by at least eps_band).
+    """
+    cert = Certificate(config)
+    checks: list[ValidationCheck] = []
+    multi = config.n_obstacles > 1
+    rbar = cert.rbars_sq.tolist()
+
+    for i, (ob, pa) in enumerate(zip(config.obstacles, config.params)):
+        tag = f"obstacle[{i}]"
+        v = ob.center_norm_sq - ob.radius_sq
+        checks.append(ValidationCheck(f"{tag} origin outside: ||c||^2 - r > 0", v > 0, v, 0.0, v))
+
+        lb = eta1_lower_bound(ob)
+        ok = pa.eta1 > lb if multi else pa.eta1 >= lb
+        rel = ">" if multi else ">="
+        checks.append(ValidationCheck(f"{tag} eta1 {rel} (||c||+sqrt(r))/(||c||-sqrt(r))",
+                                      ok, pa.eta1, lb, pa.eta1 - lb))
+
+        lo = pa.eta1 * ob.radius_sq + ob.max_L_over_closure()
+        checks.append(ValidationCheck(f"{tag} eta1*r + max L(closure) <= eta2",
+                                      lo <= pa.eta2, pa.eta2, lo, pa.eta2 - lo))
+        hi = pa.eta1 * ob.center_norm_sq
+        checks.append(ValidationCheck(f"{tag} eta2 < eta1*||c||^2",
+                                      pa.eta2 < hi, pa.eta2, hi, hi - pa.eta2))
+
+        if pa.w is not None:
+            wub = w_upper_bound(pa.eta1, ob)
+            checks.append(ValidationCheck(f"{tag} 0 < w", pa.w > 0, pa.w, 0.0, pa.w))
+            checks.append(ValidationCheck(f"{tag} w < eta1*(||c||^2-r) - max L(closure)",
+                                          pa.w < wub, pa.w, wub, wub - pa.w))
+        checks.append(ValidationCheck(f"{tag} boundary sphere radius^2 > 0",
+                                      rbar[i] > 0, rbar[i], 0.0, rbar[i]))
+
+    for i in range(config.n_obstacles):
+        for j in range(i + 1, config.n_obstacles):
+            oi, oj = config.obstacles[i], config.obstacles[j]
+            dist = float(np.linalg.norm(oi.center - oj.center))
+            balls = oi.radius + oj.radius
+            checks.append(ValidationCheck(
+                f"obstacles[{i},{j}] balls disjoint: ||ci-cj|| > sqrt(ri)+sqrt(rj)",
+                dist > balls, dist, balls, dist - balls))
+            if rbar[i] > 0 and rbar[j] > 0:
+                dist = float(np.linalg.norm(cert.cbars[i] - cert.cbars[j]))
+                spheres = math.sqrt(rbar[i]) + math.sqrt(rbar[j])
+                checks.append(ValidationCheck(
+                    f"spheres[{i},{j}] disjoint: ||cbar_i-cbar_j|| > sqrt(rbar_i)+sqrt(rbar_j)",
+                    dist > spheres, dist, spheres, dist - spheres))
+
+    for k, x0 in enumerate(config.initial_states):
+        ok, why = cert.admissible(x0)
+        checks.append(ValidationCheck(f"initial_state[{k}] admissible ({why})",
+                                      ok, float(np.linalg.norm(x0)), 0.0, 0.0))
+    return ValidationReport(checks=tuple(checks), notes=(
+        "disjointness of boundary spheres checked pairwise on their centres cbar_i",))

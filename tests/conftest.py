@@ -15,8 +15,7 @@ import pytest
 
 from nclbf import builtin_scenario, simulate
 from nclbf.certificate import UNSAFE, Certificate
-from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
-                            ObstacleSpec, ScenarioConfig)
+from nclbf.scenario import IntegratorSettings, ObstacleParams, ObstacleSpec, ScenarioConfig
 from nclbf.systems import ControlAffineSystem, register_system
 
 
@@ -39,7 +38,7 @@ def cfg_3d():
     ob = ObstacleSpec(center=np.array([2.0, 2.0, 1.0]), radius_sq=1.0)
     pa = ObstacleParams.resolve(ob, eta1=9.0, c1=[10.0, 20.0, 30.0], w=1.0)
     return ScenarioConfig(system_id="linear3d", state_box=np.array([[-5.0, 5.0]] * 3),
-                          obstacles=(ob,), params=(pa,), gains=ControllerGains(0.1),
+                          obstacles=(ob,), params=(pa,), gamma=0.1,
                           integrator=IntegratorSettings(dt=1e-3, t_max=20.0),
                           initial_states=(np.array([4.0, 4.0, 2.0]),))
 

@@ -23,10 +23,10 @@ import pytest
 from conftest import EXTRA_A_STARTS, closed_loop_slow_eigenvalue
 from nclbf.certificate import R1, R2, R3, Certificate
 from nclbf.controller import Controller
-from nclbf.scenario import ObstacleSpec, derive_eta2, validate_params
+from nclbf.scenario import ObstacleSpec, derive_eta2
 from nclbf.simulator import rk4_step, run_batch
 from nclbf.systems import builtin_linear2d
-from nclbf.verify import grid_decrease_check
+from nclbf.verify import grid_decrease_check, validate_params
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -185,10 +185,10 @@ def test_criterion_6_multi_obstacle_convergence_by_t20(cfg_b, timed_batch_b20, r
 
 def _sample_r1_points(ctrl, rng, count):
     cert = ctrl.cert
-    sph = cert.boundary_sphere(0)
+    cbar, rbar_sq = cert.boundary_sphere(0)
     pts = []
     while len(pts) < count:
-        x = sph.center + rng.uniform(-1, 1, size=2) * sph.radius
+        x = cbar + rng.uniform(-1, 1, size=2) * math.sqrt(rbar_sq)
         if cert.classify(x) != (R1, 0):
             continue
         Bg = cert.grad_B(0, x) @ ctrl.system.g(x)

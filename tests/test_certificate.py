@@ -35,8 +35,8 @@ def in_shrunk_band_oracle(cert, x, i):
 
 
 def sphere_point(cert, i, theta):
-    sph = cert.boundary_sphere(i)
-    return sph.center + sph.radius * np.array([math.cos(theta), math.sin(theta)])
+    cbar, rbar_sq = cert.boundary_sphere(i)
+    return cbar + math.sqrt(rbar_sq) * np.array([math.cos(theta), math.sin(theta)])
 
 
 class TestFields:
@@ -99,32 +99,47 @@ class TestClassify:
 
 class TestBoundarySphere:
     def test_single_obstacle_sphere(self, cert_a):
-        sph = cert_a.boundary_sphere(0)
-        assert np.allclose(sph.center, [1.8, 1.8], atol=1e-12)
-        assert sph.radius_sq == pytest.approx(2.97, rel=1e-12)
+        cbar, rbar_sq = cert_a.boundary_sphere(0)
+        assert np.allclose(cbar, [1.8, 1.8], atol=1e-12)
+        assert rbar_sq == pytest.approx(2.97, rel=1e-12)
 
     def test_third_multi_obstacle_sphere(self, cert_b):
-        sph = cert_b.boundary_sphere(2)
-        assert np.allclose(sph.center, [-36.0 / 19.0, 0.0], atol=1e-12)
-        assert sph.radius_sq == pytest.approx((19 * 27.2 - 18 * 4) / 361, rel=1e-12)
-        assert sph.radius_sq == pytest.approx(1.2322, abs=1e-4)
+        cbar, rbar_sq = cert_b.boundary_sphere(2)
+        assert np.allclose(cbar, [-36.0 / 19.0, 0.0], atol=1e-12)
+        assert rbar_sq == pytest.approx((19 * 27.2 - 18 * 4) / 361, rel=1e-12)
+        assert rbar_sq == pytest.approx(1.2322, abs=1e-4)
+
+    def test_arrays_are_the_per_obstacle_expressions(self, cert_b):
+        # bit for bit; rbar^2 on Python floats, whose ** 2 rounds unlike numpy's
+        for i, (ob, pa) in enumerate(zip(cert_b.config.obstacles, cert_b.config.params)):
+            e1 = pa.eta1
+            assert cert_b.cbars[i].tolist() == (cert_b.eta1[i] * ob.center
+                                                / (1.0 + cert_b.eta1[i])).tolist()
+            assert cert_b.rbars_sq[i] == (((1.0 + e1) * pa.eta2 - e1 * ob.center_norm_sq)
+                                          / (1.0 + e1) ** 2)
+
+    def test_empty_sphere_error(self, cert_a):
+        pa = ObstacleParams(eta1=9.0, eta2=5.0, c1=np.array([1.0, 1.0]))
+        cert = Certificate(dataclasses.replace(cert_a.config, params=(pa,)))
+        assert cert.rbars_sq[0] < 0
+        with pytest.raises(ScenarioError, match="boundary sphere is empty"):
+            cert.boundary_sphere(0)
 
     def test_large_eta1_center_approaches_obstacle_center(self):
         ob = ObstacleSpec(center=np.array([2.0, 2.0]), radius_sq=2.0)
         pa = ObstacleParams.resolve(ob, eta1=1e6, c1=[1.0, 1.0], w=1.0)
         cfg = builtin_scenario("linear2d_single")
         cert = Certificate(dataclasses.replace(cfg, params=(pa,)))
-        assert np.allclose(cert.boundary_sphere(0).center, ob.center, atol=1e-4)
+        assert np.allclose(cert.boundary_sphere(0)[0], ob.center, atol=1e-4)
 
     def test_sphere_identity_b_equals_l(self, cert_a):
         # every point with B = L lies on the sphere, and conversely
         rng = np.random.default_rng(11)
-        sph = cert_a.boundary_sphere(0)
+        cbar, rbar_sq = cert_a.boundary_sphere(0)
         for _ in range(300):
             x = sphere_point(cert_a, 0, rng.uniform(0, 2 * math.pi))
             assert abs(cert_a.B(0, x) - cert_a.L(x)) <= 1e-12 * max(1.0, cert_a.L(x))
-            assert float((x - sph.center) @ (x - sph.center)) == pytest.approx(
-                sph.radius_sq, rel=1e-12)
+            assert float((x - cbar) @ (x - cbar)) == pytest.approx(rbar_sq, rel=1e-12)
 
 
 class TestBufferWidth:
@@ -134,7 +149,7 @@ class TestBufferWidth:
     def test_radius_identity(self, cert_a):
         ob = cert_a.config.obstacles[0]
         bw = cert_a.buffer_width(0)
-        rbar = cert_a.boundary_sphere(0).radius_sq
+        rbar = cert_a.boundary_sphere(0)[1]
         inner = (ob.radius + ob.center_norm / (1 + 9.0)) ** 2
         assert inner + bw * bw == pytest.approx(rbar, rel=1e-12)
 
@@ -152,8 +167,7 @@ class TestBufferWidth:
             cert = Certificate(dataclasses.replace(base, obstacles=(ob,), params=(pa,)))
             bw = cert.buffer_width(0)
             inner = (ob.radius + ob.center_norm / (1 + eta1)) ** 2
-            assert inner + bw * bw == pytest.approx(
-                cert.boundary_sphere(0).radius_sq, rel=1e-12)
+            assert inner + bw * bw == pytest.approx(cert.boundary_sphere(0)[1], rel=1e-12)
 
     def test_zero_buffer_limit(self):
         ob = ObstacleSpec(center=np.array([2.0, 2.0]), radius_sq=2.0)
@@ -201,11 +215,11 @@ class TestContactPoints:
 
     def test_substitution_oracle(self, cert_a):
         phi = cert_a.phis[0]
-        sph = cert_a.boundary_sphere(0)
+        cbar, rbar_sq = cert_a.boundary_sphere(0)
         for p in cert_a.contact_points_2d(0):
             assert abs(cert_a.L(p) - phi) < 1e-9
-            assert abs(float((p - sph.center) @ (p - sph.center)) - sph.radius_sq) < 1e-9
-            assert abs(cert_a.L(p) - float(p @ sph.center)) < 1e-9
+            assert abs(float((p - cbar) @ (p - cbar)) - rbar_sq) < 1e-9
+            assert abs(cert_a.L(p) - float(p @ cbar)) < 1e-9
 
     def test_axis_obstacle_symmetry(self):
         ob = ObstacleSpec(center=np.array([3.0, 0.0]), radius_sq=1.0)

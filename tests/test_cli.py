@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import nan_f_system, with_system
+from nclbf import plotting
 from nclbf.certificate import UNSAFE, Certificate
 from nclbf.cli import _read_record, main
 from nclbf.scenario import builtin_scenario, json_doc, save_scenario
@@ -30,6 +32,13 @@ def scenario_doc() -> dict:
             "obstacles": [{"center": [2.0, 2.0], "radius": 1.4142135623730951}],
             "params": [{"eta1": 9.0, "w": 0.9, "c1": [10.0, 20.0]}],
             "gamma": 0.1, "integrator": {"t_max": 2.0}, "initial_states": [[5.0, 5.0]]}
+
+
+def scenario_file(tmp_path, **changes) -> str:
+    """scenario_doc() with its top-level keys changed, written to a file."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(scenario_doc(), **changes)))
+    return str(path)
 
 
 def set_path(doc: dict, path: tuple, value) -> dict:
@@ -232,6 +241,46 @@ class TestGeometryCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["obstacles"]) == 3
         assert doc["obstacles"][2]["boundary_center"][0] == pytest.approx(-36.0 / 19.0)
+
+
+# sha256 of the printed report; "file" is scenario_doc() read from JSON, so
+# its radius goes through ObstacleSpec.from_radius.  The virtual-boundary
+# formulas (Certificate.cbars, rbars_sq, phis) must not move these bytes.
+BOUNDARY_REPORT_SHA256 = {
+    ("geometry", "linear2d_single"):
+        "a4c25f2e9110e0d77a5919f9db30fada98f0b4e96a467f058d865e6cc27fb259",
+    ("geometry", "nonlinear_mech_three"):
+        "f491bae2da9d488ebc72e309a5fd65c92b6740249a195df09556352dca99f201",
+    ("geometry", "file"):
+        "a4c25f2e9110e0d77a5919f9db30fada98f0b4e96a467f058d865e6cc27fb259",
+    ("validate-params", "linear2d_single"):
+        "cb5374d8adafc58c8c33cba80b9188fac07093dedf1697057bf4227c9582f19c",
+    ("validate-params", "nonlinear_mech_three"):
+        "29f0f9d27331c31bedb248a94c5080e13d28d3caabaa3cdbfe6aa297833a907b",
+    ("validate-params", "file"):
+        "cdd7ac1d3371c9ed66ec250d8a28759fd4a6f169dafb6f210e72008301458f75",
+}
+
+
+@pytest.mark.parametrize("command,scenario", sorted(BOUNDARY_REPORT_SHA256))
+def test_boundary_reports_are_pinned(command, scenario, tmp_path, capsys):
+    arg = scenario_file(tmp_path) if scenario == "file" else scenario
+    assert run_cli(command, "--scenario", arg) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == BOUNDARY_REPORT_SHA256[command, scenario]
+
+
+@pytest.mark.parametrize("eta2,message", [
+    (5.0, "obstacle 0: boundary sphere is empty"),     # rbar^2 < 0
+    (80.0, "obstacle 0: no real contact points"),      # phi < 0: the sphere holds the origin
+])
+@pytest.mark.parametrize("command", ["geometry", "plot"])
+def test_degenerate_boundary_is_usage_error(command, eta2, message, tmp_path, capsys):
+    path = scenario_file(tmp_path, params=[{"eta1": 9.0, "eta2": eta2, "c1": [10.0, 20.0]}])
+    out = ["--out", str(tmp_path / "fig")] if command == "plot" else []
+    assert run_cli(command, "--scenario", path, *out) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
 
 
 class TestValidateParamsCommand:
@@ -502,6 +551,30 @@ class TestPlotCommand:
         phase = (out / "phase.svg").read_text()
         assert phase.startswith("<svg") and phase.rstrip().endswith("</svg>")
         assert "<polyline" not in phase  # no trajectories, just geometry/axes
+
+
+def test_plot_leaves_non_finite_v_out(tmp_path):
+    # ||x0||^2 overflows: the run records one sample with V = inf
+    path = scenario_file(tmp_path, initial_states=[[1e200, 1e200]], integrator={"t_max": 0.01})
+    runs, fig = tmp_path / "runs", tmp_path / "fig"
+    assert run_cli("simulate", "--scenario", path, "--out", str(runs)) == 1
+    csv_path = runs / "run_00.csv"
+    assert read_trajectory_csv(io.StringIO(csv_path.read_text())).V.tolist() == [math.inf]
+    assert run_cli("plot", "--scenario", path, "--out", str(fig), str(csv_path)) == 0
+    value = (fig / "value.svg").read_text()
+    assert "nan" not in value and "inf" not in value and "<polyline" not in value
+
+
+def test_value_plot_scales_to_the_largest_finite_v(tmp_path):
+    runs = tmp_path / "runs"
+    assert run_cli("simulate", "--scenario", "linear2d_single", "--t-max", "0.5",
+                   "--out", str(runs)) == 1
+    rec = _read_record(str(runs / "run_00.csv"), None)
+    V = rec.V.copy()
+    V[-1] = math.inf
+    svg = plotting.render_value_svg([dataclasses.replace(rec, V=V)])
+    assert f">{float(V[:-1].max()):g}</text>" in svg
+    assert "nan" not in svg and "inf" not in svg
 
 
 def test_overflowing_run_writes_strict_json(tmp_path):

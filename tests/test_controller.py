@@ -14,7 +14,7 @@ from test_engine_oracle import mu, mu_bar
 from nclbf.certificate import R1, R2, R3, UNSAFE
 from nclbf.controller import (Controller, MemoryStateError, SafetyViolationError,
                               control_terms)
-from nclbf.scenario import ControllerGains, builtin_scenario
+from nclbf.scenario import builtin_scenario
 from nclbf.verify import field_rows
 
 
@@ -144,7 +144,7 @@ class TestKappa2:
         # c = 11 + (sqrt(484 + 16 gamma) - 22)/2 >= 11, so its slow root never
         # passes (-11 + sqrt(117))/2 = -0.09167 whatever gamma is.
         cfg = builtin_scenario("nonlinear_mech_three")
-        ctrl = Controller(dataclasses.replace(cfg, gains=ControllerGains(gamma)))
+        ctrl = Controller(dataclasses.replace(cfg, gamma=gamma))
         lam = closed_loop_slow_eigenvalue(ctrl)
         c = 11.0 + (math.sqrt(484.0 + 16.0 * gamma) - 22.0) / 2.0
         assert lam == pytest.approx((-c + math.sqrt(c * c - 4.0)) / 2.0, rel=1e-4)
@@ -184,8 +184,8 @@ class TestControlDispatch:
 
     def test_band_law_tags(self, ctrl_a):
         cert = ctrl_a.cert
-        sph = cert.boundary_sphere(0)
-        x = sph.center + sph.radius * np.array([math.cos(1.0), math.sin(1.0)])
+        cbar, rbar_sq = cert.boundary_sphere(0)
+        x = cbar + math.sqrt(rbar_sq) * np.array([math.cos(1.0), math.sin(1.0)])
         assert dispatch(ctrl_a, x, (R1, 0))[1] == "K3:1>K1"
         assert dispatch(ctrl_a, x, (R2, -1))[1] == "K3:1>K2"
 

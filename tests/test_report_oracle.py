@@ -18,12 +18,13 @@ import pytest
 
 from conftest import nan_f_system, with_system
 from nclbf import cli
-from nclbf.scenario import ValidationCheck, ValidationReport, json_doc
+from nclbf.scenario import json_doc
 from nclbf.simulator import Outcome, SimulationSummary, run_batch
 from nclbf.systems import ControlAffineSystem
 from nclbf.verify import (AssumptionEntry, AssumptionReport, DecreaseReport,
-                          InvariantCheck, InvariantReport, check_assumptions,
-                          grid_decrease_check, record_checks, trajectory_invariants)
+                          InvariantCheck, InvariantReport, ValidationCheck,
+                          ValidationReport, check_assumptions, grid_decrease_check,
+                          record_checks, trajectory_invariants)
 
 
 def json_float(v: float) -> float | None:

@@ -13,7 +13,8 @@ from nclbf.cli import main
 from nclbf.scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                             ScenarioError, builtin_scenario, derive_eta2,
                             eta1_lower_bound, load_scenario, save_scenario,
-                            validate_params, w_upper_bound)
+                            w_upper_bound)
+from nclbf.verify import validate_params
 
 OB_A = ObstacleSpec(center=np.array([2.0, 2.0]), radius_sq=2.0)
 OB_B1 = ObstacleSpec(center=np.array([2.0, 0.0]), radius_sq=0.7)
@@ -246,7 +247,7 @@ class TestBuiltinFixtures:
         assert cfg_a.params[0].eta1 == 9.0
         assert cfg_a.params[0].eta2 == 36.9
         assert np.array_equal(cfg_a.params[0].c1, [10.0, 20.0])
-        assert cfg_a.gains.gamma == 0.1
+        assert cfg_a.gamma == 0.1
         assert len(cfg_a.initial_states) == 5
 
     def test_multi_obstacle_fixture(self, cfg_b):
@@ -255,7 +256,7 @@ class TestBuiltinFixtures:
         assert cfg_b.params[0].eta2 == 16.0
         assert cfg_b.params[1].eta2 == pytest.approx(22.7, rel=1e-12)
         assert cfg_b.params[2].eta2 == pytest.approx(27.2, rel=1e-12)
-        assert cfg_b.gains.gamma == 5.0
+        assert cfg_b.gamma == 5.0
         assert len(cfg_b.initial_states) == 8
 
     def test_first_obstacle_effective_buffer_recovered(self, cfg_b):

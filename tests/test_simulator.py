@@ -16,8 +16,7 @@ from conftest import spy_system, with_system
 from nclbf import builtin_scenario
 from nclbf.certificate import R1, R3, UNSAFE, Certificate
 from nclbf.controller import Controller
-from nclbf.scenario import (ControllerGains, IntegratorSettings, ObstacleParams,
-                            ObstacleSpec, ScenarioConfig)
+from nclbf.scenario import IntegratorSettings, ObstacleParams, ObstacleSpec, ScenarioConfig
 from nclbf.simulator import (NumericBlowupError, _Engine, read_trajectory_csv,
                              rk4_step, run_batch, simulate, trajectory_csv_text,
                              trajectory_header, write_trajectory_csv)
@@ -135,7 +134,7 @@ class TestSimulate:
         pa = ObstacleParams.resolve(ob, eta1=9.0, c1=[10.0], w=1.0)
         cfg = ScenarioConfig(system_id="runaway", state_box=cfg_a.state_box,
                              obstacles=(ob,), params=(pa,),
-                             gains=ControllerGains(0.1),
+                             gamma=0.1,
                              integrator=IntegratorSettings(dt=1e-3, t_max=2.0))
         rec = simulate(cfg, np.array([4.0, 0.0]))
         assert rec.outcome.kind == "numeric_blowup"
@@ -246,8 +245,7 @@ def test_barrier_entry_latch_holds_kappa1(cfg_a, monkeypatch):
 
 class TestThreeDimensional:
     def test_head_on_start_slides_and_converges_safely(self, cfg_3d):
-        from nclbf.scenario import validate_params
-        from nclbf.verify import trajectory_invariants
+        from nclbf.verify import trajectory_invariants, validate_params
         assert validate_params(cfg_3d).passed
         rec = simulate(cfg_3d, cfg_3d.initial_states[0])
         assert rec.outcome.kind == "converged"

@@ -55,8 +55,8 @@ class TestUpperDerivative:
 
     def test_band_without_memory_is_max_of_branches(self, ctrl_a):
         cert = ctrl_a.cert
-        sph = cert.boundary_sphere(0)
-        x = sph.center + sph.radius * np.array([math.cos(2.2), math.sin(2.2)])
+        cbar, rbar_sq = cert.boundary_sphere(0)
+        x = cbar + math.sqrt(rbar_sq) * np.array([math.cos(2.2), math.sin(2.2)])
         u = np.array([0.3, -0.4])
         d = upper_derivative(ctrl_a, x, u, prev=None)[2]
         F = ctrl_a.system.f(x) + ctrl_a.system.g(x) @ u
@@ -67,8 +67,8 @@ class TestUpperDerivative:
 
     def test_band_memory_resolution(self, ctrl_a):
         cert = ctrl_a.cert
-        sph = cert.boundary_sphere(0)
-        x = sph.center + sph.radius * np.array([math.cos(0.7), math.sin(0.7)])
+        cbar, rbar_sq = cert.boundary_sphere(0)
+        x = cbar + math.sqrt(rbar_sq) * np.array([math.cos(0.7), math.sin(0.7)])
         u = np.array([0.1, 0.2])
         F = ctrl_a.system.f(x) + ctrl_a.system.g(x) @ u
         d1 = float(cert.grad_B(0, x) @ F)
