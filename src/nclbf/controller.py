@@ -109,9 +109,10 @@ class Controller:
         return np.array(u)
 
     def kappa1_terms(self, i: int | np.ndarray, X: np.ndarray, Bg: np.ndarray,
-                     n2: np.ndarray, Bf: np.ndarray) -> np.ndarray:
+                     n2: np.ndarray, Bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """kappa1 for every row of X from control_terms(grad_B(i, X), F, G), i as
-        in Certificate.grad_B; row k equals kappa1(i_k, X[k]) bit for bit."""
+        in Certificate.grad_B, and its live mask sqrt(n2) > TOL_G (U is zero off
+        it); row k equals kappa1(i_k, X[k]) bit for bit."""
         live = np.sqrt(n2) > TOL_G
         Bf, Bg, n2 = Bf[live, None], Bg[live], n2[live, None]
         bar = np.zeros_like(Bg)
@@ -119,16 +120,17 @@ class Controller:
         c1 = np.broadcast_to(np.asarray(self.c1)[i], (len(X), self.system.m))[live]
         U = np.zeros((len(X), self.system.m))
         U[live] = -(Bg / n2) * Bf - c1 * bar * row_dot(X[live], X[live])[:, None]
-        return U
+        return U, live
 
     def kappa2_terms(self, X: np.ndarray, Lg: np.ndarray, n2: np.ndarray,
-                     Lf: np.ndarray) -> np.ndarray:
-        """kappa2 for every row of X from control_terms(grad_L(X), F, G), bit for bit."""
+                     Lf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """kappa2 for every row of X from control_terms(grad_L(X), F, G), bit for
+        bit, and its live mask as in kappa1_terms."""
         live = np.sqrt(n2) > TOL_G
         Lf, Lg, n2 = Lf[live], Lg[live], n2[live]
         U = np.zeros((len(X), self.system.m))
         U[live] = (-(Lf + np.sqrt(Lf * Lf + self.gamma * n2 * n2)))[:, None] * (Lg / n2[:, None])
-        return U
+        return U, live
 
     def kappa3(self, i: int, x: np.ndarray, prev: tuple[int, int],
                f0: np.ndarray | None = None, g0: np.ndarray | None = None) -> np.ndarray:

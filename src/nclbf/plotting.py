@@ -104,9 +104,13 @@ def render_phase_svg(records: list[TrajectoryRecord], config: ScenarioConfig) ->
         if not len(rec):
             continue
         color = _PALETTE[k % len(_PALETTE)]
-        _polyline(cv, color, px(rec.x[:, 0]), py(rec.x[:, 1]))
+        # a sample beyond the canvas (the state box plus the frame's margins)
+        # is drawn on its edge, so a diverged run's numbers stay short
+        xs = np.clip(px(rec.x[:, 0]), 0.0, cv.width)
+        ys = np.clip(py(rec.x[:, 1]), 0.0, cv.height)
+        _polyline(cv, color, xs, ys)
+        cv.add(f'<circle cx="{_fmt(xs[0])}" cy="{_fmt(ys[0])}" r="3" fill="{color}"/>')
         a, b = rec.x[0].tolist()
-        cv.add(f'<circle cx="{_fmt(px(a))}" cy="{_fmt(py(b))}" r="3" fill="{color}"/>')
         cv.text(x0m + size - 4, y0m + 14 + 14 * k,
                 f"run {k}: ({a:g}, {b:g})", size=10, anchor="end")
     _frame(cv, x0m, y0m, size, size, (xlo, xhi), (ylo, yhi), "x1", "x2")

@@ -159,7 +159,8 @@ class SimulationSummary:
 # Event/sliding engine
 # ---------------------------------------------------------------------------
 
-_SLIDE_RAMP = 1e-6        # band-target deepening per dt/4 of slide time
+_SLIDE_RAMP = 1e-6        # band-target deepening per _RAMP_STEP/4 of slide time
+_RAMP_STEP = 1e-3         # the builtins' dt: the ramp is a rate in time, whatever dt is
 _SADDLE_SPEED = 1e-2      # below this projected speed, use the blend tie-break
 _SUB_MIN_FRACTION = 64.0  # smallest slide substep is dt/64
 
@@ -308,7 +309,7 @@ class _Engine:
                     self.slide = None
                     continue
                 tau = min(remaining, slide.sub)
-                slide.h_tgt = max(slide.h_tgt - _SLIDE_RAMP * (4.0 * tau / self.dt),
+                slide.h_tgt = max(slide.h_tgt - _SLIDE_RAMP * (4.0 * tau / _RAMP_STEP),
                                   self.h_floor)
                 pin = self._pinned(x, i, *surface, f0, g0, slide.h_tgt, tau, slide.alpha)
                 if pin is None:

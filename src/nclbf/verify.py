@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .certificate import R1, R2, R3, UNSAFE, Certificate, row_dot
-from .controller import TOL_G, Controller, band_takes_kappa1, control_terms
+from .controller import Controller, band_takes_kappa1, control_terms
 from .scenario import ScenarioConfig, eta1_lower_bound, w_upper_bound
 from .simulator import TrajectoryRecord
 from .systems import ControlAffineSystem, resolve_system
@@ -149,9 +149,12 @@ def grid_decrease_check(config: ScenarioConfig,
     counted separately and their drift derivative checked against TOL_F).
     Band points are scored under the worse of the two one-sided branches.
     The grid is scored BLOCK_ROWS rows at a time; among equal ratios the
-    worst point is the first in grid order.  fields_finite says f and g are
-    finite at every point not excluded; a NaN ratio is not scored, and
-    a NaN degenerate drift fails (degenerate_max_drift is then NaN).
+    worst point is the first in grid order.  Within a block each quantity is
+    computed only on the rows that read it: the shrunk-band test on band
+    rows, f and g per side on that side's rows (band rows on both).
+    fields_finite says f and g are finite at every point not excluded; a NaN
+    ratio is not scored, and a NaN degenerate drift fails
+    (degenerate_max_drift is then NaN).
     """
     if resolution < DECREASE_FLOOR:
         raise ValueError(f"resolution must be >= {DECREASE_FLOOR}")
@@ -175,30 +178,34 @@ def grid_decrease_check(config: ScenarioConfig,
         kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
         origin = L <= integ.eps_conv ** 2
         unsafe = ~origin & (kind == UNSAFE)
-        shrunk = ~origin & (kind == R3) & cert.shrunk_band_rows(index, X)
+        shrunk = ~origin & (kind == R3)
+        band = np.flatnonzero(shrunk)
+        shrunk[band] = cert.shrunk_band_rows(index[band], X[band])
         counts["excluded_origin_ball"] += int(origin.sum())
         counts["excluded_unsafe"] += int(unsafe.sum())
         counts["excluded_shrunk_band"] += int(shrunk.sum())
 
         keep = ~(origin | unsafe | shrunk)
         X, L, kind, index = X[keep], L[keep], kind[keep], index[keep]
-        F, G = field_rows(sys_, X)
-        fields_finite = fields_finite and bool(np.isfinite(F).all() and np.isfinite(G).all())
         # per side (0: the barrier of each row's obstacle under kappa1,
-        # 1: the stabilizer under kappa2): its rows and their obstacles
+        # 1: the stabilizer under kappa2): its rows and their obstacles.  f and
+        # g are evaluated per side; together the sides hold every kept row
         sides = ((np.flatnonzero((kind == R1) | (kind == R3)), index),
                  (np.flatnonzero((kind == R2) | (kind == R3)), None))
         live = np.zeros((2, len(X)), dtype=bool)
         d, drift = np.zeros((2, len(X))), np.zeros((2, len(X)))
         for s, (r, obstacle) in enumerate(sides):
-            Xr, Fr, Gr = X[r], F[r], G[r]
+            if not len(r):
+                continue
+            Xr = X[r]
+            Fr, Gr = field_rows(sys_, Xr)
+            fields_finite = fields_finite and bool(np.isfinite(Fr).all() and np.isfinite(Gr).all())
             grad = cert.grad_L(Xr) if obstacle is None else cert.grad_B(obstacle[r], Xr)
             terms = control_terms(grad, Fr, Gr)
-            U = (ctrl.kappa2_terms(Xr, *terms) if obstacle is None
-                 else ctrl.kappa1_terms(obstacle[r], Xr, *terms))
-            drift[s, r], live[s, r] = terms[2], np.sqrt(terms[1]) > TOL_G
-            d[s, r] = np.where(live[s, r], row_dot(grad, Fr + (Gr @ U[:, :, None])[:, :, 0]),
-                               0.0)
+            U, lv = (ctrl.kappa2_terms(Xr, *terms) if obstacle is None
+                     else ctrl.kappa1_terms(obstacle[r], Xr, *terms))
+            drift[s, r], live[s, r] = terms[2], lv
+            d[s, r] = np.where(lv, row_dot(grad, Fr + (Gr @ U[:, :, None])[:, :, 0]), 0.0)
 
         # every applicable control channel vanished: check the raw drift
         degenerate = ~(live[0] | live[1])
@@ -219,7 +226,7 @@ def grid_decrease_check(config: ScenarioConfig,
         if len(ratio):
             k = int(np.argmin(np.where(np.isnan(ratio), math.inf, ratio)))
             if ratio[k] < rho0:
-                rho0, worst = float(ratio[k]), X[scored][k]
+                rho0, worst = float(ratio[k]), X[np.flatnonzero(scored)[k]]
     if max_drift == -math.inf:
         max_drift = 0.0
     return DecreaseReport(

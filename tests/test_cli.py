@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -563,6 +564,18 @@ def test_plot_leaves_non_finite_v_out(tmp_path):
     assert run_cli("plot", "--scenario", path, "--out", str(fig), str(csv_path)) == 0
     value = (fig / "value.svg").read_text()
     assert "nan" not in value and "inf" not in value and "<polyline" not in value
+
+
+def test_phase_plot_draws_far_samples_on_the_canvas_edge(tmp_path):
+    # the run from (1e200, 1e200) sits far outside the state box: its start
+    # marker lands on the canvas corner, and no number grows with the state
+    path = scenario_file(tmp_path, initial_states=[[1e200, 1e200]], integrator={"t_max": 0.01})
+    runs, fig = tmp_path / "runs", tmp_path / "fig"
+    assert run_cli("simulate", "--scenario", path, "--out", str(runs)) == 1
+    assert run_cli("plot", "--scenario", path, "--out", str(fig), str(runs / "run_00.csv")) == 0
+    phase = (fig / "phase.svg").read_text()
+    assert '<circle cx="680.00" cy="0.00" r="3"' in phase
+    assert max(map(len, re.findall(r"[-+.\w]+", phase))) <= 20
 
 
 def test_value_plot_scales_to_the_largest_finite_v(tmp_path):

@@ -209,11 +209,11 @@ class TestControlDispatch:
 def kappa1_rows(ctrl, i, X, F, G):
     """kappa1 for every row from the barrier side's control_terms, as the
     grid check composes it."""
-    return ctrl.kappa1_terms(i, X, *control_terms(ctrl.cert.grad_B(i, X), F, G))
+    return ctrl.kappa1_terms(i, X, *control_terms(ctrl.cert.grad_B(i, X), F, G))[0]
 
 
 def kappa2_rows(ctrl, X, F, G):
-    return ctrl.kappa2_terms(X, *control_terms(ctrl.cert.grad_L(X), F, G))
+    return ctrl.kappa2_terms(X, *control_terms(ctrl.cert.grad_L(X), F, G))[0]
 
 
 class TestRowBatchedLaws:

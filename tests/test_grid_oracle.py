@@ -212,6 +212,22 @@ STATE_G = ControlAffineSystem("state_g", 2, 2, lambda x: [-a for a in x],
                               lambda x: np.diag([1.0, 0.1 + x[0] ** 2]))
 CORNER_G = ControlAffineSystem("corner_g", 2, 2, lambda x: [-a for a in x],
                                lambda x: np.diag([1.0, 0.5 if sum(x) == 10.0 else 1.0]))
+# a dense constant g that fg_rows returns as a broadcast view, as the builtins
+# do, whose entries are not 0 or 1: the stacked matmuls over the view must
+# round like the oracle's per-point dot products
+DENSE = np.array([[1.3, -0.7], [0.4, 2.1]])
+DENSE_G = ControlAffineSystem(
+    "dense_g", 2, 2, lambda x: [-x[0] + 0.3 * x[1], -x[1]], lambda x: DENSE,
+    fg_rows=lambda X: (np.stack([-X[:, 0] + 0.3 * X[:, 1], -X[:, 1]], axis=1),
+                       np.broadcast_to(DENSE, (len(X), 2, 2))))
+
+
+def wide_band(name):
+    """The fixture with eps_band = 3, so the shrunk band excludes tens of
+    points of the 101^2 grid rather than 0 or 2."""
+    config = builtin_scenario(name)
+    return dataclasses.replace(config, integrator=dataclasses.replace(
+        config.integrator, eps_band=3.0))
 
 
 class TestDecreaseMatchesLoop:
@@ -250,6 +266,16 @@ class TestDecreaseMatchesLoop:
     def test_state_dependent_g(self, cfg_a):
         assert_same_decrease(with_system(cfg_a, STATE_G), 41)
 
+    def test_dense_constant_g(self, cfg_a):
+        config = with_system(cfg_a, DENSE_G)
+        assert resolve_system(config).fg_rows(np.zeros((3, 2)))[1].strides[0] == 0
+        assert_same_decrease(config, 101)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_wide_shrunk_band(self, name):
+        report = assert_same_decrease(wide_band(name), 101)
+        assert report.counts["excluded_shrunk_band"] >= 40
+
     def test_degenerate_channel_failure(self, cfg_a):
         # g = 0 leaves no control channel anywhere, and f = x drifts outward
         # along grad L and across the ball without moving the zero row
@@ -287,6 +313,9 @@ class TestAssumptionsMatchLoop:
         # equal g; the smallest singular value is on the x1 = 0 line, mid-block
         report = assert_same_assumptions(with_system(cfg_a, STATE_G), 65)
         assert report.g_min_singular_value == pytest.approx(0.1)
+
+    def test_dense_constant_g(self, cfg_a):
+        assert_same_assumptions(with_system(cfg_a, DENSE_G), 101)
 
     def test_g_differing_only_in_the_last_row(self, cfg_a):
         assert cfg_a.state_box.max() == 5.0 and 41 ** 2 < BLOCK_ROWS

@@ -12,11 +12,11 @@ import pytest
 
 from nclbf.certificate import R1, R2, R3, Certificate
 from nclbf.controller import Controller
-from nclbf.scenario import builtin_scenario, json_doc
+from nclbf.scenario import ObstacleParams, builtin_scenario, json_doc
 from conftest import doctored_record, rows, zero_gain
 from nclbf.simulator import read_trajectory_csv, simulate, trajectory_csv_text
 from nclbf.verify import (grid_decrease_check, shrunk_band_check,
-                          trajectory_invariants, upper_derivative)
+                          trajectory_invariants, upper_derivative, validate_params)
 
 
 def shrunk_band_oracle(record, config):
@@ -205,6 +205,22 @@ class TestTrajectoryInvariants:
         bound2 = c2 * cfg_half.integrator.dt
         assert bound2 <= 0.65 * bound1
         assert 0.5 * c1 <= c2 <= 2.0 * c1
+
+    def test_slide_entry_increase_shrinks_with_dt(self, cfg_a):
+        # eta1 = 3.5 and w = 1.5 pass validate_params; the run from (5, 5)
+        # enters a slide at t = 0.416, where a deeper band target raises L.
+        # The target deepens at a rate in time, so at dt = 2.5e-4 the entry
+        # step's V increase stays below the decrease check's 1e-6 (a fixed
+        # deepening per recorded step would give +1.56e-6 there)
+        pa = ObstacleParams.resolve(cfg_a.obstacles[0], eta1=3.5, c1=cfg_a.params[0].c1, w=1.5)
+        config = dataclasses.replace(cfg_a, params=(pa,), integrator=dataclasses.replace(
+            cfg_a.integrator, dt=2.5e-4, t_max=1.0))
+        assert validate_params(config).passed
+        rec = simulate(config, np.array([5.0, 5.0]))
+        assert "K3:1>K2" in rec.law
+        report = trajectory_invariants(rec, config)
+        decrease = next(c for c in report.checks if "certificate decrease" in c.name)
+        assert decrease.passed, decrease.detail
 
     def test_empty_record_rejected(self, cfg_a):
         rec = simulate(cfg_a, np.array([2.0, 2.0]))   # init_rejected: no samples
