@@ -17,12 +17,11 @@ certificate to behave as the theory prescribes:
   kappa1/kappa2 blend supplies the tangential tie-break, which carries the
   c1 weighting and breaks the symmetry exactly as the barrier law does.
 
-Sliding ends where the stabilizer field stops pushing inward, which is the
-tangency (contact-point) condition; the state then peels off toward the
-origin.  Runs are deterministic: repeated simulation of the same scenario is
-bit-identical.  A run is a TrajectoryRecord of columns, one row per sample:
-the engine records x, u and the law, and derives V, the region and min_dist
-from one row pass over x; the checks, plots and CSV read the columns.
+Sliding ends at tangency, where the stabilizer stops pushing inward (the
+contact-point condition).  Repeated runs are bit-identical.  A run is a
+TrajectoryRecord of columns, one row per sample: the engine records x, u and
+the law, and derives V, the region and min_dist from one row pass over x;
+the checks, plots and CSV read the columns.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ _SUB_MIN_FRACTION = 64.0  # smallest slide substep is dt/64
 
 
 @dataclass
-class _SlideState:
+class _Slide:
     i: int                    # the slide is on the surface B_i = L
     h_tgt: float
     sub: float
@@ -174,12 +173,18 @@ class _SlideState:
 
 
 class _Engine:
-    """One closed-loop run and the hybrid feedback's discrete state.
+    """One closed-loop run and its discrete state (prev, mode): prev is the last
+    sample's region, which kappa3 reads; mode is free (None: dispatch's law),
+    latched(i) (an index: kappa1 of i) or sliding(i) (a _Slide: the pinned
+    equivalent control).  hd2, hd1 are dh/dt, h = B_i - L, under kappa2, kappa1:
 
-    That state is the region (kind, index) of the previous sample, which
-    kappa3 reads; the barrier-entry latch forced_k1 (the obstacle whose region
-    a located event properly entered, held on kappa1 while inside the band,
-    else -1); and the slide on a surface B_i = L, None outside a slide.
+        from           condition                                to
+        free, latched  located event, hd2 > 0 > hd1             sliding(i)
+        free, latched  located event, hd2 > 0 and hd1 >= 0      latched(i)
+        free, latched  located event, otherwise (NaN included)  free
+        latched(i)     |h| > eps_band, or i stops dominating    free
+        sliding(i)     tangency, or i stops dominating          free
+        sliding(i)     no pin holds at the dt/64 substep        free
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -189,8 +194,13 @@ class _Engine:
         self.dt = config.integrator.dt
         self.h_floor = -0.25 * self.cert.eps_band
         self.prev: tuple[int, int] | None = None
-        self.forced_k1 = -1
-        self.slide: _SlideState | None = None
+        self.mode: int | _Slide | None = None
+
+    def _entered(self, i: int, h: float, hd2: float, hd1: float) -> int | _Slide | None:
+        """The mode a located event at h enters: the table's first three rows."""
+        if hd2 > 0.0 > hd1:
+            return _Slide(i, min(h, 0.0), self.dt / 4.0)
+        return i if hd2 > 0.0 and hd1 >= 0.0 else None
 
     def _locate(self, x: np.ndarray, u: np.ndarray, span: float, h0: float,
                 f0: np.ndarray, g0: np.ndarray) -> float:
@@ -297,40 +307,37 @@ class _Engine:
         """
         remaining = self.dt
         sub_min = self.dt / _SUB_MIN_FRACTION
-        u_first: np.ndarray | None = None
-        law_first: str | None = None
+        u_first = law_first = None
         f0 = g0 = None
         while remaining > 1e-15 * self.dt:
             if f0 is None:
                 f0, g0 = fg_at(self.system, x)
-            if (slide := self.slide) is not None:
-                surface = self._slide_nominal(x, i, f0, g0) if slide.i == i else None
+            if type(mode := self.mode) is _Slide:
+                surface = self._slide_nominal(x, i, f0, g0) if mode.i == i else None
                 if surface is None:
-                    self.slide = None
+                    self.mode = None
                     continue
-                tau = min(remaining, slide.sub)
-                slide.h_tgt = max(slide.h_tgt - _SLIDE_RAMP * (4.0 * tau / _RAMP_STEP),
-                                  self.h_floor)
-                pin = self._pinned(x, i, *surface, f0, g0, slide.h_tgt, tau, slide.alpha)
-                if pin is None:
-                    if slide.sub > sub_min:
-                        slide.sub = max(slide.sub * 0.5, sub_min)
-                        continue
-                    self.slide = None
+                tau = min(remaining, mode.sub)
+                mode.h_tgt = max(mode.h_tgt - _SLIDE_RAMP * (4.0 * tau / _RAMP_STEP), self.h_floor)
+                pin = self._pinned(x, i, *surface, f0, g0, mode.h_tgt, tau, mode.alpha)
+                if pin is None:   # halve the substep; at dt/64 the slide ends
+                    if mode.sub <= sub_min:
+                        self.mode = None
+                    mode.sub = max(mode.sub * 0.5, sub_min)
                     continue
-                u, slide.alpha, x = pin
+                u, mode.alpha, x = pin
                 if u_first is None:
                     u_first, law_first = u, self.ctrl.k3_law[i][False]
                 i, h, dd = self.cert.dominant_gap(x)
                 region = f0 = None
                 remaining -= tau
-                slide.sub = min(slide.sub * 2.0, self.dt)
+                mode.sub = min(mode.sub * 2.0, self.dt)
                 continue
 
-            if self.forced_k1 == i and abs(h) <= self.cert.eps_band:
+            if mode == i and abs(h) <= self.cert.eps_band:
                 u, law = self.ctrl.kappa1(i, x, f0, g0), self.ctrl.k1_law[i]
             else:
-                self.forced_k1 = -1
+                self.mode = None
                 if region is None:
                     region = self.cert.label(i, h, dd)
                 u, law = self.ctrl.dispatch(region, x, self.prev, f0, g0)
@@ -350,15 +357,7 @@ class _Engine:
             region = None
             f0, g0 = fg_at(self.system, x)
             _, _, hd2, _, hd1 = self._rates(i, x, f0, g0)
-            if hd2 > 0.0 > hd1:
-                self.slide = _SlideState(i, min(h, 0.0), self.dt / 4.0)
-                self.forced_k1 = -1
-            elif hd2 > 0.0 and hd1 >= 0.0:
-                # both fields point inward: the flow properly enters the
-                # barrier region, where kappa1 governs
-                self.forced_k1 = i
-            else:
-                self.forced_k1 = -1
+            self.mode = self._entered(i, h, hd2, hd1)
         return x, i, h, dd, u_first, law_first
 
     def run(self, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:

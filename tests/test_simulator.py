@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import sys
 import tracemalloc
+import types
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -17,10 +20,10 @@ from nclbf import builtin_scenario
 from nclbf.certificate import R1, R3, UNSAFE, Certificate
 from nclbf.controller import Controller
 from nclbf.scenario import IntegratorSettings, ObstacleParams, ObstacleSpec, ScenarioConfig
-from nclbf.simulator import (NumericBlowupError, _Engine, read_trajectory_csv,
+from nclbf.simulator import (NumericBlowupError, _Engine, _Slide, read_trajectory_csv,
                              rk4_step, run_batch, simulate, trajectory_csv_text,
                              trajectory_header, write_trajectory_csv)
-from nclbf.systems import (ControlAffineSystem, builtin_linear2d, register_system,
+from nclbf.systems import (ControlAffineSystem, builtin_linear2d, fg_at, register_system,
                            resolve_system)
 from nclbf.verify import record_checks
 
@@ -40,29 +43,40 @@ def assert_columns_are_the_scalar_forms(rec, config):
         assert rec.min_dist[k].tolist() == (np.sqrt(dd) - cert.radii).tolist(), k
 
 
+def held_linear2d(x, u, tau: float) -> np.ndarray:
+    """linear2d's flow xdot = -x + u with u held: e^-tau x + (1 - e^-tau) u,
+    for any real tau."""
+    return math.exp(-tau) * np.asarray(x) - math.expm1(-tau) * np.asarray(u)
+
+
 class TestRk4Step:
     sys = builtin_linear2d()
+    held_u = np.array([0.7, -1.3])   # a held input other than 0
 
     def test_against_exact_exponential(self):
         x1 = rk4_step(self.sys, np.array([1.0, 0.0]), np.zeros(2), 1e-3)
         assert x1[0] == pytest.approx(math.exp(-1e-3), abs=1e-14)
         assert x1[0] == pytest.approx(0.9990005, abs=1e-7)
         assert x1[1] == 0.0
+        x1 = rk4_step(self.sys, np.array([1.0, 0.0]), self.held_u, 1e-3)
+        exact = held_linear2d([1.0, 0.0], self.held_u, 1e-3)
+        assert x1.tolist() == pytest.approx(exact.tolist(), abs=1e-14)
 
     def test_fixed_point(self):
         x = np.array([2.0, -3.0])
         assert np.array_equal(rk4_step(self.sys, x, x.copy(), 0.05), x)
 
     def test_global_error_fourth_order(self):
-        def final_error(dt):
+        def final_error(dt, u):
             x = np.array([1.0, 0.0])
             for _ in range(int(round(1.0 / dt))):
-                x = rk4_step(self.sys, x, np.zeros(2), dt)
-            return abs(x[0] - math.exp(-1.0))
+                x = rk4_step(self.sys, x, u, dt)
+            return float(np.abs(x - held_linear2d([1.0, 0.0], u, 1.0)).max())
 
-        assert final_error(1e-3) < 1e-10
-        ratio = final_error(0.02) / final_error(0.01)
-        assert 12.0 < ratio < 20.0
+        for u in (np.zeros(2), self.held_u):
+            assert final_error(1e-3, u) < 1e-10
+            ratio = final_error(0.02, u) / final_error(0.01, u)
+            assert 12.0 < ratio < 20.0, u
 
     def test_blowup_detected(self):
         def f(x):
@@ -176,7 +190,7 @@ class TestSlidePinFailure:
         # every pin above dt/8 fails, so each slide step halves its substep
         # before a pin holds (dt/64, the smallest substep, gives the same
         # outcome at ten times the cost)
-        rec = self.run(cfg_a, monkeypatch, lambda e: e.slide.sub > e.dt / 8)
+        rec = self.run(cfg_a, monkeypatch, lambda e: e.mode.sub > e.dt / 8)
         assert rec.outcome.kind == "converged"
         assert rec.outcome.t == pytest.approx(6.881)
         assert any(law.startswith("K3") for law in rec.law)
@@ -197,8 +211,8 @@ class TestSlidePinFailure:
 def test_barrier_entry_latch_holds_kappa1(cfg_a, monkeypatch):
     """The step from sample 2 of this admissible start crosses into the
     barrier region where both fields point inward (dh/dt = +148.8 under
-    kappa2, +397.6 under kappa1): the latch puts kappa1, not dispatch's band
-    law, on the rest of that step."""
+    kappa2, +397.6 under kappa1): the event enters latched(0), whose kappa1,
+    not dispatch's band law, governs the rest of that step."""
     calls = []   # ("rates", x, hd2, hd1), ("k1", x) outside _rates, ("dispatch", x)
     in_rates = []
     rates, kappa1, dispatch = _Engine._rates, Controller.kappa1, Controller.dispatch
@@ -241,6 +255,113 @@ def test_barrier_entry_latch_holds_kappa1(cfg_a, monkeypatch):
     assert hd2 == pytest.approx(148.8, abs=0.1) and hd1 == pytest.approx(397.6, abs=0.1)
     assert after == ("k1", xc)
     assert_columns_are_the_scalar_forms(rec, cfg)
+
+
+RATES = (-1.0, -0.0, 0.0, 1.0, math.inf, -math.inf, math.nan)
+_SlideState = namedtuple("_SlideState", "i h_tgt sub alpha", defaults=(0.0,))
+
+
+def latch_and_slide_entry(self, i, h, hd2, hd1):
+    """The located event's if-chain from before the engine had one mode, kept
+    verbatim: self carries dt, forced_k1 = -1 (free) and slide = None."""
+    if hd2 > 0.0 > hd1:
+        self.slide = _SlideState(i, min(h, 0.0), self.dt / 4.0)
+        self.forced_k1 = -1
+    elif hd2 > 0.0 and hd1 >= 0.0:
+        # both fields point inward: the flow properly enters the
+        # barrier region, where kappa1 governs
+        self.forced_k1 = i
+    else:
+        self.forced_k1 = -1
+
+
+def test_entered_mode_matches_the_latch_and_slide_chain(cfg_a):
+    """_Engine._entered gives the mode the two-field chain gave for every pair
+    of signed zeros, units, infinities and NaN rates: a NaN stays free."""
+    engine = _Engine(cfg_a)
+    wrong = []
+    for (hd2, hd1), h in itertools.product(itertools.product(RATES, repeat=2), (-3e-4, 2e-4)):
+        old = types.SimpleNamespace(dt=engine.dt, forced_k1=-1, slide=None)
+        latch_and_slide_entry(old, 0, h, hd2, hd1)
+        mode = engine._entered(0, h, hd2, hd1)
+        if type(mode) is _Slide:
+            new = (-1, _SlideState(mode.i, mode.h_tgt, mode.sub, mode.alpha))
+        else:
+            new = (-1 if mode is None else mode, None)
+        if new != (old.forced_k1, old.slide):
+            wrong.append((hd2, hd1, h, new, (old.forced_k1, old.slide)))
+    assert not wrong
+
+
+def test_locate_finds_the_held_closed_form_root(cfg_a):
+    """_locate's crossing time is the root of B - L along linear2d's held
+    closed form, bisected to 1e-15 of the span.  Each start lies just off
+    the surface, on the held flow that meets it at 0.4 of the span."""
+    engine = _Engine(cfg_a)
+    cert, span = engine.cert, 1e-3
+    c, r = cert.cbars[0], math.sqrt(cert.rbars_sq[0])
+
+    def h(x):
+        return cert.B(0, x) - cert.L(x)
+
+    for theta, speed in ((0.3, 20.0), (1.2, -20.0), (2.5, 5.0), (4.0, -5.0)):
+        n = np.array([math.cos(theta), math.sin(theta)])
+        p = c + r * n                                        # a point of B = L
+        u = p + speed * n + 3.0 * np.array([-n[1], n[0]])    # xdot at p is u - p
+        x = held_linear2d(p, u, -0.4 * span)
+        h0 = cert.dominant_gap(x)[1]
+        assert (h0 > 0.0) != (h(held_linear2d(x, u, span)) > 0.0)
+        lo, hi = 0.0, span
+        while hi - lo > 1e-15 * span:
+            mid = 0.5 * (lo + hi)
+            if (h(held_linear2d(x, u, mid)) > 0.0) == (h0 > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        tau = engine._locate(x, u, span, h0, *fg_at(engine.system, x))
+        assert abs(tau - hi) <= 1e-12 * span, (theta, (tau - hi) / span)
+
+
+class TestSampledData:
+    """A run is the zero-order-hold loop with sample period dt, and it
+    converges at first order in dt to the continuous closed loop."""
+
+    @staticmethod
+    def run(dt, t_max, x0):
+        cfg = builtin_scenario("linear2d_single")
+        return simulate(dataclasses.replace(cfg, integrator=dataclasses.replace(
+            cfg.integrator, dt=dt, t_max=t_max)), np.array(x0))
+
+    def test_k2_error_is_first_order_in_dt(self):
+        # from (-5, -3) the first second is K2 alone; x(1)'s error against
+        # dt_ref is C (dt - dt_ref) to first order, so from one dt to the next
+        # it shrinks by (dt_a - dt_ref)/(dt_b - dt_ref): 2.0667, 2.1429 and
+        # 2.3333 (measured 2.0675, 2.1433 and 2.3336)
+        dt_ref, dts = 6.25e-5, (2e-3, 1e-3, 5e-4, 2.5e-4)
+        x_ref = self.run(dt_ref, 1.0, (-5.0, -3.0)).x[-1]
+        errors = []
+        for dt in dts:
+            rec = self.run(dt, 1.0, (-5.0, -3.0))
+            assert set(rec.law) == {"K2"} and rec.outcome.t == pytest.approx(1.0)
+            errors.append(float(np.linalg.norm(rec.x[-1] - x_ref)))
+        for k in range(3):
+            predicted = (dts[k] - dt_ref) / (dts[k + 1] - dt_ref)
+            assert errors[k] / errors[k + 1] == pytest.approx(predicted, rel=0.01), k
+
+    def test_slide_run_converges_in_dt(self):
+        # from (5, 5) about 2 s of the run slide; at dt = 2e-3, 1e-3 and 5e-4
+        # the outcome t went 6.866, 6.876, 6.8795, the K3 time 2.020, 2.031,
+        # 2.0345 and the clearance 0.0263130, 0.0263126, 0.0263125
+        ts, k3_times, clearances = [], [], []
+        for dt in (2e-3, 1e-3, 5e-4):
+            rec = self.run(dt, 20.0, (5.0, 5.0))
+            assert rec.outcome.kind == "converged"
+            ts.append(rec.outcome.t)
+            k3_times.append(dt * sum(law.startswith("K3") for law in rec.law))
+            clearances.append(rec.min_clearance())
+        for q in (ts, k3_times):
+            assert abs(q[2] - q[1]) < abs(q[1] - q[0]), q
+        assert max(clearances) - min(clearances) < 1e-6, clearances
 
 
 class TestThreeDimensional:
