@@ -251,16 +251,15 @@ class Certificate:
         return (a, b) if a[0] >= b[0] else (b, a)
 
     def in_shrunk_band(self, x: np.ndarray, i: int) -> bool:
-        """x in the shrunk band of obstacle i: shrunk_band_rows for one row."""
-        return bool(self.shrunk_band_rows(i, x[None, :])[0])
+        """x in the shrunk band of obstacle i: classify(x) is (R3, i) and
+        shrunk_band_rows holds for the one row."""
+        return self.classify(x) == (R3, i) and bool(self.shrunk_band_rows(i, x[None, :])[0])
 
     def shrunk_band_rows(self, i: int | np.ndarray, X: np.ndarray) -> np.ndarray:
-        """|B_i - L| <= eps_band and ||x||^2 < phi(c_i) for every row of X;
-        i is one obstacle index or an array of one per row, as in grad_B."""
-        D = X - self.centers[i]
-        L = row_dot(X, X)
-        gap = (self.eta2[i] - self.eta1[i] * row_dot(D, D)) - L
-        return (np.abs(gap) <= self.eps_band) & (L < self.phis[i])
+        """||x||^2 < phi_i for rows X that label_rows put in R3 of obstacle i,
+        which is the shrunk band on them; i is one obstacle index or an array
+        of one per row, as in grad_B."""
+        return row_dot(X, X) < self.phis[i]
 
     def shrunk_band_margin(self, i: int) -> float:
         """Tangency-cone margin on phi for trajectory checks.

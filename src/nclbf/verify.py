@@ -8,10 +8,11 @@ on f and g (check_assumptions) share one degenerate rule.
 The upper generalized derivative of V along the closed loop, derivative_rows,
 takes the barrier-side form in R1, the stabilizer-side form in R2, and in the
 band the side the band rule picks from the previous-sample region; without a
-history the conservative max of the two (0.5*(d1+d2) + 0.5*|d1-d2|).  Check
-(d) applies it to a record's smooth steps; upper_derivative is one row, as
-Python scalars (kind, index, d).  A region is the certificate's int pair
-(kind, index), in label_rows' format.
+history the conservative max of the two (0.5*(d1+d2) + 0.5*|d1-d2|).  The
+trajectory checks read a record's own regions (its kind and index columns, in
+label_rows' int pairs): check (d) passes them to derivative_rows, and check (c)
+tests only R3 samples, each against its dominant obstacle alone.
+upper_derivative is one row labelled by classify: Python scalars (kind, index, d).
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .simulator import TrajectoryRecord
 from .systems import ControlAffineSystem, resolve_system
 
 
-def derivative_rows(ctrl: Controller, X: np.ndarray, U: np.ndarray,
-                    prev: tuple[int, int] | None = None) -> tuple[np.ndarray, ...]:
+def derivative_rows(ctrl: Controller, X: np.ndarray, U: np.ndarray, kind: np.ndarray,
+                    index: np.ndarray, prev: tuple[int, int] | None = None) -> np.ndarray:
     """The generalized derivative of V at rows X (P, n) under inputs U (P, m),
-    with the rows' label_rows result: (kind, index, d).  V = B of the row's
+    given the rows' label_rows result (kind, index).  V = B of the row's
     obstacle in R1 and UNSAFE (B dominates L on and inside the ball) and V = L
     in R2; prev, the previous sample's (kind, index) or None, resolves the band."""
     cert = ctrl.cert
-    kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
     F, G = field_rows(ctrl.system, X)
     F = F + (G @ U[:, :, None])[:, :, 0]
     d1 = row_dot(cert.grad_B(index, X), F)
@@ -45,15 +45,17 @@ def derivative_rows(ctrl: Controller, X: np.ndarray, U: np.ndarray,
         band = 0.5 * (d1 + d2) + 0.5 * np.abs(d1 - d2)
     else:
         band = np.where(band_takes_kappa1(prev, index), d1, d2)
-    d = np.where((kind == R1) | (kind == UNSAFE), d1, np.where(kind == R2, d2, band))
-    return kind, index, d
+    return np.where((kind == R1) | (kind == UNSAFE), d1, np.where(kind == R2, d2, band))
 
 
 def upper_derivative(ctrl: Controller, x: np.ndarray, u: np.ndarray,
                      prev: tuple[int, int] | None = None) -> tuple[int, int, float]:
-    """derivative_rows for the one row x under input u: (kind, index, d)."""
-    kind, index, d = derivative_rows(ctrl, np.atleast_2d(x), np.atleast_2d(u), prev)
-    return int(kind[0]), int(index[0]), float(d[0])
+    """derivative_rows for the one row x under input u, labelled by classify:
+    (kind, index, d)."""
+    kind, index = ctrl.cert.classify(np.asarray(x, float))
+    d = derivative_rows(ctrl, np.atleast_2d(x), np.atleast_2d(u), np.array([kind]),
+                        np.array([index]), prev)
+    return kind, index, float(d[0])
 
 
 # ---------------------------------------------------------------------------
@@ -378,27 +380,26 @@ def record_checks(record: TrajectoryRecord, eps_conv: float) -> list[InvariantCh
 
 
 def shrunk_band_check(record: TrajectoryRecord, cert: Certificate) -> InvariantCheck:
-    """Invariant check (c): no sample in the shrunk band of cert with ||x||^2
-    below phi_i by more than the tangency-cone margin; hits count (sample,
-    obstacle) pairs."""
-    L = row_dot(record.x, record.x)
-    hits = sum(cert.shrunk_band_rows(i, record.x)
-               & (L < cert.phis[i] - cert.shrunk_band_margin(i))
-               for i in range(cert.n_obstacles))
-    n_hits = int(np.sum(hits))
+    """Invariant check (c): no sample labelled R3 of obstacle i with ||x||^2
+    below phi_i by more than the tangency-cone margin; hits count samples, and
+    a sample is not flagged for an obstacle that does not dominate it."""
+    band = np.flatnonzero(record.kind == R3)
+    X, i = record.x[band], record.index[band]
+    margins = np.array([cert.shrunk_band_margin(j) for j in range(cert.n_obstacles)])
+    hits = band[row_dot(X, X) < cert.phis[i] - margins[i]]
     return InvariantCheck(
         "shrunk-band avoidance: no sample with |B_i - L| <= eps_band and "
         "||x||^2 < phi_i - cone margin",
-        not n_hits, f"{n_hits} samples flagged"
-        + (f", first at t = {record.t[np.flatnonzero(hits)[0]]:.4g}" if n_hits else ""))
+        not len(hits), f"{len(hits)} samples flagged"
+        + (f", first at t = {record.t[hits[0]]:.4g}" if len(hits) else ""))
 
 
 def fd_constant(record: TrajectoryRecord, ctrl: Controller,
                 eps_conv: float) -> tuple[float, int]:
     """Invariant check (d): max(0, (V_k+1 - V_k)/dt - d_k) / dt over the smooth
     steps (both samples in one region, not the band, ||x_k|| > eps_conv), and
-    their count; d_k is derivative_rows(ctrl, x_k, u_k), dt = t[1] - t[0],
-    evaluated BLOCK_ROWS steps at a time."""
+    their count; d_k is derivative_rows at x_k, u_k and the record's own label
+    of sample k, dt = t[1] - t[0], evaluated BLOCK_ROWS steps at a time."""
     same = (record.kind[:-1] == record.kind[1:]) & (record.index[:-1] == record.index[1:])
     smooth = same & (record.kind[:-1] != R3) & record.outside_ball(eps_conv)[:-1]
     steps = np.flatnonzero(smooth)
@@ -408,7 +409,7 @@ def fd_constant(record: TrajectoryRecord, ctrl: Controller,
     worst = 0.0
     for lo in range(0, len(steps), BLOCK_ROWS):
         k = steps[lo:lo + BLOCK_ROWS]
-        _, _, d = derivative_rows(ctrl, record.x[k], record.u[k])
+        d = derivative_rows(ctrl, record.x[k], record.u[k], record.kind[k], record.index[k])
         # fmax skips a NaN residual
         worst = float(np.fmax.reduce((record.V[k + 1] - record.V[k]) / dt - d, initial=worst))
     return worst / dt, len(steps)

@@ -403,7 +403,12 @@ class TestRowBatchedTwins:
             X = np.array([sphere_point(cert, i, th) for th in rng.uniform(0, 2 * math.pi, 500)])
             X = X * rng.uniform(0.999, 1.001, size=(len(X), 1))
             want = [in_shrunk_band_oracle(cert, x, i) for x in X]
-            assert cert.shrunk_band_rows(i, X).tolist() == want
+            # shrunk_band_rows takes the rows label_rows put in R3 of obstacle i
+            kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
+            band = np.flatnonzero((kind == R3) & (index == i))
+            got = np.zeros(len(X), dtype=bool)
+            got[band] = cert.shrunk_band_rows(i, X[band])
+            assert got.tolist() == want
             assert [cert.in_shrunk_band(x, i) for x in X] == want
             assert any(want) and not all(want)
 
@@ -416,8 +421,13 @@ class TestRowBatchedTwins:
                       for i, th in zip(index, rng.uniform(0, 2 * math.pi, len(index)))])
         X = X * rng.uniform(0.999, 1.001, size=(len(X), 1))
         grad = cert.grad_B(index, X)
-        shrunk = cert.shrunk_band_rows(index, X)
+        # shrunk_band_rows takes the R3 rows with their own label_rows index
+        kind, label = cert.label_rows(*cert.dominant_gap_rows(X))
+        band = np.flatnonzero(kind == R3)
+        shrunk = np.zeros(len(X), dtype=bool)
+        shrunk[band] = cert.shrunk_band_rows(label[band], X[band])
         for k, (i, x) in enumerate(zip(index.tolist(), X)):
             assert grad[k].tobytes() == cert.grad_B(i, x).tobytes(), (i, x)
             assert shrunk[k] == in_shrunk_band_oracle(cert, x, i), (i, x)
+            assert cert.in_shrunk_band(x, i) == shrunk[k], (i, x)
         assert shrunk.any() and not shrunk.all()

@@ -6,16 +6,18 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nclbf.certificate import R1, R2, R3, Certificate
-from nclbf.controller import Controller
+from nclbf import verify
+from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate, row_dot
+from nclbf.controller import Controller, band_takes_kappa1
 from nclbf.scenario import ObstacleParams, builtin_scenario, json_doc
 from conftest import doctored_record, rows, zero_gain
 from nclbf.simulator import read_trajectory_csv, simulate, trajectory_csv_text
-from nclbf.verify import (grid_decrease_check, shrunk_band_check,
+from nclbf.verify import (fd_constant, field_rows, grid_decrease_check, shrunk_band_check,
                           trajectory_invariants, upper_derivative, validate_params)
 
 
@@ -31,6 +33,22 @@ def shrunk_band_oracle(record, config):
                     and cert.L(s.x) < cert.phis[i] - margins[i]):
                 hits.append((s.t, i))
     return f"{len(hits)} samples flagged" + (f", first at t = {hits[0][0]:.4g}" if hits else "")
+
+
+def relabelling_derivative_rows(ctrl, X, U, prev=None):
+    """derivative_rows as it was when it labelled its own rows: (kind, index, d)."""
+    cert = ctrl.cert
+    kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
+    F, G = field_rows(ctrl.system, X)
+    F = F + (G @ U[:, :, None])[:, :, 0]
+    d1 = row_dot(cert.grad_B(index, X), F)
+    d2 = row_dot(cert.grad_L(X), F)
+    if prev is None:
+        band = 0.5 * (d1 + d2) + 0.5 * np.abs(d1 - d2)
+    else:
+        band = np.where(band_takes_kappa1(prev, index), d1, d2)
+    d = np.where((kind == R1) | (kind == UNSAFE), d1, np.where(kind == R2, d2, band))
+    return kind, index, d
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +202,42 @@ class TestTrajectoryInvariants:
             back = read_trajectory_csv(io.StringIO(trajectory_csv_text(rec)))
             assert shrunk_band_check(rec, cert).detail == expected, x0
             assert shrunk_band_check(back, cert).detail == expected, x0
+
+    @pytest.mark.parametrize("fixture, cfg", [("records_a", "cfg_a"),
+                                              ("records_b", "cfg_b")])
+    def test_fd_constant_matches_relabelling_oracle(self, request, monkeypatch, fixture, cfg):
+        # check (d) passes the record's own labels to derivative_rows; the
+        # oracle labels every block again, and both give C bit for bit
+        config = request.getfixturevalue(cfg)
+        ctrl, eps_conv = Controller(config), config.integrator.eps_conv
+        records = request.getfixturevalue(fixture)
+        got = {x0: fd_constant(rec, ctrl, eps_conv) for x0, rec in records.items()}
+
+        def relabelled(ctrl, X, U, kind, index):
+            want_kind, want_index, d = relabelling_derivative_rows(ctrl, X, U)
+            assert np.array_equal(kind, want_kind) and np.array_equal(index, want_index)
+            return d
+
+        monkeypatch.setattr(verify, "derivative_rows", relabelled)
+        for x0, rec in records.items():
+            C, n_smooth = fd_constant(rec, ctrl, eps_conv)
+            assert n_smooth > 0, x0
+            assert (C.hex(), n_smooth) == (got[x0][0].hex(), got[x0][1]), x0
+
+    def test_invariant_memory_scales_with_band_rows(self, cfg_b, records_b):
+        # check (c) reads the record's labels and evaluates only its R3 rows
+        # (1,624 here), and check (d) works BLOCK_ROWS steps at a time: about
+        # 20 B per sample; full-length B_i - L temporaries per obstacle take 57
+        rec = records_b[(-5.0, 5.0)]
+        trajectory_invariants(rec, cfg_b)   # one-time allocations first
+        tracemalloc.start()
+        try:
+            trajectory_invariants(rec, cfg_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == 50083
+        assert peak < 40 * len(rec), peak / len(rec)
 
     def test_other_multi_obstacle_runs_decrease(self, cfg_b, records_b):
         for x0, rec in records_b.items():
