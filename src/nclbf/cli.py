@@ -3,7 +3,8 @@
 Subcommands: simulate, verify-derivative, check-assumptions, check-trajectory,
 geometry, validate-params, plot.  Scenario arguments accept a builtin name
 (linear2d_single, nonlinear_mech_three) or a JSON file path.  Exit codes:
-0 success, 1 invariant/validation failure, 2 usage or parse error.
+0 success, 1 invariant/validation failure (``simulate``: a run that does not
+converge or any of its invariant checks fails), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -88,13 +90,16 @@ def _cmd_simulate(args) -> int:
             path = outdir / f"run_{idx:02d}.csv"
             with _writing(path), open(path, "w", newline="") as fp:
                 simulator.write_trajectory_csv(rec, fp)
-    doc = dict(json_doc(summary), invariants=[
-        verify.trajectory_invariants(rec, config) if len(rec) else None for rec in records])
+    reports = [verify.trajectory_invariants(rec, config) if len(rec) else None
+               for rec in records]
+    doc = dict(json_doc(summary), invariants=reports)
     with _writing(outdir / "summary.json"):
         (outdir / "summary.json").write_text(_json_text(doc) + "\n")
     print(f"wrote {sum(1 for r in records if len(r))} trajectory files and "
           f"summary.json to {outdir}")
-    return EXIT_OK if all(r.outcome.kind == "converged" for r in records) else EXIT_FAIL
+    # a converged run has samples, so it has a report
+    ok = all(r.outcome.kind == "converged" and rep.passed for r, rep in zip(records, reports))
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _report_command(make):
@@ -191,7 +196,11 @@ def _resolution(floor: int):
     return resolution
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every ``main`` call:
+    it holds no per-call state.  Handlers are bound once, so patching a
+    ``_cmd_*`` name after the first call has no effect."""
     p = argparse.ArgumentParser(prog="nclbf",
                                 description="Nonsmooth control Lyapunov barrier toolbox")
     sub = p.add_subparsers(dest="command", required=True)

@@ -8,14 +8,15 @@ import io
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import nan_f_system, with_system
-from nclbf import plotting
+from nclbf import cli, plotting
 from nclbf.certificate import UNSAFE, Certificate
-from nclbf.cli import _read_record, main
+from nclbf.cli import _read_record, build_parser, main
 from nclbf.scenario import builtin_scenario, json_doc, save_scenario
 from nclbf.systems import ControlAffineSystem
 from nclbf.simulator import read_trajectory_csv, trajectory_csv_text
@@ -75,6 +76,21 @@ class TestSimulateCommand:
         assert all(r["outcome"]["kind"] == "converged" for r in summary["runs"])
         assert all(r["min_min_dist"] > 0 for r in summary["runs"])
         assert len(summary["invariants"]) == 5
+
+    def test_failed_invariant_check_exits_1(self, tmp_path):
+        # the run converges, but its shrunk-band check (c) fails: exit 1
+        config = builtin_scenario("nonlinear_mech_three")
+        scenario = tmp_path / "one.json"
+        scenario.write_text(save_scenario(dataclasses.replace(
+            config, initial_states=(np.array([3.2191, -4.5025]),))))
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--scenario", str(scenario), "--out", str(out),
+                       "--t-max", "60") == 1
+        summary = json.loads((out / "summary.json").read_text())
+        outcome = summary["runs"][0]["outcome"]
+        assert outcome["kind"] == "converged" and outcome["t"] == pytest.approx(48.617)
+        checks = summary["invariants"][0]["checks"]
+        assert [c["passed"] for c in checks] == [True, True, False, True]
 
     def test_missing_scenario_file_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--scenario", "missing.json",
@@ -623,3 +639,46 @@ def test_unwritable_out_is_usage_error(command, target, tmp_path, capsys):
     assert run_cli(command, "--scenario", "linear2d_single", "--out", out, *extra) == 2
     captured = capsys.readouterr()
     assert f"cannot write {out}" in captured.err and not captured.out
+
+
+def test_shared_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys, monkeypatch):
+    # main reuses one parser; valid commands interleaved with a usage error,
+    # --help, an unknown subcommand and a failing check must leave nothing
+    # behind that a later call sees
+    config = builtin_scenario("linear2d_single")
+    center = config.obstacles[0].center
+    inside = tmp_path / "inside.json"
+    inside.write_text(save_scenario(dataclasses.replace(
+        config, state_box=np.stack([center - 0.05, center + 0.05], axis=1))))
+    out = tmp_path / "out"
+    commands = [
+        ("validate-params", "--scenario", "linear2d_single", "--out", str(out / "vp.json")),
+        ("verify-derivative", "--scenario", "linear2d_single", "--resolution", "5"),
+        ("validate-params", "--scenario", "nonlinear_mech_three"),
+        ("--help",),
+        ("verify-derivative", "--scenario", str(inside), "--resolution", "11"),
+        ("check-assumptions", "--scenario", "linear2d_single", "--resolution", "11"),
+        ("frobnicate",),
+        ("verify-derivative", "--scenario", "linear2d_single", "--resolution", "11"),
+        ("geometry", "--scenario", "linear2d_single", "--help"),
+        ("geometry", "--scenario", "nonlinear_mech_three"),
+    ]
+
+    def session():
+        out.mkdir()
+        seen = []
+        for argv in commands:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            seen.append((argv, code, captured.out, captured.err))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return seen, files
+
+    assert build_parser() is build_parser()
+    shared = session()
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = session()
+    assert [code for _, code, _, _ in shared[0]] == [0, 2, 0, 0, 1, 0, 2, 0, 0, 0]
+    assert shared == fresh
+    assert list(shared[1]) == ["vp.json"]
