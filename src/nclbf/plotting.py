@@ -62,11 +62,17 @@ def _frame(canvas: _Canvas, x0, y0, w, h, xlim, ylim, xlabel, ylabel, n_ticks=5)
                f'transform="rotate(-90 {_fmt(x0 - 32)} {_fmt(y0 + h / 2)})">{ylabel}</text>')
 
 
+def _polyline_rows(n: int) -> np.ndarray:
+    """The points a path of n >= 1 points draws, in order and each once: every
+    stride-th, at most about _MAX_POLYLINE_POINTS of them, and the last.  The
+    range stops before the last, so no np.unique (which imports numpy.ma) is
+    needed to drop a repeat."""
+    return np.r_[0:n - 1:max(1, math.ceil(n / _MAX_POLYLINE_POINTS)), n - 1]
+
+
 def _polyline(cv: _Canvas, color: str, xs: np.ndarray, ys: np.ndarray) -> None:
-    """A run's path through canvas points (xs, ys): every stride-th point, at
-    most about _MAX_POLYLINE_POINTS of them, and the last."""
-    n = len(xs)
-    rows = np.unique(np.r_[0:n:max(1, math.ceil(n / _MAX_POLYLINE_POINTS)), n - 1])
+    """A run's path through canvas points (xs, ys), at _polyline_rows."""
+    rows = _polyline_rows(len(xs))
     coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(xs[rows].tolist(), ys[rows].tolist()))
     cv.add(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
 

@@ -76,11 +76,23 @@ ASSUMPTIONS_RESOLUTION, ASSUMPTIONS_FLOOR = 101, 2
 BLOCK_ROWS = 4096
 
 
-def grid_points(config: ScenarioConfig, resolution: int) -> np.ndarray:
-    """The resolution^n grid over the state box, one point per row (C order)."""
+def grid_points(config: ScenarioConfig, resolution: int, rows: np.ndarray) -> np.ndarray:
+    """Rows of the resolution^n grid over the state box at the flat C-order
+    indices rows, one point per row: the grid checks build their grid a block
+    at a time and never hold all of it."""
     axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    index = np.unravel_index(rows, (resolution,) * config.n)
+    return np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of the nonempty 1-D array a, which holds no NaN, bit for bit:
+    the middle element, or the two middle ones added and divided by 2.0 as
+    np.mean does.  a is partitioned in place, so no copy of it is made;
+    np.median would import numpy.ma, which no command needs."""
+    h = len(a) // 2
+    a.partition(h if len(a) % 2 else (h - 1, h))
+    return float(a[h] if len(a) % 2 else (a[h - 1] + a[h]) / 2.0)
 
 
 def field_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +175,9 @@ def grid_decrease_check(config: ScenarioConfig,
     ctrl = Controller(config)
     sys_, cert = ctrl.system, ctrl.cert
     integ = config.integrator
-    pts = grid_points(config, resolution)
+    total = resolution ** config.n
 
-    counts = {"total": len(pts), "evaluated": 0, "excluded_unsafe": 0,
+    counts = {"total": total, "evaluated": 0, "excluded_unsafe": 0,
               "excluded_shrunk_band": 0, "excluded_origin_ball": 0,
               "degenerate_channel": 0}
     rho0 = math.inf
@@ -174,8 +186,8 @@ def grid_decrease_check(config: ScenarioConfig,
     escapes = 0
     fields_finite = True
 
-    for lo in range(0, len(pts), BLOCK_ROWS):
-        X = pts[lo:lo + BLOCK_ROWS]
+    for lo in range(0, total, BLOCK_ROWS):
+        X = grid_points(config, resolution, np.arange(lo, min(lo + BLOCK_ROWS, total)))
         L = row_dot(X, X)
         kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
         origin = L <= integ.eps_conv ** 2
@@ -282,15 +294,16 @@ def check_assumptions(config: ScenarioConfig,
     if resolution < ASSUMPTIONS_FLOOR:
         raise ValueError(f"resolution must be >= {ASSUMPTIONS_FLOOR}")
     system, cert = resolve_system(config), Certificate(config)
-    pts = grid_points(config, resolution)
+    total = resolution ** config.n
     n_rows = 1 + config.n_obstacles   # grad L, then grad B_i
-    kind = np.empty(len(pts), dtype=int)
-    index = np.empty(len(pts), dtype=int)
-    norms = np.empty((n_rows, len(pts)))
-    drifts = np.empty((n_rows, len(pts)))
+    # per point, since the row tolerance is a median over the whole grid
+    kind = np.empty(total, dtype=int)
+    index = np.empty(total, dtype=int)
+    norms = np.empty((n_rows, total))
+    drifts = np.empty((n_rows, total))
     g_min_sv, fields_finite = math.nan, True
-    for lo in range(0, len(pts), BLOCK_ROWS):
-        X = pts[lo:lo + BLOCK_ROWS]
+    for lo in range(0, total, BLOCK_ROWS):
+        X = grid_points(config, resolution, np.arange(lo, min(lo + BLOCK_ROWS, total)))
         F, G = field_rows(system, X)
         span = slice(lo, lo + len(X))
         # one SVD per run of bit-equal g rows, finite rows only (NaN: none finite)
@@ -308,11 +321,11 @@ def check_assumptions(config: ScenarioConfig,
 
     def condition(name, member, r):
         # the row tolerance scales with the grid median of the row norm
-        nz = norms[r][norms[r] > 0]
-        tol_g = 1e-6 * (float(np.median(nz)) if nz.size else 1.0)
+        nz = norms[r][norms[r] > 0]   # a copy, which _median reorders
+        tol_g = 1e-6 * (_median(nz) if nz.size else 1.0)
         rows = np.flatnonzero(member & ~(norms[r] > tol_g))
-        escapes, violations = _degenerate_rule(system, cert, pts[rows], drifts[r, rows],
-                                               index[rows] if r else None)
+        escapes, violations = _degenerate_rule(system, cert, grid_points(config, resolution, rows),
+                                               drifts[r, rows], index[rows] if r else None)
         return AssumptionEntry(condition=name, points_checked=int(member.sum()),
                                degenerate_points=len(rows),
                                violations=tuple(violations),

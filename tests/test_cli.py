@@ -7,13 +7,18 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import nan_f_system, with_system
+import nclbf
 from nclbf import cli, plotting
 from nclbf.certificate import UNSAFE, Certificate
 from nclbf.cli import _read_record, build_parser, main
@@ -682,3 +687,56 @@ def test_shared_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys, monkeyp
     assert [code for _, code, _, _ in shared[0]] == [0, 2, 0, 0, 1, 0, 2, 0, 0, 0]
     assert shared == fresh
     assert list(shared[1]) == ["vp.json"]
+
+
+def test_polyline_rows_equal_the_unique_formula():
+    # every path length from 1 to 5,000 at the stride _MAX_POLYLINE_POINTS gives it
+    for n in range(1, 5001):
+        want = np.unique(np.r_[0:n:max(1, math.ceil(n / plotting._MAX_POLYLINE_POINTS)), n - 1])
+        got = plotting._polyline_rows(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
+# one process runs every command through nclbf.cli.main and prints, after
+# importing numpy and after each command, its name, exit code and whether
+# numpy.ma is loaded
+NUMPY_MA_SCRIPT = """
+import contextlib, io, json, sys
+import numpy
+print(json.dumps(["import numpy", 0, "numpy.ma" in sys.modules]))
+from nclbf.cli import main
+d = sys.argv[1]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([a.replace("{d}", d) for a in argv])
+    print(json.dumps([" ".join(argv), code, "numpy.ma" in sys.modules]))
+"""
+
+NUMPY_MA_COMMANDS = [
+    ["simulate", "--scenario", "linear2d_single", "--t-max", "0.05", "--out", "{d}"],
+    ["plot", "--scenario", "linear2d_single", "--out", "{d}/fig", "{d}/run_00.csv"],
+    ["check-trajectory", "--csv", "{d}/run_00.csv"],
+    ["check-trajectory", "--csv", "{d}/run_00.csv", "--scenario", "linear2d_single"],
+    ["verify-derivative", "--scenario", "nonlinear_mech_three", "--resolution", "21"],
+    ["check-assumptions", "--scenario", "nonlinear_mech_three", "--resolution", "21"],
+    ["geometry", "--scenario", "nonlinear_mech_three"],
+    ["validate-params", "--scenario", "nonlinear_mech_three"],
+]
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy 2 imports numpy.ma only when asked (np.median and np.unique ask),
+    # and it adds about 1.2 MB resident to a process that loads it
+    src = str(Path(nclbf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT, str(tmp_path / "run"),
+                           json.dumps(NUMPY_MA_COMMANDS)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    if lines[0][2]:
+        pytest.skip("numpy < 2 imports numpy.ma with numpy itself (the 1.24 floor), "
+                    "so no command can keep it out")
+    assert [code for _, code, _ in lines[1:]] == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert not [name for name, _, loaded in lines if loaded], lines

@@ -26,10 +26,11 @@ from nclbf.scenario import builtin_scenario, json_doc
 from nclbf.systems import ControlAffineSystem, resolve_system
 from nclbf.verify import (BLOCK_ROWS, AssumptionEntry, AssumptionReport,
                           DecreaseReport, check_assumptions,
-                          control_row_transversal, grid_decrease_check)
+                          control_row_transversal, grid_decrease_check, grid_points)
 
 
 def _grid(config, resolution):
+    """The whole grid as the checks built it when they held all of it."""
     axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -182,7 +183,11 @@ def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
 
 def shifted(name, seed):
     """The fixture with its box moved by less than one 201-grid cell."""
-    config = builtin_scenario(name)
+    return shift_box(builtin_scenario(name), seed)
+
+
+def shift_box(config, seed):
+    """config with its box moved by less than one 201-grid cell per axis."""
     box = config.state_box
     cell = float(np.min(box[:, 1] - box[:, 0])) / 200
     shift = np.round(np.random.default_rng([seed, 3]).uniform(
@@ -331,3 +336,70 @@ class TestAssumptionsMatchLoop:
                                          lambda x: np.zeros((2, 2)))
         report = assert_same_assumptions(with_system(cfg_a, degenerate), 21)
         assert report.entries[0].violations
+
+
+class TestGridPoints:
+    """grid_points(config, resolution, rows) against the whole meshgrid,
+    compared as bytes."""
+
+    @staticmethod
+    def assert_rows(config, resolution, rows):
+        got = grid_points(config, resolution, rows)
+        want = _grid(config, resolution)[rows]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["builtin", "shifted 1", "shifted 9"])
+    @pytest.mark.parametrize("resolution", [11, 65, 201])
+    def test_planar(self, case, resolution):
+        config = builtin_scenario("linear2d_single") if case == "builtin" else shifted(
+            "nonlinear_mech_three", int(case.split()[1]))
+        total = resolution ** 2
+        self.assert_rows(config, resolution, np.arange(total))
+        rng = np.random.default_rng([resolution, 7])
+        self.assert_rows(config, resolution, rng.choice(total, size=min(total, 500), replace=False))
+        self.assert_rows(config, resolution, np.array([total - 1, 0, total - 1]))
+
+    @pytest.mark.parametrize("seed", [None, 2, 5])
+    @pytest.mark.parametrize("resolution", [11, 30, 41])
+    def test_three_dimensional(self, cfg_3d, seed, resolution):
+        config = cfg_3d if seed is None else shift_box(cfg_3d, seed)
+        total = resolution ** 3
+        self.assert_rows(config, resolution, np.arange(total))
+        rng = np.random.default_rng([resolution, 8])
+        self.assert_rows(config, resolution, rng.choice(total, size=500, replace=False))
+        for lo in range(0, total, BLOCK_ROWS):
+            self.assert_rows(config, resolution, np.arange(lo, min(lo + BLOCK_ROWS, total)))
+
+
+# the cfg_3d reports of both grid checks recorded when the checks held the
+# whole grid: rho0_star and worst_point as float.hex, counts, and per entry
+# (points_checked, degenerate_points, violations, escape_in_finite_time)
+PINNED_3D_DECREASE = {
+    30: ("0x1.2ee73dadc9b55p+1",
+         {"total": 27000, "evaluated": 26894, "excluded_unsafe": 106,
+          "excluded_shrunk_band": 0, "excluded_origin_ball": 0, "degenerate_channel": 0},
+         (-5.0, -1.206896551724138, -1.8965517241379306)),
+    41: ("0x1.2ee73dadc9b55p+1",
+         {"total": 68921, "evaluated": 68667, "excluded_unsafe": 251,
+          "excluded_shrunk_band": 2, "excluded_origin_ball": 1, "degenerate_channel": 0},
+         (-2.0, -3.25, -0.25)),
+}
+PINNED_3D_ASSUMPTIONS = {
+    30: [(26757, 0, (), ()), (137, 0, (), ())],
+    41: [(68286, 1, (), ()), (389, 0, (), ())],
+}
+
+
+@pytest.mark.parametrize("resolution", sorted(PINNED_3D_DECREASE))
+def test_three_dimensional_reports_are_pinned(cfg_3d, resolution):
+    rho0_star, counts, worst_point = PINNED_3D_DECREASE[resolution]
+    report = grid_decrease_check(cfg_3d, resolution)
+    assert report.passed and report.grid_shape == (resolution,) * 3
+    assert report.rho0_star.hex() == rho0_star
+    assert report.counts == counts
+    assert [v.hex() for v in report.worst_point] == [v.hex() for v in worst_point]
+    report = check_assumptions(cfg_3d, resolution)
+    assert report.passed
+    assert [(e.points_checked, e.degenerate_points, e.violations, e.escape_in_finite_time)
+            for e in report.entries] == PINNED_3D_ASSUMPTIONS[resolution]

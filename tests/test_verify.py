@@ -161,6 +161,53 @@ class TestGridDecrease:
             assert abs(x2) == pytest.approx(cell, rel=1e-9)
 
 
+def traced_peak(check, config, resolution) -> int:
+    """tracemalloc's peak in bytes over one check call, after a first call
+    has made the one-time allocations."""
+    check(config, resolution)
+    tracemalloc.start()
+    try:
+        check(config, resolution)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridMemory:
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_decrease_check_memory_does_not_grow_with_the_grid(self, name):
+        # each BLOCK_ROWS block builds its own grid rows: about 1.3 MB at 201
+        # and at 401 alike on linear2d_single, where the whole grid held up
+        # front gave 1.98 and 5.16 MB
+        config = builtin_scenario(name)
+        small, large = (traced_peak(grid_decrease_check, config, r) for r in (201, 401))
+        assert large < 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_assumptions_memory_per_point(self, name):
+        # the per-point labels (kind, index) and the norms and drifts of the
+        # 1 + N control rows, 16 + 16 (1 + N) B, which the grid median needs,
+        # plus 32 B for the block's temporaries, the masks and the nonzero
+        # norms the median reorders; the whole grid held up front took 16 B
+        # more (88.7 and 122.8 B at 201)
+        config = builtin_scenario(name)
+        stored = 16 + 16 * (1 + config.n_obstacles)
+        per_point = traced_peak(verify.check_assumptions, config, 201) / 201 ** 2
+        assert per_point < stored + 32, per_point
+
+
+@pytest.mark.parametrize("a", [
+    [3.0], [2.0, 1.0], [5.0, 1.0, 3.0], [0.1, 0.7, 0.2, 0.3],
+    [math.inf, 1.0], [math.inf, 1.0, 2.0], [math.inf, math.inf, 1.0, 0.5], [math.inf] * 4,
+    np.random.default_rng(11).uniform(1e-3, 7.0, 4097).tolist(),
+    np.random.default_rng(12).lognormal(0.0, 3.0, 4096).tolist()])
+def test_median_equals_numpy_median(a):
+    a = np.array(a)
+    want = np.median(a)
+    got = verify._median(a.copy())
+    assert type(got) is float and got.hex() == float(want).hex()
+
+
 class TestTrajectoryInvariants:
     def test_single_obstacle_run_passes_all(self, cfg_a, records_a):
         report = trajectory_invariants(records_a[(5.0, 5.0)], cfg_a)
