@@ -8,8 +8,8 @@ from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
 from .simulator import (Outcome, SimulationSummary, TrajectoryRecord,
                         read_trajectory_csv, rk4_step, run_batch, simulate,
                         trajectory_csv_text, write_trajectory_csv)
-from .systems import (ControlAffineSystem, builtin_linear2d,
-                      builtin_nonlinear_mech, register_system, resolve_system)
+from .systems import (ControlAffineSystem, builtin_linear2d, builtin_nonlinear_mech,
+                      linear_system, register_system, resolve_system)
 from .verify import (AssumptionReport, DecreaseReport, InvariantReport,
                      ValidationReport, check_assumptions, grid_decrease_check,
                      trajectory_invariants, upper_derivative, validate_params)
@@ -23,7 +23,7 @@ __all__ = [
     "read_trajectory_csv", "rk4_step", "run_batch", "simulate",
     "trajectory_csv_text", "write_trajectory_csv",
     "ControlAffineSystem", "builtin_linear2d", "builtin_nonlinear_mech",
-    "register_system", "resolve_system",
+    "linear_system", "register_system", "resolve_system",
     "AssumptionReport", "DecreaseReport", "InvariantReport",
     "check_assumptions", "grid_decrease_check", "trajectory_invariants",
     "upper_derivative",

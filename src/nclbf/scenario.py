@@ -54,6 +54,8 @@ class ObstacleSpec:
 
     @classmethod
     def from_radius(cls, center, radius: float) -> "ObstacleSpec":
+        if float(radius) <= 0.0:   # squaring would hide the sign
+            raise ScenarioError("obstacle radius must be positive")
         return cls(center=np.asarray(center, float), radius_sq=float(radius) ** 2)
 
     @property
@@ -252,6 +254,20 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _number(v, where: str) -> float:
+    # float() alone would take "0.001" and true
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioError(f"{where} must be a number (got {json.dumps(v)})")
+    return float(v)
+
+
+def _numbers(v, where: str) -> np.ndarray:
+    """A (nested) JSON array of numbers as a float array."""
+    for x in np.asarray(v, object).ravel().tolist():
+        _number(x, f"{where} entry")
+    return np.asarray(v, float)
+
+
 def load_scenario(text: str | bytes) -> ScenarioConfig:
     """Parse a scenario JSON document.
 
@@ -273,7 +289,7 @@ def load_scenario(text: str | bytes) -> ScenarioConfig:
 
 def _parse(doc) -> ScenarioConfig:
     system_id = _require(doc, "system", "scenario document")
-    state_box = np.asarray(_require(doc, "state_box", "scenario"), float)
+    state_box = _numbers(_require(doc, "state_box", "scenario"), "state_box")
     obstacles_doc = _require(doc, "obstacles", "scenario")
     params_doc = _require(doc, "params", "scenario")
     if len(obstacles_doc) != len(params_doc):
@@ -281,21 +297,23 @@ def _parse(doc) -> ScenarioConfig:
 
     obstacles = []
     for k, od in enumerate(obstacles_doc):
-        center = np.asarray(_require(od, "center", f"obstacles[{k}]"), float)
-        radius = float(_require(od, "radius", f"obstacles[{k}]"))
+        center = _numbers(_require(od, "center", f"obstacles[{k}]"), f"obstacles[{k}].center")
+        radius = _number(_require(od, "radius", f"obstacles[{k}]"), f"obstacles[{k}].radius")
         obstacles.append(ObstacleSpec.from_radius(center, radius))
 
     params = []
     for k, pd in enumerate(params_doc):
-        eta1 = float(_require(pd, "eta1", f"params[{k}]"))
-        c1 = np.asarray(_require(pd, "c1", f"params[{k}]"), float)
-        w, eta2 = (None if pd.get(key) is None else float(pd[key]) for key in ("w", "eta2"))
+        eta1 = _number(_require(pd, "eta1", f"params[{k}]"), f"params[{k}].eta1")
+        c1 = _numbers(_require(pd, "c1", f"params[{k}]"), f"params[{k}].c1")
+        w, eta2 = (None if pd.get(key) is None else _number(pd[key], f"params[{k}].{key}")
+                   for key in ("w", "eta2"))
         params.append(ObstacleParams.resolve(obstacles[k], eta1, c1, w=w, eta2=eta2))
 
-    gamma = float(_require(doc, "gamma", "scenario"))
+    gamma = _number(_require(doc, "gamma", "scenario"), "gamma")
     # absent settings take the IntegratorSettings defaults; unknown ones are errors
-    integrator = IntegratorSettings(**{k: float(v) for k, v in doc.get("integrator", {}).items()})
-    initial_states = tuple(np.asarray(v, float) for v in doc.get("initial_states", []))
+    integrator = IntegratorSettings(**{k: _number(v, f"integrator.{k}")
+                                       for k, v in doc.get("integrator", {}).items()})
+    initial_states = tuple(_numbers(v, "initial_states") for v in doc.get("initial_states", []))
 
     return ScenarioConfig(system_id=system_id, state_box=state_box,
                           obstacles=tuple(obstacles), params=tuple(params),

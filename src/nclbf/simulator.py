@@ -17,11 +17,11 @@ certificate to behave as the theory prescribes:
   kappa1/kappa2 blend supplies the tangential tie-break, which carries the
   c1 weighting and breaks the symmetry exactly as the barrier law does.
 
-Sliding ends at tangency, where the stabilizer stops pushing inward (the
-contact-point condition).  Repeated runs are bit-identical.  A run is a
-TrajectoryRecord of columns, one row per sample: the engine records x, u and
-the law, and derives V, the region and min_dist from one row pass over x;
-the checks, plots and CSV read the columns.
+Sliding ends at tangency (the contact-point condition), up to one substep
+late: tangency is tested at the start of each slide substep.  Repeated runs
+are bit-identical.  A run is a TrajectoryRecord of columns, one row per
+sample: the engine records x, u and the law, and derives V, the region and
+min_dist from one row pass over x; the checks, plots and CSV read the columns.
 """
 
 from __future__ import annotations

@@ -1,19 +1,19 @@
 """Control-affine systems xdot = f(x) + g(x) u and their registry.
 
-Two benchmarks are built in: a decoupled planar linear system and a nonlinear
+Two benchmarks are built in: a decoupled planar linear_system and a nonlinear
 mechanical system with velocity-dependent damping.  A custom system registers
 under a name with the same evaluators (no expression parser); a scenario names
 it by system_id, and every entry point gets it from resolve_system.  f and g
-take the state as a list of floats, so an RK4 stage builds no array.  fg_rows,
-if given, is f and g over a block of rows, bit for bit; the grid checks use
-it, and nonlinear_mech's evaluates the damping term once per x2 bit pattern.
-The sampled checks of f and g live with the other grid checks in verify.
+take the state as a list of floats, so an RK4 stage builds no array.  fg_rows
+is f and g over a block of rows, bit for bit, for the grid checks in verify;
+nonlinear_mech's evaluates the damping term once per x2 bit pattern.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,8 +33,20 @@ class ControlAffineSystem:
     m: int
     f: Callable[[list[float]], Sequence[float]]
     g: Callable[[list[float]], np.ndarray]
-    # X (P,n) -> F (P,n), G (P,n,m) with row k equal to (f(X[k]), g(X[k])) bit for bit
+    # X (P,n) -> F (P,n), G (P,n,m), row k (f(X[k]), g(X[k])) bit for bit; default pointwise_rows
     fg_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def __post_init__(self):
+        # rows built for another instance, copied by dataclasses.replace, are built anew
+        if getattr(self.fg_rows, "func", self.fg_rows) in (None, pointwise_rows):
+            object.__setattr__(self, "fg_rows", partial(pointwise_rows, self))
+
+
+def pointwise_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f rows (P, n) and g rows (P, n, m) from system's own f and g, point by point."""
+    xs = X.tolist()
+    return (np.array([system.f(x) for x in xs], float).reshape(len(X), system.n),
+            np.array([system.g(x) for x in xs], float).reshape(len(X), system.n, system.m))
 
 
 def fg_at(system: ControlAffineSystem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,21 +55,24 @@ def fg_at(system: ControlAffineSystem, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.asarray(system.f(xs), float), system.g(xs)
 
 
-def builtin_linear2d() -> ControlAffineSystem:
-    """x1dot = -x1 + u1, x2dot = -x2 + u2."""
-    eye = np.eye(2)
+def linear_system(name: str, a: Sequence[float], B) -> ControlAffineSystem:
+    """xdot = diag(a) x + B u, B (n, m): f is a_j x_j, and g returns B itself."""
+    diag, B = np.asarray(a, float), np.array(B, float)
+    pairs = tuple(enumerate(diag.tolist()))
 
     def f(x):
-        x1, x2 = x
-        return [-x1, -x2]
+        y = [*x]   # a new list whatever sequence x is
+        for j, aj in pairs:
+            y[j] *= aj
+        return y
 
-    def g(x):
-        return eye
+    return ControlAffineSystem(name, *B.shape, f, lambda x: B,
+                               lambda X: (X * diag, np.broadcast_to(B, (len(X), *B.shape))))
 
-    def fg_rows(X):
-        return -X, np.broadcast_to(eye, (len(X), 2, 2))
 
-    return ControlAffineSystem(name="linear2d", n=2, m=2, f=f, g=g, fg_rows=fg_rows)
+def builtin_linear2d() -> ControlAffineSystem:
+    """x1dot = -x1 + u1, x2dot = -x2 + u2."""
+    return linear_system("linear2d", [-1.0, -1.0], np.eye(2))
 
 
 def _damp(x2: float) -> float:

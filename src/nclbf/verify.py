@@ -37,7 +37,7 @@ def derivative_rows(ctrl: Controller, X: np.ndarray, U: np.ndarray, kind: np.nda
     obstacle in R1 and UNSAFE (B dominates L on and inside the ball) and V = L
     in R2; prev, the previous sample's (kind, index) or None, resolves the band."""
     cert = ctrl.cert
-    F, G = field_rows(ctrl.system, X)
+    F, G = ctrl.system.fg_rows(X)
     F = F + (G @ U[:, :, None])[:, :, 0]
     d1 = row_dot(cert.grad_B(index, X), F)
     d2 = row_dot(cert.grad_L(X), F)
@@ -93,16 +93,6 @@ def _median(a: np.ndarray) -> float:
     h = len(a) // 2
     a.partition(h if len(a) % 2 else (h - 1, h))
     return float(a[h] if len(a) % 2 else (a[h - 1] + a[h]) / 2.0)
-
-
-def field_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f rows (P, n) and g rows (P, n, m): the system's fg_rows when it has
-    one, which matches f and g bit for bit, else f and g point by point."""
-    if system.fg_rows is not None:
-        return system.fg_rows(X)
-    xs = X.tolist()
-    return (np.array([system.f(x) for x in xs], float).reshape(len(X), system.n),
-            np.array([system.g(x) for x in xs], float).reshape(len(X), system.n, system.m))
 
 
 def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) -> bool:
@@ -212,7 +202,7 @@ def grid_decrease_check(config: ScenarioConfig,
             if not len(r):
                 continue
             Xr = X[r]
-            Fr, Gr = field_rows(sys_, Xr)
+            Fr, Gr = sys_.fg_rows(Xr)
             fields_finite = fields_finite and bool(np.isfinite(Fr).all() and np.isfinite(Gr).all())
             grad = cert.grad_L(Xr) if obstacle is None else cert.grad_B(obstacle[r], Xr)
             terms = control_terms(grad, Fr, Gr)
@@ -304,7 +294,7 @@ def check_assumptions(config: ScenarioConfig,
     g_min_sv, fields_finite = math.nan, True
     for lo in range(0, total, BLOCK_ROWS):
         X = grid_points(config, resolution, np.arange(lo, min(lo + BLOCK_ROWS, total)))
-        F, G = field_rows(system, X)
+        F, G = system.fg_rows(X)
         span = slice(lo, lo + len(X))
         # one SVD per run of bit-equal g rows, finite rows only (NaN: none finite)
         bits, finite = G.view(np.int64), np.isfinite(G).all(axis=(1, 2))

@@ -16,7 +16,7 @@ import pytest
 from nclbf import builtin_scenario, simulate
 from nclbf.certificate import UNSAFE, Certificate
 from nclbf.scenario import IntegratorSettings, ObstacleParams, ObstacleSpec, ScenarioConfig
-from nclbf.systems import ControlAffineSystem, register_system
+from nclbf.systems import ControlAffineSystem, linear_system, register_system
 
 
 @pytest.fixture(scope="session")
@@ -31,12 +31,9 @@ def cfg_b():
 
 @pytest.fixture(scope="session")
 def cfg_3d():
-    """Fully actuated xdot = -x + u in R^3 with one admissible ball; its
-    fg_rows puts the grid checks on the row path, as on the builtins."""
-    eye = np.eye(3)
-    register_system("linear3d", lambda: ControlAffineSystem(
-        "linear3d", 3, 3, lambda x: [-a for a in x], lambda x: eye,
-        fg_rows=lambda X: (-X, np.broadcast_to(eye, (len(X), 3, 3)))))
+    """Fully actuated xdot = -x + u in R^3 with one admissible ball, a
+    linear_system as linear2d is."""
+    register_system("linear3d", lambda: linear_system("linear3d", [-1.0] * 3, np.eye(3)))
     ob = ObstacleSpec(center=np.array([2.0, 2.0, 1.0]), radius_sq=1.0)
     pa = ObstacleParams.resolve(ob, eta1=9.0, c1=[10.0, 20.0, 30.0], w=1.0)
     return ScenarioConfig(system_id="linear3d", state_box=np.array([[-5.0, 5.0]] * 3),

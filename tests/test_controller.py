@@ -15,7 +15,6 @@ from nclbf.certificate import R1, R2, R3, UNSAFE
 from nclbf.controller import (Controller, MemoryStateError, SafetyViolationError,
                               control_terms)
 from nclbf.scenario import builtin_scenario
-from nclbf.verify import field_rows
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +236,7 @@ class TestRowBatchedLaws:
     def test_laws_match_scalar_forms(self, name, cfg_3d):
         ctrl = Controller(cfg_3d if name == "3d" else builtin_scenario(name))
         X = self.rows(ctrl, np.random.default_rng(53))
-        F, G = field_rows(ctrl.system, X)
+        F, G = ctrl.system.fg_rows(X)
         U2 = kappa2_rows(ctrl, X, F, G)
         assert not U2[2000].any() and U2.any()   # row 2000 is the origin
         for i in range(ctrl.cert.n_obstacles):
@@ -254,7 +253,7 @@ class TestRowBatchedLaws:
     def test_gains_read_at_call_time(self):
         ctrl = Controller(builtin_scenario("linear2d_single"))
         X = np.random.default_rng(59).uniform(-5, 5, size=(100, 2))
-        F, G = field_rows(ctrl.system, X)
+        F, G = ctrl.system.fg_rows(X)
         before = kappa1_rows(ctrl, 0, X, F, G)
         ctrl.c1[0] = np.zeros(2)
         after = kappa1_rows(ctrl, 0, X, F, G)

@@ -260,10 +260,10 @@ def test_edge_rows_match_oracles(system):
 
 def test_array_f_gives_list_f_bytes_on_edge_rows():
     """_rk4 takes an ndarray from f as Python floats, so an f returning
-    -np.asarray(x) gives the builtin list f's bytes, NaN sign bits included."""
+    np.asarray(x) * -1.0 gives the builtin list f's bytes, NaN sign bits included."""
     config = builtin_scenario("linear2d_single")
     listed = engine_for(config).system
-    arrayed = ControlAffineSystem("linear2d_array_f", 2, 2, lambda x: -np.asarray(x),
+    arrayed = ControlAffineSystem("linear2d_array_f", 2, 2, lambda x: np.asarray(x) * -1.0,
                                   listed.g)
     cases = [(x, np.array([1.5, -2.0]), fg_at(listed, x)) for x in edge_rows(config)]
     cases += [(np.array([3.0, 4.0]), np.array([nan, 1.0]), (np.array(f0), np.eye(2)))

@@ -215,6 +215,15 @@ class TestScenarioIO:
         ("doc", lambda d: d.update(obstacles=[], params=[]), "at least one obstacle"),
         ("doc", lambda d: d["obstacles"][0].update(center=[2.0, 2.0, 1.0]), "dimension 3 != "),
         ("doc", lambda d: d["params"].append(d["params"][0]), "arrays must have the same length"),
+        # a JSON string or boolean where a number belongs, which float() would take
+        ("doc", lambda d: d["integrator"].update(dt="0.001"), "integrator.dt must be a number"),
+        ("doc", lambda d: d.update(gamma=True), "gamma must be a number"),
+        ("doc", lambda d: d["params"][0].update(c1=[10, "20"]), r"params\[0\].c1 entry must be a number"),
+        ("doc", lambda d: d["state_box"][1].__setitem__(1, "5"), "state_box entry must be a number"),
+        ("doc", lambda d: d.update(initial_states=[[True, 5.0]]), "initial_states entry must be a number"),
+        # squared, a negative radius would pass and save back positive
+        ("doc", lambda d: d["obstacles"][0].update(radius=-1.4142135623730951),
+         "radius must be positive"),
         # constructors: checks no document reaches, because an earlier check
         # stops it or the document cannot express it
         ("new", lambda: ObstacleParams(eta1=9.0, eta2=36.9, c1=[1.0], w=math.inf),

@@ -15,10 +15,9 @@ from conftest import spy_system, with_system
 from nclbf.controller import Controller
 from nclbf.scenario import builtin_scenario, json_doc
 from nclbf.simulator import rk4_step, simulate
-from nclbf.systems import (ControlAffineSystem, builtin_linear2d,
-                           builtin_nonlinear_mech, register_system, resolve_system)
-from nclbf.verify import (check_assumptions, control_row_transversal, field_rows,
-                          grid_decrease_check)
+from nclbf.systems import (ControlAffineSystem, builtin_linear2d, builtin_nonlinear_mech,
+                           pointwise_rows, register_system, resolve_system)
+from nclbf.verify import check_assumptions, control_row_transversal, grid_decrease_check
 
 BUILTINS = (builtin_linear2d, builtin_nonlinear_mech)
 
@@ -130,22 +129,23 @@ class TestRowEvaluators:
     def test_grid_checks_equal_pointwise_path(self, name):
         config = builtin_scenario(name)
         system = resolve_system(config)
-        assert system.fg_rows is not None
         pointwise = with_system(config, dataclasses.replace(
             system, name=f"{system.name}_pointwise", fg_rows=None))
-        assert resolve_system(pointwise).fg_rows is None
+        assert resolve_system(pointwise).fg_rows.func is pointwise_rows
         assert (json_doc(grid_decrease_check(pointwise, 41))
                 == json_doc(grid_decrease_check(config, 41)))
         assert (json_doc(check_assumptions(pointwise, 33))
                 == json_doc(check_assumptions(config, 33)))
 
     def test_system_without_rows_uses_pointwise_path(self, cfg_3d):
+        # a system given no rows gets them built from its own f and g
         pointwise = with_system(cfg_3d, dataclasses.replace(
             resolve_system(cfg_3d), name="linear3d_pointwise", fg_rows=None))
         system = resolve_system(pointwise)
-        assert system.fg_rows is None
         X = np.random.default_rng(3).uniform(-5.0, 5.0, size=(50, 3))
-        F, G = field_rows(system, X)
+        F, G = system.fg_rows(X)
+        assert F.tobytes() == np.array([system.f(x) for x in X.tolist()]).tobytes()
+        assert G.tobytes() == np.array([system.g(x) for x in X.tolist()]).tobytes()
         assert np.array_equal(F, -X) and np.array_equal(G, np.broadcast_to(np.eye(3), (50, 3, 3)))
         assert (json_doc(grid_decrease_check(pointwise, resolution=11))
                 == json_doc(grid_decrease_check(cfg_3d, resolution=11)))
@@ -171,12 +171,12 @@ class TestStateContract:
         assert evals(lambda: ctrl.kappa1(0, x)) == (1, 1)
         assert evals(lambda: ctrl.kappa2(x)) == (1, 1)
         X = np.random.default_rng(4).uniform(-5.0, 5.0, size=(7, 2))
-        assert evals(lambda: field_rows(spy, X)) == (7, 7)
+        assert evals(lambda: spy.fg_rows(X)) == (7, 7)
         assert evals(lambda: control_row_transversal(spy, lambda y: 2.0 * y, x)) == (1, 0)
 
     def test_degenerate_rule_passes_a_list_of_floats(self, cfg_a):
         # every point but the origin is degenerate with a positive drift, so
-        # beyond field_rows' 25 calls each, the transversal test evaluates f,
+        # beyond the built rows' 25 calls each, the transversal test evaluates f,
         # and g through the control row, at those points
         spy, calls = spy_system(ControlAffineSystem("degenerate", 2, 2, lambda x: list(x),
                                                     lambda x: np.zeros((2, 2))))

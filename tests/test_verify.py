@@ -17,7 +17,7 @@ from nclbf.controller import Controller, band_takes_kappa1
 from nclbf.scenario import ObstacleParams, builtin_scenario, json_doc
 from conftest import doctored_record, rows, zero_gain
 from nclbf.simulator import read_trajectory_csv, simulate, trajectory_csv_text
-from nclbf.verify import (fd_constant, field_rows, grid_decrease_check, shrunk_band_check,
+from nclbf.verify import (fd_constant, grid_decrease_check, shrunk_band_check,
                           trajectory_invariants, upper_derivative, validate_params)
 
 
@@ -39,7 +39,7 @@ def relabelling_derivative_rows(ctrl, X, U, prev=None):
     """derivative_rows as it was when it labelled its own rows: (kind, index, d)."""
     cert = ctrl.cert
     kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
-    F, G = field_rows(ctrl.system, X)
+    F, G = ctrl.system.fg_rows(X)
     F = F + (G @ U[:, :, None])[:, :, 0]
     d1 = row_dot(cert.grad_B(index, X), F)
     d2 = row_dot(cert.grad_L(X), F)
