@@ -180,15 +180,16 @@ class Certificate:
 
         kind holds R1, R2, R3 or UNSAFE; index is the first unsafe obstacle
         for UNSAFE rows, -1 for R2 rows and the dominant obstacle otherwise.
+        Obstacles go from the last to the first, so the lowest unsafe one wins.
         """
-        inside = dds < self.radii_sq
-        unsafe = inside.any(axis=1)
         kind = np.full(len(h), R3)
-        kind[h > self.eps_band] = R1
-        kind[h < -self.eps_band] = R2
+        np.copyto(kind, R1, where=h > self.eps_band)
+        np.copyto(kind, R2, where=h < -self.eps_band)
         index = np.where(kind == R2, -1, i)
-        kind[unsafe] = UNSAFE
-        index[unsafe] = inside[unsafe].argmax(axis=1)
+        for j in reversed(range(self.n_obstacles)):
+            inside = dds[:, j] < self.radii_sq[j]
+            np.copyto(kind, UNSAFE, where=inside)
+            np.copyto(index, j, where=inside)
         return kind, index
 
     def classify(self, x: np.ndarray) -> tuple[int, int]:

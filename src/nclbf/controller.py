@@ -112,24 +112,40 @@ class Controller:
                      n2: np.ndarray, Bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """kappa1 for every row of X from control_terms(grad_B(i, X), F, G), i as
         in Certificate.grad_B, and its live mask sqrt(n2) > TOL_G (U is zero off
-        it); row k equals kappa1(i_k, X[k]) bit for bit."""
+        it); row k equals kappa1(i_k, X[k]) bit for bit.  Each column of U is
+        computed under where=live: no row off it is evaluated but its ||x||^2."""
         live = np.sqrt(n2) > TOL_G
-        Bf, Bg, n2 = Bf[live, None], Bg[live], n2[live, None]
-        bar = np.zeros_like(Bg)
-        np.divide(1.0, Bg, out=bar, where=np.abs(Bg) > TOL_G)
-        c1 = np.broadcast_to(np.asarray(self.c1)[i], (len(X), self.system.m))[live]
-        U = np.zeros((len(X), self.system.m))
-        U[live] = -(Bg / n2) * Bf - c1 * bar * row_dot(X[live], X[live])[:, None]
+        c1 = np.broadcast_to(np.take(np.asarray(self.c1), i, axis=0), Bg.shape)
+        L = row_dot(X, X)
+        U = np.zeros(Bg.shape)
+        for j, u in enumerate(U.T):
+            b, bar = Bg[:, j], np.zeros(len(X))   # bar: mubar_j, 0 where inactive
+            np.divide(1.0, b, out=bar, where=live & (np.abs(b) > TOL_G))
+            np.multiply(c1[:, j], bar, out=bar, where=live)
+            np.multiply(bar, L, out=bar, where=live)
+            np.divide(b, n2, out=u, where=live)
+            np.negative(u, out=u, where=live)
+            np.multiply(u, Bf, out=u, where=live)
+            np.subtract(u, bar, out=u, where=live)
         return U, live
 
     def kappa2_terms(self, X: np.ndarray, Lg: np.ndarray, n2: np.ndarray,
                      Lf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """kappa2 for every row of X from control_terms(grad_L(X), F, G), bit for
-        bit, and its live mask as in kappa1_terms."""
+        bit, and its live mask, evaluated as in kappa1_terms."""
         live = np.sqrt(n2) > TOL_G
-        Lf, Lg, n2 = Lf[live], Lg[live], n2[live]
-        U = np.zeros((len(X), self.system.m))
-        U[live] = (-(Lf + np.sqrt(Lf * Lf + self.gamma * n2 * n2)))[:, None] * (Lg / n2[:, None])
+        k, w = np.zeros(len(X)), np.zeros(len(X))
+        np.multiply(Lf, Lf, out=k, where=live)
+        np.multiply(self.gamma, n2, out=w, where=live)
+        np.multiply(w, n2, out=w, where=live)
+        np.add(k, w, out=k, where=live)
+        np.sqrt(k, out=k, where=live)
+        np.add(Lf, k, out=k, where=live)
+        np.negative(k, out=k, where=live)
+        U = np.zeros(Lg.shape)
+        for j, u in enumerate(U.T):
+            np.divide(Lg[:, j], n2, out=u, where=live)
+            np.multiply(k, u, out=u, where=live)
         return U, live
 
     def kappa3(self, i: int, x: np.ndarray, prev: tuple[int, int],

@@ -80,9 +80,11 @@ def grid_points(config: ScenarioConfig, resolution: int, rows: np.ndarray) -> np
     """Rows of the resolution^n grid over the state box at the flat C-order
     indices rows, one point per row: the grid checks build their grid a block
     at a time and never hold all of it."""
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
+    X = np.empty((len(rows), config.n))
     index = np.unravel_index(rows, (resolution,) * config.n)
-    return np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+    for k, ((lo, hi), i) in enumerate(zip(config.state_box, index)):
+        X[:, k] = np.linspace(lo, hi, resolution)[i]
+    return X
 
 
 def _median(a: np.ndarray) -> float:
@@ -297,8 +299,12 @@ def check_assumptions(config: ScenarioConfig,
         F, G = system.fg_rows(X)
         span = slice(lo, lo + len(X))
         # one SVD per run of bit-equal g rows, finite rows only (NaN: none finite)
-        bits, finite = G.view(np.int64), np.isfinite(G).all(axis=(1, 2))
-        new = finite & np.append(True, (bits[1:] != bits[:-1]).any(axis=(1, 2)))
+        finite, change = np.ones(len(X), dtype=bool), np.zeros(len(X) - 1, dtype=bool)
+        for e in G.reshape(len(X), -1).T:   # one pass per entry of g
+            bits = e.view(np.int64)
+            finite &= np.isfinite(e)
+            change |= bits[1:] != bits[:-1]
+        new = finite & np.append(True, change)
         g_min_sv = float(np.fmin.reduce(np.linalg.svd(G[new], compute_uv=False)[:, -1],
                                         initial=g_min_sv))
         fields_finite = fields_finite and bool(finite.all() and np.isfinite(F).all())
@@ -523,7 +529,8 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
 
     for k, x0 in enumerate(config.initial_states):
         ok, why = cert.admissible(x0)
-        checks.append(ValidationCheck(f"initial_state[{k}] admissible ({why})",
-                                      ok, float(np.linalg.norm(x0)), 0.0, 0.0))
+        with np.errstate(over="ignore"):   # an overflowing ||x0|| is inf, written as null
+            checks.append(ValidationCheck(f"initial_state[{k}] admissible ({why})",
+                                          ok, float(np.linalg.norm(x0)), 0.0, 0.0))
     return ValidationReport(checks=tuple(checks), notes=(
         "disjointness of boundary spheres checked pairwise on their centres cbar_i",))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,20 @@ def B_values(cert, x):
 def in_shrunk_band_oracle(cert, x, i):
     """The shrunk-band test for one point as a scalar expression."""
     return abs(cert.B(i, x) - cert.L(x)) <= cert.eps_band and cert.L(x) < cert.phis[i]
+
+
+def label_rows_oracle(cert, i, h, dds):
+    """label_rows as written with a reduction over the obstacles (any, then
+    argmax for the first unsafe index) and boolean indexing."""
+    inside = dds < cert.radii_sq
+    unsafe = inside.any(axis=1)
+    kind = np.full(len(h), R3)
+    kind[h > cert.eps_band] = R1
+    kind[h < -cert.eps_band] = R2
+    index = np.where(kind == R2, -1, i)
+    kind[unsafe] = UNSAFE
+    index[unsafe] = inside[unsafe].argmax(axis=1)
+    return kind, index
 
 
 def sphere_point(cert, i, theta):
@@ -394,6 +409,29 @@ class TestRowBatchedTwins:
         kind, _ = cert.label_rows(*cert.dominant_gap_rows(X))
         assert set(kind.tolist()) >= {R1, R2}
         self.assert_rows_match(cert, X)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_label_rows_against_the_reduction_form(self, name):
+        # synthetic dds rows: every combination, per obstacle, of inside, exactly
+        # on the radius (not inside), just inside it, outside, NaN and +-inf, so
+        # rows sit inside one, two or three balls; h crosses the band edges
+        cert = Certificate(builtin_scenario(name))
+        eps = cert.eps_band
+        per_obstacle = [[0.0, 0.5 * r, np.nextafter(r, 0.0), r, 2.0 * r,
+                         math.nan, math.inf, -math.inf] for r in cert.radii_sq.tolist()]
+        dds = np.array(list(itertools.product(*per_obstacle)))
+        hs = np.array([-1.0, -eps, np.nextafter(-eps, 0.0), 0.0, eps,
+                       np.nextafter(eps, 1.0), 1.0, math.nan, math.inf, -math.inf])
+        dds = np.repeat(dds, len(hs), axis=0)
+        h = np.tile(hs, len(dds) // len(hs))
+        i = np.random.default_rng(47).integers(cert.n_obstacles, size=len(h))
+        kind, index = cert.label_rows(i, h, dds)
+        want_kind, want_index = label_rows_oracle(cert, i, h, dds)
+        assert kind.dtype == want_kind.dtype and index.dtype == want_index.dtype
+        assert kind.tobytes() == want_kind.tobytes()
+        assert index.tobytes() == want_index.tobytes()
+        inside = (dds < cert.radii_sq).sum(axis=1)   # balls each row is inside
+        assert set(inside.tolist()) == set(range(cert.n_obstacles + 1))
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
     def test_shrunk_band_rows(self, name):

@@ -311,6 +311,15 @@ class TestValidateParamsCommand:
         assert json.loads(capsys.readouterr().out)["passed"]
         assert run_cli("validate-params", "--scenario", "nonlinear_mech_three") == 0
 
+    def test_overflowing_start_norm_is_null(self, tmp_path, capsys):
+        # ||x0|| of (1e200, 1e200) overflows: inf, quietly, which the report
+        # writes as null; the start itself is admissible
+        path = scenario_file(tmp_path, initial_states=[[1e200, 1e200]])
+        assert run_cli("validate-params", "--scenario", path) == 0
+        check = json.loads(capsys.readouterr().out)["checks"][-1]
+        assert check["name"].startswith("initial_state[0] admissible")
+        assert check["passed"] is True and check["value"] is None
+
     def test_failing_scenario_exits_one(self, tmp_path, capsys):
         doc = {
             "system": "linear2d", "state_box": [[-5, 5], [-5, 5]],

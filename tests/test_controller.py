@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ import pytest
 from conftest import closed_loop_slow_eigenvalue
 # the array helpers kappa1 was written with, kept as parts of its oracle
 from test_engine_oracle import mu, mu_bar
-from nclbf.certificate import R1, R2, R3, UNSAFE
-from nclbf.controller import (Controller, MemoryStateError, SafetyViolationError,
+from nclbf.certificate import R1, R2, R3, UNSAFE, row_dot
+from nclbf.controller import (TOL_G, Controller, MemoryStateError, SafetyViolationError,
                               control_terms)
 from nclbf.scenario import builtin_scenario
 
@@ -249,6 +251,33 @@ class TestRowBatchedLaws:
         U1 = kappa1_rows(ctrl, index, X, F, G)
         for k, (i, x) in enumerate(zip(index.tolist(), X)):
             assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
+    def test_rows_off_the_live_mask(self, name):
+        # rows 0-3 have no control channel and a drift of NaN, inf, -inf or
+        # 1e300 (whose square overflows); row 4's control row has norm exactly
+        # TOL_G; the other rows are live
+        ctrl = Controller(builtin_scenario(name))
+        X = np.random.default_rng(61).uniform(-5, 5, size=(12, ctrl.system.n))
+        F, G = ctrl.system.fg_rows(X)
+        laws = [(ctrl.cert.grad_L(X), partial(ctrl.kappa2_terms, X),
+                 lambda k: ctrl.kappa2(X[k], F[k], G[k]))]
+        for i in range(ctrl.cert.n_obstacles):
+            laws.append((ctrl.cert.grad_B(i, X), partial(ctrl.kappa1_terms, i, X),
+                         lambda k, i=i: ctrl.kappa1(i, X[k], F[k], G[k])))
+        for grad, law, scalar in laws:
+            row, n2, drift = control_terms(grad, F, G)
+            row[:5], drift[:4] = 0.0, [math.nan, math.inf, -math.inf, 1e300]
+            row[4, 0] = TOL_G
+            n2[:5] = row_dot(row[:5], row[:5])
+            assert math.sqrt(n2[4]) == TOL_G
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                U, live = law(row, n2, drift)
+            assert live.tolist() == [False] * 5 + [True] * (len(X) - 5)
+            assert U[:5].tobytes() == bytes(U[:5].nbytes)   # +0.0 in every entry
+            for k in range(5, len(X)):
+                assert U[k].tobytes() == scalar(k).tobytes(), (name, k)
 
     def test_gains_read_at_call_time(self):
         ctrl = Controller(builtin_scenario("linear2d_single"))

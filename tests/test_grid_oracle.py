@@ -226,6 +226,15 @@ DENSE_G = ControlAffineSystem(
     fg_rows=lambda X: (np.stack([-X[:, 0] + 0.3 * X[:, 1], -X[:, 1]], axis=1),
                        np.broadcast_to(DENSE, (len(X), 2, 2))))
 
+# a dense g that changes from row to row in its last entry only, and one
+# whose first entry is NaN at one point of the 41^2 grid over [-5, 5]^2
+LAST_ENTRY_G = ControlAffineSystem(
+    "last_entry_g", 2, 2, lambda x: [-a for a in x],
+    lambda x: np.array([[1.3, -0.7], [0.4, 0.2 + 0.1 * (x[1] * x[1])]]))
+ONE_NAN_G = ControlAffineSystem(
+    "one_nan_g", 2, 2, lambda x: [-a for a in x],
+    lambda x: np.array([[math.nan if (x[0], x[1]) == (2.5, -1.25) else 1.3, -0.7], [0.4, 2.1]]))
+
 
 def wide_band(name):
     """The fixture with eps_band = 3, so the shrunk band excludes tens of
@@ -326,6 +335,23 @@ class TestAssumptionsMatchLoop:
         assert cfg_a.state_box.max() == 5.0 and 41 ** 2 < BLOCK_ROWS
         report = assert_same_assumptions(with_system(cfg_a, CORNER_G), 41)
         assert report.g_min_singular_value == 0.5
+
+    def test_g_changing_only_in_its_last_entry(self, cfg_a):
+        # every run of equal g rows is one row long; a missed change would
+        # skip the SVD of rows whose smallest singular value differs
+        report = assert_same_assumptions(with_system(cfg_a, LAST_ENTRY_G), 41)
+        first = np.linalg.svd(LAST_ENTRY_G.g([-5.0, -5.0]), compute_uv=False)[-1]
+        assert report.g_min_singular_value < first
+
+    def test_g_with_one_nan_entry(self, cfg_a, monkeypatch):
+        # the oracle's per-point SVD does not converge on a NaN g, and the
+        # check takes no SVD of a non-finite g row: here such a g's singular
+        # values read +inf, which the oracle's minimum then skips
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda g, compute_uv: (
+            svd(g, compute_uv=compute_uv) if np.isfinite(g).all() else np.full(2, math.inf)))
+        report = assert_same_assumptions(with_system(cfg_a, ONE_NAN_G), 41)
+        assert report.fields_finite is False and report.g_full_rank
 
     @pytest.mark.parametrize("gain", [1.0, 0.0])
     def test_non_finite_f(self, cfg_a, gain):
