@@ -80,11 +80,21 @@ def grid_points(config: ScenarioConfig, resolution: int, rows: np.ndarray) -> np
     """Rows of the resolution^n grid over the state box at the flat C-order
     indices rows, one point per row: the grid checks build their grid a block
     at a time and never hold all of it."""
-    X = np.empty((len(rows), config.n))
-    index = np.unravel_index(rows, (resolution,) * config.n)
-    for k, ((lo, hi), i) in enumerate(zip(config.state_box, index)):
-        X[:, k] = np.linspace(lo, hi, resolution)[i]
-    return X
+    return _grid(config, resolution)(rows)
+
+
+def _grid(config: ScenarioConfig, resolution: int):
+    """grid_points(config, resolution, .) with the axes built once per check: a
+    row's index on each axis, the last first, is its remainder by resolution."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
+    def points(rows: np.ndarray) -> np.ndarray:
+        X = np.empty((len(rows), config.n))
+        for k in reversed(range(config.n)):
+            q = rows // resolution
+            X[:, k] = axes[k][rows - q * resolution]
+            rows = q
+        return X
+    return points
 
 
 def _median(a: np.ndarray) -> float:
@@ -128,7 +138,7 @@ def _degenerate_rule(system: ControlAffineSystem, cert: Certificate, X: np.ndarr
 
 @dataclass(frozen=True)
 class DecreaseReport:
-    rho0_star: float                # inf when no point was evaluated
+    rho0_star: float                # inf when no point was evaluated, NaN on a NaN ratio
     worst_point: tuple[float, ...]
     grid_shape: tuple[int, ...]
     counts: dict
@@ -139,11 +149,10 @@ class DecreaseReport:
 
     @property
     def passed(self) -> bool:
-        # a grid with no evaluated point certifies nothing
-        return (self.counts["evaluated"] > 0 and self.rho0_star > 0.0 and self.degenerate_ok
-                and self.fields_finite)
+        return 0.0 < self.rho0_star < math.inf and self.degenerate_ok and self.fields_finite
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grid_decrease_check(config: ScenarioConfig,
                         resolution: int = DECREASE_RESOLUTION) -> DecreaseReport:
     """min over the grid of -dV/||x||^2 under the dispatched controller.
@@ -154,13 +163,13 @@ def grid_decrease_check(config: ScenarioConfig,
     which the drift conditions bound by 0, not by -rho; those points are
     counted separately and their drift derivative checked against TOL_F).
     Band points are scored under the worse of the two one-sided branches.
-    The grid is scored BLOCK_ROWS rows at a time; among equal ratios the
-    worst point is the first in grid order.  Within a block each quantity is
-    computed only on the rows that read it: the shrunk-band test on band
-    rows, f and g per side on that side's rows (band rows on both).
-    fields_finite says f and g are finite at every point not excluded; a NaN
-    ratio is not scored, and a NaN degenerate drift fails
-    (degenerate_max_drift is then NaN).
+    The grid is scored BLOCK_ROWS rows at a time, each quantity only on the
+    rows that read it: the shrunk-band test on band rows, f and g per side on
+    that side's rows (band rows on both).  Among equal ratios the worst point
+    is the first in grid order, and a NaN ratio (a NaN f, an overflowing
+    ||x||^2) poisons the minimum: rho0_star is NaN, worst_point the first NaN
+    point.  A NaN degenerate drift fails (degenerate_max_drift is then NaN).
+    fields_finite says f and g are finite at every point not excluded.
     """
     if resolution < DECREASE_FLOOR:
         raise ValueError(f"resolution must be >= {DECREASE_FLOOR}")
@@ -178,8 +187,9 @@ def grid_decrease_check(config: ScenarioConfig,
     escapes = 0
     fields_finite = True
 
+    points = _grid(config, resolution)
     for lo in range(0, total, BLOCK_ROWS):
-        X = grid_points(config, resolution, np.arange(lo, min(lo + BLOCK_ROWS, total)))
+        X = points(np.arange(lo, min(lo + BLOCK_ROWS, total)))
         L = row_dot(X, X)
         kind, index = cert.label_rows(*cert.dominant_gap_rows(X))
         origin = L <= integ.eps_conv ** 2
@@ -192,18 +202,17 @@ def grid_decrease_check(config: ScenarioConfig,
         counts["excluded_shrunk_band"] += int(shrunk.sum())
 
         keep = ~(origin | unsafe | shrunk)
-        X, L, kind, index = X[keep], L[keep], kind[keep], index[keep]
         # per side (0: the barrier of each row's obstacle under kappa1,
-        # 1: the stabilizer under kappa2): its rows and their obstacles.  f and
-        # g are evaluated per side; together the sides hold every kept row
-        sides = ((np.flatnonzero((kind == R1) | (kind == R3)), index),
-                 (np.flatnonzero((kind == R2) | (kind == R3)), None))
+        # 1: the stabilizer under kappa2): its kept rows of the block and their
+        # obstacles.  f and g are evaluated per side; together the sides hold every kept row
+        sides = ((np.flatnonzero(keep & ((kind == R1) | (kind == R3))), index),
+                 (np.flatnonzero(keep & ((kind == R2) | (kind == R3))), None))
         live = np.zeros((2, len(X)), dtype=bool)
         d, drift = np.zeros((2, len(X))), np.zeros((2, len(X)))
         for s, (r, obstacle) in enumerate(sides):
             if not len(r):
                 continue
-            Xr = X[r]
+            Xr = X.take(r, axis=0)   # a fancy row index costs about 10x more
             Fr, Gr = sys_.fg_rows(Xr)
             fields_finite = fields_finite and bool(np.isfinite(Fr).all() and np.isfinite(Gr).all())
             grad = cert.grad_L(Xr) if obstacle is None else cert.grad_B(obstacle[r], Xr)
@@ -213,10 +222,11 @@ def grid_decrease_check(config: ScenarioConfig,
             drift[s, r], live[s, r] = terms[2], lv
             d[s, r] = np.where(lv, row_dot(grad, Fr + (Gr @ U[:, :, None])[:, :, 0]), 0.0)
 
-        # every applicable control channel vanished: check the raw drift
-        degenerate = ~(live[0] | live[1])
+        # degenerate rows (every applicable control channel vanished): check their raw drift
+        scored = live[0] | live[1]
+        degenerate = keep & ~scored
         counts["degenerate_channel"] += int(degenerate.sum())
-        for s, (r, obstacle) in enumerate(sides):
+        for s, (r, obstacle) in enumerate(sides if degenerate.any() else ()):
             r = r[degenerate[r]]
             side_escapes, failures = _degenerate_rule(
                 sys_, cert, X[r], drift[s, r], None if obstacle is None else obstacle[r])
@@ -225,13 +235,12 @@ def grid_decrease_check(config: ScenarioConfig,
             max_drift = float(np.max([max_drift] + [p[-1] for p in failures]))
 
         # max over the candidates in order: the stabilizer side wins only if larger
-        scored = live[0] | live[1]
         worse = np.where(live[0] & ~(live[1] & (d[1] > d[0])), d[0], d[1])
         ratio = -worse[scored] / L[scored]
         counts["evaluated"] += len(ratio)
         if len(ratio):
-            k = int(np.argmin(np.where(np.isnan(ratio), math.inf, ratio)))
-            if ratio[k] < rho0:
+            k = int(np.argmin(ratio))   # the first NaN ratio, if any
+            if not (math.isnan(rho0) or rho0 <= ratio[k]):   # which no later one replaces
                 rho0, worst = float(ratio[k]), X[np.flatnonzero(scored)[k]]
     if max_drift == -math.inf:
         max_drift = 0.0
@@ -294,8 +303,9 @@ def check_assumptions(config: ScenarioConfig,
     norms = np.empty((n_rows, total))
     drifts = np.empty((n_rows, total))
     g_min_sv, fields_finite = math.nan, True
+    points = _grid(config, resolution)
     for lo in range(0, total, BLOCK_ROWS):
-        X = grid_points(config, resolution, np.arange(lo, min(lo + BLOCK_ROWS, total)))
+        X = points(np.arange(lo, min(lo + BLOCK_ROWS, total)))
         F, G = system.fg_rows(X)
         span = slice(lo, lo + len(X))
         # one SVD per run of bit-equal g rows, finite rows only (NaN: none finite)
@@ -320,7 +330,7 @@ def check_assumptions(config: ScenarioConfig,
         nz = norms[r][norms[r] > 0]   # a copy, which _median reorders
         tol_g = 1e-6 * (_median(nz) if nz.size else 1.0)
         rows = np.flatnonzero(member & ~(norms[r] > tol_g))
-        escapes, violations = _degenerate_rule(system, cert, grid_points(config, resolution, rows),
+        escapes, violations = _degenerate_rule(system, cert, points(rows),
                                                drifts[r, rows], index[rows] if r else None)
         return AssumptionEntry(condition=name, points_checked=int(member.sum()),
                                degenerate_points=len(rows),

@@ -420,8 +420,10 @@ def test_non_finite_f_reports_are_strict_json(gain, tmp_path, capsys):
     assert vd["fields_finite"] is False and not vd["passed"]
     assert ca["fields_finite"] is False and not ca["passed"]
     if gain:
-        # every channel is live: the finite points alone would certify
-        assert vd["rho0_star"] > 0.0 and vd["degenerate_ok"]
+        # every channel is live: the column's NaN ratios poison the minimum,
+        # though the finite points alone would certify
+        assert vd["rho0_star"] is None and vd["worst_point"] == [5.0, -5.0]
+        assert vd["degenerate_ok"]
     else:
         # no channel anywhere: the column's NaN drifts fail and have no maximum
         assert vd["degenerate_max_drift"] is None and not vd["degenerate_ok"]

@@ -5,7 +5,8 @@
 their names and the lines that build their controller or system, which come
 from the scenario as in the checks, and the non-finite rules that
 ``decrease_oracle`` shares with the check: ``fields_finite`` over the points
-where f and g are evaluated, and a NaN degenerate drift kept by the maximum;
+where f and g are evaluated, a NaN degenerate drift kept by the maximum, and
+a NaN ratio kept by the minimum (the first in grid order);
 they call only the scalar certificate and controller forms.  The array
 versions must reproduce their reports exactly: every report's ``json_doc`` is
 compared with ``==``, no tolerance.
@@ -103,7 +104,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
         counts["evaluated"] += 1
         d = max(cands)
         ratio = -d / L
-        if ratio < rho0:
+        if ratio < rho0 or math.isnan(ratio) and not math.isnan(rho0):
             rho0 = ratio
             worst = x
     if max_drift == -math.inf:
@@ -235,6 +236,11 @@ ONE_NAN_G = ControlAffineSystem(
     "one_nan_g", 2, 2, lambda x: [-a for a in x],
     lambda x: np.array([[math.nan if (x[0], x[1]) == (2.5, -1.25) else 1.3, -0.7], [0.4, 2.1]]))
 
+# f = -x, g = I where x1 > 0; f = x, g = 0 elsewhere, so every point with
+# x1 <= 0 is degenerate and its outward drift fails
+HALF_G = ControlAffineSystem("half_g", 2, 2, lambda x: [a if x[0] <= 0.0 else -a for a in x],
+                             lambda x: np.eye(2) * (x[0] > 0.0))
+
 
 def wide_band(name):
     """The fixture with eps_band = 3, so the shrunk band excludes tens of
@@ -279,6 +285,27 @@ class TestDecreaseMatchesLoop:
 
     def test_state_dependent_g(self, cfg_a):
         assert_same_decrease(with_system(cfg_a, STATE_G), 41)
+
+    def test_blocks_without_kept_or_degenerate_rows(self, cfg_a):
+        # 91^2 rows over x1 in [-1, 2] make two full blocks and an 89-row one:
+        # g vanishes on the lines x1 <= 0, all in the first block, and the last
+        # block lies on the line x1 = 2 through obstacle 1's ball, inside it
+        config = dataclasses.replace(with_system(cfg_a, HALF_G),
+                                     state_box=np.array([[-1.0, 2.0], [0.9, 3.1]]))
+        total = 91 ** 2
+        assert 2 * BLOCK_ROWS < total < 3 * BLOCK_ROWS
+        X = grid_points(config, 91, np.arange(total))
+        cert = Certificate(config)
+        kind, _ = cert.label_rows(*cert.dominant_gap_rows(X))
+        assert (kind[2 * BLOCK_ROWS:] == UNSAFE).all()
+        degenerate = np.flatnonzero(X[:, 0] <= 0.0)
+        assert degenerate[-1] < BLOCK_ROWS and not (kind[degenerate] == UNSAFE).any()
+        report = assert_same_decrease(config, 91)
+        # the degenerate points are exactly those with x1 <= 0: the other
+        # blocks have none
+        assert report.counts["degenerate_channel"] == len(degenerate)
+        assert report.counts["excluded_unsafe"] >= total - 2 * BLOCK_ROWS
+        assert report.degenerate_max_drift > 0.0 and report.rho0_star > 0.0
 
     def test_dense_constant_g(self, cfg_a):
         config = with_system(cfg_a, DENSE_G)

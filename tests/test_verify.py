@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from nclbf import verify
 from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate, row_dot
 from nclbf.controller import Controller, band_takes_kappa1
 from nclbf.scenario import ObstacleParams, builtin_scenario, json_doc
-from conftest import doctored_record, rows, zero_gain
+from conftest import doctored_record, nan_f_system, rows, with_system, zero_gain
 from nclbf.simulator import read_trajectory_csv, simulate, trajectory_csv_text
 from nclbf.verify import (fd_constant, grid_decrease_check, shrunk_band_check,
                           trajectory_invariants, upper_derivative, validate_params)
@@ -147,6 +148,27 @@ class TestGridDecrease:
     def test_resolution_floor(self, cfg_a):
         with pytest.raises(ValueError):
             grid_decrease_check(cfg_a, resolution=5)
+
+    @pytest.mark.parametrize("box,worst", [
+        ([[-1e100, 1e100]] * 2, (-1e100, -1e100)),
+        ([[-1e200, 1e200]] * 2, (-1e200, -1e200)),
+        ([[-1e100, 5.0], [-5.0, 5.0]], (-1e100, -5.0)),
+        (None, (5.0, -5.0)),
+    ], ids=["box 1e100", "box 1e200", "mixed box", "nan f"])
+    def test_nan_ratio_fails_the_grid(self, cfg_a, box, worst):
+        # ||x||^2 overflows on the wide boxes, and with it Sontag's n2 * n2, so
+        # every ratio there is NaN; the mixed box keeps finite ratios on its
+        # x1 = 5 column only, and nan_f_system (box None) is NaN on that column
+        config = (with_system(cfg_a, nan_f_system(1.0)) if box is None
+                  else dataclasses.replace(cfg_a, state_box=np.array(box)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = grid_decrease_check(config, resolution=11)
+        counts = report.counts
+        assert sum(v for k, v in counts.items() if k != "total") == counts["total"] == 121
+        assert counts["evaluated"] > 0 and math.isnan(report.rho0_star) and not report.passed
+        assert json_doc(report)["rho0_star"] is None
+        assert report.worst_point == worst   # the first NaN ratio in grid order
 
     def test_mech_rate_is_a_property_of_the_grid(self, cfg_b):
         # On x2 = 0 both L_g = 2 x2 and L_f vanish, so -dV/dt / ||x||^2 falls
