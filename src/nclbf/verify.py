@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .certificate import R1, R2, R3, UNSAFE, Certificate, row_dot
+from .certificate import R1, R2, R3, UNSAFE, Certificate, row_dot, row_vecmat
 from .controller import Controller, band_takes_kappa1, control_terms
 from .scenario import ScenarioConfig, eta1_lower_bound, w_upper_bound
 from .simulator import TrajectoryRecord
@@ -76,16 +75,12 @@ ASSUMPTIONS_RESOLUTION, ASSUMPTIONS_FLOOR = 101, 2
 BLOCK_ROWS = 4096
 
 
-def grid_points(config: ScenarioConfig, resolution: int, rows: np.ndarray) -> np.ndarray:
-    """Rows of the resolution^n grid over the state box at the flat C-order
-    indices rows, one point per row: the grid checks build their grid a block
-    at a time and never hold all of it."""
-    return _grid(config, resolution)(rows)
-
-
-def _grid(config: ScenarioConfig, resolution: int):
-    """grid_points(config, resolution, .) with the axes built once per check: a
-    row's index on each axis, the last first, is its remainder by resolution."""
+def grid_points(config: ScenarioConfig, resolution: int):
+    """The function that gives the rows of the resolution^n grid over the state
+    box at flat C-order indices rows, one point per row, with the axes built
+    once: the grid checks build their grid a block at a time and never hold
+    all of it.  A row's index on each axis, the last first, is its remainder
+    by resolution."""
     axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
     def points(rows: np.ndarray) -> np.ndarray:
         X = np.empty((len(rows), config.n))
@@ -107,32 +102,31 @@ def _median(a: np.ndarray) -> float:
     return float(a[h] if len(a) % 2 else (a[h - 1] + a[h]) / 2.0)
 
 
-def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) -> bool:
-    """Does the row x -> row_fn(x) change along the drift at x?
-
-    True means the drift carries the state off the row's zero set in finite
-    time (finite-difference directional derivative along f).
-    """
-    fx = np.asarray(system.f(x.tolist()), float)
-    nf = float(np.linalg.norm(fx))
-    if nf == 0.0:
-        return False
-    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    r0, r1 = row_fn(x), row_fn(x + (h / nf) * fx)
-    return float(np.linalg.norm(r1 - r0)) / h > 1e-6
-
-
 def _degenerate_rule(system: ControlAffineSystem, cert: Certificate, X: np.ndarray,
-                     drift: np.ndarray, obstacle: np.ndarray | None) -> tuple[list, list]:
+                     obstacle: np.ndarray | None) -> tuple[list, list]:
     """The drift condition on rows X whose control row (grad L . g for obstacle
-    None, else grad B . g of each row's obstacle) vanished: a drift above TOL_F
-    escapes in finite time where the row changes along the drift, else fails.
-    Returns (escapes, failures), point + (drift,) tuples in row order."""
+    None, else grad B . g of each row's obstacle) vanished: a drift grad . f
+    above TOL_F (or NaN) escapes in finite time where the row changes along
+    the drift, else fails.  The change is a finite difference along f / ||f||
+    with step 1e-6 (1 + ||x||), transversal above 1e-6; a zero f row has a
+    zero drift, so it never gets there.  Returns (escapes, failures),
+    point + (drift,) tuples in row order."""
+    F, G = system.fg_rows(X)
+    grad = cert.grad_L(X) if obstacle is None else cert.grad_B(obstacle, X)
+    drift = row_dot(grad, F)
+    k = np.flatnonzero(~(drift <= TOL_F))
+    if not len(k):   # no step to take, as on most calls
+        return [], []
+    X, F, G, grad, drift = (a.take(k, axis=0) for a in (X, F, G, grad, drift))
+    nf = np.sqrt(row_dot(F, F))
+    h = 1e-6 * (1.0 + np.sqrt(row_dot(X, X)))
+    Y = X + (h / nf)[:, None] * F
+    grad_y = cert.grad_L(Y) if obstacle is None else cert.grad_B(obstacle.take(k), Y)
+    diff = row_vecmat(grad_y, system.fg_rows(Y)[1]) - row_vecmat(grad, G)
+    transversal = np.sqrt(row_dot(diff, diff)) / h > 1e-6
     out = ([], [])
-    for k in np.flatnonzero(~(drift <= TOL_F)):
-        grad = cert.grad_L if obstacle is None else partial(cert.grad_B, obstacle[k])
-        transversal = control_row_transversal(system, lambda y: grad(y) @ system.g(y.tolist()), X[k])
-        out[not transversal].append(tuple(X[k].tolist()) + (float(drift[k]),))
+    for x, d, t in zip(X.tolist(), drift.tolist(), transversal.tolist()):
+        out[not t].append((*x, d))
     return out
 
 
@@ -187,7 +181,7 @@ def grid_decrease_check(config: ScenarioConfig,
     escapes = 0
     fields_finite = True
 
-    points = _grid(config, resolution)
+    points = grid_points(config, resolution)
     for lo in range(0, total, BLOCK_ROWS):
         X = points(np.arange(lo, min(lo + BLOCK_ROWS, total)))
         L = row_dot(X, X)
@@ -207,8 +201,7 @@ def grid_decrease_check(config: ScenarioConfig,
         # obstacles.  f and g are evaluated per side; together the sides hold every kept row
         sides = ((np.flatnonzero(keep & ((kind == R1) | (kind == R3))), index),
                  (np.flatnonzero(keep & ((kind == R2) | (kind == R3))), None))
-        live = np.zeros((2, len(X)), dtype=bool)
-        d, drift = np.zeros((2, len(X))), np.zeros((2, len(X)))
+        live, d = np.zeros((2, len(X)), dtype=bool), np.zeros((2, len(X)))
         for s, (r, obstacle) in enumerate(sides):
             if not len(r):
                 continue
@@ -219,17 +212,19 @@ def grid_decrease_check(config: ScenarioConfig,
             terms = control_terms(grad, Fr, Gr)
             U, lv = (ctrl.kappa2_terms(Xr, *terms) if obstacle is None
                      else ctrl.kappa1_terms(obstacle[r], Xr, *terms))
-            drift[s, r], live[s, r] = terms[2], lv
+            live[s, r] = lv
             d[s, r] = np.where(lv, row_dot(grad, Fr + (Gr @ U[:, :, None])[:, :, 0]), 0.0)
 
         # degenerate rows (every applicable control channel vanished): check their raw drift
         scored = live[0] | live[1]
         degenerate = keep & ~scored
         counts["degenerate_channel"] += int(degenerate.sum())
-        for s, (r, obstacle) in enumerate(sides if degenerate.any() else ()):
+        for r, obstacle in sides if degenerate.any() else ():
             r = r[degenerate[r]]
+            if not len(r):
+                continue
             side_escapes, failures = _degenerate_rule(
-                sys_, cert, X[r], drift[s, r], None if obstacle is None else obstacle[r])
+                sys_, cert, X.take(r, axis=0), None if obstacle is None else obstacle[r])
             escapes += len(side_escapes)
             # np.max, unlike max, keeps a NaN drift
             max_drift = float(np.max([max_drift] + [p[-1] for p in failures]))
@@ -280,6 +275,7 @@ class AssumptionReport:
                 and self.fields_finite)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_assumptions(config: ScenarioConfig,
                       resolution: int = ASSUMPTIONS_RESOLUTION) -> AssumptionReport:
     """Grid-sampled necessary checks of the drift conditions.
@@ -290,7 +286,9 @@ def check_assumptions(config: ScenarioConfig,
     "escapes in finite time" note when the control row's derivative along the
     drift is nonzero there (the trajectory leaves the degenerate set).  These
     are sampled necessary conditions, not proofs; zero-state detectability is
-    not decidable by sampling and is reported as such.
+    not decidable by sampling and is reported as such.  The median is taken
+    over the finite nonzero norms, so a norm that overflows (on a huge box)
+    neither sets the tolerance nor falls below it.
     """
     if resolution < ASSUMPTIONS_FLOOR:
         raise ValueError(f"resolution must be >= {ASSUMPTIONS_FLOOR}")
@@ -301,9 +299,8 @@ def check_assumptions(config: ScenarioConfig,
     kind = np.empty(total, dtype=int)
     index = np.empty(total, dtype=int)
     norms = np.empty((n_rows, total))
-    drifts = np.empty((n_rows, total))
     g_min_sv, fields_finite = math.nan, True
-    points = _grid(config, resolution)
+    points = grid_points(config, resolution)
     for lo in range(0, total, BLOCK_ROWS):
         X = points(np.arange(lo, min(lo + BLOCK_ROWS, total)))
         F, G = system.fg_rows(X)
@@ -321,17 +318,17 @@ def check_assumptions(config: ScenarioConfig,
         kind[span], index[span] = cert.label_rows(*cert.dominant_gap_rows(X))
         grads = [cert.grad_L(X)] + [cert.grad_B(i, X) for i in range(config.n_obstacles)]
         for r, grad in enumerate(grads):
-            _, n2, drifts[r, span] = control_terms(grad, F, G)
-            norms[r, span] = np.sqrt(n2)
+            row = row_vecmat(grad, G)
+            norms[r, span] = np.sqrt(row_dot(row, row))
     g_full_rank = g_min_sv > 1e-9
 
     def condition(name, member, r):
         # the row tolerance scales with the grid median of the row norm
-        nz = norms[r][norms[r] > 0]   # a copy, which _median reorders
+        nz = norms[r][(norms[r] > 0) & np.isfinite(norms[r])]   # a copy, which _median reorders
         tol_g = 1e-6 * (_median(nz) if nz.size else 1.0)
         rows = np.flatnonzero(member & ~(norms[r] > tol_g))
         escapes, violations = _degenerate_rule(system, cert, points(rows),
-                                               drifts[r, rows], index[rows] if r else None)
+                                               index[rows] if r else None)
         return AssumptionEntry(condition=name, points_checked=int(member.sum()),
                                degenerate_points=len(rows),
                                violations=tuple(violations),
@@ -403,7 +400,7 @@ def shrunk_band_check(record: TrajectoryRecord, cert: Certificate) -> InvariantC
     below phi_i by more than the tangency-cone margin; hits count samples, and
     a sample is not flagged for an obstacle that does not dominate it."""
     band = np.flatnonzero(record.kind == R3)
-    X, i = record.x[band], record.index[band]
+    X, i = record.x.take(band, axis=0), record.index[band]
     margins = np.array([cert.shrunk_band_margin(j) for j in range(cert.n_obstacles)])
     hits = band[row_dot(X, X) < cert.phis[i] - margins[i]]
     return InvariantCheck(
@@ -428,7 +425,8 @@ def fd_constant(record: TrajectoryRecord, ctrl: Controller,
     worst = 0.0
     for lo in range(0, len(steps), BLOCK_ROWS):
         k = steps[lo:lo + BLOCK_ROWS]
-        d = derivative_rows(ctrl, record.x[k], record.u[k], record.kind[k], record.index[k])
+        d = derivative_rows(ctrl, record.x.take(k, axis=0), record.u.take(k, axis=0),
+                            record.kind[k], record.index[k])
         # fmax skips a NaN residual
         worst = float(np.fmax.reduce((record.V[k + 1] - record.V[k]) / dt - d, initial=worst))
     return worst / dt, len(steps)

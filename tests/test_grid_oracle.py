@@ -6,8 +6,11 @@ their names and the lines that build their controller or system, which come
 from the scenario as in the checks, and the non-finite rules that
 ``decrease_oracle`` shares with the check: ``fields_finite`` over the points
 where f and g are evaluated, a NaN degenerate drift kept by the maximum, and
-a NaN ratio kept by the minimum (the first in grid order);
-they call only the scalar certificate and controller forms.  The array
+a NaN ratio kept by the minimum (the first in grid order), and
+``assumptions_oracle``'s median over the finite nonzero row norms.  They call
+only the scalar certificate and controller forms, and at each degenerate point
+``control_row_transversal``, the per-point test the checks ran before their
+degenerate rule took rows.  The array
 versions must reproduce their reports exactly: every report's ``json_doc`` is
 compared with ``==``, no tolerance.
 """
@@ -21,13 +24,13 @@ import numpy as np
 import pytest
 
 from conftest import nan_f_system, with_system, zero_gain
+from nclbf import verify
 from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate
 from nclbf.controller import TOL_G, Controller
 from nclbf.scenario import builtin_scenario, json_doc
 from nclbf.systems import ControlAffineSystem, resolve_system
 from nclbf.verify import (BLOCK_ROWS, AssumptionEntry, AssumptionReport,
-                          DecreaseReport, check_assumptions,
-                          control_row_transversal, grid_decrease_check, grid_points)
+                          DecreaseReport, check_assumptions, grid_decrease_check, grid_points)
 
 
 def _grid(config, resolution):
@@ -35,6 +38,21 @@ def _grid(config, resolution):
     axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) -> bool:
+    """Does the row x -> row_fn(x) change along the drift at x?
+
+    True means the drift carries the state off the row's zero set in finite
+    time (finite-difference directional derivative along f).
+    """
+    fx = np.asarray(system.f(x.tolist()), float)
+    nf = float(np.linalg.norm(fx))
+    if nf == 0.0:
+        return False
+    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    r0, r1 = row_fn(x), row_fn(x + (h / nf) * fx)
+    return float(np.linalg.norm(r1 - r0)) / h > 1e-6
 
 
 def decrease_oracle(config, resolution=201, tol_f=1e-9):
@@ -135,7 +153,8 @@ def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
 
     def run_condition(name, member, grad, tol_scale_rows):
         norms = np.array([float(np.linalg.norm(r)) for r in tol_scale_rows])
-        med = float(np.median(norms[norms > 0])) if np.any(norms > 0) else 1.0
+        finite = norms[(norms > 0) & np.isfinite(norms)]
+        med = float(np.median(finite)) if finite.size else 1.0
         tol_g = 1e-6 * med
         checked = degenerate = 0
         violations, escapes = [], []
@@ -241,6 +260,17 @@ ONE_NAN_G = ControlAffineSystem(
 HALF_G = ControlAffineSystem("half_g", 2, 2, lambda x: [a if x[0] <= 0.0 else -a for a in x],
                              lambda x: np.eye(2) * (x[0] > 0.0))
 
+# one input, g = (1, 0) and f = (x1 - 2, 1): grad B_i . g vanishes on the line
+# x1 = c_i1, that is x1 = 2 for obstacles 0 and 1 and x1 = -2 for obstacle 2,
+# and the drift along grad B_i is positive where x2 < c_i2.  On x1 = 2 f keeps
+# the state on the line, so a positive drift fails; on x1 = -2 f carries it
+# off, so the row moves and the point escapes.  In grid order obstacle 2's
+# rows, those with a drift <= TOL_F among them, come before obstacle 1's: a
+# kept row read with an earlier row's obstacle would see a control row that
+# moves, and escape where it fails
+E1_G = ControlAffineSystem("e1_g", 2, 1, lambda x: [x[0] - 2.0, 1.0],
+                           lambda x: np.array([[1.0], [0.0]]))
+
 
 def wide_band(name):
     """The fixture with eps_band = 3, so the shrunk band excludes tens of
@@ -294,7 +324,7 @@ class TestDecreaseMatchesLoop:
                                      state_box=np.array([[-1.0, 2.0], [0.9, 3.1]]))
         total = 91 ** 2
         assert 2 * BLOCK_ROWS < total < 3 * BLOCK_ROWS
-        X = grid_points(config, 91, np.arange(total))
+        X = grid_points(config, 91)(np.arange(total))
         cert = Certificate(config)
         kind, _ = cert.label_rows(*cert.dominant_gap_rows(X))
         assert (kind[2 * BLOCK_ROWS:] == UNSAFE).all()
@@ -316,6 +346,24 @@ class TestDecreaseMatchesLoop:
     def test_wide_shrunk_band(self, name):
         report = assert_same_decrease(wide_band(name), 101)
         assert report.counts["excluded_shrunk_band"] >= 40
+
+    def test_degenerate_rows_of_several_obstacles(self, cfg_b, monkeypatch):
+        # one block, so one call of the rule takes the barrier-side degenerate
+        # rows of more than one obstacle: some with a drift <= TOL_F, which it
+        # drops, and among the others some that escape and some that fail
+        calls, rule = [], verify._degenerate_rule
+
+        def spy(system, cert, X, obstacle):
+            out = rule(system, cert, X, obstacle)
+            if obstacle is not None:
+                calls.append((set(obstacle.tolist()), len(X), *map(len, out)))
+            return out
+
+        monkeypatch.setattr(verify, "_degenerate_rule", spy)
+        report = assert_same_decrease(with_system(cfg_b, E1_G), 41)
+        [(obstacles, rows, escapes, failures)] = calls
+        assert len(obstacles) >= 2 and escapes and failures and escapes + failures < rows
+        assert not report.degenerate_ok
 
     def test_degenerate_channel_failure(self, cfg_a):
         # g = 0 leaves no control channel anywhere, and f = x drifts outward
@@ -392,12 +440,12 @@ class TestAssumptionsMatchLoop:
 
 
 class TestGridPoints:
-    """grid_points(config, resolution, rows) against the whole meshgrid,
+    """grid_points(config, resolution)(rows) against the whole meshgrid,
     compared as bytes."""
 
     @staticmethod
     def assert_rows(config, resolution, rows):
-        got = grid_points(config, resolution, rows)
+        got = grid_points(config, resolution)(rows)
         want = _grid(config, resolution)[rows]
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

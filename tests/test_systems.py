@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from nclbf.scenario import builtin_scenario, json_doc
 from nclbf.simulator import rk4_step, simulate
 from nclbf.systems import (ControlAffineSystem, builtin_linear2d, builtin_nonlinear_mech,
                            pointwise_rows, register_system, resolve_system)
-from nclbf.verify import check_assumptions, control_row_transversal, grid_decrease_check
+from nclbf.verify import _degenerate_rule, check_assumptions, grid_decrease_check
 
 BUILTINS = (builtin_linear2d, builtin_nonlinear_mech)
 
@@ -107,6 +108,20 @@ class TestCheckAssumptions:
         assert doc["g_min_singular_value"] == g_min_sv
         assert doc["g_full_rank"] is (g_min_sv is not None)
 
+    def test_box_whose_norms_overflow(self, cfg_a):
+        # on the +-1e200 box the row norms of every point but the origin
+        # overflow to inf: the tolerance is the median of the finite nonzero
+        # norms, so only the origin is degenerate, as on the +-1e100 box
+        def entries(e):
+            config = dataclasses.replace(cfg_a, state_box=np.array([[-e, e]] * 2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return json_doc(check_assumptions(config, resolution=11))["entries"]
+
+        wide = entries(1e200)
+        assert wide[0]["degenerate_points"] == 1
+        assert wide == entries(1e100)
+
     def test_registry_round_trip(self, cfg_a):
         register_system("linear2d_alias", builtin_linear2d)
         cfg = dataclasses.replace(cfg_a, system_id="linear2d_alias")
@@ -172,12 +187,17 @@ class TestStateContract:
         assert evals(lambda: ctrl.kappa2(x)) == (1, 1)
         X = np.random.default_rng(4).uniform(-5.0, 5.0, size=(7, 2))
         assert evals(lambda: spy.fg_rows(X)) == (7, 7)
-        assert evals(lambda: control_row_transversal(spy, lambda y: 2.0 * y, x)) == (1, 0)
+        # the degenerate rule evaluates f and g at its rows, then at the step
+        # along f from each row whose drift exceeds TOL_F: along grad L (f = -x)
+        # none does, along grad B of obstacle 0 all 7 do
+        cert = ctrl.cert
+        assert evals(lambda: _degenerate_rule(spy, cert, X, None)) == (7, 7)
+        assert evals(lambda: _degenerate_rule(spy, cert, X, np.zeros(7, dtype=int))) == (14, 14)
 
     def test_degenerate_rule_passes_a_list_of_floats(self, cfg_a):
         # every point but the origin is degenerate with a positive drift, so
-        # beyond the built rows' 25 calls each, the transversal test evaluates f,
-        # and g through the control row, at those points
+        # beyond the built rows' 25 calls each, the degenerate rule evaluates f
+        # and g at those points and at the step along f from each
         spy, calls = spy_system(ControlAffineSystem("degenerate", 2, 2, lambda x: list(x),
                                                     lambda x: np.zeros((2, 2))))
         report = check_assumptions(with_system(cfg_a, spy), resolution=5)
