@@ -25,12 +25,42 @@ from .scenario import ScenarioConfig, ScenarioError
 R1, R2, R3, UNSAFE = range(4)
 
 
-def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_k . b_k for every row, equal bit for bit to a[k].dot(b[k]).
+def dot(a, b) -> float:
+    """a . b as an index-order sum, a0*b0 then + a_k*b_k, the engine's rule."""
+    s = a[0] * b[0]
+    for k in range(1, len(a)):
+        s += a[k] * b[k]
+    return s
 
-    A stacked matmul runs the same BLAS kernel as the 1-D dot; an einsum or
-    an explicit a0*b0 + a1*b1 rounds differently (BLAS fuses the multiply-add).
-    """
+
+def matvec(g, u) -> list[float]:
+    """g u for g as rows of floats (systems.fg_at), a new list."""
+    u0, r = u[0], range(1, len(u))
+    out = []
+    for row in g:
+        s = row[0] * u0
+        for k in r:
+            s += row[k] * u[k]
+        out.append(s)
+    return out
+
+
+def vecmat(a, g) -> list[float]:
+    """a g for g as rows of floats, a new list."""
+    out, a0 = [*g[0]], a[0]
+    r = range(len(out))
+    for k in r:
+        out[k] = a0 * out[k]
+    for j in range(1, len(a)):
+        aj, row = a[j], g[j]
+        for k in r:
+            out[k] += aj * row[k]
+    return out
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for every row, bit for bit a[k].dot(b[k]), whose BLAS kernel
+    fuses the multiply-add: the grid checks' rule, not the engine's dot."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
@@ -39,10 +69,18 @@ def row_vecmat(a: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ G)[:, 0, :]
 
 
+def row_sq(X: np.ndarray) -> np.ndarray:
+    """||x_k||^2 for every row of X (P, n), bit for bit Certificate.L(x_k)."""
+    L = X[:, 0] * X[:, 0]
+    for x in X.T[1:]:
+        L += x * x
+    return L
+
+
 def v_from_gap(X: np.ndarray, h: np.ndarray) -> np.ndarray:
     """V = max(L, max_i B_i) for every row of X (P, n) from dominant_gap_rows'
-    h: the one form that the engine records and Certificate.V evaluates."""
-    L = row_dot(X, X)
+    h and L = row_sq(X): the one form the engine records and Certificate.V is."""
+    L = row_sq(X)
     return np.add(L, h, out=L, where=h > 0.0)
 
 
@@ -83,40 +121,41 @@ class Certificate:
 
     # -- scalar fields ------------------------------------------------------
 
-    def L(self, x: np.ndarray) -> float:
-        return float(x.dot(x))
+    def L(self, x) -> float:
+        return dot(x, x)
 
     def grad_L(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * np.asarray(x, float)
 
-    def B(self, i: int, x: np.ndarray) -> float:
-        d = x - self.centers[i]
-        return float(self.eta2[i] - self.eta1[i] * d.dot(d))
+    def B(self, i: int, x) -> float:
+        c, e1, e2 = self._obstacles[i]
+        d = [a - b for a, b in zip(x, c)]
+        return e2 - e1 * dot(d, d)
 
     def grad_B(self, i: int | np.ndarray, x: np.ndarray) -> np.ndarray:
         """grad B_i at x; i is one obstacle index or an array of one per row."""
         e1 = self.eta1[i][:, None] if isinstance(i, np.ndarray) else self.eta1[i]
         return -2.0 * e1 * (x - self.centers.take(i, axis=0))   # take: fancy rows cost ~10x
 
-    def V(self, x: np.ndarray) -> float:
+    def V(self, x) -> float:
         """V(x): v_from_gap for the one row x, as the engine records it."""
-        return float(v_from_gap(x[None, :], self.dominant_gap(x)[1])[0])
+        return float(v_from_gap(np.array([x], float), self.dominant_gap(x)[1])[0])
 
-    def dominant_gap(self, x: np.ndarray) -> tuple[int, float, list[float]]:
+    def dominant_gap(self, x) -> tuple[int, float, list[float]]:
         """Dominant obstacle i = argmax_j B_j(x), B_i(x) - L(x), and ||x - c_j||^2.
 
-        Ties break to the lowest index.  Written as a plain loop because the
-        simulator calls it once per step and per bisection probe.
+        Ties break to the lowest index.  Written as plain indexed loops because
+        the simulator calls it once per step and per bisection probe.
         """
-        xs = x.tolist()
+        x = x if type(x) is list else np.asarray(x, float).tolist()
         L = 0.0
-        for v in xs:
+        for v in x:
             L += v * v
-        best_i, best_b, dds = 0, -math.inf, []
+        best_i, best_b, dds, r = 0, -math.inf, [], range(len(x))
         for j, (c, e1, e2) in enumerate(self._obstacles):
             dd = 0.0
-            for a, b in zip(xs, c):
-                d = a - b
+            for k in r:
+                d = x[k] - c[k]
                 dd += d * d
             dds.append(dd)
             bj = e2 - e1 * dd
@@ -165,8 +204,8 @@ class Certificate:
     def label(self, i: int, h: float, dds: list[float]) -> tuple[int, int]:
         """Region (kind, index) from a dominant_gap result, as Python ints:
         label_rows' row for it.  Unsafe test first, then the band on h."""
-        for j, (dd, rsq) in enumerate(zip(dds, self._radii_sq)):
-            if dd < rsq:
+        for j, rsq in enumerate(self._radii_sq):
+            if dds[j] < rsq:
                 return UNSAFE, j
         if h > self.eps_band:
             return R1, i

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .certificate import R1, R2, UNSAFE, Certificate, row_dot, row_vecmat
+from .certificate import R1, R2, UNSAFE, Certificate, dot, row_dot, row_vecmat, vecmat
 from .scenario import ScenarioConfig
 from .systems import fg_at, resolve_system
 
@@ -62,51 +62,52 @@ class Controller:
         self.cert = Certificate(config)
         self.gamma = config.gamma
         self.c1 = [pa.c1 for pa in config.params]
+        self._c1 = [[c, c.tolist()] for c in self.c1]   # kappa1's floats of each c1
         self.k1_law, self.k3_law = law_names(config.n_obstacles)
 
-    def kappa1(self, i: int, x: np.ndarray, f0: np.ndarray | None = None,
-               g0: np.ndarray | None = None) -> np.ndarray:
+    def kappa1(self, i: int, x, f0: list[float] | None = None,
+               g0: list | None = None) -> list[float]:
         """Barrier-decrease law: grad B.(f + g u) = -(sum of active c1)*||x||^2.
 
         u_j = -(Bg_j/||Bg||^2)*Bf - c1_j*mubar_j*L, mubar_j being 1/Bg_j where
         |Bg_j| > TOL_G and 0 (channel j inactive) elsewhere; zero when Bg vanishes.
         """
+        x = x if type(x) is list else np.asarray(x, float).tolist()
         if f0 is None:
             f0, g0 = fg_at(self.system, x)
         c, e1, _ = self.cert._obstacles[i]
         s = -2.0 * e1
-        gB = x.tolist()
-        for j in range(len(gB)):
-            gB[j] = s * (gB[j] - c[j])
-        gB = np.array(gB)   # grad_B
-        Bf = float(gB.dot(f0))
-        Bg = gB.dot(g0)
-        n2 = float(Bg.dot(Bg))
+        gB = [s * (a - b) for a, b in zip(x, c)]   # grad_B
+        Bf = dot(gB, f0)
+        u = vecmat(gB, g0)   # Bg
+        n2 = dot(u, u)
         if math.sqrt(n2) <= TOL_G:
-            return np.zeros(self.system.m)
-        L = float(x.dot(x))
-        u, c1 = Bg.tolist(), self.c1[i].tolist()
+            return [0.0] * self.system.m
+        L = dot(x, x)
+        if (c1 := self._c1[i])[0] is not self.c1[i]:   # c1 is read at call time
+            c1[:] = self.c1[i], np.asarray(self.c1[i], float).tolist()
+        c1 = c1[1]
         for j in range(len(u)):
             b = u[j]
             u[j] = -(b / n2) * Bf - (c1[j] * (1.0 / b if abs(b) > TOL_G else 0.0)) * L
-        return np.array(u)
+        return u
 
-    def kappa2(self, x: np.ndarray, f0: np.ndarray | None = None,
-               g0: np.ndarray | None = None) -> np.ndarray:
+    def kappa2(self, x, f0: list[float] | None = None,
+               g0: list | None = None) -> list[float]:
         """Sontag's law: grad L.(f + g u) = -sqrt(L_f^2 + gamma*||L_g||^4)."""
+        x = x if type(x) is list else np.asarray(x, float).tolist()
         if f0 is None:
             f0, g0 = fg_at(self.system, x)
-        gL = 2.0 * x
-        Lf = float(gL.dot(f0))
-        Lg = gL.dot(g0)
-        n2 = float(Lg.dot(Lg))
+        gL = [2.0 * v for v in x]
+        Lf = dot(gL, f0)
+        u = vecmat(gL, g0)   # Lg
+        n2 = dot(u, u)
         if math.sqrt(n2) <= TOL_G:
-            return np.zeros(self.system.m)
+            return [0.0] * self.system.m
         k = -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2))
-        u = Lg.tolist()
         for j in range(len(u)):
             u[j] = k * (u[j] / n2)
-        return np.array(u)
+        return u
 
     def kappa1_terms(self, i: int | np.ndarray, X: np.ndarray, Bg: np.ndarray,
                      n2: np.ndarray, Bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +149,8 @@ class Controller:
             np.multiply(k, u, out=u, where=live)
         return U, live
 
-    def kappa3(self, i: int, x: np.ndarray, prev: tuple[int, int],
-               f0: np.ndarray | None = None, g0: np.ndarray | None = None) -> np.ndarray:
+    def kappa3(self, i: int, x, prev: tuple[int, int],
+               f0: list[float] | None = None, g0: list | None = None) -> list[float]:
         """Band law resolved by prev, the previous sample's region."""
         if prev[0] == UNSAFE:
             raise MemoryStateError("previous sample inside an unsafe ball; "
@@ -161,9 +162,9 @@ class Controller:
         # memory only arises from numerical band overlap.
         return self.kappa2(x, f0, g0)
 
-    def dispatch(self, region: tuple[int, int], x: np.ndarray, prev: tuple[int, int],
-                 f0: np.ndarray | None = None,
-                 g0: np.ndarray | None = None) -> tuple[np.ndarray, str]:
+    def dispatch(self, region: tuple[int, int], x, prev: tuple[int, int],
+                 f0: list[float] | None = None,
+                 g0: list | None = None) -> tuple[list[float], str]:
         """Control u for x, whose region is cert.classify(x), and its law
         ('K1:1', 'K2', 'K3:1>K1', 'K3:1>K2': 1-based obstacle); prev is the
         previous sample's region, which resolves the band."""

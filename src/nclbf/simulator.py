@@ -18,10 +18,11 @@ certificate to behave as the theory prescribes:
   c1 weighting and breaks the symmetry exactly as the barrier law does.
 
 Sliding ends at tangency (the contact-point condition), up to one substep
-late: tangency is tested at the start of each slide substep.  Repeated runs
-are bit-identical.  A run is a TrajectoryRecord of columns, one row per
-sample: the engine records x, u and the law, and derives V, the region and
-min_dist from one row pass over x; the checks, plots and CSV read the columns.
+late: tangency is tested at the start of each slide substep.  A run is a
+TrajectoryRecord of columns, one row per sample: the engine records x, u and
+the law, and derives V, the region and min_dist from one row pass over x;
+the checks, plots and CSV read the columns.  A step runs on Python floats and
+index-order sums (certificate.dot): no numpy call, no numpy or BLAS rounding.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .certificate import UNSAFE, region_codes, row_dot
+from .certificate import UNSAFE, dot, matvec, region_codes, row_sq, vecmat
 from .controller import K2_LAW, NO_LAW, Controller, law_names
 from .scenario import ScenarioConfig, json_doc
 from .systems import ControlAffineSystem, fg_at
@@ -47,46 +48,50 @@ class NumericBlowupError(RuntimeError):
     """Integration produced a non-finite state."""
 
 
-def _rk4(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
-         dt: float, f0: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    # f0, g0 are f(x), g(x): the first stage, shared by every step from x.
-    # The stages are lists of floats, f's input, summed in array order by
-    # indexed loops (before CPython 3.12 a comprehension is a call of its own):
-    # bit-identical and cheaper than arrays for small n.  Products stay
-    # ndarray.dot, whose BLAS kernel fuses the multiply-add (here and in the
-    # controller); g u is reused while g returns g0 itself, as the builtins do.
-    f, g = system.f, system.g
-    gu = g0.dot(u).tolist()
-    xs = x.tolist()
-    r = range(len(xs))
-    k = f0.tolist()
+def _field(f, g, u) -> list[float]:
+    """f + g u as a new list, f as floats and g as rows (systems.fg_at)."""
+    return [a + b for a, b in zip(f, matvec(g, u))]
+
+
+def _rk4(system: ControlAffineSystem, x: list[float], u: list[float], dt: float,
+         f0: list[float], g0: list) -> list[float]:
+    # f0, g0 are fg_at(x): the first stage, shared by every step from x.  The
+    # stages are lists of floats, f's input, built in indexed loops (before
+    # CPython 3.12 a comprehension is a call of its own) in the operand order
+    # of the array form; g u is an index-order sum, reused while g's rows are
+    # g0 itself, as the builtins' are, and each stage's k = f + g u is formed
+    # in the loop that builds the next stage's state.  Returns a new list.
+    gu = matvec(g0, u)
+    r = range(len(x))
+    k1, xc, half = [*f0], [*x], 0.5 * dt
     for j in r:
-        k[j] += gu[j]
-    ks = [k]
-    for c in (0.5 * dt, 0.5 * dt, dt):
-        xc = xs[:]
-        for j in r:
-            xc[j] = k[j] * c + xs[j]
-        gc = g(xc)
-        k = f(xc)
-        # a fresh list of Python floats, so the sums never run on numpy scalars
-        k = k.tolist() if isinstance(k, np.ndarray) else list(k)
-        gcu = gu if gc is g0 else gc.dot(u).tolist()
-        for j in r:
-            k[j] += gcu[j]
-        ks.append(k)
-    k1, k2, k3, k4 = ks
-    w = dt / 6.0
+        k1[j] += gu[j]
+        xc[j] = k1[j] * half + x[j]
+    k2, gc = fg_at(system, xc)
+    gcu = gu if gc is g0 else matvec(gc, u)
+    xc = [*x]
     for j in r:
-        xs[j] = (((k2[j] + k3[j]) * 2.0 + k1[j]) + k4[j]) * w + xs[j]
-    return np.array(xs)
+        k2[j] += gcu[j]
+        xc[j] = k2[j] * half + x[j]
+    k3, gc = fg_at(system, xc)
+    gcu = gu if gc is g0 else matvec(gc, u)
+    xc = [*x]
+    for j in r:
+        k3[j] += gcu[j]
+        xc[j] = k3[j] * dt + x[j]
+    k4, gc = fg_at(system, xc)
+    gcu = gu if gc is g0 else matvec(gc, u)
+    xs, w = [*x], dt / 6.0
+    for j in r:
+        xs[j] = (((k2[j] + k3[j]) * 2.0 + k1[j]) + (k4[j] + gcu[j])) * w + x[j]
+    return xs
 
 
 def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
              dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of xdot = f(x) + g(x) u, u held fixed."""
-    x = np.asarray(x, float)
-    out = _rk4(system, x, np.asarray(u, float), dt, *fg_at(system, x))
+    xs = np.asarray(x, float).tolist()
+    out = np.array(_rk4(system, xs, np.asarray(u, float).tolist(), dt, *fg_at(system, xs)))
     if not np.all(np.isfinite(out)):
         raise NumericBlowupError(f"non-finite state after step from {x!r}")
     return out
@@ -131,7 +136,7 @@ class TrajectoryRecord:
 
     def outside_ball(self, eps_conv: float) -> np.ndarray:
         """Rows with ||x||^2 > eps_conv^2: the engine's not-yet-converged test."""
-        return row_dot(self.x, self.x) > eps_conv ** 2
+        return row_sq(self.x) > eps_conv ** 2
 
     def min_clearance(self) -> float:
         """Smallest min_dist entry over the run; positive means always safe."""
@@ -202,8 +207,8 @@ class _Engine:
             return _Slide(i, min(h, 0.0), self.dt / 4.0)
         return i if hd2 > 0.0 and hd1 >= 0.0 else None
 
-    def _locate(self, x: np.ndarray, u: np.ndarray, span: float, h0: float,
-                f0: np.ndarray, g0: np.ndarray) -> float:
+    def _locate(self, x: list[float], u: list[float], span: float, h0: float,
+                f0: list[float], g0: list) -> float:
         """Bisect tau in (0, span] where the held flow crosses the surface."""
         lo, hi = 0.0, span
         pos0 = h0 > 0.0
@@ -218,17 +223,17 @@ class _Engine:
                 break
         return hi
 
-    def _pinned(self, x: np.ndarray, i: int, nominal: np.ndarray, w: np.ndarray,
-                f0: np.ndarray, g0: np.ndarray, h_tgt: float, tau: float,
-                warm: float) -> tuple[np.ndarray, float, np.ndarray] | None:
+    def _pinned(self, x: list[float], i: int, nominal: list[float], w: list[float],
+                f0: list[float], g0: list, h_tgt: float, tau: float,
+                warm: float) -> tuple[list[float], float, list[float]] | None:
         """nominal + alpha*w, with alpha solved so h(end) = h_tgt.
 
         w is the surface-normal input direction from _slide_nominal; f0, g0
-        are f(x), g(x).  Returns (u, alpha, state after tau under u).
+        are fg_at(x).  Returns (u, alpha, state after tau under u).
         """
 
-        def h_end(alpha: float) -> tuple[float, np.ndarray]:
-            xe = _rk4(self.system, x, nominal + alpha * w, tau, f0, g0)
+        def h_end(alpha: float) -> tuple[float, list[float]]:
+            xe = _rk4(self.system, x, [p + alpha * q for p, q in zip(nominal, w)], tau, f0, g0)
             return self.cert.B(i, xe) - self.cert.L(xe) - h_tgt, xe
 
         a = warm
@@ -245,75 +250,66 @@ class _Engine:
                 break
         if not math.isfinite(b) or abs(fb) > 1e-6:
             return None
-        return nominal + b * w, b, xb
+        return [p + b * q for p, q in zip(nominal, w)], b, xb
 
-    def _rates(self, i: int, x: np.ndarray, f0: np.ndarray, g0: np.ndarray):
+    def _rates(self, i: int, x: list[float], f0: list[float], g0: list):
         """grad h for h = B_i - L, and kappa2, dh/dt under it, kappa1, dh/dt
-        under it: (grad h, u2, hd2, u1, hd1).  f0, g0 are f(x), g(x)."""
+        under it: (grad h, u2, hd2, u1, hd1).  f0, g0 are fg_at(x)."""
         c, e1, _ = self.cert._obstacles[i]
         s = -2.0 * e1
-        gh = x.tolist()
-        for j in range(len(gh)):
-            gh[j] = s * (gh[j] - c[j]) - 2.0 * gh[j]
-        gh = np.array(gh)
+        gh = [s * (a - b) - 2.0 * a for a, b in zip(x, c)]
         u2 = self.ctrl.kappa2(x, f0, g0)
         u1 = self.ctrl.kappa1(i, x, f0, g0)
-        return gh, u2, float(gh.dot(f0 + g0.dot(u2))), u1, float(gh.dot(f0 + g0.dot(u1)))
+        return gh, u2, dot(gh, _field(f0, g0, u2)), u1, dot(gh, _field(f0, g0, u1))
 
-    def _slide_nominal(self, x: np.ndarray, i: int, f0: np.ndarray,
-                       g0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    def _slide_nominal(self, x: list[float], i: int, f0: list[float], g0: list,
+                       rates: tuple | None = None) -> tuple[list[float], list[float]] | None:
         """Surface nominal: projected kappa2, or the rate blend at saddles.
 
         Returns (nominal, w), w = (grad h . g) / ||grad h . g||^2 being the
         input direction that moves h at unit rate, or None when the
         stabilizer no longer pushes inward (tangency: the slide is over).
-        f0, g0 are f(x), g(x).
+        f0, g0 are fg_at(x); rates, when given, are _rates(i, x, f0, g0).
         """
-        gh, u2, hd2, u1, hd1 = self._rates(i, x, f0, g0)
-        hg = gh.dot(g0)
-        n2 = float(hg.dot(hg))
+        gh, u2, hd2, u1, hd1 = rates or self._rates(i, x, f0, g0)
+        w = vecmat(gh, g0)   # grad h . g, scaled below
+        n2 = dot(w, w)
         if n2 < 1e-18 or hd2 <= 0.0:
             return None
-        w = hg / n2
-        u2l, ua = u2.tolist(), w.tolist()
-        # kappa2 projected onto the surface through g
-        for j in range(len(ua)):
-            ua[j] = u2l[j] - hd2 * ua[j]
-        ua = np.array(ua)
-        xa = f0 + g0.dot(ua)
-        vda = 2.0 * float(x.dot(xa))
-        speed_a = math.sqrt(float(xa.dot(xa)))
+        w = [v / n2 for v in w]
+        ua = [a - hd2 * b for a, b in zip(u2, w)]   # kappa2 projected onto the surface through g
+        xa = _field(f0, g0, ua)
+        vda = 2.0 * dot(x, xa)
+        speed_a = math.sqrt(dot(xa, xa))
         if hd1 < 0.0:
             lam = hd2 / (hd2 - hd1)
-            ub = u1.tolist()
-            for j in range(len(ub)):
-                ub[j] = lam * ub[j] + (1.0 - lam) * u2l[j]
-            ub = np.array(ub)
-            xb = f0 + g0.dot(ub)
-            vdb = 2.0 * float(x.dot(xb))
+            ub = [lam * a + (1.0 - lam) * b for a, b in zip(u1, u2)]
+            xb = _field(f0, g0, ub)
+            vdb = 2.0 * dot(x, xb)
             tie = 1e-9 * (1.0 + abs(vda))
             if vdb < vda - tie or (abs(vdb - vda) <= tie and speed_a < _SADDLE_SPEED):
                 return ub, w
         return ua, w
 
-    def advance(self, x: np.ndarray, i: int, h: float, dd: list[float],
+    def advance(self, x: list[float], i: int, h: float, dd: list[float],
                 region: tuple[int, int]):
         """Integrate one recorded step from x, whose (i, h, dd) triple is
         Certificate.dominant_gap(x) and whose label is region.
 
         Returns (x_next, i_next, h_next, dd_next, u, law), u and law being
         the first input applied; the triple is Certificate.dominant_gap of
-        x_next, so the next sample needs no new barrier evaluation.
+        x_next, so the next sample needs no new barrier evaluation.  States
+        and inputs are lists of floats.
         """
         remaining = self.dt
         sub_min = self.dt / _SUB_MIN_FRACTION
         u_first = law_first = None
-        f0 = g0 = None
+        f0 = g0 = rates = None
         while remaining > 1e-15 * self.dt:
             if f0 is None:
                 f0, g0 = fg_at(self.system, x)
             if type(mode := self.mode) is _Slide:
-                surface = self._slide_nominal(x, i, f0, g0) if mode.i == i else None
+                surface, rates = self._slide_nominal(x, i, f0, g0, rates) if mode.i == i else None, None
                 if surface is None:
                     self.mode = None
                     continue
@@ -356,8 +352,8 @@ class _Engine:
             i, h, dd = self.cert.dominant_gap(x)
             region = None
             f0, g0 = fg_at(self.system, x)
-            _, _, hd2, _, hd1 = self._rates(i, x, f0, g0)
-            self.mode = self._entered(i, h, hd2, hd1)
+            rates = self._rates(i, x, f0, g0)   # the slide's first substep reuses them
+            self.mode = self._entered(i, h, rates[2], rates[4])
         return x, i, h, dd, u_first, law_first
 
     def run(self, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
@@ -365,16 +361,16 @@ class _Engine:
         x, u, law = array("d"), array("d"), []
         outcome = Outcome("init_rejected")
         if override_init or self.cert.admissible(x0)[0]:
-            outcome = self._loop(x0.copy(), x.frombytes, u.frombytes, law.append)
+            outcome = self._loop(x0.tolist(), x.extend, u.extend, law.append)
         X = np.frombuffer(x).reshape(-1, self.system.n)
         V, kind, index, min_dist = self.cert.record_columns(X)
         return TrajectoryRecord(
             np.arange(len(X)) * self.dt, X, np.frombuffer(u).reshape(-1, self.system.m),
             V, kind, index, tuple(law), min_dist, outcome)
 
-    def _loop(self, x: np.ndarray, x_, u_, law_) -> Outcome:
+    def _loop(self, x: list[float], x_, u_, law_) -> Outcome:
         """Step from x until the run ends, passing each sample's x and u as
-        float64 bytes to x_ and u_ and its law, a shared string, to law_."""
+        lists of floats to x_ and u_ and its law, a shared string, to law_."""
         cert = self.cert
         integ = self.config.integrator
         eps_conv_sq = integ.eps_conv ** 2
@@ -386,18 +382,18 @@ class _Engine:
             while True:
                 L = cert.L(x)
                 region = cert.label(i, h, dd)
-                x_(x.tobytes())
+                x_(x)
                 if region[0] == UNSAFE:
-                    u_(np.zeros(self.system.m).tobytes()), law_(NO_LAW)
+                    u_([0.0] * self.system.m), law_(NO_LAW)
                     return Outcome("safety_violation", t=k * integ.dt, obstacle=region[1])
                 if L <= eps_conv_sq or k >= n_steps:
                     u, law = self.ctrl.dispatch(region, x, self.prev)
-                    u_(u.tobytes()), law_(law)
+                    u_(u), law_(law)
                     return Outcome("converged" if L <= eps_conv_sq else "timeout",
                                    t=k * integ.dt)
                 x_next, i, h, dd, u, law = self.advance(x, i, h, dd, region)
-                u_(u.tobytes()), law_(law)
-                if not all(map(math.isfinite, x_next.tolist())):
+                u_(u), law_(law)
+                if not all(map(math.isfinite, x_next)):
                     return Outcome("numeric_blowup", t=k * integ.dt)
                 self.prev = region
                 x = x_next

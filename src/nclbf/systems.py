@@ -4,7 +4,7 @@ Two benchmarks are built in: a decoupled planar linear_system and a nonlinear
 mechanical system with velocity-dependent damping.  A custom system registers
 under a name with the same evaluators (no expression parser); a scenario names
 it by system_id, and every entry point gets it from resolve_system.  f and g
-take the state as a list of floats, so an RK4 stage builds no array.  fg_rows
+take the state as a list of floats, so a closed-loop step builds no array.  fg_rows
 is f and g over a block of rows, bit for bit, for the grid checks in verify;
 nonlinear_mech's evaluates the damping term once per x2 bit pattern.
 """
@@ -26,7 +26,7 @@ class ControlAffineSystem:
     """xdot = f(x) + g(x) u, f and g taking x as a list of n Python floats: f
     returns n floats (a list or any 1-D sequence), g an (n, m) array.  An
     array that f or g returns must not change in later calls: the engine
-    reuses f(x) and g(x) for every probe from x, and g u while g returns it."""
+    reuses f(x) and g(x) for every probe from x, and g's rows and g u while g returns it."""
 
     name: str
     n: int
@@ -40,6 +40,7 @@ class ControlAffineSystem:
         # rows built for another instance, copied by dataclasses.replace, are built anew
         if getattr(self.fg_rows, "func", self.fg_rows) in (None, pointwise_rows):
             object.__setattr__(self, "fg_rows", partial(pointwise_rows, self))
+        object.__setattr__(self, "_g_rows", [None, None])   # fg_at's memo
 
 
 def pointwise_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -49,10 +50,12 @@ def pointwise_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarr
             np.array([system.g(x) for x in xs], float).reshape(len(X), system.n, system.m))
 
 
-def fg_at(system: ControlAffineSystem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(x) as a float array, for dot products, and g(x), at a state array x."""
-    xs = x.tolist()
-    return np.asarray(system.f(xs), float), system.g(xs)
+def fg_at(system: ControlAffineSystem, x: list[float]) -> tuple[list[float], list]:
+    """f(x) as a new list of floats and g(x) as rows of floats, made once per array."""
+    f, g, memo = system.f(x), system.g(x), system._g_rows
+    if g is not memo[0]:
+        memo[:] = g, np.asarray(g, float).tolist()
+    return f.tolist() if isinstance(f, np.ndarray) else list(f), memo[1]
 
 
 def linear_system(name: str, a: Sequence[float], B) -> ControlAffineSystem:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import closed_loop_slow_eigenvalue
-# the array helpers kappa1 was written with, kept as parts of its oracle
-from test_engine_oracle import mu, mu_bar
+# the array helpers kappa1 was written with, kept as parts of its oracle, and
+# the array-form laws, which with dot=np.dot are what the row laws reproduce
+from test_engine_oracle import kappa1_oracle, kappa2_oracle, mu, mu_bar
 from nclbf.certificate import R1, R2, R3, UNSAFE, row_dot
 from nclbf.controller import (TOL_G, Controller, MemoryStateError, SafetyViolationError,
                               control_terms)
@@ -204,7 +205,7 @@ class TestControlDispatch:
                 continue
             u, law = dispatch(ctrl_b, x, prev)
             assert law.startswith({R1: "K1", R2: "K2", R3: "K3"}[kind])
-            assert u.shape == (ctrl_b.system.m,)
+            assert np.shape(u) == (ctrl_b.system.m,)
 
 
 def kappa1_rows(ctrl, i, X, F, G):
@@ -217,8 +218,19 @@ def kappa2_rows(ctrl, X, F, G):
     return ctrl.kappa2_terms(X, *control_terms(ctrl.cert.grad_L(X), F, G))[0]
 
 
+def kappa1_blas(ctrl, i, x, f0, g0):
+    """kappa1 in its array form with ndarray.dot products, the grid's rounding."""
+    return kappa1_oracle(ctrl, i, x, f0, g0, dot=np.dot)
+
+
+def kappa2_blas(ctrl, x, f0, g0):
+    return kappa2_oracle(ctrl, x, f0, g0, dot=np.dot)
+
+
 class TestRowBatchedLaws:
-    """kappa1_terms/kappa2_terms on control_terms against kappa1/kappa2, bit for bit."""
+    """kappa1_terms/kappa2_terms on control_terms against the array-form laws
+    with ndarray.dot, bit for bit; the engine's kappa1/kappa2, whose products
+    are index-order sums, agree with them to rounding."""
 
     @staticmethod
     def rows(ctrl, rng):
@@ -244,13 +256,27 @@ class TestRowBatchedLaws:
         for i in range(ctrl.cert.n_obstacles):
             U1 = kappa1_rows(ctrl, i, X, F, G)
             for k, x in enumerate(X):
-                assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
+                assert U1[k].tobytes() == kappa1_blas(ctrl, i, x, F[k], G[k]).tobytes(), (i, x)
         for k, x in enumerate(X):
-            assert U2[k].tobytes() == ctrl.kappa2(x).tobytes(), x
+            assert U2[k].tobytes() == kappa2_blas(ctrl, x, F[k], G[k]).tobytes(), x
         index = np.random.default_rng(57).integers(ctrl.cert.n_obstacles, size=len(X))
         U1 = kappa1_rows(ctrl, index, X, F, G)
         for k, (i, x) in enumerate(zip(index.tolist(), X)):
-            assert U1[k].tobytes() == ctrl.kappa1(i, x).tobytes(), (i, x)
+            assert U1[k].tobytes() == kappa1_blas(ctrl, i, x, F[k], G[k]).tobytes(), (i, x)
+
+    @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three", "3d"])
+    def test_engine_laws_match_row_laws_within_rounding(self, name, cfg_3d):
+        # the one comparison across the two roundings: index-order sums
+        # against BLAS's fused multiply-add, within a relative 1e-13
+        ctrl = Controller(cfg_3d if name == "3d" else builtin_scenario(name))
+        X = self.rows(ctrl, np.random.default_rng(53))
+        F, G = ctrl.system.fg_rows(X)
+        laws = [(kappa2_rows(ctrl, X, F, G), lambda x: ctrl.kappa2(x))]
+        laws += [(kappa1_rows(ctrl, i, X, F, G), lambda x, i=i: ctrl.kappa1(i, x))
+                 for i in range(ctrl.cert.n_obstacles)]
+        for U, law in laws:
+            got = np.array([law(x) for x in X])
+            np.testing.assert_allclose(got, U, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name", ["linear2d_single", "nonlinear_mech_three"])
     def test_rows_off_the_live_mask(self, name):
@@ -261,10 +287,10 @@ class TestRowBatchedLaws:
         X = np.random.default_rng(61).uniform(-5, 5, size=(12, ctrl.system.n))
         F, G = ctrl.system.fg_rows(X)
         laws = [(ctrl.cert.grad_L(X), partial(ctrl.kappa2_terms, X),
-                 lambda k: ctrl.kappa2(X[k], F[k], G[k]))]
+                 lambda k: kappa2_blas(ctrl, X[k], F[k], G[k]))]
         for i in range(ctrl.cert.n_obstacles):
             laws.append((ctrl.cert.grad_B(i, X), partial(ctrl.kappa1_terms, i, X),
-                         lambda k, i=i: ctrl.kappa1(i, X[k], F[k], G[k])))
+                         lambda k, i=i: kappa1_blas(ctrl, i, X[k], F[k], G[k])))
         for grad, law, scalar in laws:
             row, n2, drift = control_terms(grad, F, G)
             row[:5], drift[:4] = 0.0, [math.nan, math.inf, -math.inf, 1e300]
@@ -287,6 +313,6 @@ class TestRowBatchedLaws:
         ctrl.c1[0] = np.zeros(2)
         after = kappa1_rows(ctrl, 0, X, F, G)
         assert not np.array_equal(before, after)
-        assert all(after[k].tobytes() == ctrl.kappa1(0, x).tobytes()
+        assert all(after[k].tobytes() == kappa1_blas(ctrl, 0, x, F[k], G[k]).tobytes()
                    for k, x in enumerate(X))
         assert np.array_equal(kappa1_rows(ctrl, np.zeros(len(X), dtype=int), X, F, G), after)

@@ -5,13 +5,15 @@
 ``Controller.kappa1``/``kappa2`` and ``_Engine._rates``/``_slide_nominal``
 and ``simulator._rk4`` as they were written on whole arrays, kept verbatim
 apart from their names, taking the controller or engine as their first
-argument and calling each other.  The engine now does their elementwise
-arithmetic on floats in the same order and keeps every product an
-``ndarray.dot``, so each must give the same bytes: on random states of both
-builtins, of ``cfg_3d``'s linear3d and of a system with n = 3, m = 2 and a
-dense g that changes with x, on states the fixture runs slide through, and on
-edge rows (a channel at or below ``TOL_G``, a vanished channel, a dense g,
-non-finite input).
+argument and calling each other, and apart from their products, which all go
+through ``index_dot``.  The engine does their arithmetic on floats in the same
+order and every product as an index-order sum, so each must give the same
+bytes: on random states of both builtins, of ``cfg_3d``'s linear3d and of a
+system with n = 3, m = 2 and a dense g that changes with x, on states the
+fixture runs slide through, and on edge rows (a channel at or below
+``TOL_G``, a vanished channel, a dense g, non-finite input).  With
+``dot=np.dot`` the two laws are the array forms that the grid checks' row
+laws reproduce (``test_controller``, ``test_grid_oracle``).
 """
 
 from __future__ import annotations
@@ -32,10 +34,25 @@ from nclbf.systems import ControlAffineSystem, fg_at
 from test_simulator import PINNED_CSV_A
 
 
-def mu(y: np.ndarray) -> np.ndarray:
+def index_dot(a, b):
+    """a.dot(b) for a 1-D or 2-D a and b, each entry an index-order sum
+    a0*b0 + a1*b1 + ... on Python floats: the engine's product rule."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    if a.ndim == 2:
+        return np.array([index_dot(row, b) for row in a])
+    if b.ndim == 2:
+        return np.array([index_dot(a, col) for col in b.T])
+    a, b = a.tolist(), b.tolist()
+    s = a[0] * b[0]
+    for p, q in zip(a[1:], b[1:]):
+        s += p * q
+    return s
+
+
+def mu(y: np.ndarray, dot=index_dot) -> np.ndarray:
     """y^T / ||y||^2; satisfies y @ mu(y) = 1.  Rejects the zero vector."""
     y = np.asarray(y, float)
-    n2 = float(y.dot(y))
+    n2 = float(dot(y, y))
     if n2 == 0.0:
         raise ZeroDivisionError("mu undefined for the zero vector")
     return y / n2
@@ -53,21 +70,21 @@ def mu_bar(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, active
 
 
-def kappa1_oracle(self, i, x, f0, g0):
+def kappa1_oracle(self, i, x, f0, g0, dot=index_dot):
     gB = self.cert.grad_B(i, x)
-    Bf = float(gB.dot(f0))
-    Bg = gB.dot(g0)
-    if math.sqrt(float(Bg.dot(Bg))) <= TOL_G:
+    Bf = float(dot(gB, f0))
+    Bg = dot(gB, g0)
+    if math.sqrt(float(dot(Bg, Bg))) <= TOL_G:
         return np.zeros(self.system.m)
     bar, _ = mu_bar(Bg)
-    return -mu(Bg) * Bf - self.c1[i] * bar * self.cert.L(x)
+    return -mu(Bg, dot) * Bf - self.c1[i] * bar * float(dot(x, x))
 
 
-def kappa2_oracle(self, x, f0, g0):
+def kappa2_oracle(self, x, f0, g0, dot=index_dot):
     gL = 2.0 * x
-    Lf = float(gL.dot(f0))
-    Lg = gL.dot(g0)
-    n2 = float(Lg.dot(Lg))
+    Lf = float(dot(gL, f0))
+    Lg = dot(gL, g0)
+    n2 = float(dot(Lg, Lg))
     if math.sqrt(n2) <= TOL_G:
         return np.zeros(self.system.m)
     return -(Lf + math.sqrt(Lf * Lf + self.gamma * n2 * n2)) * (Lg / n2)
@@ -77,25 +94,26 @@ def rates_oracle(self, i, x, f0, g0):
     gh = self.cert.grad_B(i, x) - 2.0 * x
     u2 = kappa2_oracle(self.ctrl, x, f0, g0)
     u1 = kappa1_oracle(self.ctrl, i, x, f0, g0)
-    return gh, u2, float(gh.dot(f0 + g0.dot(u2))), u1, float(gh.dot(f0 + g0.dot(u1)))
+    return (gh, u2, float(index_dot(gh, f0 + index_dot(g0, u2))), u1,
+            float(index_dot(gh, f0 + index_dot(g0, u1))))
 
 
 def slide_nominal_oracle(self, x, i, f0, g0):
     gh, u2, hd2, u1, hd1 = rates_oracle(self, i, x, f0, g0)
-    hg = gh.dot(g0)
-    n2 = float(hg.dot(hg))
+    hg = index_dot(gh, g0)
+    n2 = float(index_dot(hg, hg))
     if n2 < 1e-18 or hd2 <= 0.0:
         return None
     w = hg / n2
     ua = u2 - hd2 * w  # kappa2 projected onto the surface through g
-    xa = f0 + g0.dot(ua)
-    vda = 2.0 * float(x.dot(xa))
-    speed_a = math.sqrt(float(xa.dot(xa)))
+    xa = f0 + index_dot(g0, ua)
+    vda = 2.0 * float(index_dot(x, xa))
+    speed_a = math.sqrt(float(index_dot(xa, xa)))
     if hd1 < 0.0:
         lam = hd2 / (hd2 - hd1)
         ub = lam * u1 + (1.0 - lam) * u2
-        xb = f0 + g0.dot(ub)
-        vdb = 2.0 * float(x.dot(xb))
+        xb = f0 + index_dot(g0, ub)
+        vdb = 2.0 * float(index_dot(x, xb))
         tie = 1e-9 * (1.0 + abs(vda))
         if vdb < vda - tie or (abs(vdb - vda) <= tie and speed_a < 1e-2):
             return ub, w
@@ -104,22 +122,25 @@ def slide_nominal_oracle(self, x, i, f0, g0):
 
 def rk4_oracle(system, x, u, dt, f0, g0):
     f, g = system.f, system.g
-    k1 = (f0 + g0.dot(u)).tolist()
+    k1 = (f0 + index_dot(g0, u)).tolist()
     xs = x.tolist()
     half = 0.5 * dt
     x2 = np.array([k * half + a for k, a in zip(k1, xs)])
-    k2 = (f(x2) + g(x2).dot(u)).tolist()
+    k2 = (f(x2) + index_dot(g(x2), u)).tolist()
     x3 = np.array([k * half + a for k, a in zip(k2, xs)])
-    k3 = (f(x3) + g(x3).dot(u)).tolist()
+    k3 = (f(x3) + index_dot(g(x3), u)).tolist()
     x4 = np.array([k * dt + a for k, a in zip(k3, xs)])
-    k4 = (f(x4) + g(x4).dot(u)).tolist()
+    k4 = (f(x4) + index_dot(g(x4), u)).tolist()
     w = dt / 6.0
     return np.array([(((b + c) * 2.0 + a) + d) * w + v
                      for a, b, c, d, v in zip(k1, k2, k3, k4, xs)])
 
 
 def as_bytes(v):
-    """v's bits: arrays with their shape, floats packed, tuples item by item."""
+    """v's bits: arrays and lists of floats with their shape, floats packed,
+    tuples item by item."""
+    if isinstance(v, list):
+        v = np.array(v, float)
     if isinstance(v, np.ndarray):
         return v.shape, v.dtype.str, v.tobytes()
     if isinstance(v, float):
@@ -142,22 +163,24 @@ def branch(engine, x, i, f0, g0) -> str:
 def assert_engine_matches(engine, x, u, dts=(1e-3,), f0=None) -> list[str]:
     """Every law and stage of engine at x, with input u for the RK4 step and
     f0 for f(x) when given, equals its oracle bit for bit; returns the slide
-    branch per obstacle."""
+    branch per obstacle.  The engine gets x, u and f0 as lists of floats and
+    g(x) as fg_at's rows; the oracles get arrays."""
     ctrl, cert, system = engine.ctrl, engine.cert, engine.system
     branches = []
     with np.errstate(all="ignore"):
         xs = x.tolist()
         f0, g0 = np.asarray(system.f(xs), float) if f0 is None else f0, system.g(xs)
-        assert as_bytes(ctrl.kappa2(x, f0, g0)) == as_bytes(kappa2_oracle(ctrl, x, f0, g0)), x
+        fl, gl, ul = f0.tolist(), fg_at(system, xs)[1], u.tolist()
+        assert as_bytes(ctrl.kappa2(xs, fl, gl)) == as_bytes(kappa2_oracle(ctrl, x, f0, g0)), x
         for i in range(cert.n_obstacles):
-            for got, want in ((ctrl.kappa1(i, x, f0, g0), kappa1_oracle(ctrl, i, x, f0, g0)),
-                              (engine._rates(i, x, f0, g0), rates_oracle(engine, i, x, f0, g0)),
-                              (engine._slide_nominal(x, i, f0, g0),
+            for got, want in ((ctrl.kappa1(i, xs, fl, gl), kappa1_oracle(ctrl, i, x, f0, g0)),
+                              (engine._rates(i, xs, fl, gl), rates_oracle(engine, i, x, f0, g0)),
+                              (engine._slide_nominal(xs, i, fl, gl),
                                slide_nominal_oracle(engine, x, i, f0, g0))):
                 assert as_bytes(got) == as_bytes(want), (i, x)
             branches.append(branch(engine, x, i, f0, g0))
         for dt in dts:
-            assert as_bytes(_rk4(system, x, u, dt, f0, g0)) == as_bytes(
+            assert as_bytes(_rk4(system, xs, ul, dt, fl, gl)) == as_bytes(
                 rk4_oracle(system, x, u, dt, f0, g0)), (dt, x, u)
     return branches
 
@@ -281,13 +304,13 @@ def test_kappa1_reads_c1_at_call_time():
     before = ctrl.kappa1(0, x)
     ctrl.c1[0] = 2.0 * ctrl.c1[0]
     after = ctrl.kappa1(0, x)
-    assert after.tobytes() == kappa1_oracle(ctrl, 0, x, -x, np.eye(2)).tobytes()
-    assert after.tobytes() != before.tobytes()
+    assert as_bytes(after) == as_bytes(kappa1_oracle(ctrl, 0, x, -x, np.eye(2)))
+    assert as_bytes(after) != as_bytes(before)
 
 
 def test_fresh_g_array_per_call_reproduces_pinned_trajectories(cfg_a):
     """A linear2d whose g returns a new identity each call takes _rk4's
-    per-stage g.dot(u) branch and gives the pinned trajectories."""
+    per-stage g u branch and gives the pinned trajectories."""
     fresh = ControlAffineSystem("linear2d_fresh_g", 2, 2, lambda x: [-a for a in x],
                                 lambda x: np.eye(2))
     config = with_system(cfg_a, fresh)

@@ -8,7 +8,9 @@ from the scenario as in the checks, and the non-finite rules that
 where f and g are evaluated, a NaN degenerate drift kept by the maximum, and
 a NaN ratio kept by the minimum (the first in grid order), and
 ``assumptions_oracle``'s median over the finite nonzero row norms.  They call
-only the scalar certificate and controller forms, and at each degenerate point
+only the scalar certificate forms and the array-form laws with ndarray.dot
+(``kappa1_oracle``, ``kappa2_oracle``), the grid's rounding, and each product
+and ||x||^2 is an ndarray.dot; at each degenerate point
 ``control_row_transversal``, the per-point test the checks ran before their
 degenerate rule took rows.  The array
 versions must reproduce their reports exactly: every report's ``json_doc`` is
@@ -31,6 +33,7 @@ from nclbf.scenario import builtin_scenario, json_doc
 from nclbf.systems import ControlAffineSystem, resolve_system
 from nclbf.verify import (BLOCK_ROWS, AssumptionEntry, AssumptionReport,
                           DecreaseReport, check_assumptions, grid_decrease_check, grid_points)
+from test_engine_oracle import kappa1_oracle, kappa2_oracle
 
 
 def _grid(config, resolution):
@@ -82,7 +85,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
             counts["excluded_unsafe"] += 1
             continue
         if (kind == R3 and abs(cert.B(i, x) - cert.L(x)) <= integ.eps_band
-                and cert.L(x) < cert.phis[i]):
+                and L < cert.phis[i]):
             counts["excluded_shrunk_band"] += 1
             continue
 
@@ -95,7 +98,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
             gB = cert.grad_B(i, x)
             Bg = gB @ g0
             if math.sqrt(float(Bg @ Bg)) > tol_g:
-                u = ctrl.kappa1(i, x)
+                u = kappa1_oracle(ctrl, i, x, f0, g0, dot=np.dot)
                 cands.append(float(gB @ (f0 + g0 @ u)))
             else:
                 drift_rows.append((float(gB @ f0),
@@ -104,7 +107,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
             gL = cert.grad_L(x)
             Lg = gL @ g0
             if math.sqrt(float(Lg @ Lg)) > tol_g:
-                u = ctrl.kappa2(x)
+                u = kappa2_oracle(ctrl, x, f0, g0, dot=np.dot)
                 cands.append(float(gL @ (f0 + g0 @ u)))
             else:
                 drift_rows.append((float(gL @ f0),
