@@ -6,8 +6,8 @@ from .scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                        ScenarioConfig, ScenarioError, builtin_scenario,
                        derive_eta2, json_doc, load_scenario, save_scenario)
 from .simulator import (Outcome, SimulationSummary, TrajectoryRecord,
-                        read_trajectory_csv, rk4_step, run_batch, simulate,
-                        trajectory_csv_text, write_trajectory_csv)
+                        read_trajectory_csv, run_batch, simulate, trajectory_csv_text,
+                        write_trajectory_csv)
 from .systems import (ControlAffineSystem, builtin_linear2d, builtin_nonlinear_mech,
                       linear_system, register_system, resolve_system)
 from .verify import (AssumptionReport, DecreaseReport, InvariantReport,
@@ -20,8 +20,8 @@ __all__ = [
     "ScenarioError", "ValidationReport", "builtin_scenario", "derive_eta2",
     "json_doc", "load_scenario", "save_scenario", "validate_params",
     "Outcome", "SimulationSummary", "TrajectoryRecord",
-    "read_trajectory_csv", "rk4_step", "run_batch", "simulate",
-    "trajectory_csv_text", "write_trajectory_csv",
+    "read_trajectory_csv", "run_batch", "simulate", "trajectory_csv_text",
+    "write_trajectory_csv",
     "ControlAffineSystem", "builtin_linear2d", "builtin_nonlinear_mech",
     "linear_system", "register_system", "resolve_system",
     "AssumptionReport", "DecreaseReport", "InvariantReport",

@@ -79,7 +79,7 @@ def row_sq(X: np.ndarray) -> np.ndarray:
 
 def v_from_gap(X: np.ndarray, h: np.ndarray) -> np.ndarray:
     """V = max(L, max_i B_i) for every row of X (P, n) from dominant_gap_rows'
-    h and L = row_sq(X): the one form the engine records and Certificate.V is."""
+    h and L = row_sq(X): the one form of V, the one the engine records."""
     L = row_sq(X)
     return np.add(L, h, out=L, where=h > 0.0)
 
@@ -136,10 +136,6 @@ class Certificate:
         """grad B_i at x; i is one obstacle index or an array of one per row."""
         e1 = self.eta1[i][:, None] if isinstance(i, np.ndarray) else self.eta1[i]
         return -2.0 * e1 * (x - self.centers.take(i, axis=0))   # take: fancy rows cost ~10x
-
-    def V(self, x) -> float:
-        """V(x): v_from_gap for the one row x, as the engine records it."""
-        return float(v_from_gap(np.array([x], float), self.dominant_gap(x)[1])[0])
 
     def dominant_gap(self, x) -> tuple[int, float, list[float]]:
         """Dominant obstacle i = argmax_j B_j(x), B_i(x) - L(x), and ||x - c_j||^2.

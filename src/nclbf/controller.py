@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .certificate import R1, R2, UNSAFE, Certificate, dot, row_dot, row_vecmat, vecmat
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _readonly
 from .systems import fg_at, resolve_system
 
 # Absolute threshold below which a gradient-control row counts as vanished.
@@ -55,14 +55,14 @@ def band_takes_kappa1(prev: tuple[int, int], i) -> bool:
 
 
 class Controller:
-    """The scenario's system (by system_id), certificate and gain gamma; pure in x."""
+    """The scenario's system (by system_id), certificate, gamma and c1; pure in x."""
 
     def __init__(self, config: ScenarioConfig):
         self.system = resolve_system(config)
         self.cert = Certificate(config)
         self.gamma = config.gamma
-        self.c1 = [pa.c1 for pa in config.params]
-        self._c1 = [[c, c.tolist()] for c in self.c1]   # kappa1's floats of each c1
+        self.c1 = _readonly([pa.c1 for pa in config.params])   # (N, m)
+        self._c1 = self.c1.tolist()   # kappa1's float rows
         self.k1_law, self.k3_law = law_names(config.n_obstacles)
 
     def kappa1(self, i: int, x, f0: list[float] | None = None,
@@ -83,10 +83,7 @@ class Controller:
         n2 = dot(u, u)
         if math.sqrt(n2) <= TOL_G:
             return [0.0] * self.system.m
-        L = dot(x, x)
-        if (c1 := self._c1[i])[0] is not self.c1[i]:   # c1 is read at call time
-            c1[:] = self.c1[i], np.asarray(self.c1[i], float).tolist()
-        c1 = c1[1]
+        L, c1 = dot(x, x), self._c1[i]
         for j in range(len(u)):
             b = u[j]
             u[j] = -(b / n2) * Bf - (c1[j] * (1.0 / b if abs(b) > TOL_G else 0.0)) * L
@@ -113,10 +110,11 @@ class Controller:
                      n2: np.ndarray, Bf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """kappa1 for every row of X from control_terms(grad_B(i, X), F, G), i as
         in Certificate.grad_B, and its live mask sqrt(n2) > TOL_G (U is zero off
-        it); row k equals kappa1(i_k, X[k]) bit for bit.  Each column of U is
-        computed under where=live: no row off it is evaluated but its ||x||^2."""
+        it); row k agrees with kappa1(i_k, X[k]) to rounding, not bit for bit.
+        Each column of U is computed under where=live: no row off it is
+        evaluated but its ||x||^2."""
         live = np.sqrt(n2) > TOL_G
-        c1 = np.broadcast_to(np.take(np.asarray(self.c1), i, axis=0), Bg.shape)
+        c1 = np.broadcast_to(self.c1.take(i, axis=0), Bg.shape)
         L = row_dot(X, X)
         U = np.zeros(Bg.shape)
         for j, u in enumerate(U.T):
@@ -132,8 +130,8 @@ class Controller:
 
     def kappa2_terms(self, X: np.ndarray, Lg: np.ndarray, n2: np.ndarray,
                      Lf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """kappa2 for every row of X from control_terms(grad_L(X), F, G), bit for
-        bit, and its live mask, evaluated as in kappa1_terms."""
+        """kappa2 for every row of X from control_terms(grad_L(X), F, G), to
+        rounding, and its live mask, evaluated as in kappa1_terms."""
         live = np.sqrt(n2) > TOL_G
         k, w = np.zeros(len(X)), np.zeros(len(X))
         np.multiply(Lf, Lf, out=k, where=live)

@@ -44,10 +44,6 @@ from .scenario import ScenarioConfig, json_doc
 from .systems import ControlAffineSystem, fg_at
 
 
-class NumericBlowupError(RuntimeError):
-    """Integration produced a non-finite state."""
-
-
 def _field(f, g, u) -> list[float]:
     """f + g u as a new list, f as floats and g as rows (systems.fg_at)."""
     return [a + b for a, b in zip(f, matvec(g, u))]
@@ -85,16 +81,6 @@ def _rk4(system: ControlAffineSystem, x: list[float], u: list[float], dt: float,
     for j in r:
         xs[j] = (((k2[j] + k3[j]) * 2.0 + k1[j]) + (k4[j] + gcu[j])) * w + x[j]
     return xs
-
-
-def rk4_step(system: ControlAffineSystem, x: np.ndarray, u: np.ndarray,
-             dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of xdot = f(x) + g(x) u, u held fixed."""
-    xs = np.asarray(x, float).tolist()
-    out = np.array(_rk4(system, xs, np.asarray(u, float).tolist(), dt, *fg_at(system, xs)))
-    if not np.all(np.isfinite(out)):
-        raise NumericBlowupError(f"non-finite state after step from {x!r}")
-    return out
 
 
 # One row of a TrajectoryRecord; built only by TrajectoryRecord.samples.

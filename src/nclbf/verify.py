@@ -3,7 +3,8 @@ design inequalities (validate_params).
 
 Every check resolves its system from the scenario's system_id.  The grid checks
 of the decreasing condition (grid_decrease_check) and of the drift conditions
-on f and g (check_assumptions) share one degenerate rule.
+on f and g (check_assumptions) share one degenerate rule, and both fail where
+a design inequality fails (design_failures): their region labels assume it.
 
 The upper generalized derivative of V along the closed loop, derivative_rows,
 takes the barrier-side form in R1, the stabilizer-side form in R2, and in the
@@ -139,11 +140,13 @@ class DecreaseReport:
     degenerate_max_drift: float
     degenerate_ok: bool
     fields_finite: bool
+    design_failures: tuple[str, ...]   # validate_params' failed design entries
     degenerate_escapes_in_finite_time: int = 0
 
     @property
     def passed(self) -> bool:
-        return 0.0 < self.rho0_star < math.inf and self.degenerate_ok and self.fields_finite
+        return (0.0 < self.rho0_star < math.inf and self.degenerate_ok
+                and self.fields_finite and not self.design_failures)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -244,7 +247,7 @@ def grid_decrease_check(config: ScenarioConfig,
         grid_shape=tuple([resolution] * config.n),
         counts=counts, degenerate_max_drift=max_drift,
         degenerate_ok=max_drift <= TOL_F, fields_finite=fields_finite,
-        degenerate_escapes_in_finite_time=escapes)
+        design_failures=design_failures(cert), degenerate_escapes_in_finite_time=escapes)
 
 
 @dataclass(frozen=True)
@@ -266,13 +269,14 @@ class AssumptionReport:
     g_min_singular_value: float     # NaN when no g row is finite
     g_full_rank: bool
     fields_finite: bool
+    design_failures: tuple[str, ...]   # as in DecreaseReport
     zero_state_detectability: str
     notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
         return (all(e.passed for e in self.entries) and self.g_full_rank
-                and self.fields_finite)
+                and self.fields_finite and not self.design_failures)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -348,7 +352,7 @@ def check_assumptions(config: ScenarioConfig,
                      "set in finite time (transversal drift); reported informationally")
     return AssumptionReport(
         entries=tuple(entries), g_min_singular_value=g_min_sv, g_full_rank=g_full_rank,
-        fields_finite=fields_finite,
+        fields_finite=fields_finite, design_failures=design_failures(cert),
         zero_state_detectability="not machine-checked (not decidable by sampling); "
                                  "grid evidence attached",
         notes=tuple(notes))
@@ -478,19 +482,16 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def validate_params(config: ScenarioConfig) -> ValidationReport:
-    """Check every design inequality with numeric slack; failures are entries.
+def design_checks(cert: Certificate) -> list[ValidationCheck]:
+    """Every design inequality of cert's scenario with numeric slack.
 
     Covers, per obstacle: origin strictly outside, the eta1 lower bound, the
     eta2 interval, the w range when w is given and a positive boundary-sphere
     radius (Certificate.rbars_sq); pairwise: obstacle balls disjoint and
     boundary spheres disjoint.  c1 is not an entry: ObstacleParams rejects a
-    c1 that is not positive when it is built.  Initial states are reported
-    admissible iff they lie in the stabilizer region (outside every obstacle,
-    below every barrier by at least eps_band).
+    c1 that is not positive when it is built.
     """
-    cert = Certificate(config)
-    checks: list[ValidationCheck] = []
+    config, checks = cert.config, []
     multi = config.n_obstacles > 1
     rbar = cert.rbars_sq.tolist()
 
@@ -534,7 +535,20 @@ def validate_params(config: ScenarioConfig) -> ValidationReport:
                 checks.append(ValidationCheck(
                     f"spheres[{i},{j}] disjoint: ||cbar_i-cbar_j|| > sqrt(rbar_i)+sqrt(rbar_j)",
                     dist > spheres, dist, spheres, dist - spheres))
+    return checks
 
+
+def design_failures(cert: Certificate) -> tuple[str, ...]:
+    """The names of the design inequalities that fail, in design_checks' order."""
+    return tuple(c.name for c in design_checks(cert) if not c.passed)
+
+
+def validate_params(config: ScenarioConfig) -> ValidationReport:
+    """design_checks, then one entry per initial state: admissible iff it lies
+    in the stabilizer region (outside every obstacle, below every barrier by
+    at least eps_band).  Failures are entries."""
+    cert = Certificate(config)
+    checks = design_checks(cert)
     for k, x0 in enumerate(config.initial_states):
         ok, why = cert.admissible(x0)
         with np.errstate(over="ignore"):   # an overflowing ||x0|| is inf, written as null

@@ -107,6 +107,12 @@ def zero_gain(config):
 Row = namedtuple("Row", "t x u V region law min_dist")
 
 
+def v_scalar(cert, x) -> float:
+    """V(x) by the one-state forms: L + h where dominant_gap's h > 0, else L."""
+    L, h = cert.L(x), cert.dominant_gap(x)[1]
+    return L + h if h > 0.0 else L
+
+
 def rows(record) -> list[Row]:
     """The record's samples one row at a time, for the per-sample oracles;
     region is the row's (kind, index) as Python ints."""
@@ -121,7 +127,7 @@ def doctored_record(record, config, k: int = 100):
     inside = np.array(config.obstacles[0].center)
     x, V, md = record.x.copy(), record.V.copy(), record.min_dist.copy()
     kind, index = record.kind.copy(), record.index.copy()
-    x[k], V[k] = inside, cert.V(inside)
+    x[k], V[k] = inside, v_scalar(cert, inside)
     md[k] = np.sqrt(cert.dominant_gap(inside)[2]) - cert.radii
     kind[k], index[k] = UNSAFE, 0
     law = list(record.law)

@@ -24,8 +24,8 @@ from conftest import EXTRA_A_STARTS, closed_loop_slow_eigenvalue
 from nclbf.certificate import R1, R2, R3, Certificate
 from nclbf.controller import Controller
 from nclbf.scenario import ObstacleSpec, derive_eta2
-from nclbf.simulator import rk4_step, run_batch
-from nclbf.systems import builtin_linear2d
+from nclbf.simulator import _rk4, run_batch
+from nclbf.systems import builtin_linear2d, fg_at
 from nclbf.verify import grid_decrease_check, validate_params
 
 
@@ -247,9 +247,9 @@ def test_criterion_9_integrator_order():
     sys_ = builtin_linear2d()
 
     def final_error(dt):
-        x = np.array([1.0, 0.0])
+        x = [1.0, 0.0]
         for _ in range(int(round(1.0 / dt))):
-            x = rk4_step(sys_, x, np.zeros(2), dt)
+            x = _rk4(sys_, x, [0.0, 0.0], dt, *fg_at(sys_, x))
         return abs(x[0] - math.exp(-1.0))
 
     err = final_error(1e-3)

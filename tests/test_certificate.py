@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate, region_codes
+from conftest import v_scalar
+from nclbf.certificate import R1, R2, R3, UNSAFE, Certificate, region_codes, v_from_gap
 from nclbf.scenario import (ObstacleParams, ObstacleSpec, ScenarioError,
                             builtin_scenario, eta1_lower_bound, w_upper_bound)
 
@@ -69,9 +70,11 @@ class TestFields:
         assert np.allclose(cert_a.grad_B(0, np.array([2.0, 3.2])), [0.0, -21.6])
 
     def test_V_examples(self, cert_a):
-        assert cert_a.V(np.zeros(2)) == 0.0
-        assert cert_a.V(np.array([2.0, 3.2])) == pytest.approx(23.94, rel=1e-12)
-        assert cert_a.V(np.array([5.0, 5.0])) == 50.0
+        X = np.array([[0.0, 0.0], [2.0, 3.2], [5.0, 5.0]])
+        V = v_from_gap(X, cert_a.dominant_gap_rows(X)[1])
+        assert V[0] == 0.0 and V[2] == 50.0
+        assert V[1] == pytest.approx(23.94, rel=1e-12)
+        assert V.tolist() == [v_scalar(cert_a, x) for x in X]
 
 
 class TestClassify:
@@ -284,7 +287,7 @@ class TestCertificateInvariants:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-5, 5, size=(10_000, 2))
         for x in pts:
-            v = cert_a.V(x)
+            v = v_scalar(cert_a, x)
             L = cert_a.L(x)
             b = float(np.max(B_values(cert_a, x)))
             assert v >= 0.0
@@ -292,7 +295,7 @@ class TestCertificateInvariants:
             assert (v > L) == (b > L)
             if not np.allclose(x, 0.0):
                 assert v > 0.0
-        assert cert_a.V(np.zeros(2)) == 0.0
+        assert v_scalar(cert_a, np.zeros(2)) == 0.0
 
     def test_unsafe_ball_level_floor(self, cert_a):
         # inside the ball, V = B and stays above eta2 - eta1*r > 0
@@ -304,8 +307,8 @@ class TestCertificateInvariants:
             d = rng.normal(size=2)
             d *= rng.uniform(0, ob.radius) / np.linalg.norm(d)
             x = ob.center + d
-            assert cert_a.V(x) == pytest.approx(cert_a.B(0, x), rel=1e-12)
-            assert cert_a.V(x) > floor - 1e-9
+            assert v_scalar(cert_a, x) == pytest.approx(cert_a.B(0, x), rel=1e-12)
+            assert v_scalar(cert_a, x) > floor - 1e-9
 
     def test_min_dists_sign_tracks_safety(self, cert_b):
         # the clearance sqrt(dds) - radii is negative exactly in an unsafe

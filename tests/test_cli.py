@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import nan_f_system, with_system
+from conftest import nan_f_system, v_scalar, with_system
 import nclbf
 from nclbf import cli, plotting
 from nclbf.certificate import UNSAFE, Certificate
@@ -292,6 +292,28 @@ def test_boundary_reports_are_pinned(command, scenario, tmp_path, capsys):
     assert digest == BOUNDARY_REPORT_SHA256[command, scenario]
 
 
+def test_grid_checks_fail_a_failed_design(tmp_path, capsys):
+    """eta2 = 35.5 (no w) lies below eta1*r + max L(closure) = 36, so the
+    ball's far point (3, 3) is where L > B and the head-on start (3.5, 3.5)
+    enters the ball, though V decreases at every scored grid point:
+    validate-params fails the design, and both grid checks fail with it and
+    name the entry.  The builtins, whose designs hold, still pass."""
+    arg = scenario_file(tmp_path, params=[{"eta1": 9.0, "eta2": 35.5, "c1": [10.0, 20.0]}])
+    config = nclbf.load_scenario(Path(arg).read_text())
+    assert nclbf.simulate(config, np.array([3.5, 3.5])).outcome.kind == "safety_violation"
+    assert run_cli("validate-params", "--scenario", arg) == 1
+    capsys.readouterr()
+    for command in ("verify-derivative", "check-assumptions"):
+        assert run_cli(command, "--scenario", arg, "--resolution", "11") == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["design_failures"] == ["obstacle[0] eta1*r + max L(closure) <= eta2"]
+        assert doc["passed"] is False and doc.get("rho0_star", 1.0) > 0.0
+        assert all(e["passed"] for e in doc.get("entries", ()))
+        for name in ("linear2d_single", "nonlinear_mech_three"):
+            assert run_cli(command, "--scenario", name, "--resolution", "11") == 0
+            assert json.loads(capsys.readouterr().out)["design_failures"] == []
+
+
 @pytest.mark.parametrize("eta2,message", [
     (5.0, "obstacle 0: boundary sphere is empty"),     # rbar^2 < 0
     (80.0, "obstacle 0: no real contact points"),      # phi < 0: the sphere holds the origin
@@ -497,7 +519,7 @@ class TestCheckTrajectoryCommand:
         for name in ("x", "V", "kind", "index", "min_dist"):
             assert getattr(rebuilt, name).tobytes() == getattr(written, name).tobytes()
         doctored = _read_record(str(inside), cfg)
-        assert doctored.V[99] == Certificate(cfg).V(np.array([2.0, 2.0])) != written.V[99]
+        assert doctored.V[99] == v_scalar(Certificate(cfg), np.array([2.0, 2.0])) != written.V[99]
         assert (doctored.kind[99], doctored.index[99]) == (UNSAFE, 0)
 
     def test_missing_csv(self):

@@ -305,14 +305,20 @@ class TestRowBatchedLaws:
             for k in range(5, len(X)):
                 assert U[k].tobytes() == scalar(k).tobytes(), (name, k)
 
-    def test_gains_read_at_call_time(self):
-        ctrl = Controller(builtin_scenario("linear2d_single"))
+    def test_gains_fixed_at_construction(self):
+        """c1 is one read-only (N, m) array built from the config: a config with
+        c1 doubled gives a controller whose row law matches the BLAS oracle on it
+        (test_engine_oracle::test_kappa1_fixed_at_construction checks kappa1)."""
+        cfg = builtin_scenario("linear2d_single")
+        pa = dataclasses.replace(cfg.params[0], c1=2.0 * cfg.params[0].c1)
+        ctrl, doubled = Controller(cfg), Controller(dataclasses.replace(cfg, params=(pa,)))
+        assert doubled.c1.shape == (1, 2) and np.array_equal(doubled.c1, 2.0 * ctrl.c1)
+        with pytest.raises(ValueError, match="read-only"):
+            doubled.c1[0] = ctrl.c1[0]
         X = np.random.default_rng(59).uniform(-5, 5, size=(100, 2))
-        F, G = ctrl.system.fg_rows(X)
-        before = kappa1_rows(ctrl, 0, X, F, G)
-        ctrl.c1[0] = np.zeros(2)
-        after = kappa1_rows(ctrl, 0, X, F, G)
-        assert not np.array_equal(before, after)
-        assert all(after[k].tobytes() == kappa1_blas(ctrl, 0, x, F[k], G[k]).tobytes()
-                   for k, x in enumerate(X))
-        assert np.array_equal(kappa1_rows(ctrl, np.zeros(len(X), dtype=int), X, F, G), after)
+        F, G = doubled.system.fg_rows(X)
+        rows = kappa1_rows(doubled, 0, X, F, G)
+        assert not np.array_equal(rows, kappa1_rows(ctrl, 0, X, F, G))
+        assert np.array_equal(kappa1_rows(doubled, np.zeros(len(X), dtype=int), X, F, G), rows)
+        for k, x in enumerate(X):
+            assert rows[k].tobytes() == kappa1_blas(doubled, 0, x, F[k], G[k]).tobytes(), k

@@ -298,14 +298,18 @@ def test_array_f_gives_list_f_bytes_on_edge_rows():
                     _rk4(listed, x, u, dt, f0, g0)), (x, u, f0, dt)
 
 
-def test_kappa1_reads_c1_at_call_time():
-    ctrl = Controller(builtin_scenario("linear2d_single"))
+def test_kappa1_fixed_at_construction():
+    """A controller built from a config with c1 doubled gives kappa1_oracle's
+    bytes on it, and its c1 array cannot be written."""
+    cfg = builtin_scenario("linear2d_single")
+    pa = dataclasses.replace(cfg.params[0], c1=2.0 * cfg.params[0].c1)
+    ctrl, doubled = Controller(cfg), Controller(dataclasses.replace(cfg, params=(pa,)))
+    with pytest.raises(ValueError, match="read-only"):
+        doubled.c1[0] = ctrl.c1[0]
     x = np.array([2.0, 3.2])
-    before = ctrl.kappa1(0, x)
-    ctrl.c1[0] = 2.0 * ctrl.c1[0]
-    after = ctrl.kappa1(0, x)
-    assert as_bytes(after) == as_bytes(kappa1_oracle(ctrl, 0, x, -x, np.eye(2)))
-    assert as_bytes(after) != as_bytes(before)
+    after = doubled.kappa1(0, x)
+    assert as_bytes(after) == as_bytes(kappa1_oracle(doubled, 0, x, -x, np.eye(2)))
+    assert as_bytes(after) != as_bytes(ctrl.kappa1(0, x))
 
 
 def test_fresh_g_array_per_call_reproduces_pinned_trajectories(cfg_a):

@@ -12,7 +12,9 @@ only the scalar certificate forms and the array-form laws with ndarray.dot
 (``kappa1_oracle``, ``kappa2_oracle``), the grid's rounding, and each product
 and ||x||^2 is an ndarray.dot; at each degenerate point
 ``control_row_transversal``, the per-point test the checks ran before their
-degenerate rule took rows.  The array
+degenerate rule took rows.  Both take ``design_failures`` from
+``validate_params``' failed entries, its initial-state entries left out
+(``design_oracle``).  The array
 versions must reproduce their reports exactly: every report's ``json_doc`` is
 compared with ``==``, no tolerance.
 """
@@ -41,6 +43,12 @@ def _grid(config, resolution):
     axes = [np.linspace(lo, hi, resolution) for lo, hi in config.state_box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def design_oracle(config) -> tuple[str, ...]:
+    """validate_params' failed entries but the initial-state ones, by name."""
+    return tuple(c.name for c in verify.validate_params(config).checks
+                 if not (c.passed or c.name.startswith("initial_state")))
 
 
 def control_row_transversal(system: ControlAffineSystem, row_fn, x: np.ndarray) -> bool:
@@ -135,7 +143,7 @@ def decrease_oracle(config, resolution=201, tol_f=1e-9):
         grid_shape=tuple([resolution] * config.n),
         counts=counts, degenerate_max_drift=max_drift,
         degenerate_ok=max_drift <= tol_f, fields_finite=fields_finite,
-        degenerate_escapes_in_finite_time=escapes)
+        design_failures=design_oracle(config), degenerate_escapes_in_finite_time=escapes)
 
 
 def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
@@ -198,7 +206,7 @@ def assumptions_oracle(config, grid_resolution=101, tol_f=1e-9):
                      "set in finite time (transversal drift); reported informationally")
     return AssumptionReport(
         entries=tuple(entries), g_min_singular_value=g_min_sv, g_full_rank=g_full_rank,
-        fields_finite=fields_finite,
+        fields_finite=fields_finite, design_failures=design_oracle(config),
         zero_state_detectability="not machine-checked (not decidable by sampling); "
                                  "grid evidence attached",
         notes=tuple(notes))

@@ -3,7 +3,8 @@
 Each report class used to build its own JSON in a ``to_dict`` method, with
 non-finite floats mapped to null by ``json_float`` at each call site.  Those
 bodies are kept below verbatim except for their names (one function per
-class, taking the report as its argument); ``json_doc``, the one rule that
+class, taking the report as its argument) and the grid reports' later
+design_failures lists; ``json_doc``, the one rule that
 now writes every report, must give the same document, compared with ``==``.
 """
 
@@ -62,6 +63,7 @@ def decrease_report(self) -> dict:
             "degenerate_max_drift": json_float(self.degenerate_max_drift),
             "degenerate_ok": self.degenerate_ok,
             "fields_finite": self.fields_finite,
+            "design_failures": list(self.design_failures),
             "degenerate_escapes_in_finite_time": self.degenerate_escapes_in_finite_time}
 
 
@@ -81,6 +83,7 @@ def assumption_report(self) -> dict:
             "g_min_singular_value": json_float(self.g_min_singular_value),
             "g_full_rank": self.g_full_rank,
             "fields_finite": self.fields_finite,
+            "design_failures": list(self.design_failures),
             "zero_state_detectability": self.zero_state_detectability,
             "notes": list(self.notes)}
 

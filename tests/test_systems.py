@@ -15,9 +15,9 @@ import pytest
 from conftest import spy_system, with_system
 from nclbf.controller import Controller
 from nclbf.scenario import builtin_scenario, json_doc
-from nclbf.simulator import rk4_step, simulate
+from nclbf.simulator import _rk4, simulate
 from nclbf.systems import (ControlAffineSystem, builtin_linear2d, builtin_nonlinear_mech,
-                           pointwise_rows, register_system, resolve_system)
+                           fg_at, pointwise_rows, register_system, resolve_system)
 from nclbf.verify import _degenerate_rule, check_assumptions, grid_decrease_check
 
 BUILTINS = (builtin_linear2d, builtin_nonlinear_mech)
@@ -181,7 +181,8 @@ class TestStateContract:
 
         x, u = np.array([4.0, 3.5]), np.array([1.0, -2.0])
         assert min(evals(lambda: simulate(config, np.array([5.0, 5.0])))) > 0
-        assert evals(lambda: rk4_step(spy, x, u, 1e-3)) == (4, 4)
+        xs, us = x.tolist(), u.tolist()
+        assert evals(lambda: _rk4(spy, xs, us, 1e-3, *fg_at(spy, xs))) == (4, 4)
         ctrl = Controller(config)
         assert evals(lambda: ctrl.kappa1(0, x)) == (1, 1)
         assert evals(lambda: ctrl.kappa2(x)) == (1, 1)
