@@ -139,10 +139,12 @@ class Certificate:
 
     def dominant_gap(self, x) -> tuple[int, float, list[float]]:
         """Dominant obstacle i = argmax_j B_j(x), B_i(x) - L(x), and ||x - c_j||^2.
+        Ties break to the lowest index."""
+        return self.dominant_gap_L(x)[:3]
 
-        Ties break to the lowest index.  Written as plain indexed loops because
-        the simulator calls it once per step and per bisection probe.
-        """
+    def dominant_gap_L(self, x) -> tuple[int, float, list[float], float]:
+        """dominant_gap(x) and the L(x) it sums, in plain indexed loops: the
+        simulator calls it once per step and per bisection probe."""
         x = x if type(x) is list else np.asarray(x, float).tolist()
         L = 0.0
         for v in x:
@@ -157,7 +159,7 @@ class Certificate:
             bj = e2 - e1 * dd
             if bj > best_b:
                 best_i, best_b = j, bj
-        return best_i, best_b - L, dds
+        return best_i, best_b - L, dds, L
 
     def dominant_gap_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """dominant_gap for every row of X (P, n): i (P,), B_i - L (P,), dds (P, N).

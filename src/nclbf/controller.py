@@ -76,8 +76,9 @@ class Controller:
         if f0 is None:
             f0, g0 = fg_at(self.system, x)
         c, e1, _ = self.cert._obstacles[i]
-        s = -2.0 * e1
-        gB = [s * (a - b) for a, b in zip(x, c)]   # grad_B
+        s, gB = -2.0 * e1, [*x]   # grad_B
+        for k in range(len(gB)):
+            gB[k] = s * (x[k] - c[k])
         Bf = dot(gB, f0)
         u = vecmat(gB, g0)   # Bg
         n2 = dot(u, u)
@@ -95,7 +96,9 @@ class Controller:
         x = x if type(x) is list else np.asarray(x, float).tolist()
         if f0 is None:
             f0, g0 = fg_at(self.system, x)
-        gL = [2.0 * v for v in x]
+        gL = [*x]
+        for k in range(len(gL)):
+            gL[k] = 2.0 * x[k]
         Lf = dot(gL, f0)
         u = vecmat(gL, g0)   # Lg
         n2 = dot(u, u)

@@ -190,7 +190,6 @@ class ScenarioConfig:
         object.__setattr__(self, "state_box", _readonly(self.state_box))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "params", tuple(self.params))
-        object.__setattr__(self, "initial_states", tuple(_readonly(x) for x in self.initial_states))
         if not isinstance(self.system_id, str):
             raise ScenarioError(f"system must be a name (got {self.system_id!r})")
         if self.state_box.ndim != 2 or self.state_box.shape[1] != 2:
@@ -207,11 +206,17 @@ class ScenarioConfig:
         for ob in self.obstacles:
             if ob.center.shape != (n,):
                 raise ScenarioError(f"obstacle center dimension {ob.center.shape[0]} != state dimension {n}")
-        for x0 in self.initial_states:
-            if x0.shape != (n,):
-                raise ScenarioError(f"initial state dimension {x0.shape[0]} != state dimension {n}")
-            if not np.all(np.isfinite(x0)):
-                raise ScenarioError("initial states must be finite")
+        object.__setattr__(self, "initial_states", tuple(map(self.initial_state, self.initial_states)))
+
+    def initial_state(self, x0) -> np.ndarray:
+        """x0 as a new read-only float vector of n finite entries, or ScenarioError."""
+        x0 = _readonly(np.array(x0, float))
+        if x0.shape != (self.n,):
+            raise ScenarioError(f"initial state dimension {len(x0) if x0.ndim else 0} "
+                                f"!= state dimension {self.n}")
+        if not np.all(np.isfinite(x0)):
+            raise ScenarioError("initial states must be finite")
+        return x0
 
     @property
     def n(self) -> int:

@@ -46,40 +46,44 @@ from .systems import ControlAffineSystem, fg_at
 
 def _field(f, g, u) -> list[float]:
     """f + g u as a new list, f as floats and g as rows (systems.fg_at)."""
-    return [a + b for a, b in zip(f, matvec(g, u))]
+    k = matvec(g, u)
+    for j in range(len(k)):
+        k[j] = f[j] + k[j]
+    return k
 
 
 def _rk4(system: ControlAffineSystem, x: list[float], u: list[float], dt: float,
          f0: list[float], g0: list) -> list[float]:
-    # f0, g0 are fg_at(x): the first stage, shared by every step from x.  The
-    # stages are lists of floats, f's input, built in indexed loops (before
-    # CPython 3.12 a comprehension is a call of its own) in the operand order
-    # of the array form; g u is an index-order sum, reused while g's rows are
-    # g0 itself, as the builtins' are, and each stage's k = f + g u is formed
-    # in the loop that builds the next stage's state.  Returns a new list.
+    # f0, g0 are fg_at(x): the first stage, shared by every step from x; the
+    # others call f and g once each under fg_at's rules and memo, and no list
+    # f returns is written to.  The stages are lists of floats built in indexed
+    # loops (before CPython 3.12 a comprehension is a call of its own) in the
+    # operand order of the array form; g u is an index-order sum, reused while
+    # g's rows are g0 itself, as the builtins' are.  ks sums k2 + k3 from -0.0,
+    # the exact identity of +; the result is a new list.
+    f, g, memo = system.f, system.g, system._g_rows
+    r, half = range(len(x)), 0.5 * dt
     gu = matvec(g0, u)
-    r = range(len(x))
-    k1, xc, half = [*f0], [*x], 0.5 * dt
+    k1, xc, ks = [*x], [*x], [-0.0] * len(x)
     for j in r:
-        k1[j] += gu[j]
+        k1[j] = f0[j] + gu[j]
         xc[j] = k1[j] * half + x[j]
-    k2, gc = fg_at(system, xc)
-    gcu = gu if gc is g0 else matvec(gc, u)
-    xc = [*x]
-    for j in r:
-        k2[j] += gcu[j]
-        xc[j] = k2[j] * half + x[j]
-    k3, gc = fg_at(system, xc)
-    gcu = gu if gc is g0 else matvec(gc, u)
-    xc = [*x]
-    for j in r:
-        k3[j] += gcu[j]
-        xc[j] = k3[j] * dt + x[j]
-    k4, gc = fg_at(system, xc)
-    gcu = gu if gc is g0 else matvec(gc, u)
+    for c in (half, dt, None):
+        fc, gc = f(xc), g(xc)
+        fc = fc if type(fc) is list else fc.tolist() if isinstance(fc, np.ndarray) else list(fc)
+        if gc is not memo[0]:
+            memo[:] = gc, np.asarray(gc, float).tolist()
+        gcu = gu if memo[1] is g0 else matvec(memo[1], u)
+        if c is None:
+            break
+        xc = [*x]
+        for j in r:
+            k = fc[j] + gcu[j]
+            ks[j] += k
+            xc[j] = k * c + x[j]
     xs, w = [*x], dt / 6.0
     for j in r:
-        xs[j] = (((k2[j] + k3[j]) * 2.0 + k1[j]) + (k4[j] + gcu[j])) * w + x[j]
+        xs[j] = ((ks[j] * 2.0 + k1[j]) + (fc[j] + gcu[j])) * w + x[j]
     return xs
 
 
@@ -200,7 +204,7 @@ class _Engine:
         pos0 = h0 > 0.0
         for _ in range(70):
             mid = 0.5 * (lo + hi)
-            _, hm, _ = self.cert.dominant_gap(_rk4(self.system, x, u, mid, f0, g0))
+            hm = self.cert.dominant_gap_L(_rk4(self.system, x, u, mid, f0, g0))[1]
             if (hm > 0.0) == pos0:
                 lo = mid
             else:
@@ -215,35 +219,47 @@ class _Engine:
         """nominal + alpha*w, with alpha solved so h(end) = h_tgt.
 
         w is the surface-normal input direction from _slide_nominal; f0, g0
-        are fg_at(x).  Returns (u, alpha, state after tau under u).
+        are fg_at(x).  Returns (u, alpha, state after tau under u).  The probe
+        sums B_i - L in one pass, in Certificate.B's then Certificate.L's order.
         """
+        ci, e1, e2 = self.cert._obstacles[i]
+        rn, rx = range(len(nominal)), range(len(x))
 
-        def h_end(alpha: float) -> tuple[float, list[float]]:
-            xe = _rk4(self.system, x, [p + alpha * q for p, q in zip(nominal, w)], tau, f0, g0)
-            return self.cert.B(i, xe) - self.cert.L(xe) - h_tgt, xe
+        def h_end(alpha: float) -> tuple[float, tuple[list[float], list[float]]]:
+            u = [*nominal]
+            for j in rn:
+                u[j] = nominal[j] + alpha * w[j]
+            xe = _rk4(self.system, x, u, tau, f0, g0)
+            dd = L = 0.0
+            for k in rx:
+                d = xe[k] - ci[k]
+                dd += d * d
+                L += xe[k] * xe[k]
+            return e2 - e1 * dd - L - h_tgt, (u, xe)
 
         a = warm
         fa, _ = h_end(a)
         b = a + max(1e-8, 1e-3 * abs(a))
-        fb, xb = h_end(b)
+        fb, at_b = h_end(b)
         for _ in range(25):
             if fb == fa:
                 break
             c = b - fb * (b - a) / (fb - fa)
-            fc, xc = h_end(c)
-            a, fa, b, fb, xb = b, fb, c, fc, xc
+            fc, at_c = h_end(c)
+            a, fa, b, fb, at_b = b, fb, c, fc, at_c
             if abs(fb) <= 1e-13 * (1.0 + abs(h_tgt)):
                 break
         if not math.isfinite(b) or abs(fb) > 1e-6:
             return None
-        return [p + b * q for p, q in zip(nominal, w)], b, xb
+        return at_b[0], b, at_b[1]
 
     def _rates(self, i: int, x: list[float], f0: list[float], g0: list):
         """grad h for h = B_i - L, and kappa2, dh/dt under it, kappa1, dh/dt
         under it: (grad h, u2, hd2, u1, hd1).  f0, g0 are fg_at(x)."""
         c, e1, _ = self.cert._obstacles[i]
-        s = -2.0 * e1
-        gh = [s * (a - b) - 2.0 * a for a, b in zip(x, c)]
+        s, gh = -2.0 * e1, [*x]
+        for k in range(len(gh)):
+            gh[k] = s * (x[k] - c[k]) - 2.0 * x[k]
         u2 = self.ctrl.kappa2(x, f0, g0)
         u1 = self.ctrl.kappa1(i, x, f0, g0)
         return gh, u2, dot(gh, _field(f0, g0, u2)), u1, dot(gh, _field(f0, g0, u1))
@@ -262,14 +278,18 @@ class _Engine:
         n2 = dot(w, w)
         if n2 < 1e-18 or hd2 <= 0.0:
             return None
-        w = [v / n2 for v in w]
-        ua = [a - hd2 * b for a, b in zip(u2, w)]   # kappa2 projected onto the surface through g
+        r, ua = range(len(w)), [*u2]   # ua: kappa2 projected onto the surface through g
+        for k in r:
+            w[k] = w[k] / n2
+            ua[k] = u2[k] - hd2 * w[k]
         xa = _field(f0, g0, ua)
         vda = 2.0 * dot(x, xa)
         speed_a = math.sqrt(dot(xa, xa))
         if hd1 < 0.0:
             lam = hd2 / (hd2 - hd1)
-            ub = [lam * a + (1.0 - lam) * b for a, b in zip(u1, u2)]
+            ub, mu = [*u1], 1.0 - lam
+            for k in r:
+                ub[k] = lam * u1[k] + mu * u2[k]
             xb = _field(f0, g0, ub)
             vdb = 2.0 * dot(x, xb)
             tie = 1e-9 * (1.0 + abs(vda))
@@ -277,16 +297,16 @@ class _Engine:
                 return ub, w
         return ua, w
 
-    def advance(self, x: list[float], i: int, h: float, dd: list[float],
-                region: tuple[int, int]):
-        """Integrate one recorded step from x, whose (i, h, dd) triple is
-        Certificate.dominant_gap(x) and whose label is region.
+    def advance(self, x: list[float], gap: tuple, region: tuple[int, int]):
+        """Integrate one recorded step from x, whose gap (i, h, dd, L) is
+        Certificate.dominant_gap_L(x) and whose label is region.
 
-        Returns (x_next, i_next, h_next, dd_next, u, law), u and law being
-        the first input applied; the triple is Certificate.dominant_gap of
-        x_next, so the next sample needs no new barrier evaluation.  States
-        and inputs are lists of floats.
+        Returns (x_next, gap_next, u, law), u and law being the first input
+        applied; gap_next is Certificate.dominant_gap_L of x_next, so the next
+        sample needs no new barrier or L evaluation.  States and inputs are
+        lists of floats.
         """
+        i, h, dd, _ = gap
         remaining = self.dt
         sub_min = self.dt / _SUB_MIN_FRACTION
         u_first = law_first = None
@@ -310,7 +330,7 @@ class _Engine:
                 u, mode.alpha, x = pin
                 if u_first is None:
                     u_first, law_first = u, self.ctrl.k3_law[i][False]
-                i, h, dd = self.cert.dominant_gap(x)
+                i, h, dd, _ = gap = self.cert.dominant_gap_L(x)
                 region = f0 = None
                 remaining -= tau
                 mode.sub = min(mode.sub * 2.0, self.dt)
@@ -327,20 +347,19 @@ class _Engine:
                 u_first, law_first = u, law
 
             x_try = _rk4(self.system, x, u, remaining, f0, g0)
-            i_try, h_try, dd_try = self.cert.dominant_gap(x_try)
-            if (h > 0.0) == (h_try > 0.0) or h == 0.0:
-                x, i, h, dd = x_try, i_try, h_try, dd_try
-                remaining = 0.0
+            gap_try = self.cert.dominant_gap_L(x_try)
+            if (h > 0.0) == (gap_try[1] > 0.0) or h == 0.0:
+                x, gap, remaining = x_try, gap_try, 0.0
                 continue
             tau = self._locate(x, u, remaining, h, f0, g0)
             x = _rk4(self.system, x, u, tau, f0, g0)
             remaining -= tau
-            i, h, dd = self.cert.dominant_gap(x)
+            i, h, dd, _ = gap = self.cert.dominant_gap_L(x)
             region = None
             f0, g0 = fg_at(self.system, x)
             rates = self._rates(i, x, f0, g0)   # the slide's first substep reuses them
             self.mode = self._entered(i, h, rates[2], rates[4])
-        return x, i, h, dd, u_first, law_first
+        return x, gap, u_first, law_first
 
     def run(self, x0: np.ndarray, override_init: bool) -> TrajectoryRecord:
         """Simulate from x0 until convergence, timeout, or violation."""
@@ -363,10 +382,10 @@ class _Engine:
         n_steps = int(round(integ.t_max / integ.dt))
         self.prev = cert.classify(x)
         k = 0
-        i, h, dd = cert.dominant_gap(x)
+        gap = cert.dominant_gap_L(x)
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                L = cert.L(x)
+                i, h, dd, L = gap
                 region = cert.label(i, h, dd)
                 x_(x)
                 if region[0] == UNSAFE:
@@ -377,7 +396,7 @@ class _Engine:
                     u_(u), law_(law)
                     return Outcome("converged" if L <= eps_conv_sq else "timeout",
                                    t=k * integ.dt)
-                x_next, i, h, dd, u, law = self.advance(x, i, h, dd, region)
+                x_next, gap, u, law = self.advance(x, gap, region)
                 u_(u), law_(law)
                 if not all(map(math.isfinite, x_next)):
                     return Outcome("numeric_blowup", t=k * integ.dt)
@@ -392,8 +411,9 @@ class _Engine:
 
 def simulate(config: ScenarioConfig, x0: np.ndarray,
              override_init: bool = False) -> TrajectoryRecord:
-    """Run config's closed loop from x0 until convergence, timeout, or violation."""
-    return _Engine(config).run(np.asarray(x0, float), override_init)
+    """Run config's closed loop from x0 until convergence, timeout, or violation;
+    an x0 that config.initial_state rejects raises ScenarioError, override or not."""
+    return _Engine(config).run(config.initial_state(x0), override_init)
 
 
 def run_batch(config: ScenarioConfig,

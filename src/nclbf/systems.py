@@ -24,9 +24,11 @@ from .scenario import ScenarioConfig, ScenarioError
 @dataclass(frozen=True)
 class ControlAffineSystem:
     """xdot = f(x) + g(x) u, f and g taking x as a list of n Python floats: f
-    returns n floats (a list or any 1-D sequence), g an (n, m) array.  An
-    array that f or g returns must not change in later calls: the engine
-    reuses f(x) and g(x) for every probe from x, and g's rows and g u while g returns it."""
+    returns n floats (a list, used as it is and never written to by the
+    engine, or any 1-D sequence, converted to floats), g an (n, m) array,
+    made rows once per array object.  What f or g returns must not change in
+    later calls: the engine reuses f(x) and g(x) for every probe from x, and
+    g's rows and g u while g returns the same array."""
 
     name: str
     n: int
@@ -51,11 +53,12 @@ def pointwise_rows(system: ControlAffineSystem, X: np.ndarray) -> tuple[np.ndarr
 
 
 def fg_at(system: ControlAffineSystem, x: list[float]) -> tuple[list[float], list]:
-    """f(x) as a new list of floats and g(x) as rows of floats, made once per array."""
+    """f(x) as a list of floats (f's own list, which the engine never writes
+    to) and g(x) as rows of floats, made once per array."""
     f, g, memo = system.f(x), system.g(x), system._g_rows
     if g is not memo[0]:
         memo[:] = g, np.asarray(g, float).tolist()
-    return f.tolist() if isinstance(f, np.ndarray) else list(f), memo[1]
+    return f if type(f) is list else f.tolist() if isinstance(f, np.ndarray) else list(f), memo[1]
 
 
 def linear_system(name: str, a: Sequence[float], B) -> ControlAffineSystem:

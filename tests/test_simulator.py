@@ -19,7 +19,8 @@ from conftest import spy_system, with_system
 from nclbf import builtin_scenario
 from nclbf.certificate import R1, R3, UNSAFE, Certificate
 from nclbf.controller import Controller
-from nclbf.scenario import IntegratorSettings, ObstacleParams, ObstacleSpec, ScenarioConfig
+from nclbf.scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec, ScenarioConfig,
+                            ScenarioError)
 from nclbf.simulator import (_Engine, _rk4, _Slide, read_trajectory_csv, run_batch,
                              simulate, trajectory_csv_text, trajectory_header,
                              write_trajectory_csv)
@@ -107,6 +108,30 @@ class TestSimulate:
         rec = simulate(cfg_a, np.array([2.0, 3.5]), override_init=True)
         assert rec.outcome.kind == "converged"
         assert rec.min_clearance() > 0.0
+
+    @pytest.mark.parametrize("override_init", [False, True])
+    @pytest.mark.parametrize("x0, message", [
+        ([5.0, 5.0, 1.0], "initial state dimension 3 != state dimension 2"),
+        ([5.0], "initial state dimension 1 != state dimension 2"),
+        ([math.nan, 1.0], "initial states must be finite"),
+        ([math.inf, 1.0], "initial states must be finite"),
+    ], ids=["three_entries", "one_entry", "nan", "inf"])
+    def test_start_that_is_no_initial_state_rejected(self, cfg_a, x0, message, override_init):
+        # the error and message a ScenarioConfig with x0 among its
+        # initial_states raises; a start of the wrong length used to fail
+        # inside the engine with IndexError, and (nan, 1) to pass as
+        # admissible and end numeric_blowup at t = 0
+        with pytest.raises(ScenarioError) as config_error:
+            dataclasses.replace(cfg_a, initial_states=(np.array(x0),))
+        assert str(config_error.value) == message
+        with pytest.raises(ScenarioError) as simulate_error:
+            simulate(cfg_a, x0, override_init=override_init)
+        assert str(simulate_error.value) == message
+
+    def test_start_array_is_copied_not_frozen(self, cfg_a):
+        x0 = np.array([5.0, 2.0])
+        assert simulate(cfg_a, x0).outcome.kind == "converged"
+        x0[0] = 4.0   # the caller's array stays writable
 
     def test_multi_obstacle_start_converges_with_clearance(self, records_b):
         rec = records_b[(-5.0, 5.0)]
@@ -358,7 +383,7 @@ def test_no_numpy_call_inside_a_step(name, x0, monkeypatch):
     assert len(counts) == 2000 and counts[0] > 0
     assert sum(counts[1:]) == 0
     assert any(law.startswith("K3") for *_, law in steps)
-    assert all(type(x) is list and type(u) is list for x, _, _, _, u, _ in steps)
+    assert all(type(x) is list and type(u) is list for x, _, u, _ in steps)
 
 
 class TestSampledData:
