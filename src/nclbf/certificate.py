@@ -114,6 +114,16 @@ class Certificate:
                                   in zip(self.eta1.tolist(), self.eta2.tolist(), cc.tolist())])
         # (eta1*||c||^2 - eta2)/(eta1 + 1): the squared norm at the contact points
         self.phis = (self.eta1 * cc - self.eta2) / (self.eta1 + 1.0)         # (N,)
+        # clear radius rho: each x with ||x|| < rho is outside every unsafe ball and
+        # has h_i = (1 + eta1)(rbar^2 - ||x - cbar||^2) <= -(eps_band + m_i), m_i
+        # being 32 times the worst-case rounding of dominant_gap_L's sums (dd <=
+        # 4||c||^2, L <= ||c||^2), of rho and of ||x||^2 < rho^2; a NaN gives 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            m = (self.n + 6) * 2.0 ** -48 * (self.eta2 + (1.0 + 4.0 * self.eta1) * cc)
+            q = np.maximum(self.rbars_sq + (self.eps_band + m) / (1.0 + self.eta1), 0.0)
+            rho = np.minimum(np.sqrt(row_dot(self.cbars, self.cbars)) - np.sqrt(q),
+                             np.sqrt(cc) - np.sqrt(self.radii_sq + m)).min()
+        self.clear_radius = float(rho) if rho > 0.0 else 0.0
         # plain-float copies for the simulator's hot path
         self._obstacles = tuple(zip(self.centers.tolist(), self.eta1.tolist(),
                                     self.eta2.tolist()))

@@ -24,8 +24,9 @@ class ScenarioError(ValueError):
     """Raised for malformed or inconsistent scenario data."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _readonly(a) -> np.ndarray:
+    """a as a new read-only float array: the caller's array is copied, not frozen."""
+    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -210,7 +211,7 @@ class ScenarioConfig:
 
     def initial_state(self, x0) -> np.ndarray:
         """x0 as a new read-only float vector of n finite entries, or ScenarioError."""
-        x0 = _readonly(np.array(x0, float))
+        x0 = _readonly(x0)
         if x0.shape != (self.n,):
             raise ScenarioError(f"initial state dimension {len(x0) if x0.ndim else 0} "
                                 f"!= state dimension {self.n}")

@@ -38,7 +38,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .certificate import UNSAFE, dot, matvec, region_codes, row_sq, vecmat
+from .certificate import R2, UNSAFE, dot, matvec, region_codes, row_sq, vecmat
 from .controller import K2_LAW, NO_LAW, Controller, law_names
 from .scenario import ScenarioConfig, json_doc
 from .systems import ControlAffineSystem, fg_at
@@ -180,6 +180,9 @@ class _Engine:
         latched(i)     |h| > eps_band, or i stops dominating    free
         sliding(i)     tangency, or i stops dominating          free
         sliding(i)     no pin holds at the dt/64 substep        free
+
+    A free step that ends, or a run that starts, in the certificate's clear
+    ball skips the obstacle pass and the label (_gap): no bit depends on them.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -188,6 +191,7 @@ class _Engine:
         self.system, self.cert = ctrl.system, ctrl.cert
         self.dt = config.integrator.dt
         self.h_floor = -0.25 * self.cert.eps_band
+        self.clear_sq = self.cert.clear_radius ** 2
         self.prev: tuple[int, int] | None = None
         self.mode: int | _Slide | None = None
 
@@ -196,6 +200,15 @@ class _Engine:
         if hd2 > 0.0 > hd1:
             return _Slide(i, min(h, 0.0), self.dt / 4.0)
         return i if hd2 > 0.0 and hd1 >= 0.0 else None
+
+    def _gap(self, x: list[float]) -> tuple:
+        """Certificate.dominant_gap_L(x), or (-1, -inf, None, L) when L < clear_sq:
+        there that pass labels (R2, -1) with h < -eps_band, so the label, h's
+        sign and |h| against the band decide as on the clear gap."""
+        L = 0.0
+        for v in x:
+            L += v * v
+        return (-1, -math.inf, None, L) if L < self.clear_sq else self.cert.dominant_gap_L(x)
 
     def _locate(self, x: list[float], u: list[float], span: float, h0: float,
                 f0: list[float], g0: list) -> float:
@@ -299,12 +312,12 @@ class _Engine:
 
     def advance(self, x: list[float], gap: tuple, region: tuple[int, int]):
         """Integrate one recorded step from x, whose gap (i, h, dd, L) is
-        Certificate.dominant_gap_L(x) and whose label is region.
+        _gap(x) and whose label is region.
 
         Returns (x_next, gap_next, u, law), u and law being the first input
-        applied; gap_next is Certificate.dominant_gap_L of x_next, so the next
-        sample needs no new barrier or L evaluation.  States and inputs are
-        lists of floats.
+        applied; gap_next is _gap(x_next) after a free step and, as _rates and
+        the slide read the true dominant index, dominant_gap_L(x_next) after a
+        pin or a located event.  States and inputs are lists of floats.
         """
         i, h, dd, _ = gap
         remaining = self.dt
@@ -347,7 +360,7 @@ class _Engine:
                 u_first, law_first = u, law
 
             x_try = _rk4(self.system, x, u, remaining, f0, g0)
-            gap_try = self.cert.dominant_gap_L(x_try)
+            gap_try = self._gap(x_try)
             if (h > 0.0) == (gap_try[1] > 0.0) or h == 0.0:
                 x, gap, remaining = x_try, gap_try, 0.0
                 continue
@@ -382,11 +395,11 @@ class _Engine:
         n_steps = int(round(integ.t_max / integ.dt))
         self.prev = cert.classify(x)
         k = 0
-        gap = cert.dominant_gap_L(x)
+        gap, clear_sq = self._gap(x), self.clear_sq
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 i, h, dd, L = gap
-                region = cert.label(i, h, dd)
+                region = (R2, -1) if L < clear_sq else cert.label(i, h, dd)
                 x_(x)
                 if region[0] == UNSAFE:
                     u_([0.0] * self.system.m), law_(NO_LAW)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nclbf.cli import main
+from nclbf.controller import Controller
 from nclbf.scenario import (IntegratorSettings, ObstacleParams, ObstacleSpec,
                             ScenarioError, builtin_scenario, derive_eta2,
                             eta1_lower_bound, load_scenario, save_scenario,
@@ -284,6 +285,33 @@ class TestImmutability:
             cfg_a.system_id = "other"
         with pytest.raises((ValueError, RuntimeError)):
             cfg_a.obstacles[0].center[0] = 9.9
+
+    @pytest.mark.parametrize("field", ["ScenarioConfig.state_box", "ObstacleSpec.center",
+                                       "ObstacleParams.c1", "Controller.c1"])
+    def test_caller_array_is_copied_then_frozen(self, cfg_a, field):
+        """Each array field holds a read-only copy of the array it is given:
+        the caller's array stays writeable, and a later write to it does not
+        reach the config."""
+        ob, pa = cfg_a.obstacles[0], cfg_a.params[0]
+
+        def params(c1):
+            return ObstacleParams(eta1=pa.eta1, eta2=pa.eta2, c1=c1)
+
+        given, held = {
+            "ScenarioConfig.state_box": (np.array(cfg_a.state_box),
+                                         lambda a: dataclasses.replace(cfg_a, state_box=a).state_box),
+            "ObstacleSpec.center": (np.array(ob.center),
+                                    lambda a: ObstacleSpec(center=a, radius_sq=ob.radius_sq).center),
+            "ObstacleParams.c1": (np.array(pa.c1), lambda a: params(a).c1),
+            "Controller.c1": (np.array(pa.c1), lambda a: Controller(
+                dataclasses.replace(cfg_a, params=(params(a),))).c1[0]),
+        }[field]
+        kept = held(given)
+        before = kept.copy()
+        assert given.flags.writeable
+        assert not kept.flags.writeable
+        given += 1.0
+        assert kept.tobytes() == before.tobytes()
 
     def test_integrator_bounds(self):
         with pytest.raises(ScenarioError):
